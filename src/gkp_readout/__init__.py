@@ -1,6 +1,6 @@
 """Readout-error simulator and analytics for qubit-coupled GKP states."""
 
-from .fock import HilbertSpec, LinearOp, make_quadratures, displacement, squeeze, rabi_gate
+from .fock import HilbertSpec, LinearOp, make_quadratures, displacement, squeeze
 from .states import (
     GkpSpec,
     GkpStatePair,

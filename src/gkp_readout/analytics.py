@@ -58,9 +58,13 @@ def _stationarity(lam: float, delta: float) -> float:
 
 def optimal_lambda(delta: float) -> float:
     """Root of (2 lambda/delta^2) e^{-lambda^2/delta^2} = sqrt(pi) cos(sqrt(pi) lambda)
-    nearest the small-delta seed, to 1e-12."""
-    if not 0 < delta <= 0.5:
-        raise ValueError(f"delta must be in (0, 0.5], got {delta}")
+    nearest the small-delta seed, to 1e-12.
+
+    A root lies below sqrt(pi)/2 for every delta in (0, 1): the condition
+    is negative at lambda = 0 and positive where cos(sqrt(pi) lambda) = 0.
+    """
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
     hi = 4 * SQRT_PI * delta**2
     grid = np.linspace(0.0, hi, 400)
     vals = _stationarity(grid, delta)

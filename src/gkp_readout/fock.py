@@ -1,25 +1,20 @@
 """Truncated Fock-space linear algebra for a single bosonic mode.
 
 All operators are dense complex matrices over the number basis |0..N>.
-Hybrid (qubit x oscillator) objects use the qubit as the slow (outer)
-tensor factor, so index = q*(N+1) + n.
+Functions of X or P are built on one cached eigendecomposition of
+truncated X per cutoff.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh, expm as _scipy_expm
+from scipy.linalg import eigh, eigh_tridiagonal, expm as _scipy_expm
 
 NORM_TOL = 1e-12
 LEAKAGE_TOL = 1e-10
-
-PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 class DimensionMismatchError(ValueError):
@@ -44,14 +39,10 @@ class HilbertSpec:
     def dim(self) -> int:
         return self.cutoff + 1
 
-    @property
-    def hybrid_dim(self) -> int:
-        return 2 * self.dim
-
 
 @dataclass(frozen=True)
 class LinearOp:
-    """Dense operator on the oscillator or hybrid space."""
+    """Dense operator on the oscillator space."""
 
     matrix: np.ndarray
     hermitian: bool = False
@@ -91,6 +82,45 @@ def make_quadratures(spec: HilbertSpec) -> tuple[LinearOp, LinearOp]:
     x = (a + ad) / np.sqrt(2)
     p = (a - ad) / (1j * np.sqrt(2))
     return LinearOp(x, hermitian=True), LinearOp(p, hermitian=True)
+
+
+@lru_cache(maxsize=4)
+def x_eigenbasis(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w and real orthonormal eigenvectors V of truncated X,
+    X = V diag(w) Vᵀ. Computed on first use per cutoff and cached
+    (read-only arrays).
+
+    Truncated X is the Hermite Jacobi matrix (zero diagonal, off-diagonal
+    sqrt(n/2)), so w are the Gauss-Hermite nodes.
+    """
+    w, v = eigh_tridiagonal(np.zeros(spec.dim), np.sqrt(np.arange(1, spec.dim) / 2))
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return w, v
+
+
+def _p_phases(spec: HilbertSpec) -> np.ndarray:
+    """Diagonal of F† = diag(iⁿ), where truncated P = F† X F exactly."""
+    return np.array([1, 1j, -1, -1j])[np.arange(spec.dim) % 4]
+
+
+def p_eigenbasis(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w and eigenvectors diag(iⁿ)·V of truncated P; the
+    eigenvalues are those of X."""
+    w, v = x_eigenbasis(spec)
+    return w, _p_phases(spec)[:, None] * v
+
+
+def function_of_x(spec: HilbertSpec, f) -> np.ndarray:
+    """f(X) = V diag(f(w)) Vᵀ for an elementwise function f."""
+    w, v = x_eigenbasis(spec)
+    return (v * f(w)) @ v.T
+
+
+def function_of_p(spec: HilbertSpec, f) -> np.ndarray:
+    """f(P) = F† f(X) F, with F = diag((-i)ⁿ)."""
+    phase = _p_phases(spec)
+    return phase[:, None] * function_of_x(spec, f) * phase.conj()[None, :]
 
 
 def vacuum(spec: HilbertSpec) -> np.ndarray:
@@ -150,21 +180,6 @@ def squeeze(spec: HilbertSpec, delta: float) -> LinearOp:
     return LinearOp(expm_i_hermitian(h), unitary=True)
 
 
-def rabi_gate(spec: HilbertSpec, k: str, alpha: complex) -> LinearOp:
-    """Qubit-conditioned displacement U_k(α) = exp[i(-Re[α] P + Im[α] X) σ_k].
-
-    Acts on the hybrid space, qubit slow.
-    """
-    if k not in PAULI:
-        raise ValueError(f"k must be one of x, y, z, got {k!r}")
-    if not np.isfinite(alpha):
-        raise ValueError("alpha must be finite")
-    x, p = make_quadratures(spec)
-    g_osc = np.imag(alpha) * x.matrix - np.real(alpha) * p.matrix
-    h = np.kron(PAULI[k], g_osc)
-    return LinearOp(expm_i_hermitian(h), unitary=True)
-
-
 def apply(op: LinearOp, state: np.ndarray) -> np.ndarray:
     """op|ψ> for a ket, or op ρ op† for a density matrix."""
     state = np.asarray(state, dtype=complex)
@@ -205,41 +220,6 @@ def ket_to_density(ket: np.ndarray) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-def embed_qubit_zero(osc_state: np.ndarray) -> np.ndarray:
-    """|0>_qubit ⊗ state, qubit slow. Works for kets and density matrices."""
-    osc_state = np.asarray(osc_state, dtype=complex)
-    d = osc_state.shape[0]
-    if osc_state.ndim == 1:
-        out = np.zeros(2 * d, dtype=complex)
-        out[:d] = osc_state
-    else:
-        out = np.zeros((2 * d, 2 * d), dtype=complex)
-        out[:d, :d] = osc_state
-    return out
-
-
-def partial_trace_qubit(hybrid_state: np.ndarray) -> np.ndarray:
-    """Reduced 2x2 qubit density matrix of a hybrid ket or density matrix."""
-    hybrid_state = np.asarray(hybrid_state, dtype=complex)
-    d = hybrid_state.shape[0] // 2
-    if hybrid_state.ndim == 1:
-        a = hybrid_state.reshape(2, d)
-        return a @ a.conj().T
-    r = hybrid_state.reshape(2, d, 2, d)
-    return np.einsum("injn->ij", r)
-
-
-def partial_trace_oscillator(hybrid_state: np.ndarray) -> np.ndarray:
-    """Reduced oscillator density matrix of a hybrid ket or density matrix."""
-    hybrid_state = np.asarray(hybrid_state, dtype=complex)
-    d = hybrid_state.shape[0] // 2
-    if hybrid_state.ndim == 1:
-        a = hybrid_state.reshape(2, d)
-        return np.einsum("qm,qn->mn", a, a.conj())
-    r = hybrid_state.reshape(2, d, 2, d)
-    return np.einsum("qmqn->mn", r)
-
-
 def leakage(state: np.ndarray) -> float:
     """Population in the top two Fock levels (oscillator states only)."""
     state = np.asarray(state)
@@ -259,11 +239,7 @@ def unitarity_defect(op: LinearOp, spec: HilbertSpec) -> float:
     """Max-norm of U†U - I on the lower block (top Fock rows are corrupt)."""
     e = op.matrix.conj().T @ op.matrix - np.eye(op.dim)
     m = spec.cutoff - 5
-    if op.dim == spec.hybrid_dim:
-        e = e.reshape(2, spec.dim, 2, spec.dim)[:, :m, :, :m]
-    else:
-        e = e[:m, :m]
-    return float(np.max(np.abs(e)))
+    return float(np.max(np.abs(e[:m, :m])))
 
 
 def position_wavefunctions(spec: HilbertSpec, x: np.ndarray) -> np.ndarray:

@@ -2,9 +2,12 @@
 
 The simple circuit applies the conditional displacement U_x(i sqrt(pi)/2)
 to (|0>_qubit ⊗ state) and measures the qubit; the improved circuit
-prepends U_y(-lambda). Multi-round runs enumerate every measurement
-branch exactly, keeping the post-measurement oscillator state and
-resetting the qubit between rounds.
+prepends U_y(-lambda). With the qubit prepared in |0> and measured
+afterwards, the circuit is a two-outcome instrument {K0, K1} on the
+oscillator alone, built from functions of X and P. Multi-round runs
+enumerate every measurement branch exactly, keeping the
+post-measurement oscillator state and resetting the qubit between
+rounds.
 """
 
 from __future__ import annotations
@@ -15,13 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fock import (
-    HilbertSpec,
-    LinearOp,
-    apply,
-    embed_qubit_zero,
-    rabi_gate,
-)
+from .fock import HilbertSpec, LinearOp, apply, function_of_p, function_of_x
 from .states import GkpStatePair, effective_squeezing
 
 PROB_PRUNE = 1e-15
@@ -77,50 +74,56 @@ class ReadoutOutcome:
         return 0.5 * (self.p_1_given_0 + self.p_0_given_1)
 
 
-def readout_unitary(spec: HilbertSpec, lam: float) -> LinearOp:
-    """U_x(i sqrt(pi)/2) · U_y(-lambda) on the hybrid space."""
-    ux = rabi_gate(spec, "x", 1j * np.sqrt(np.pi) / 2)
+def readout_kraus(spec: HilbertSpec, lam: float) -> tuple[LinearOp, LinearOp]:
+    """Kraus pair of U_x(i sqrt(pi)/2) · U_y(-lambda) on |0>_qubit ⊗ ·.
+
+    With C = cos(sqrt(pi) X/2) and S = sin(sqrt(pi) X/2):
+    K0 = C cos(lambda P) - i S sin(lambda P) and
+    K1 = i S cos(lambda P) - C sin(lambda P).
+    """
+    half = np.sqrt(np.pi) / 2
+    c = function_of_x(spec, lambda w: np.cos(half * w))
+    s = function_of_x(spec, lambda w: np.sin(half * w))
     if lam == 0:
-        return ux
-    uy = rabi_gate(spec, "y", -lam)
-    return LinearOp(ux.matrix @ uy.matrix, unitary=True)
+        return LinearOp(c), LinearOp(1j * s)
+    cl = function_of_p(spec, lambda w: np.cos(lam * w))
+    sl = function_of_p(spec, lambda w: np.sin(lam * w))
+    return LinearOp(c @ cl - 1j * (s @ sl)), LinearOp(1j * (s @ cl) - c @ sl)
 
 
 def run_readout_once(spec: HilbertSpec, state: np.ndarray, lam: float,
-                     unitary: Optional[LinearOp] = None):
+                     kraus: Optional[tuple[LinearOp, LinearOp]] = None):
     """One circuit execution on an oscillator ket or density matrix.
 
     Returns (p0, p1, post0, post1) with the normalized post-measurement
     oscillator states; a zero-probability branch yields a None post-state.
     Qubit outcome 0 is read as logical 0 (calibrated on |0~> at small
-    delta, lambda = 0).
+    delta, lambda = 0). `kraus` is `readout_kraus(spec, lam)`, passed in
+    to reuse one pair across calls.
     """
     state = np.asarray(state, dtype=complex)
-    if unitary is None:
-        unitary = readout_unitary(spec, lam)
-    hybrid = apply(unitary, embed_qubit_zero(state))
-    d = spec.dim
+    if kraus is None:
+        kraus = readout_kraus(spec, lam)
+    outs = [apply(k, state) for k in kraus]
     if state.ndim == 1:
-        halves = [hybrid[:d], hybrid[d:]]
-        probs = [float(np.linalg.norm(h) ** 2) for h in halves]
-        posts = [h / np.sqrt(p) if p > PROB_PRUNE else None
-                 for h, p in zip(halves, probs)]
+        probs = [float(np.vdot(o, o).real) for o in outs]
+        posts = [o / np.sqrt(p) if p > PROB_PRUNE else None
+                 for o, p in zip(outs, probs)]
     else:
-        blocks = [hybrid[:d, :d], hybrid[d:, d:]]
-        probs = [float(np.trace(b).real) for b in blocks]
-        posts = [b / p if p > PROB_PRUNE else None for b, p in zip(blocks, probs)]
+        probs = [float(np.trace(o).real) for o in outs]
+        posts = [o / p if p > PROB_PRUNE else None for o, p in zip(outs, probs)]
     return probs[0], probs[1], posts[0], posts[1]
 
 
-def _enumerate_branches(spec, state, unitary, rounds):
+def _enumerate_branches(spec, state, lam, kraus, rounds):
     branches = [Branch("", 1.0, state)]
     for _ in range(rounds):
         nxt = []
         for br in branches:
             if br.post_state is None:
                 continue
-            p0, p1, post0, post1 = run_readout_once(spec, br.post_state, 0.0,
-                                                    unitary=unitary)
+            p0, p1, post0, post1 = run_readout_once(spec, br.post_state, lam,
+                                                    kraus=kraus)
             for bit, p, post in (("0", p0, post0), ("1", p1, post1)):
                 joint = br.probability * p
                 if joint > PROB_PRUNE:
@@ -132,11 +135,12 @@ def _enumerate_branches(spec, state, unitary, rounds):
 def simulated_p_err(pair: GkpStatePair, params: CircuitParams) -> ReadoutOutcome:
     """Exact readout error probability by full branch enumeration and
     majority vote over params.rounds repetitions."""
-    unitary = readout_unitary(pair.spec, params.lam)
+    kraus = readout_kraus(pair.spec, params.lam)
     trees = []
     wrong = []
     for mu, state in ((0, pair.state0), (1, pair.state1)):
-        branches = _enumerate_branches(pair.spec, state, unitary, params.rounds)
+        branches = _enumerate_branches(pair.spec, state, params.lam, kraus,
+                                       params.rounds)
         trees.append(branches)
         wrong.append(sum(b.probability for b in branches if b.majority != mu))
     return ReadoutOutcome(p_1_given_0=wrong[0], p_0_given_1=wrong[1],

@@ -10,20 +10,21 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.linalg import eigh
 
 from .fock import (
     HilbertSpec,
     LinearOp,
+    TruncationError,
     check_leakage,
     expectation,
-    expm_i_hermitian,
+    function_of_x,
     ket_to_density,
     leakage,
-    make_quadratures,
     normalize,
+    p_eigenbasis,
     squeeze,
     vacuum,
+    x_eigenbasis,
 )
 
 # Half of the logical lattice spacing in the displacement-amplitude plane:
@@ -122,9 +123,8 @@ def make_pure_gkp(spec: HilbertSpec, g: GkpSpec, strict: bool = True) -> np.ndar
     if g.sigma != 0:
         raise ValueError("make_pure_gkp requires sigma = 0")
     base = squeeze(spec, g.delta) @ vacuum(spec)
-    _, p = make_quadratures(spec)
-    # All peaks share the generator P; diagonalize once.
-    w, v = eigh(p.matrix)
+    # All peaks share the generator P.
+    w, v = p_eigenbasis(spec)
     base_p = v.conj().T @ base
     psi = np.zeros(spec.dim, dtype=complex)
     for s in peak_indices(g.mu, g.kappa):
@@ -165,7 +165,7 @@ def auto_cutoff(delta: float, kappa: Optional[float] = None, sigma: float = 0.0,
         try:
             k0 = make_pure_gkp(spec, GkpSpec(0, delta, kappa))
             k1 = make_pure_gkp(spec, GkpSpec(1, delta, kappa))
-        except Exception:
+        except TruncationError:
             n *= 2
             continue
         if leakage(k0) < leakage_tol and leakage(k1) < leakage_tol:
@@ -174,14 +174,15 @@ def auto_cutoff(delta: float, kappa: Optional[float] = None, sigma: float = 0.0,
     raise RuntimeError(f"no converged cutoff <= {MAX_CUTOFF} for delta={delta}")
 
 
-def _shift_channel_1d(spec: HilbertSpec, rho: np.ndarray, sigma: float,
-                      quadrature: np.ndarray, nodes: int) -> np.ndarray:
+def _shift_channel_1d(rho: np.ndarray, sigma: float,
+                      eigenbasis: tuple[np.ndarray, np.ndarray], nodes: int) -> np.ndarray:
     """Random-displacement channel along one quadrature direction.
 
     Averages D ρ D† over a zero-mean Gaussian of std sigma/sqrt(2) in the
     displacement amplitude, with Gauss-Hermite nodes matched to the weight.
+    `eigenbasis` is the (w, V) pair of the generating quadrature.
     """
-    w, v = eigh(quadrature)
+    w, v = eigenbasis
     t, gw = hermgauss(nodes)
     gw = gw / np.sqrt(np.pi)
     rho_e = v.conj().T @ rho @ v
@@ -206,12 +207,12 @@ def gaussian_displacement_channel(spec: HilbertSpec, state: np.ndarray, sigma: f
     if sigma == 0:
         return state
     rho = ket_to_density(state) if state.ndim == 1 else state
-    x, p = make_quadratures(spec)
+    x_basis, p_basis = x_eigenbasis(spec), p_eigenbasis(spec)
 
     def run(n):
         # Re-alpha shifts X (via the P generator), Im-alpha shifts P.
-        out = _shift_channel_1d(spec, rho, sigma, p.matrix, n)
-        return _shift_channel_1d(spec, out, sigma, x.matrix, n)
+        out = _shift_channel_1d(rho, sigma, p_basis, n)
+        return _shift_channel_1d(out, sigma, x_basis, n)
 
     result = run(gh_nodes)
     while True:
@@ -227,14 +228,14 @@ def gaussian_displacement_channel(spec: HilbertSpec, state: np.ndarray, sigma: f
 def stabilizer_displacement(spec: HilbertSpec) -> LinearOp:
     """D(i sqrt(2π)) = exp(i 2 sqrt(π) X); its magnitude of expectation
     defines effective squeezing."""
-    x, _ = make_quadratures(spec)
-    return LinearOp(expm_i_hermitian(2 * np.sqrt(np.pi) * x.matrix), unitary=True)
+    return LinearOp(function_of_x(spec, lambda w: np.exp(2j * np.sqrt(np.pi) * w)),
+                    unitary=True)
 
 
 def logical_z_displacement(spec: HilbertSpec) -> LinearOp:
     """D(i sqrt(π/2)) = exp(i sqrt(π) X); approximate logical Z."""
-    x, _ = make_quadratures(spec)
-    return LinearOp(expm_i_hermitian(np.sqrt(np.pi) * x.matrix), unitary=True)
+    return LinearOp(function_of_x(spec, lambda w: np.exp(1j * np.sqrt(np.pi) * w)),
+                    unitary=True)
 
 
 def effective_squeezing(spec: HilbertSpec, state: np.ndarray) -> float:
@@ -256,11 +257,11 @@ def effective_squeezing_db(spec: HilbertSpec, state: np.ndarray) -> float:
 
 
 def purity(state: np.ndarray) -> float:
-    """Tr(ρ²); 1 for kets."""
+    """Tr(ρ²), computed as Σ|ρᵢⱼ|² (equal for Hermitian ρ); 1 for kets."""
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
         return float(np.vdot(state, state).real ** 2)
-    return float(np.trace(state @ state).real)
+    return float(np.vdot(state, state).real)
 
 
 def helstrom_bound(state0: np.ndarray, state1: np.ndarray) -> float:

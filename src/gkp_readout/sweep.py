@@ -25,6 +25,8 @@ from .states import (
 )
 
 DB_GUARD = (4.0, 16.0)
+# Upper end of the simulated-lambda search; CircuitParams needs |lambda| < 1.
+LAMBDA_SEARCH_MAX = 0.95
 
 
 class ConfigError(ValueError):
@@ -201,7 +203,7 @@ def run_fig1b(config: SweepConfig) -> list[SweepRow]:
 def optimize_lambda_simulated(pair, deff: float, xatol: float = 1e-7) -> tuple[float, float]:
     """Direct scalar minimization of the simulated error over lambda,
     used where the pure-state formula does not apply (mixed inputs)."""
-    hi = 3 * np.sqrt(np.pi) * deff**2
+    hi = min(3 * np.sqrt(np.pi) * deff**2, LAMBDA_SEARCH_MAX)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = minimize_scalar(

@@ -105,8 +105,16 @@ def test_optimal_lambda_values():
 
 
 def test_optimal_lambda_domain():
-    with pytest.raises(ValueError):
-        optimal_lambda(0.6)
+    # The stationarity root exists for every delta in (0, 1), the domain
+    # GkpSpec accepts; 5 dB and 4 dB are inside it.
+    lam = optimal_lambda(0.6)
+    assert 0 < lam < np.sqrt(np.pi) / 2
+    assert abs(lam - optimal_lambda_by_minimization(0.6)) < 1e-6
+    assert abs(optimal_lambda(10 ** -0.25) - 0.330) < 1e-3  # 5 dB
+    assert abs(optimal_lambda(10 ** -0.2) - 0.400) < 1e-3  # 4 dB
+    for delta in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError):
+            optimal_lambda(delta)
 
 
 def test_leading_order_coefficient_and_value():

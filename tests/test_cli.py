@@ -76,3 +76,12 @@ def test_validate_command(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 6
+
+
+@pytest.mark.parametrize("command", ["fig1a", "fig1b", "fig1c"])
+def test_sweep_defaults_run(capsys, command):
+    # Default configuration on its two grid endpoints, 5 and 14 dB
+    assert main([command, "--points", "2"]) == EXIT_OK
+    lines = capsys.readouterr().out.strip().split("\n")
+    delta_dbs = {line.split(",")[1] for line in lines[1:]}
+    assert delta_dbs == {"5", "14"}

@@ -11,15 +11,18 @@ from gkp_readout.fock import (
     expectation,
     expm,
     fock_ket,
+    function_of_p,
+    function_of_x,
     ket_to_density,
     make_quadratures,
     normalize,
-    partial_trace_qubit,
-    rabi_gate,
+    p_eigenbasis,
     squeeze,
     unitarity_defect,
     vacuum,
+    x_eigenbasis,
 )
+from hybrid_oracle import hybrid_dim, hybrid_unitarity_defect, partial_trace_qubit, rabi_gate
 
 SPEC = HilbertSpec(60)
 X, P = make_quadratures(SPEC)
@@ -35,7 +38,7 @@ def test_cutoff_validation():
     with pytest.raises(ValueError):
         HilbertSpec(0)
     assert HilbertSpec(5).dim == 6
-    assert HilbertSpec(5).hybrid_dim == 12
+    assert hybrid_dim(HilbertSpec(5)) == 12
 
 
 def test_vacuum_quadrature_moments():
@@ -119,14 +122,14 @@ def test_squeeze_saturates_uncertainty(delta):
 def test_rabi_gate_zero_is_identity():
     for k in "xyz":
         g = rabi_gate(SPEC, k, 0.0)
-        assert np.max(np.abs(g.matrix - np.eye(SPEC.hybrid_dim))) < 1e-12
+        assert np.max(np.abs(g.matrix - np.eye(hybrid_dim(SPEC)))) < 1e-12
 
 
 def test_rabi_gate_inverse():
     lam = 0.13
     prod = rabi_gate(SPEC, "y", -lam).matrix @ rabi_gate(SPEC, "y", lam).matrix
     m = SPEC.cutoff - 5
-    e = (prod - np.eye(SPEC.hybrid_dim)).reshape(2, SPEC.dim, 2, SPEC.dim)
+    e = (prod - np.eye(hybrid_dim(SPEC))).reshape(2, SPEC.dim, 2, SPEC.dim)
     assert np.max(np.abs(e[:, :m, :, :m])) < 1e-9
 
 
@@ -143,7 +146,30 @@ def test_rabi_gate_block_diagonal_in_pauli_eigenbasis():
 @pytest.mark.parametrize("alpha", [0.5, 2.0, 1j * np.sqrt(np.pi) / 2, 3 - 2j])
 def test_gate_unitarity(alpha):
     assert unitarity_defect(displacement(SPEC, alpha), SPEC) < 1e-9
-    assert unitarity_defect(rabi_gate(SPEC, "x", alpha), SPEC) < 1e-9
+    assert hybrid_unitarity_defect(rabi_gate(SPEC, "x", alpha), SPEC) < 1e-9
+
+
+@pytest.mark.parametrize("cutoff", [60, 150, 300])
+def test_cached_eigenpairs_diagonalize_x_and_p(cutoff):
+    spec = HilbertSpec(cutoff)
+    x_op, p_op = make_quadratures(spec)
+    w, v = x_eigenbasis(spec)
+    assert np.max(np.abs(x_op.matrix @ v - v * w)) < 1e-12
+    assert np.max(np.abs(v.T @ v - np.eye(spec.dim))) < 1e-12
+    wp, vp = p_eigenbasis(spec)
+    assert np.array_equal(wp, w)
+    assert np.max(np.abs(p_op.matrix @ vp - vp * w)) < 1e-12
+    # One decomposition per cutoff, shared and read-only
+    assert x_eigenbasis(HilbertSpec(cutoff))[1] is v
+    assert not v.flags.writeable
+
+
+def test_quadrature_functions_match_dense_exponential():
+    c = 0.37
+    assert np.max(np.abs(function_of_x(SPEC, lambda w: np.exp(1j * c * w))
+                         - scipy.linalg.expm(1j * c * X.matrix))) < 1e-12
+    assert np.max(np.abs(function_of_p(SPEC, lambda w: np.exp(1j * c * w))
+                         - scipy.linalg.expm(1j * c * P.matrix))) < 1e-12
 
 
 def test_expm_matches_scipy_on_anti_hermitian():

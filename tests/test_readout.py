@@ -10,10 +10,8 @@ from gkp_readout.analytics import (
 from gkp_readout.fock import (
     HilbertSpec,
     apply,
-    embed_qubit_zero,
     expectation,
     ket_to_density,
-    partial_trace_oscillator,
 )
 from gkp_readout.readout import (
     Branch,
@@ -21,7 +19,7 @@ from gkp_readout.readout import (
     ReadoutOutcome,
     branch_tree_dump,
     homodyne_p_err_numeric,
-    readout_unitary,
+    readout_kraus,
     run_readout_once,
     simulated_p_err,
 )
@@ -29,11 +27,19 @@ from gkp_readout.states import (
     GkpSpec,
     GkpStatePair,
     auto_cutoff,
+    db_to_delta,
     gaussian_displacement_channel,
     helstrom_bound,
     logical_z_displacement,
     make_pure_gkp,
     make_state_pair,
+)
+from hybrid_oracle import (
+    embed_qubit_zero,
+    partial_trace_oscillator,
+    rabi_gate,
+    readout_unitary,
+    run_readout_hybrid,
 )
 
 SPEC = HilbertSpec(150)
@@ -80,15 +86,60 @@ def test_outcome_calibration_small_delta():
 
 
 def test_lambda_zero_equals_gate_omitted(pair_10db):
-    from gkp_readout.fock import rabi_gate
-
     with_uy = readout_unitary(SPEC, 0.0)
     ux_only = rabi_gate(SPEC, "x", 1j * np.sqrt(np.pi) / 2)
     psi = pair_10db.state0
-    p0a, p1a, _, _ = run_readout_once(SPEC, psi, 0.0, unitary=with_uy)
-    p0b, p1b, _, _ = run_readout_once(SPEC, psi, 0.0, unitary=ux_only)
+    p0a, p1a, _, _ = run_readout_hybrid(SPEC, psi, with_uy)
+    p0b, p1b, _, _ = run_readout_hybrid(SPEC, psi, ux_only)
     assert abs(p0a - p0b) < 1e-14
     assert abs(p1a - p1b) < 1e-14
+
+
+@pytest.fixture(scope="module")
+def oracle_case():
+    """db -> (spec, pure pair, mixed pair, {lambda: hybrid unitary}) at
+    lambda = 0 and optimal lambda; each built once, since the
+    2(N+1)-dim gates are slow."""
+    cases = {}
+
+    def build(db):
+        if db not in cases:
+            delta = db_to_delta(db)
+            spec = auto_cutoff(delta)
+            lams = (0.0, optimal_lambda(delta))
+            cases[db] = (spec, make_state_pair(spec, delta),
+                         make_state_pair(spec, delta, sigma=0.1),
+                         {lam: readout_unitary(spec, lam) for lam in lams})
+        return cases[db]
+
+    return build
+
+
+def _rel(a, b):
+    return np.max(np.abs(np.asarray(a) - np.asarray(b))) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("db", [7, 10, 14])
+def test_kraus_pair_matches_hybrid_oracle(oracle_case, db):
+    spec, pure, mixed, unitaries = oracle_case(db)
+    for lam, unitary in unitaries.items():
+        kraus = readout_kraus(spec, lam)
+        for state in (pure.state0, pure.state1, mixed.state0, mixed.state1):
+            got = run_readout_once(spec, state, lam, kraus=kraus)
+            want = run_readout_hybrid(spec, state, unitary)
+            for g, w in zip(got, want):
+                assert _rel(g, w) < 1e-10
+
+
+@pytest.mark.parametrize("db", [7, 10, 14])
+def test_kraus_pair_completeness(oracle_case, db):
+    # K0†K0 + K1†K1 = I on the lower block, as unitarity_defect checks U†U
+    spec, _, _, unitaries = oracle_case(db)
+    m = spec.cutoff - 5
+    for lam in unitaries:
+        k0, k1 = (k.matrix for k in readout_kraus(spec, lam))
+        e = k0.conj().T @ k0 + k1.conj().T @ k1 - np.eye(spec.dim)
+        assert np.max(np.abs(e[:m, :m])) < 1e-12
 
 
 def test_simple_p_err_matches_formula(pair_10db):

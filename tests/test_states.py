@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gkp_readout import states
 from gkp_readout.fock import (
     HilbertSpec,
     expectation,
@@ -182,6 +183,8 @@ def test_mixed_purity_regression(pair_10db):
 def test_purity_basics(pair_10db):
     assert abs(purity(ket_to_density(pair_10db.state0)) - 1) < 1e-8
     assert abs(purity(np.diag([0.5, 0.5]).astype(complex)) - 0.5) < 1e-14
+    rho = gaussian_displacement_channel(SPEC, pair_10db.state0, 0.1)
+    assert abs(purity(rho) - np.trace(rho @ rho).real) < 1e-12
 
 
 def test_helstrom_edges():
@@ -209,6 +212,16 @@ def test_helstrom_dual_method():
 def test_auto_cutoff_grows_when_needed():
     assert auto_cutoff(DELTA_10DB).cutoff == 150
     assert auto_cutoff(0.2).cutoff == 300
+
+
+def test_auto_cutoff_does_not_mask_bugs(monkeypatch):
+    # Only truncation failures move the search on; anything else is a bug
+    def broken(*args, **kwargs):
+        raise TypeError("broken state builder")
+
+    monkeypatch.setattr(states, "make_pure_gkp", broken)
+    with pytest.raises(TypeError):
+        auto_cutoff(DELTA_10DB)
 
 
 def test_convergence_in_cutoff(pair_10db):
