@@ -87,6 +87,7 @@ def cmd_state_info(args) -> int:
     kappa = args.kappa if args.kappa else None
     spec = auto_cutoff(delta, kappa)
     pair = make_state_pair(spec, delta, kappa, args.sigma)
+    deff = effective_squeezing(spec, pair.state0)
     result = {
         "delta_db": args.delta_db,
         "delta": delta,
@@ -94,8 +95,8 @@ def cmd_state_info(args) -> int:
         "sigma": args.sigma,
         "cutoff_N": spec.cutoff,
         "purity": purity(pair.state0),
-        "delta_eff": effective_squeezing(spec, pair.state0),
-        "delta_eff_db": delta_db(effective_squeezing(spec, pair.state0)),
+        "delta_eff": deff,
+        "delta_eff_db": delta_db(deff),
     }
     if pair.is_pure:
         result["p_err_helstrom"] = helstrom_bound(pair.state0, pair.state1)

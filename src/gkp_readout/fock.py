@@ -57,10 +57,6 @@ class LinearOp:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dag(self) -> "LinearOp":
-        return LinearOp(self.matrix.conj().T, hermitian=self.hermitian,
-                        unitary=self.unitary)
-
     def __matmul__(self, other):
         if isinstance(other, LinearOp):
             if other.dim != self.dim:
@@ -99,16 +95,20 @@ def x_eigenbasis(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def _p_phases(spec: HilbertSpec) -> np.ndarray:
-    """Diagonal of F† = diag(iⁿ), where truncated P = F† X F exactly."""
-    return np.array([1, 1j, -1, -1j])[np.arange(spec.dim) % 4]
+def _i_powers(count: int) -> np.ndarray:
+    """iᵏ for k = 0..count-1. With count = dim, the diagonal of F† where
+    truncated P = F† X F exactly."""
+    return np.array([1, 1j, -1, -1j])[np.arange(count) % 4]
 
 
+@lru_cache(maxsize=4)
 def p_eigenbasis(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues w and eigenvectors diag(iⁿ)·V of truncated P; the
-    eigenvalues are those of X."""
+    eigenvalues are those of X. Cached per cutoff (read-only arrays)."""
     w, v = x_eigenbasis(spec)
-    return w, _p_phases(spec)[:, None] * v
+    v = _i_powers(spec.dim)[:, None] * v
+    v.setflags(write=False)
+    return w, v
 
 
 def function_of_x(spec: HilbertSpec, f) -> np.ndarray:
@@ -119,7 +119,7 @@ def function_of_x(spec: HilbertSpec, f) -> np.ndarray:
 
 def function_of_p(spec: HilbertSpec, f) -> np.ndarray:
     """f(P) = F† f(X) F, with F = diag((-i)ⁿ)."""
-    phase = _p_phases(spec)
+    phase = _i_powers(spec.dim)
     return phase[:, None] * function_of_x(spec, f) * phase.conj()[None, :]
 
 
@@ -167,17 +167,42 @@ def displacement(spec: HilbertSpec, alpha: complex) -> LinearOp:
     return LinearOp(expm_i_hermitian(h), unitary=True)
 
 
+def _squeeze_block(spec: HilbertSpec, delta: float, parity: int):
+    """Block (n, B, θ) of squeeze(delta) on the Fock levels n of one
+    parity: B diag(e^{iθ}) B†.
+
+    The generator -½ ln δ (XP + PX) = (i/2) ln δ (a² - a†²) couples only
+    n ↔ n+2, also truncated. With D = diag(iᵏ) along the block it is
+    D J D†, J real symmetric tridiagonal, so B = D·eigvecs(J).
+    """
+    if not 0 < delta <= 1:
+        raise ValueError(f"delta must be in (0, 1], got {delta}")
+    n = np.arange(parity, spec.dim, 2)
+    off = -0.5 * np.log(delta) * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
+    theta, v = eigh_tridiagonal(np.zeros(n.size), off)
+    return n, _i_powers(n.size)[:, None] * v, theta
+
+
 def squeeze(spec: HilbertSpec, delta: float) -> LinearOp:
-    """Squeezing operator mapping vacuum to X-width delta: Var_X = delta²/2.
+    """Squeezing operator mapping vacuum to X-width delta: Var_X = delta²/2,
+    built from its two parity blocks.
 
     Generator sign is fixed by that variance contract (tested), since
     (XP + PX) sign conventions differ between sources.
     """
-    if not 0 < delta <= 1:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
-    x, p = make_quadratures(spec)
-    h = -0.5 * np.log(delta) * (x.matrix @ p.matrix + p.matrix @ x.matrix)
-    return LinearOp(expm_i_hermitian(h), unitary=True)
+    u = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for parity in (0, 1):
+        n, b, theta = _squeeze_block(spec, delta, parity)
+        u[np.ix_(n, n)] = (b * np.exp(1j * theta)) @ b.conj().T
+    return LinearOp(u, unitary=True)
+
+
+def squeezed_vacuum(spec: HilbertSpec, delta: float) -> np.ndarray:
+    """squeeze(delta)|0>, from the even block alone."""
+    n, b, theta = _squeeze_block(spec, delta, 0)
+    ket = np.zeros(spec.dim, dtype=complex)
+    ket[n] = b @ (np.exp(1j * theta) * b[0].conj())
+    return ket
 
 
 def apply(op: LinearOp, state: np.ndarray) -> np.ndarray:
@@ -242,27 +267,38 @@ def unitarity_defect(op: LinearOp, spec: HilbertSpec) -> float:
     return float(np.max(np.abs(e[:m, :m])))
 
 
+def _hermite_functions(dim: int, x: np.ndarray):
+    """Yield φ_n(x) for n = 0..dim-1 by the stable upward recurrence on
+    the normalized functions, holding two rows at a time."""
+    prev, cur = np.zeros_like(x), np.pi ** -0.25 * np.exp(-0.5 * x**2)
+    yield cur
+    for n in range(1, dim):
+        prev, cur = cur, np.sqrt(2.0 / n) * x * cur - np.sqrt((n - 1) / n) * prev
+        yield cur
+
+
 def position_wavefunctions(spec: HilbertSpec, x: np.ndarray) -> np.ndarray:
     """Harmonic-oscillator eigenfunctions φ_n(x), shape (dim, len(x)).
 
-    Stable upward recurrence on the normalized functions; the X
-    convention here has vacuum variance 1/2.
+    The X convention here has vacuum variance 1/2.
     """
     x = np.asarray(x, dtype=float)
-    phi = np.zeros((spec.dim, x.size))
-    phi[0] = np.pi ** -0.25 * np.exp(-0.5 * x**2)
-    if spec.dim > 1:
-        phi[1] = np.sqrt(2.0) * x * phi[0]
-    for n in range(2, spec.dim):
-        phi[n] = np.sqrt(2.0 / n) * x * phi[n - 1] - np.sqrt((n - 1) / n) * phi[n - 2]
+    phi = np.empty((spec.dim, x.size))
+    for n, row in enumerate(_hermite_functions(spec.dim, x)):
+        phi[n] = row
     return phi
 
 
 def position_density(spec: HilbertSpec, state: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """|ψ(x)|² for a ket, or <x|ρ|x> for a density matrix."""
-    phi = position_wavefunctions(spec, x)
+    """|ψ(x)|² for a ket, accumulated along the recurrence without a
+    (dim, len(x)) table, or <x|ρ|x> for a density matrix."""
     state = np.asarray(state, dtype=complex)
+    x = np.asarray(x, dtype=float)
     if state.ndim == 1:
-        psi = state @ phi.astype(complex)
+        psi = np.zeros(x.shape, dtype=complex)
+        for amp, phi in zip(state, _hermite_functions(spec.dim, x)):
+            psi += amp * phi
         return np.abs(psi) ** 2
-    return np.real(np.einsum("mx,mn,nx->x", phi, state, phi))
+    phi = position_wavefunctions(spec, x)
+    # φ is real, so only Re ρ contributes.
+    return np.sum(phi * (state.real @ phi), axis=0)

@@ -171,8 +171,9 @@ def homodyne_p_err_numeric(pair: GkpStatePair, points_per_bin: int = 257) -> flo
     distributions.
 
     Each decision bin [(k-1/2)√π, (k+1/2)√π] is integrated separately
-    (Simpson) so the bin edges never cut a panel; the per-bin resolution
-    is doubled until the result is stable.
+    (Simpson) so the bin edges never cut a panel; each state's density
+    is evaluated once per resolution on the stacked grid of its bins.
+    The per-bin resolution is doubled until the result is stable.
     """
     from scipy.integrate import simpson
 
@@ -180,16 +181,15 @@ def homodyne_p_err_numeric(pair: GkpStatePair, points_per_bin: int = 257) -> flo
 
     root_pi = np.sqrt(np.pi)
     k_max = int(np.ceil((pair.kappa * np.sqrt(2 * np.pi) + 6.0) / root_pi))
+    ks = np.arange(-k_max, k_max + 1)
 
     def compute(m):
         total = 0.0
         for mu, state in ((0, pair.state0), (1, pair.state1)):
-            for k in range(-k_max, k_max + 1):
-                if k % 2 == mu:
-                    continue
-                x = np.linspace((k - 0.5) * root_pi, (k + 0.5) * root_pi, m)
-                dens = position_density(pair.spec, state, x)
-                total += 0.5 * simpson(dens, x=x)
+            k = ks[ks % 2 != mu]
+            x = np.linspace((k - 0.5) * root_pi, (k + 0.5) * root_pi, m, axis=-1)
+            dens = position_density(pair.spec, state, x.ravel()).reshape(x.shape)
+            total += 0.5 * np.sum(simpson(dens, x=x, axis=-1))
         return total
 
     val = compute(points_per_bin)

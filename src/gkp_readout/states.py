@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .fock import (
     HilbertSpec,
@@ -22,8 +21,7 @@ from .fock import (
     leakage,
     normalize,
     p_eigenbasis,
-    squeeze,
-    vacuum,
+    squeezed_vacuum,
     x_eigenbasis,
 )
 
@@ -122,16 +120,12 @@ def make_pure_gkp(spec: HilbertSpec, g: GkpSpec, strict: bool = True) -> np.ndar
     """
     if g.sigma != 0:
         raise ValueError("make_pure_gkp requires sigma = 0")
-    base = squeeze(spec, g.delta) @ vacuum(spec)
-    # All peaks share the generator P.
+    # All peaks share the generator P: D(c) for real c is exp(-i sqrt(2) c P),
+    # so the weighted comb is one phase vector in the P eigenbasis.
     w, v = p_eigenbasis(spec)
-    base_p = v.conj().T @ base
-    psi = np.zeros(spec.dim, dtype=complex)
-    for s in peak_indices(g.mu, g.kappa):
-        c = HALF_SPACING * (2 * s + g.mu)
-        weight = np.exp(-(c**2) / g.kappa**2)
-        # D(c) for real c is exp(-i sqrt(2) c P)
-        psi += weight * (v @ (np.exp(-1j * np.sqrt(2) * c * w) * base_p))
+    c = HALF_SPACING * (2 * peak_indices(g.mu, g.kappa) + g.mu)
+    comb = np.exp(-(c**2) / g.kappa**2) @ np.exp(-1j * np.sqrt(2) * np.outer(c, w))
+    psi = v @ (comb * (v.conj().T @ squeezed_vacuum(spec, g.delta)))
     psi = normalize(psi)
     if strict:
         check_leakage(psi)
@@ -139,8 +133,7 @@ def make_pure_gkp(spec: HilbertSpec, g: GkpSpec, strict: bool = True) -> np.ndar
 
 
 def make_state_pair(spec: HilbertSpec, delta: float, kappa: Optional[float] = None,
-                    sigma: float = 0.0, gh_nodes: int = 21,
-                    strict: bool = True) -> GkpStatePair:
+                    sigma: float = 0.0, strict: bool = True) -> GkpStatePair:
     """Build the (|0~>, |1~>) pair, mixed through the displacement
     channel when sigma > 0."""
     g0 = GkpSpec(0, delta, kappa, sigma)
@@ -149,8 +142,8 @@ def make_state_pair(spec: HilbertSpec, delta: float, kappa: Optional[float] = No
     k1 = make_pure_gkp(spec, GkpSpec(1, delta, g1.kappa), strict=strict)
     if sigma == 0:
         return GkpStatePair(k0, k1, spec, delta, g0.kappa, 0.0)
-    r0 = gaussian_displacement_channel(spec, k0, sigma, gh_nodes=gh_nodes)
-    r1 = gaussian_displacement_channel(spec, k1, sigma, gh_nodes=gh_nodes)
+    r0 = gaussian_displacement_channel(spec, k0, sigma)
+    r1 = gaussian_displacement_channel(spec, k1, sigma)
     return GkpStatePair(r0, r1, spec, delta, g0.kappa, sigma)
 
 
@@ -174,55 +167,28 @@ def auto_cutoff(delta: float, kappa: Optional[float] = None, sigma: float = 0.0,
     raise RuntimeError(f"no converged cutoff <= {MAX_CUTOFF} for delta={delta}")
 
 
-def _shift_channel_1d(rho: np.ndarray, sigma: float,
-                      eigenbasis: tuple[np.ndarray, np.ndarray], nodes: int) -> np.ndarray:
-    """Random-displacement channel along one quadrature direction.
-
-    Averages D ρ D† over a zero-mean Gaussian of std sigma/sqrt(2) in the
-    displacement amplitude, with Gauss-Hermite nodes matched to the weight.
-    `eigenbasis` is the (w, V) pair of the generating quadrature.
-    """
-    w, v = eigenbasis
-    t, gw = hermgauss(nodes)
-    gw = gw / np.sqrt(np.pi)
-    rho_e = v.conj().T @ rho @ v
-    out = np.zeros_like(rho_e)
-    for ti, wi in zip(t, gw):
-        phase = np.exp(1j * np.sqrt(2) * sigma * ti * w)
-        out += wi * (phase[:, None] * rho_e * phase.conj()[None, :])
-    return v @ out @ v.conj().T
-
-
-def gaussian_displacement_channel(spec: HilbertSpec, state: np.ndarray, sigma: float,
-                                  gh_nodes: int = 21, purity_tol: float = 1e-6) -> np.ndarray:
+def gaussian_displacement_channel(spec: HilbertSpec, state: np.ndarray,
+                                  sigma: float) -> np.ndarray:
     """Gaussian displacement channel of strength sigma.
 
     ρ -> (1/πσ²) ∫ d²α e^{-|α|²/σ²} D(α) ρ D†(α).
 
-    The isotropic Gaussian factorizes over (Re α, Im α), so the channel is
-    applied as two independent 1-D shift channels. The Gauss-Hermite grid
-    is doubled until Tr(ρ²) is stable to purity_tol.
+    The isotropic Gaussian factorizes over (Re α, Im α): Re α shifts X
+    (generated by P), Im α shifts P (generated by X). In the eigenbasis
+    (w, V) of the generator, averaging the shifts multiplies ρ_jk by
+    exp(-σ²(w_j - w_k)²/2), so each pass is a Gaussian kernel applied
+    elementwise; both quadratures share the eigenvalues w.
     """
     state = np.asarray(state, dtype=complex)
     if sigma == 0:
         return state
-    rho = ket_to_density(state) if state.ndim == 1 else state
-    x_basis, p_basis = x_eigenbasis(spec), p_eigenbasis(spec)
-
-    def run(n):
-        # Re-alpha shifts X (via the P generator), Im-alpha shifts P.
-        out = _shift_channel_1d(rho, sigma, p_basis, n)
-        return _shift_channel_1d(out, sigma, x_basis, n)
-
-    result = run(gh_nodes)
-    while True:
-        finer = run(2 * gh_nodes)
-        if abs(purity(finer) - purity(result)) < purity_tol:
-            return finer
-        result = finer
-        gh_nodes *= 2
-        if gh_nodes > 400:
-            raise RuntimeError("displacement-channel quadrature did not converge")
+    w, vp = p_eigenbasis(spec)
+    kernel = np.exp(-0.5 * sigma**2 * np.subtract.outer(w, w) ** 2)
+    rho_p = (ket_to_density(vp.conj().T @ state) if state.ndim == 1
+             else vp.conj().T @ state @ vp)
+    rho = vp @ (kernel * rho_p) @ vp.conj().T
+    vx = x_eigenbasis(spec)[1]
+    return vx @ (kernel * (vx.T @ rho @ vx)) @ vx.T
 
 
 def stabilizer_displacement(spec: HilbertSpec) -> LinearOp:

@@ -38,7 +38,6 @@ class SweepConfig:
     delta_db_min: float = 5.0
     delta_db_max: float = 14.0
     delta_db_points: int = 19
-    lambda_policy: str = "optimized"  # optimized | zero | fixed
     lambda_fixed_values: tuple = (0.02, 0.05, 0.1, 0.15)
     rounds_list: tuple = (1, 3, 5)
     sigma_list: tuple = (0.0, 0.05, 0.1, 0.15)
@@ -61,8 +60,6 @@ class SweepConfig:
             raise ConfigError(
                 f"delta_db range [{self.delta_db_min}, {self.delta_db_max}] outside the "
                 f"guard {list(DB_GUARD)}; set allow_extreme_range to override")
-        if self.lambda_policy not in ("optimized", "zero", "fixed"):
-            raise ConfigError(f"unknown lambda_policy {self.lambda_policy!r}")
         if self.kappa_policy not in ("inverse_delta", "fixed"):
             raise ConfigError(f"unknown kappa_policy {self.kappa_policy!r}")
         if self.cutoff_policy not in ("auto", "fixed"):
@@ -137,7 +134,7 @@ def _base_metrics(config: SweepConfig, delta: float, sigma: float = 0.0):
     return spec, pair, kappa, pur, deff, hel, converged
 
 
-def _row(config, strategy, delta, sigma, pair, spec, kappa, pur, deff, hel,
+def _row(strategy, delta, sigma, spec, kappa, pur, deff, hel,
          lam, rounds, p_sim, p_formula, converged):
     return SweepRow(
         strategy=strategy,
@@ -167,17 +164,17 @@ def run_fig1a(config: SweepConfig) -> list[SweepRow]:
         for r in config.rounds_list:
             out = simulated_p_err(pair, CircuitParams(0.0, r))
             formula = analytics.p_err_simple_formula(delta) if r == 1 else None
-            rows.append(_row(config, f"simple_R{r}", delta, 0.0, pair, spec, kappa,
+            rows.append(_row(f"simple_R{r}", delta, 0.0, spec, kappa,
                              pur, deff, hel, 0.0, r, out.p_err, formula, conv))
         lam = analytics.optimal_lambda(delta)
         out = simulated_p_err(pair, CircuitParams(lam, 1))
-        rows.append(_row(config, "improved_optimal", delta, 0.0, pair, spec, kappa,
+        rows.append(_row("improved_optimal", delta, 0.0, spec, kappa,
                          pur, deff, hel, lam, 1, out.p_err,
                          analytics.p_err_improved_formula(delta, lam), conv))
-        rows.append(_row(config, "homodyne_formula", delta, 0.0, pair, spec, kappa,
+        rows.append(_row("homodyne_formula", delta, 0.0, spec, kappa,
                          pur, deff, hel, 0.0, 1, None,
                          analytics.p_err_homodyne_formula(delta), conv))
-        rows.append(_row(config, "helstrom", delta, 0.0, pair, spec, kappa,
+        rows.append(_row("helstrom", delta, 0.0, spec, kappa,
                          pur, deff, hel, 0.0, 1, None, hel, conv))
     return rows
 
@@ -189,12 +186,12 @@ def run_fig1b(config: SweepConfig) -> list[SweepRow]:
         spec, pair, kappa, pur, deff, hel, conv = _base_metrics(config, delta)
         for lam in config.lambda_fixed_values:
             out = simulated_p_err(pair, CircuitParams(lam, 1))
-            rows.append(_row(config, f"fixed_lambda_{lam:g}", delta, 0.0, pair, spec,
+            rows.append(_row(f"fixed_lambda_{lam:g}", delta, 0.0, spec,
                              kappa, pur, deff, hel, lam, 1, out.p_err,
                              analytics.p_err_improved_formula(delta, lam), conv))
         lam = analytics.optimal_lambda(delta)
         out = simulated_p_err(pair, CircuitParams(lam, 1))
-        rows.append(_row(config, "improved_optimal", delta, 0.0, pair, spec, kappa,
+        rows.append(_row("improved_optimal", delta, 0.0, spec, kappa,
                          pur, deff, hel, lam, 1, out.p_err,
                          analytics.p_err_improved_formula(delta, lam), conv))
     return rows
@@ -220,7 +217,7 @@ def run_fig1c(config: SweepConfig) -> list[SweepRow]:
         for sigma in config.sigma_list:
             spec, pair, kappa, pur, deff, hel, conv = _base_metrics(config, delta, sigma)
             out = simulated_p_err(pair, CircuitParams(0.0, 1))
-            rows.append(_row(config, "simple_R1", delta, sigma, pair, spec, kappa,
+            rows.append(_row("simple_R1", delta, sigma, spec, kappa,
                              pur, deff, hel, 0.0, 1, out.p_err,
                              analytics.p_err_simple_formula(deff), conv))
             if sigma == 0:
@@ -228,7 +225,7 @@ def run_fig1c(config: SweepConfig) -> list[SweepRow]:
                 p_sim = simulated_p_err(pair, CircuitParams(lam, 1)).p_err
             else:
                 lam, p_sim = optimize_lambda_simulated(pair, deff)
-            rows.append(_row(config, "improved_optimal", delta, sigma, pair, spec,
+            rows.append(_row("improved_optimal", delta, sigma, spec,
                              kappa, pur, deff, hel, lam, 1, p_sim, None, conv))
     return rows
 
@@ -274,7 +271,7 @@ _INT_KEYS = {"delta_db_points", "cutoff_n"}
 _FLOAT_KEYS = {"delta_db_min", "delta_db_max", "kappa_fixed_value"}
 _TUPLE_FLOAT_KEYS = {"lambda_fixed_values", "sigma_list"}
 _TUPLE_INT_KEYS = {"rounds_list"}
-_STR_KEYS = {"lambda_policy", "kappa_policy", "cutoff_policy", "output_path", "format"}
+_STR_KEYS = {"kappa_policy", "cutoff_policy", "output_path", "format"}
 
 
 def parse_config_file(path: str) -> SweepConfig:

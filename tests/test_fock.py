@@ -10,6 +10,7 @@ from gkp_readout.fock import (
     displacement,
     expectation,
     expm,
+    expm_i_hermitian,
     fock_ket,
     function_of_p,
     function_of_x,
@@ -18,6 +19,7 @@ from gkp_readout.fock import (
     normalize,
     p_eigenbasis,
     squeeze,
+    squeezed_vacuum,
     unitarity_defect,
     vacuum,
     x_eigenbasis,
@@ -94,6 +96,18 @@ def test_displacement_composition_magnitude():
 def test_squeeze_identity_at_one():
     s = squeeze(SPEC, 1.0)
     assert np.max(np.abs(s.matrix - np.eye(SPEC.dim))) < 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 59, 150, 300])
+def test_squeeze_matches_dense_generator(cutoff):
+    # Oracle: exp(iH) of the dense truncated generator -½ ln δ (XP + PX)
+    spec = HilbertSpec(cutoff)
+    x_op, p_op = make_quadratures(spec)
+    xp = x_op.matrix @ p_op.matrix + p_op.matrix @ x_op.matrix
+    for delta in [10 ** (-db / 20) for db in (7, 10, 14)] + [1.0]:
+        u = expm_i_hermitian(-0.5 * np.log(delta) * xp)
+        assert np.max(np.abs(squeeze(spec, delta).matrix - u)) < 1e-12
+        assert np.max(np.abs(squeezed_vacuum(spec, delta) - u[:, 0])) < 1e-12
 
 
 def test_squeeze_variance_convention():

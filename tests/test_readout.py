@@ -284,26 +284,63 @@ def test_homodyne_better_than_chance_at_large_delta():
     assert homodyne_p_err_numeric(pair) < 0.5
 
 
-def test_homodyne_relabeling_symmetry(pair_10db):
-    # Swapping inputs and relabeling the bins swaps the two conditional
-    # errors, leaving their average untouched
+def binned_misclassification(spec, state, mu, kappa, points=513):
+    """Reference: probability of state |mu~> outside its decision bins,
+    one position_density + Simpson evaluation per bin."""
     from scipy.integrate import simpson
 
     from gkp_readout.fock import position_density
 
     root_pi = np.sqrt(np.pi)
-    k_max = int(np.ceil((pair_10db.kappa * np.sqrt(2 * np.pi) + 6.0) / root_pi))
+    k_max = int(np.ceil((kappa * np.sqrt(2 * np.pi) + 6.0) / root_pi))
+    total = 0.0
+    for k in range(-k_max, k_max + 1):
+        if k % 2 == mu:
+            continue
+        x = np.linspace((k - 0.5) * root_pi, (k + 0.5) * root_pi, points)
+        total += simpson(position_density(spec, state, x), x=x)
+    return total
 
-    def misclassified(state, mu):
-        total = 0.0
-        for k in range(-k_max, k_max + 1):
-            if k % 2 == mu:
-                continue
-            x = np.linspace((k - 0.5) * root_pi, (k + 0.5) * root_pi, 513)
-            total += simpson(position_density(SPEC, state, x), x=x)
-        return total
 
-    e0 = misclassified(pair_10db.state0, 0)
-    e1 = misclassified(pair_10db.state1, 1)
+def binned_p_err(pair):
+    return 0.5 * sum(binned_misclassification(pair.spec, state, mu, pair.kappa)
+                     for mu, state in ((0, pair.state0), (1, pair.state1)))
+
+
+def test_homodyne_relabeling_symmetry(pair_10db):
+    # Swapping inputs and relabeling the bins swaps the two conditional
+    # errors, leaving their average untouched
+    e0 = binned_misclassification(SPEC, pair_10db.state0, 0, pair_10db.kappa)
+    e1 = binned_misclassification(SPEC, pair_10db.state1, 1, pair_10db.kappa)
     assert abs(0.5 * (e0 + e1) - 0.5 * (e1 + e0)) < 1e-10
     assert abs(0.5 * (e0 + e1) - homodyne_p_err_numeric(pair_10db)) < 1e-6
+
+
+def test_homodyne_mixed_input_matches_per_bin_reference():
+    pair = make_state_pair(SPEC, DELTA_10DB, sigma=0.1)
+    ref = binned_p_err(pair)
+    assert abs(homodyne_p_err_numeric(pair) - ref) < 1e-10 * ref
+
+
+def test_homodyne_14db_matches_per_bin_reference():
+    # p_err ~ 3.6e-10: the misclassified bins hold only the envelope tails
+    pair = make_state_pair(HilbertSpec(300), db_to_delta(14.0))
+    ref = binned_p_err(pair)
+    assert abs(homodyne_p_err_numeric(pair) - ref) < 1e-10 * ref
+
+
+def test_state_path_needs_no_dense_eigh(monkeypatch):
+    # State preparation, the channel, the readout and the homodyne all run
+    # on tridiagonal eigensolves; dense O(N^3) eigh is kept out of them
+    from gkp_readout import fock
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense eigh on the state path")
+
+    monkeypatch.setattr(fock, "eigh", forbidden)
+    spec = auto_cutoff(DELTA_10DB)
+    mixed = make_state_pair(spec, DELTA_10DB, sigma=0.1)
+    out = simulated_p_err(mixed, CircuitParams(optimal_lambda(DELTA_10DB), 3))
+    assert 0 < out.p_err < 0.5
+    pure = make_state_pair(spec, DELTA_10DB)
+    assert 0 < homodyne_p_err_numeric(pure) < 0.5

@@ -7,10 +7,15 @@ from gkp_readout.fock import (
     expectation,
     ket_to_density,
     leakage,
+    normalize,
+    p_eigenbasis,
     position_density,
+    squeeze,
     vacuum,
+    x_eigenbasis,
 )
 from gkp_readout.states import (
+    HALF_SPACING,
     GkpSpec,
     UnsupportedStateError,
     auto_cutoff,
@@ -123,8 +128,7 @@ def test_peak_count_stability():
     # Adding two more peaks per side changes the state negligibly
     g = GkpSpec(0, DELTA_10DB)
     base = make_pure_gkp(SPEC, g)
-    from gkp_readout.fock import make_quadratures, normalize, squeeze
-    from gkp_readout.states import HALF_SPACING
+    from gkp_readout.fock import make_quadratures
     from scipy.linalg import eigh
 
     sq = squeeze(SPEC, g.delta) @ vacuum(SPEC)
@@ -140,6 +144,23 @@ def test_peak_count_stability():
         psi += np.exp(-(c**2) / g.kappa**2) * (v @ (np.exp(-1j * np.sqrt(2) * c * w) * sq_p))
     psi = normalize(psi)
     assert abs(1 - abs(np.vdot(base, psi)) ** 2) < 1e-10
+
+
+@pytest.mark.parametrize("db", [7.0, 10.0, 14.0])
+def test_pure_gkp_comb_matches_per_peak_sum(db):
+    # The summed-phase comb equals one displaced squeezed vacuum per peak
+    delta = db_to_delta(db)
+    spec = auto_cutoff(delta)
+    w, v = p_eigenbasis(spec)
+    base_p = v.conj().T @ (squeeze(spec, delta) @ vacuum(spec))
+    for mu in (0, 1):
+        g = GkpSpec(mu, delta)
+        psi = np.zeros(spec.dim, dtype=complex)
+        for s in peak_indices(mu, g.kappa):
+            c = HALF_SPACING * (2 * s + mu)
+            psi += np.exp(-(c**2) / g.kappa**2) * (v @ (np.exp(-1j * np.sqrt(2) * c * w) * base_p))
+        psi = normalize(psi)
+        assert np.max(np.abs(make_pure_gkp(spec, g) - psi)) < 1e-13
 
 
 def test_channel_identity_at_zero_sigma(pair_10db):
@@ -166,18 +187,41 @@ def test_channel_monotone_in_sigma(pair_10db):
 
 
 def test_channel_semigroup(pair_10db):
+    # Not exact: truncated displacements do not compose exactly
     a = gaussian_displacement_channel(SPEC, pair_10db.state0, 0.06)
     ab = gaussian_displacement_channel(SPEC, a, 0.08)
     direct = gaussian_displacement_channel(SPEC, pair_10db.state0, 0.1)
-    assert np.max(np.abs(ab - direct)) < 1e-6
+    assert np.max(np.abs(ab - direct)) < 1e-8
+
+
+def gauss_hermite_channel(spec, rho, sigma, nodes):
+    """Oracle: average of shifted copies over Gauss-Hermite nodes, first
+    along X (generator P), then along P (generator X)."""
+    from numpy.polynomial.hermite import hermgauss
+
+    t, gw = hermgauss(nodes)
+    for w, v in (p_eigenbasis(spec), x_eigenbasis(spec)):
+        rho_e = v.conj().T @ rho @ v
+        out = np.zeros_like(rho_e)
+        for ti, wi in zip(t, gw / np.sqrt(np.pi)):
+            phase = np.exp(1j * np.sqrt(2) * sigma * ti * w)
+            out += wi * (phase[:, None] * rho_e * phase.conj()[None, :])
+        rho = v @ out @ v.conj().T
+    return rho
 
 
 def test_mixed_purity_regression(pair_10db):
-    # Frozen from the first converged run; oracle = 2x-resolution quadrature
+    # Frozen from the first converged quadrature run
     rho = gaussian_displacement_channel(SPEC, pair_10db.state0, 0.1)
     assert abs(purity(rho) - 0.8338332682) < 1e-8
-    rho_fine = gaussian_displacement_channel(SPEC, pair_10db.state0, 0.1, gh_nodes=51)
-    assert abs(purity(rho) - purity(rho_fine)) < 1e-10
+    oracle = gauss_hermite_channel(SPEC, ket_to_density(pair_10db.state0), 0.1, 51)
+    assert np.max(np.abs(rho - oracle)) < 1e-12
+
+
+def test_channel_density_input_matches_ket_input(pair_10db):
+    from_ket = gaussian_displacement_channel(SPEC, pair_10db.state0, 0.1)
+    from_rho = gaussian_displacement_channel(SPEC, ket_to_density(pair_10db.state0), 0.1)
+    assert np.max(np.abs(from_ket - from_rho)) < 1e-14
 
 
 def test_purity_basics(pair_10db):

@@ -35,8 +35,6 @@ def test_config_validation():
         SweepConfig(delta_db_min=1.0)  # outside the guard
     SweepConfig(delta_db_min=1.0, delta_db_max=20.0, allow_extreme_range=True)
     with pytest.raises(ConfigError):
-        SweepConfig(lambda_policy="bogus")
-    with pytest.raises(ConfigError):
         SweepConfig(rounds_list=(1, 2))
 
 
@@ -167,7 +165,6 @@ def test_config_file_parsing(tmp_path):
         "delta_db_points = 4\n"
         "rounds_list = 1, 3\n"
         "sigma_list = 0.0, 0.1\n"
-        "lambda_policy = optimized\n"
         "format = json\n"
     )
     cfg = parse_config_file(str(path))
@@ -184,6 +181,10 @@ def test_config_file_errors_report_location(tmp_path):
         parse_config_file(str(bad))
     bad.write_text("nonsense_key = 1\n")
     with pytest.raises(ConfigError, match="nonsense_key"):
+        parse_config_file(str(bad))
+    # lambda_policy was removed: no runner read it
+    bad.write_text("lambda_policy = optimized\n")
+    with pytest.raises(ConfigError, match="unknown field 'lambda_policy'"):
         parse_config_file(str(bad))
     bad.write_text("delta_db_points = many\n")
     with pytest.raises(ConfigError, match="delta_db_points"):
