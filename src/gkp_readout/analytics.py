@@ -105,11 +105,12 @@ def p_err_leading_order(delta: float) -> float:
 
 
 def helstrom_formula(overlap: complex) -> float:
-    """Minimum discrimination error (1 - sqrt(1 - |overlap|^2)) / 2."""
+    """Minimum discrimination error (1 - sqrt(1 - |overlap|^2)) / 2, as
+    |overlap|^2 / (2 (1 + sqrt(1 - |overlap|^2))), which does not cancel."""
     ov2 = abs(overlap) ** 2
     if ov2 > 1 + 1e-12:
         raise ValueError(f"|overlap| = {abs(overlap)} exceeds 1")
-    return 0.5 * (1.0 - np.sqrt(max(0.0, 1.0 - ov2)))
+    return float(ov2 / (2.0 * (1.0 + np.sqrt(max(0.0, 1.0 - ov2)))))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Truncated Fock-space linear algebra for a single bosonic mode.
 
-All operators are dense complex matrices over the number basis |0..N>.
-Functions of X or P are built on one cached eigendecomposition of
-truncated X per cutoff.
+Operators are dense matrices over the number basis |0..N>. Functions of
+X or P are built on one cached eigendecomposition of truncated X per
+cutoff. Fock parity flips both truncated quadratures exactly, so even
+functions of X or P keep parity and odd ones flip it.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ class LinearOp:
     """Dense operator on the oscillator space."""
 
     matrix: np.ndarray
-    hermitian: bool = False
-    unitary: bool = False
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -77,7 +76,7 @@ def make_quadratures(spec: HilbertSpec) -> tuple[LinearOp, LinearOp]:
     ad = a.conj().T
     x = (a + ad) / np.sqrt(2)
     p = (a - ad) / (1j * np.sqrt(2))
-    return LinearOp(x, hermitian=True), LinearOp(p, hermitian=True)
+    return LinearOp(x), LinearOp(p)
 
 
 @lru_cache(maxsize=4)
@@ -95,20 +94,21 @@ def x_eigenbasis(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def i_power_signs(count: int) -> np.ndarray:
+    """(-1)^⌊k/2⌋ for k = 0..count-1: iᵏ is this sign times 1 or i."""
+    return (-1.0) ** (np.arange(count) // 2)
+
+
 def _i_powers(count: int) -> np.ndarray:
     """iᵏ for k = 0..count-1. With count = dim, the diagonal of F† where
     truncated P = F† X F exactly."""
     return np.array([1, 1j, -1, -1j])[np.arange(count) % 4]
 
 
-@lru_cache(maxsize=4)
 def p_eigenbasis(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues w and eigenvectors diag(iⁿ)·V of truncated P; the
-    eigenvalues are those of X. Cached per cutoff (read-only arrays)."""
+    """Eigenvalues w (those of X) and eigenvectors diag(iⁿ)·V of truncated P."""
     w, v = x_eigenbasis(spec)
-    v = _i_powers(spec.dim)[:, None] * v
-    v.setflags(write=False)
-    return w, v
+    return w, _i_powers(spec.dim)[:, None] * v
 
 
 def function_of_x(spec: HilbertSpec, f) -> np.ndarray:
@@ -123,16 +123,14 @@ def function_of_p(spec: HilbertSpec, f) -> np.ndarray:
     return phase[:, None] * function_of_x(spec, f) * phase.conj()[None, :]
 
 
-def vacuum(spec: HilbertSpec) -> np.ndarray:
-    ket = np.zeros(spec.dim, dtype=complex)
-    ket[0] = 1.0
-    return ket
-
-
 def fock_ket(spec: HilbertSpec, n: int) -> np.ndarray:
     ket = np.zeros(spec.dim, dtype=complex)
     ket[n] = 1.0
     return ket
+
+
+def vacuum(spec: HilbertSpec) -> np.ndarray:
+    return fock_ket(spec, 0)
 
 
 def expm_i_hermitian(h: np.ndarray) -> np.ndarray:
@@ -145,13 +143,13 @@ def expm(generator: LinearOp | np.ndarray) -> LinearOp:
     """Matrix exponential of a generator.
 
     Anti-Hermitian generators (G = iH) are routed through the
-    eigendecomposition path and flagged unitary; everything else falls
-    back to scipy's scaling-and-squaring.
+    eigendecomposition path, exactly unitary; everything else falls back
+    to scipy's scaling-and-squaring.
     """
     g = generator.matrix if isinstance(generator, LinearOp) else np.asarray(generator, complex)
     h = -1j * g
     if np.max(np.abs(h - h.conj().T)) < 1e-12 * max(1.0, np.max(np.abs(h))):
-        return LinearOp(expm_i_hermitian(h), unitary=True)
+        return LinearOp(expm_i_hermitian(h))
     return LinearOp(_scipy_expm(g))
 
 
@@ -164,23 +162,23 @@ def displacement(spec: HilbertSpec, alpha: complex) -> LinearOp:
         raise ValueError("alpha must be finite")
     x, p = make_quadratures(spec)
     h = np.sqrt(2) * (np.imag(alpha) * x.matrix - np.real(alpha) * p.matrix)
-    return LinearOp(expm_i_hermitian(h), unitary=True)
+    return LinearOp(expm_i_hermitian(h))
 
 
 def _squeeze_block(spec: HilbertSpec, delta: float, parity: int):
-    """Block (n, B, θ) of squeeze(delta) on the Fock levels n of one
-    parity: B diag(e^{iθ}) B†.
+    """Block (n, V, θ) of squeeze(delta) on the Fock levels n of one
+    parity: B diag(e^{iθ}) B† with B = D·V.
 
     The generator -½ ln δ (XP + PX) = (i/2) ln δ (a² - a†²) couples only
     n ↔ n+2, also truncated. With D = diag(iᵏ) along the block it is
-    D J D†, J real symmetric tridiagonal, so B = D·eigvecs(J).
+    D J D†, J real symmetric tridiagonal with eigenpairs (θ, V).
     """
     if not 0 < delta <= 1:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     n = np.arange(parity, spec.dim, 2)
     off = -0.5 * np.log(delta) * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
     theta, v = eigh_tridiagonal(np.zeros(n.size), off)
-    return n, _i_powers(n.size)[:, None] * v, theta
+    return n, v, theta
 
 
 def squeeze(spec: HilbertSpec, delta: float) -> LinearOp:
@@ -192,16 +190,24 @@ def squeeze(spec: HilbertSpec, delta: float) -> LinearOp:
     """
     u = np.zeros((spec.dim, spec.dim), dtype=complex)
     for parity in (0, 1):
-        n, b, theta = _squeeze_block(spec, delta, parity)
+        n, v, theta = _squeeze_block(spec, delta, parity)
+        b = _i_powers(n.size)[:, None] * v
         u[np.ix_(n, n)] = (b * np.exp(1j * theta)) @ b.conj().T
-    return LinearOp(u, unitary=True)
+    return LinearOp(u)
 
 
 def squeezed_vacuum(spec: HilbertSpec, delta: float) -> np.ndarray:
-    """squeeze(delta)|0>, from the even block alone."""
-    n, b, theta = _squeeze_block(spec, delta, 0)
-    ket = np.zeros(spec.dim, dtype=complex)
-    ket[n] = b @ (np.exp(1j * theta) * b[0].conj())
+    """squeeze(delta)|0>, from the even block alone; real."""
+    # This is D exp(iJ) e₀. J is tridiagonal with a zero diagonal, so entry
+    # k of exp(iJ) e₀ = V cos(θ) V₀ + i V sin(θ) V₀ is real on even k and
+    # imaginary on odd k; times iᵏ it is (-1)^⌊(k+1)/2⌋ times the cosine
+    # part (even k) or the sine part (odd k).
+    n, v, theta = _squeeze_block(spec, delta, 0)
+    amp = np.empty(n.size)
+    amp[0::2] = v[0::2] @ (np.cos(theta) * v[0])
+    amp[1::2] = v[1::2] @ (np.sin(theta) * v[0])
+    ket = np.zeros(spec.dim)
+    ket[n] = i_power_signs(n.size + 1)[1:] * amp
     return ket
 
 
@@ -228,7 +234,7 @@ def expectation(op: LinearOp, state: np.ndarray) -> complex:
 
 
 def normalize(state: np.ndarray) -> np.ndarray:
-    state = np.asarray(state, dtype=complex)
+    state = np.asarray(state)
     if state.ndim == 1:
         n = np.linalg.norm(state)
         if n == 0:
@@ -292,10 +298,10 @@ def position_wavefunctions(spec: HilbertSpec, x: np.ndarray) -> np.ndarray:
 def position_density(spec: HilbertSpec, state: np.ndarray, x: np.ndarray) -> np.ndarray:
     """|ψ(x)|² for a ket, accumulated along the recurrence without a
     (dim, len(x)) table, or <x|ρ|x> for a density matrix."""
-    state = np.asarray(state, dtype=complex)
+    state = np.asarray(state)
     x = np.asarray(x, dtype=float)
     if state.ndim == 1:
-        psi = np.zeros(x.shape, dtype=complex)
+        psi = np.zeros(x.shape, dtype=np.result_type(state, float))
         for amp, phi in zip(state, _hermite_functions(spec.dim, x)):
             psi += amp * phi
         return np.abs(psi) ** 2

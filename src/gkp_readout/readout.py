@@ -4,10 +4,10 @@ The simple circuit applies the conditional displacement U_x(i sqrt(pi)/2)
 to (|0>_qubit ⊗ state) and measures the qubit; the improved circuit
 prepends U_y(-lambda). With the qubit prepared in |0> and measured
 afterwards, the circuit is a two-outcome instrument {K0, K1} on the
-oscillator alone, built from functions of X and P. Multi-round runs
-enumerate every measurement branch exactly, keeping the
-post-measurement oscillator state and resetting the qubit between
-rounds.
+oscillator alone, built from functions of X and P as real blocks on
+Fock parity. Multi-round runs enumerate every measurement branch
+exactly on those blocks, keeping the post-measurement oscillator state
+and resetting the qubit between rounds.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fock import HilbertSpec, LinearOp, apply, function_of_p, function_of_x
+from .fock import HilbertSpec, i_power_signs, x_eigenbasis
 from .states import GkpStatePair, effective_squeezing
 
 PROB_PRUNE = 1e-15
@@ -74,25 +74,72 @@ class ReadoutOutcome:
         return 0.5 * (self.p_1_given_0 + self.p_0_given_1)
 
 
-def readout_kraus(spec: HilbertSpec, lam: float) -> tuple[LinearOp, LinearOp]:
-    """Kraus pair of U_x(i sqrt(pi)/2) · U_y(-lambda) on |0>_qubit ⊗ ·.
+def readout_kraus(spec: HilbertSpec, lam: float):
+    """Kraus pair of U_x(i sqrt(pi)/2) · U_y(-lambda) on |0>_qubit ⊗ ·, as
+    real Fock-parity blocks (A, B): A[p] is K0 on parity p and B[p] is M1
+    from parity p to 1 - p, where K1 = i M1."""
+    # With C = cos(sqrt(pi) X/2) and S = sin(sqrt(pi) X/2):
+    # K0 = C cos(lambda P) - S (i sin(lambda P)) and
+    # M1 = S cos(lambda P) + C (i sin(lambda P)).
+    # In the number basis X is real symmetric and P imaginary antisymmetric,
+    # so all four factors are real. Parity flips X and P, so the even
+    # functions keep parity and the odd ones flip it: each block comes from
+    # the even or odd rows of the X eigenvectors.
+    def blocks(rows, even_f, odd_f, odd_sym):
+        # [even f on parity 0, on parity 1] and [odd f from 0 to 1, from 1 to
+        # 0], the second the transpose of the first times odd_sym
+        r0, r1 = rows[0::2], rows[1::2]
+        odd = (r1 * odd_f) @ r0.T
+        return [(r * even_f) @ r.T for r in (r0, r1)], [odd, odd_sym * odd.T]
 
-    With C = cos(sqrt(pi) X/2) and S = sin(sqrt(pi) X/2):
-    K0 = C cos(lambda P) - i S sin(lambda P) and
-    K1 = i S cos(lambda P) - C sin(lambda P).
-    """
-    half = np.sqrt(np.pi) / 2
-    c = function_of_x(spec, lambda w: np.cos(half * w))
-    s = function_of_x(spec, lambda w: np.sin(half * w))
+    w, v = x_eigenbasis(spec)
+    c, s = blocks(v, np.cos(np.sqrt(np.pi) / 2 * w), np.sin(np.sqrt(np.pi) / 2 * w), 1)
     if lam == 0:
-        return LinearOp(c), LinearOp(1j * s)
-    cl = function_of_p(spec, lambda w: np.cos(lam * w))
-    sl = function_of_p(spec, lambda w: np.sin(lam * w))
-    return LinearOp(c @ cl - 1j * (s @ sl)), LinearOp(1j * (s @ cl) - c @ sl)
+        return c, s
+    # f(P) = F† f(X) F with F = diag((-i)ⁿ): within a parity F is the sign
+    # of iⁿ up to a common phase, and i sin(lambda P), which is
+    # antisymmetric, picks up -1 from even to odd.
+    cl, isl = blocks(i_power_signs(spec.dim)[:, None] * v, np.cos(lam * w),
+                     -np.sin(lam * w), -1)
+    return ([c[p] @ cl[p] - s[1 - p] @ isl[p] for p in (0, 1)],
+            [s[p] @ cl[p] + c[1 - p] @ isl[p] for p in (0, 1)])
 
 
-def run_readout_once(spec: HilbertSpec, state: np.ndarray, lam: float,
-                     kraus: Optional[tuple[LinearOp, LinearOp]] = None):
+# A state on the enumeration's path is a dict of its Fock-parity blocks:
+# {p: ψ_p} for a ket, {(p, q): ρ_pq} for a density matrix. Blocks that are
+# exactly zero are left out, so their products are never formed.
+def _split(state: np.ndarray) -> dict:
+    blocks = ({p: state[p::2] for p in (0, 1)} if state.ndim == 1 else
+              {(p, q): state[p::2, q::2] for p in (0, 1) for q in (0, 1)})
+    return {k: b for k, b in blocks.items() if b.any()}
+
+
+def _join(blocks: Optional[dict], dim: int, ket: bool, ones: int):
+    # The full array; a ket takes the phase iᵒⁿᵉˢ that K1 = i M1 leaves out.
+    if blocks is None:
+        return None
+    out = np.zeros((dim,) * (1 if ket else 2), dtype=np.result_type(*blocks.values()))
+    for k, x in blocks.items():
+        out[tuple(slice(p, None, 2) for p in np.atleast_1d(k))] = x
+    return out * 1j**ones if ket and ones else out
+
+
+def _step(kraus, blocks: dict, ket: bool):
+    # One circuit run: (p0, post0) for K0, then (p1, post1) for M1, with
+    # normalized post-states, None at p <= PROB_PRUNE.
+    for ops, flip in zip(kraus, (0, 1)):
+        if ket:
+            post = {p ^ flip: ops[p] @ x for p, x in blocks.items()}
+            prob = sum(float(np.vdot(x, x).real) for x in post.values())
+        else:
+            post = {(p ^ flip, q ^ flip): ops[p] @ x @ ops[q].T
+                    for (p, q), x in blocks.items()}
+            prob = sum(float(np.trace(x).real) for (p, q), x in post.items() if p == q)
+        norm = np.sqrt(prob) if ket else prob
+        yield prob, ({k: x / norm for k, x in post.items()} if prob > PROB_PRUNE else None)
+
+
+def run_readout_once(spec: HilbertSpec, state: np.ndarray, lam: float, kraus=None):
     """One circuit execution on an oscillator ket or density matrix.
 
     Returns (p0, p1, post0, post1) with the normalized post-measurement
@@ -101,35 +148,22 @@ def run_readout_once(spec: HilbertSpec, state: np.ndarray, lam: float,
     delta, lambda = 0). `kraus` is `readout_kraus(spec, lam)`, passed in
     to reuse one pair across calls.
     """
-    state = np.asarray(state, dtype=complex)
-    if kraus is None:
-        kraus = readout_kraus(spec, lam)
-    outs = [apply(k, state) for k in kraus]
-    if state.ndim == 1:
-        probs = [float(np.vdot(o, o).real) for o in outs]
-        posts = [o / np.sqrt(p) if p > PROB_PRUNE else None
-                 for o, p in zip(outs, probs)]
-    else:
-        probs = [float(np.trace(o).real) for o in outs]
-        posts = [o / p if p > PROB_PRUNE else None for o, p in zip(outs, probs)]
-    return probs[0], probs[1], posts[0], posts[1]
+    state = np.asarray(state)
+    ket = state.ndim == 1
+    (p0, post0), (p1, post1) = _step(kraus or readout_kraus(spec, lam), _split(state), ket)
+    return p0, p1, _join(post0, spec.dim, ket, 0), _join(post1, spec.dim, ket, 1)
 
 
-def _enumerate_branches(spec, state, lam, kraus, rounds):
-    branches = [Branch("", 1.0, state)]
+def _enumerate_branches(spec, state, kraus, rounds):
+    ket = state.ndim == 1
+    branches = [("", 1.0, _split(state))]
     for _ in range(rounds):
-        nxt = []
-        for br in branches:
-            if br.post_state is None:
-                continue
-            p0, p1, post0, post1 = run_readout_once(spec, br.post_state, lam,
-                                                    kraus=kraus)
-            for bit, p, post in (("0", p0, post0), ("1", p1, post1)):
-                joint = br.probability * p
-                if joint > PROB_PRUNE:
-                    nxt.append(Branch(br.outcomes + bit, joint, post))
-        branches = nxt
-    return tuple(branches)
+        branches = [(outcomes + bit, prob * p, post)
+                    for outcomes, prob, blocks in branches if blocks is not None
+                    for bit, (p, post) in zip("01", _step(kraus, blocks, ket))
+                    if prob * p > PROB_PRUNE]
+    return tuple(Branch(outcomes, prob, _join(blocks, spec.dim, ket, outcomes.count("1")))
+                 for outcomes, prob, blocks in branches)
 
 
 def simulated_p_err(pair: GkpStatePair, params: CircuitParams) -> ReadoutOutcome:
@@ -139,8 +173,7 @@ def simulated_p_err(pair: GkpStatePair, params: CircuitParams) -> ReadoutOutcome
     trees = []
     wrong = []
     for mu, state in ((0, pair.state0), (1, pair.state1)):
-        branches = _enumerate_branches(pair.spec, state, params.lam, kraus,
-                                       params.rounds)
+        branches = _enumerate_branches(pair.spec, state, kraus, params.rounds)
         trees.append(branches)
         wrong.append(sum(b.probability for b in branches if b.majority != mu))
     return ReadoutOutcome(p_1_given_0=wrong[0], p_0_given_1=wrong[1],

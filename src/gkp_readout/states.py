@@ -6,10 +6,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
+from .analytics import helstrom_formula
 from .fock import (
     HilbertSpec,
     LinearOp,
@@ -17,10 +19,8 @@ from .fock import (
     check_leakage,
     expectation,
     function_of_x,
-    ket_to_density,
     leakage,
     normalize,
-    p_eigenbasis,
     squeezed_vacuum,
     x_eigenbasis,
 )
@@ -113,22 +113,34 @@ def peak_indices(mu: int, kappa: float) -> np.ndarray:
 
 def make_pure_gkp(spec: HilbertSpec, g: GkpSpec, strict: bool = True) -> np.ndarray:
     """Normalized approximate GKP ket: Gaussian-enveloped comb of
-    X-squeezed vacua displaced along the position axis.
+    X-squeezed vacua displaced along the position axis. It is real with
+    exact zeros on odd Fock levels, and read-only (cached per point).
 
     strict=False skips the truncation-leakage check (callers that flag
     non-convergence instead of aborting).
     """
     if g.sigma != 0:
         raise ValueError("make_pure_gkp requires sigma = 0")
-    # All peaks share the generator P: D(c) for real c is exp(-i sqrt(2) c P),
-    # so the weighted comb is one phase vector in the P eigenbasis.
-    w, v = p_eigenbasis(spec)
-    c = HALF_SPACING * (2 * peak_indices(g.mu, g.kappa) + g.mu)
-    comb = np.exp(-(c**2) / g.kappa**2) @ np.exp(-1j * np.sqrt(2) * np.outer(c, w))
-    psi = v @ (comb * (v.conj().T @ squeezed_vacuum(spec, g.delta)))
-    psi = normalize(psi)
+    psi = _gkp_ket(spec, g.mu, g.delta, g.kappa)
     if strict:
         check_leakage(psi)
+    return psi
+
+
+@lru_cache(maxsize=16)
+def _gkp_ket(spec: HilbertSpec, mu: int, delta: float, kappa: float) -> np.ndarray:
+    # All peaks share the generator P: D(c) for real c is exp(-i sqrt(2) c P),
+    # so the weighted comb is one function of P, F† comb(X) F with
+    # F = diag((-i)ⁿ). The peaks sit at ±c, so comb is an even cosine sum;
+    # on the even levels of the squeezed vacuum F is the sign of iⁿ.
+    w, v = x_eigenbasis(spec)
+    c = HALF_SPACING * (2 * peak_indices(mu, kappa) + mu)
+    comb = np.exp(-(c**2) / kappa**2) @ np.cos(np.sqrt(2) * np.outer(c, w))
+    even = (-1.0) ** np.arange((spec.dim + 1) // 2)[:, None] * v[0::2]
+    psi = np.zeros(spec.dim)
+    psi[0::2] = even @ (comb * (even.T @ squeezed_vacuum(spec, delta)[0::2]))
+    psi = normalize(psi)
+    psi.setflags(write=False)
     return psi
 
 
@@ -136,15 +148,11 @@ def make_state_pair(spec: HilbertSpec, delta: float, kappa: Optional[float] = No
                     sigma: float = 0.0, strict: bool = True) -> GkpStatePair:
     """Build the (|0~>, |1~>) pair, mixed through the displacement
     channel when sigma > 0."""
-    g0 = GkpSpec(0, delta, kappa, sigma)
-    g1 = GkpSpec(1, delta, kappa, sigma)
-    k0 = make_pure_gkp(spec, GkpSpec(0, delta, g0.kappa), strict=strict)
-    k1 = make_pure_gkp(spec, GkpSpec(1, delta, g1.kappa), strict=strict)
-    if sigma == 0:
-        return GkpStatePair(k0, k1, spec, delta, g0.kappa, 0.0)
-    r0 = gaussian_displacement_channel(spec, k0, sigma)
-    r1 = gaussian_displacement_channel(spec, k1, sigma)
-    return GkpStatePair(r0, r1, spec, delta, g0.kappa, sigma)
+    kappa = GkpSpec(0, delta, kappa, sigma).kappa
+    pair = [make_pure_gkp(spec, GkpSpec(mu, delta, kappa), strict=strict) for mu in (0, 1)]
+    if sigma != 0:
+        pair = [gaussian_displacement_channel(spec, k, sigma) for k in pair]
+    return GkpStatePair(*pair, spec, delta, kappa, float(sigma))
 
 
 def auto_cutoff(delta: float, kappa: Optional[float] = None, sigma: float = 0.0,
@@ -179,29 +187,45 @@ def gaussian_displacement_channel(spec: HilbertSpec, state: np.ndarray,
     exp(-σ²(w_j - w_k)²/2), so each pass is a Gaussian kernel applied
     elementwise; both quadratures share the eigenvalues w.
     """
-    state = np.asarray(state, dtype=complex)
+    # In real arithmetic: the channel is real-linear, so the real and
+    # imaginary parts of ρ pass separately. The P pass runs in the X
+    # eigenbasis on F ρ F† = i^(m-n) ∘ ρ (P = F†XF, F = diag((-i)ⁿ)), which
+    # is real on the parity-diagonal part of ρ and imaginary on its even-odd
+    # part. The channel commutes with parity, so the two parts pass
+    # separately: each is weighted by its real factor before and after the
+    # P pass and kept to its own blocks after the X pass, so a part that is
+    # zero on input stays exactly zero.
+    state = np.asarray(state)
     if sigma == 0:
         return state
-    w, vp = p_eigenbasis(spec)
+    if state.ndim == 1:
+        state = np.outer(state, state.conj())
+    if np.iscomplexobj(state):
+        return (gaussian_displacement_channel(spec, state.real, sigma)
+                + 1j * gaussian_displacement_channel(spec, state.imag, sigma))
+    w, v = x_eigenbasis(spec)
     kernel = np.exp(-0.5 * sigma**2 * np.subtract.outer(w, w) ** 2)
-    rho_p = (ket_to_density(vp.conj().T @ state) if state.ndim == 1
-             else vp.conj().T @ state @ vp)
-    rho = vp @ (kernel * rho_p) @ vp.conj().T
-    vx = x_eigenbasis(spec)[1]
-    return vx @ (kernel * (vx.T @ rho @ vx)) @ vx.T
+    n = np.arange(spec.dim)
+    phase = np.array([1, 1j, -1, -1j])[np.add.outer(-n, n) % 4]
+    out = np.zeros_like(state)
+    for signed in (phase.real, phase.imag):
+        rho = signed * state
+        if rho.any():
+            for after in (signed, np.abs(signed)):
+                rho = after * (v @ (kernel * (v.T @ rho @ v)) @ v.T)
+            out += rho
+    return out
 
 
 def stabilizer_displacement(spec: HilbertSpec) -> LinearOp:
     """D(i sqrt(2π)) = exp(i 2 sqrt(π) X); its magnitude of expectation
     defines effective squeezing."""
-    return LinearOp(function_of_x(spec, lambda w: np.exp(2j * np.sqrt(np.pi) * w)),
-                    unitary=True)
+    return LinearOp(function_of_x(spec, lambda w: np.exp(2j * np.sqrt(np.pi) * w)))
 
 
 def logical_z_displacement(spec: HilbertSpec) -> LinearOp:
     """D(i sqrt(π/2)) = exp(i sqrt(π) X); approximate logical Z."""
-    return LinearOp(function_of_x(spec, lambda w: np.exp(1j * np.sqrt(np.pi) * w)),
-                    unitary=True)
+    return LinearOp(function_of_x(spec, lambda w: np.exp(1j * np.sqrt(np.pi) * w)))
 
 
 def effective_squeezing(spec: HilbertSpec, state: np.ndarray) -> float:
@@ -231,14 +255,11 @@ def purity(state: np.ndarray) -> float:
 
 
 def helstrom_bound(state0: np.ndarray, state1: np.ndarray) -> float:
-    """Minimum discrimination error ½(1 - sqrt(1 - |<0~|1~>|²)) for pure kets."""
-    state0 = np.asarray(state0)
-    state1 = np.asarray(state1)
+    """Minimum discrimination error of two pure kets (`helstrom_formula`)."""
+    state0, state1 = np.asarray(state0), np.asarray(state1)
     if state0.ndim != 1 or state1.ndim != 1:
         raise UnsupportedStateError("Helstrom bound implemented for pure kets only")
-    ov = abs(np.vdot(state0, state1)) ** 2
-    ov = min(ov, 1.0)
-    return 0.5 * (1.0 - np.sqrt(1.0 - ov))
+    return helstrom_formula(np.vdot(state0, state1))
 
 
 def export_state_json(state: np.ndarray, path: str) -> None:

@@ -12,14 +12,16 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import analytics
-from .fock import HilbertSpec
+from .fock import HilbertSpec, leakage
 from .readout import CircuitParams, simulated_p_err
 from .states import (
+    GkpSpec,
     auto_cutoff,
     db_to_delta,
     delta_db,
     effective_squeezing,
     helstrom_bound,
+    make_pure_gkp,
     make_state_pair,
     purity,
 )
@@ -119,15 +121,10 @@ def _base_metrics(config: SweepConfig, delta: float, sigma: float = 0.0):
     kappa = config.kappa_for(delta)
     spec = config.spec_for(delta, kappa)
     pair = make_state_pair(spec, delta, kappa, sigma, strict=False)
-    if config.cutoff_policy == "auto":
-        converged = True
-    else:
-        from .fock import leakage
-        from .states import GkpSpec, make_pure_gkp
-
-        kets = [make_pure_gkp(spec, GkpSpec(mu, delta, kappa), strict=False)
-                for mu in (0, 1)]
-        converged = all(leakage(k) < 1e-10 for k in kets)
+    # The pair's kets are cached, so rereading them for the leakage is free.
+    converged = config.cutoff_policy == "auto" or all(
+        leakage(make_pure_gkp(spec, GkpSpec(mu, delta, kappa), strict=False)) < 1e-10
+        for mu in (0, 1))
     pur = purity(pair.state0)
     deff = effective_squeezing(spec, pair.state0)
     hel = helstrom_bound(pair.state0, pair.state1) if pair.is_pure else None

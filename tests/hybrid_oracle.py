@@ -29,7 +29,7 @@ def rabi_gate(spec: HilbertSpec, k: str, alpha: complex) -> LinearOp:
         raise ValueError(f"k must be one of x, y, z, got {k!r}")
     x, p = make_quadratures(spec)
     g_osc = np.imag(alpha) * x.matrix - np.real(alpha) * p.matrix
-    return LinearOp(expm_i_hermitian(np.kron(PAULI[k], g_osc)), unitary=True)
+    return LinearOp(expm_i_hermitian(np.kron(PAULI[k], g_osc)))
 
 
 def readout_unitary(spec: HilbertSpec, lam: float) -> LinearOp:
@@ -38,7 +38,7 @@ def readout_unitary(spec: HilbertSpec, lam: float) -> LinearOp:
     if lam == 0:
         return ux
     uy = rabi_gate(spec, "y", -lam)
-    return LinearOp(ux.matrix @ uy.matrix, unitary=True)
+    return LinearOp(ux.matrix @ uy.matrix)
 
 
 def embed_qubit_zero(osc_state: np.ndarray) -> np.ndarray:
@@ -96,3 +96,19 @@ def run_readout_hybrid(spec: HilbertSpec, state: np.ndarray, unitary: LinearOp):
         probs = [float(np.trace(b).real) for b in blocks]
         posts = [b / p for b, p in zip(blocks, probs)]
     return probs[0], probs[1], posts[0], posts[1]
+
+
+def enumerate_branches_hybrid(spec: HilbertSpec, state: np.ndarray, unitary: LinearOp,
+                              rounds: int, prune: float = 1e-15):
+    """[(outcomes, probability, post-state)] of every outcome history of
+    `rounds` runs, each from `run_readout_hybrid`, in the order 0 before 1."""
+    branches = [("", 1.0, np.asarray(state, dtype=complex))]
+    for _ in range(rounds):
+        nxt = []
+        for outcomes, prob, post in branches:
+            p0, p1, post0, post1 = run_readout_hybrid(spec, post, unitary)
+            nxt += [(outcomes + bit, prob * p, s)
+                    for bit, p, s in (("0", p0, post0), ("1", p1, post1))
+                    if prob * p > prune]
+        branches = nxt
+    return branches

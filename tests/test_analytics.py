@@ -144,6 +144,8 @@ def test_helstrom_formula():
     assert abs(helstrom_formula(0.1) - 2.506e-3) < 1e-6
     with pytest.raises(ValueError):
         helstrom_formula(1.1)
+    # |overlap|^2 = 1e-20: the stable form keeps the bound 1e-20 / 4
+    assert abs(helstrom_formula(1e-10) - 2.5e-21) < 1e-12 * 2.5e-21
 
 
 def test_crossover_location():

@@ -10,7 +10,10 @@ from gkp_readout.analytics import (
 from gkp_readout.fock import (
     HilbertSpec,
     apply,
+    displacement,
     expectation,
+    function_of_p,
+    function_of_x,
     ket_to_density,
 )
 from gkp_readout.readout import (
@@ -36,6 +39,7 @@ from gkp_readout.states import (
 )
 from hybrid_oracle import (
     embed_qubit_zero,
+    enumerate_branches_hybrid,
     partial_trace_oscillator,
     rabi_gate,
     readout_unitary,
@@ -131,15 +135,103 @@ def test_kraus_pair_matches_hybrid_oracle(oracle_case, db):
                 assert _rel(g, w) < 1e-10
 
 
+def assemble_kraus(spec, kraus):
+    """Full K0 and K1 = i M1 from the parity blocks of `readout_kraus`."""
+    a, b = kraus
+    k0 = np.zeros((spec.dim, spec.dim))
+    m1 = np.zeros((spec.dim, spec.dim))
+    for p in (0, 1):
+        k0[p::2, p::2] = a[p]
+        m1[1 - p::2, p::2] = b[p]
+    return k0, 1j * m1
+
+
 @pytest.mark.parametrize("db", [7, 10, 14])
 def test_kraus_pair_completeness(oracle_case, db):
     # K0†K0 + K1†K1 = I on the lower block, as unitarity_defect checks U†U
     spec, _, _, unitaries = oracle_case(db)
     m = spec.cutoff - 5
     for lam in unitaries:
-        k0, k1 = (k.matrix for k in readout_kraus(spec, lam))
+        k0, k1 = assemble_kraus(spec, readout_kraus(spec, lam))
         e = k0.conj().T @ k0 + k1.conj().T @ k1 - np.eye(spec.dim)
         assert np.max(np.abs(e[:m, :m])) < 1e-12
+
+
+@pytest.mark.parametrize("db", [7, 10, 14])
+def test_kraus_blocks_are_real_and_parity_exact(db):
+    # Dense complex K0 = C cos(lam P) - i S sin(lam P), K1 = i S cos(lam P)
+    # - C sin(lam P) are real and parity-preserving, and purely imaginary
+    # and parity-flipping; the real blocks reassemble them
+    delta = db_to_delta(db)
+    spec = auto_cutoff(delta)
+    half = np.sqrt(np.pi) / 2
+    c = function_of_x(spec, lambda w: np.cos(half * w))
+    s = function_of_x(spec, lambda w: np.sin(half * w))
+    for lam in (0.0, optimal_lambda(delta)):
+        cl = function_of_p(spec, lambda w: np.cos(lam * w))
+        sl = function_of_p(spec, lambda w: np.sin(lam * w))
+        dense0 = c @ cl - 1j * (s @ sl)
+        dense1 = 1j * (s @ cl) - c @ sl
+        assert np.max(np.abs(dense0.imag)) < 1e-13
+        assert np.max(np.abs(dense1.real)) < 1e-13
+        even = np.zeros(spec.dim)
+        even[0::2] = 1.0
+        assert np.max(np.abs(dense0 @ even * (1 - even))) < 1e-13
+        assert np.max(np.abs(dense1 @ even * even)) < 1e-13
+        a, b = readout_kraus(spec, lam)
+        assert all(np.isrealobj(blk) for blk in (*a, *b))
+        k0, k1 = assemble_kraus(spec, (a, b))
+        assert np.max(np.abs(k0 - dense0)) < 1e-12
+        assert np.max(np.abs(k1 - dense1)) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def general_case():
+    """Complex states with both parities and even-odd coherence: the 10 dB
+    pair displaced by D(0.3 + 0.2i), as kets and through the sigma = 0.1
+    channel, with the hybrid unitaries at lambda = 0 and optimal lambda."""
+    d = displacement(SPEC, 0.3 + 0.2j).matrix
+    pure = make_state_pair(SPEC, DELTA_10DB)
+    kets = [d @ pure.state0, d @ pure.state1]
+    rhos = [gaussian_displacement_channel(SPEC, k, 0.1) for k in kets]
+    lams = (0.0, optimal_lambda(DELTA_10DB))
+    return ([GkpStatePair(*kets, SPEC, pure.delta, pure.kappa, 0.0),
+             GkpStatePair(*rhos, SPEC, pure.delta, pure.kappa, 0.1)],
+            {lam: readout_unitary(SPEC, lam) for lam in lams})
+
+
+def test_general_input_run_once_matches_hybrid_oracle(general_case):
+    pairs, unitaries = general_case
+    kets, rhos = pairs
+    for ket, rho in ((kets.state0, rhos.state0), (kets.state1, rhos.state1)):
+        assert np.iscomplexobj(ket) and np.max(np.abs(ket.imag)) > 1e-3
+        assert min(np.linalg.norm(ket[0::2]), np.linalg.norm(ket[1::2])) > 1e-2
+        assert np.max(np.abs(rho[0::2, 1::2])) > 1e-3
+    for lam, unitary in unitaries.items():
+        for pair in pairs:
+            for state in (pair.state0, pair.state1):
+                got = run_readout_once(SPEC, state, lam)
+                want = run_readout_hybrid(SPEC, state, unitary)
+                for g, w in zip(got, want):
+                    assert _rel(g, w) < 1e-10
+
+
+def test_general_input_branches_match_hybrid_oracle(general_case):
+    pairs, unitaries = general_case
+    for lam, unitary in unitaries.items():
+        for pair in pairs:
+            out = simulated_p_err(pair, CircuitParams(lam, 3))
+            wrong = []
+            for mu, state, tree in ((0, pair.state0, out.branches_0),
+                                    (1, pair.state1, out.branches_1)):
+                want = enumerate_branches_hybrid(SPEC, state, unitary, 3)
+                assert [b.outcomes for b in tree] == [w[0] for w in want]
+                for b, (_, prob, post) in zip(tree, want):
+                    assert abs(b.probability - prob) < 1e-10 * prob
+                    assert _rel(b.post_state, post) < 1e-10
+                wrong.append(sum(prob for outcomes, prob, _ in want
+                                 if Branch(outcomes, prob, None).majority != mu))
+            assert abs(out.p_err - 0.5 * sum(wrong)) < 1e-10 * out.p_err
 
 
 def test_simple_p_err_matches_formula(pair_10db):

@@ -4,6 +4,8 @@ import pytest
 from gkp_readout import states
 from gkp_readout.fock import (
     HilbertSpec,
+    TruncationError,
+    displacement,
     expectation,
     ket_to_density,
     leakage,
@@ -163,6 +165,45 @@ def test_pure_gkp_comb_matches_per_peak_sum(db):
         assert np.max(np.abs(make_pure_gkp(spec, g) - psi)) < 1e-13
 
 
+@pytest.mark.parametrize("db", [7.0, 10.0, 14.0])
+def test_pure_gkp_is_real_even_and_cached(db):
+    delta = db_to_delta(db)
+    spec = auto_cutoff(delta)
+    for mu in (0, 1):
+        ket = make_pure_gkp(spec, GkpSpec(mu, delta))
+        assert np.isrealobj(ket)
+        assert np.all(ket[1::2] == 0)
+        assert not ket.flags.writeable
+        assert make_pure_gkp(spec, GkpSpec(mu, delta)) is ket
+
+
+def test_cached_ket_still_checks_leakage():
+    spec, g = HilbertSpec(20), GkpSpec(0, 0.5, 2.0)
+    make_pure_gkp(spec, g, strict=False)
+    with pytest.raises(TruncationError):
+        make_pure_gkp(spec, g)
+
+
+@pytest.mark.parametrize("db", [7.0, 10.0, 14.0])
+def test_channel_keeps_real_parity_blocks(db):
+    # The channel commutes with parity: an even ket stays block-diagonal
+    delta = db_to_delta(db)
+    spec = auto_cutoff(delta)
+    rho = gaussian_displacement_channel(spec, make_pure_gkp(spec, GkpSpec(1, delta)), 0.1)
+    assert np.isrealobj(rho)
+    assert np.all(rho[0::2, 1::2] == 0) and np.all(rho[1::2, 0::2] == 0)
+    assert np.max(np.abs(rho[1::2, 1::2])) > 1e-3
+
+
+def test_channel_general_input_matches_quadrature_oracle(pair_10db):
+    # A complex ket with both parities and even-odd coherence
+    ket = displacement(SPEC, 0.3 + 0.2j).matrix @ pair_10db.state0
+    rho = gaussian_displacement_channel(SPEC, ket, 0.1)
+    assert np.max(np.abs(rho[0::2, 1::2])) > 1e-3
+    oracle = gauss_hermite_channel(SPEC, ket_to_density(ket), 0.1, 51)
+    assert np.max(np.abs(rho - oracle)) < 1e-12
+
+
 def test_channel_identity_at_zero_sigma(pair_10db):
     out = gaussian_displacement_channel(SPEC, pair_10db.state0, 0.0)
     assert out is pair_10db.state0 or np.max(np.abs(out - pair_10db.state0)) == 0
@@ -238,6 +279,9 @@ def test_helstrom_edges():
     assert abs(helstrom_bound(e0, e0) - 0.5) < 1e-12
     with pytest.raises(UnsupportedStateError):
         helstrom_bound(ket_to_density(e0), ket_to_density(e1))
+    # Overlap 1e-10: the bound is 2.5e-21, where 1/2 (1 - sqrt(1 - 1e-20)) reads 0
+    tilted = np.array([1e-10, np.sqrt(1 - 1e-20)])
+    assert abs(helstrom_bound(e0, tilted) - 2.5e-21) < 1e-12 * 2.5e-21
 
 
 def test_helstrom_dual_method():
