@@ -3,13 +3,12 @@ optimizer for the interaction strength lambda."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
-from scipy.special import erfc
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -22,7 +21,7 @@ def p_err_homodyne_formula(delta: float) -> float:
     """Homodyne readout error erfc(sqrt(pi)/(2 delta))."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return float(erfc(SQRT_PI / (2 * delta)))
+    return math.erfc(SQRT_PI / (2 * delta))
 
 
 def p_err_simple_formula(delta: float) -> float:
@@ -56,9 +55,26 @@ def _stationarity(lam: float, delta: float) -> float:
     return (2 * lam / delta**2) * np.exp(-(lam**2) / delta**2) - SQRT_PI * np.cos(SQRT_PI * lam)
 
 
+def _bisect(f, lo: float, hi: float, xtol: float) -> float:
+    """Root of f between lo and hi, where f changes sign, by bisection to
+    an interval of xtol or until the midpoint stops moving."""
+    lo_negative = f(lo) < 0
+    if lo_negative == (f(hi) < 0):
+        raise ValueError(f"no sign change of f between {lo} and {hi}")
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if (f(mid) < 0) == lo_negative:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def optimal_lambda(delta: float) -> float:
     """Root of (2 lambda/delta^2) e^{-lambda^2/delta^2} = sqrt(pi) cos(sqrt(pi) lambda)
-    nearest the small-delta seed, to 1e-12.
+    nearest the small-delta seed, bisected until the midpoint stops moving.
 
     A root lies below sqrt(pi)/2 for every delta in (0, 1): the condition
     is negative at lambda = 0 and positive where cos(sqrt(pi) lambda) = 0.
@@ -68,21 +84,21 @@ def optimal_lambda(delta: float) -> float:
     hi = 4 * SQRT_PI * delta**2
     grid = np.linspace(0.0, hi, 400)
     vals = _stationarity(grid, delta)
-    for i in range(len(grid) - 1):
-        if vals[i] < 0 <= vals[i + 1]:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                return float(brentq(_stationarity, grid[i], grid[i + 1],
-                                    args=(delta,), xtol=1e-14, rtol=1e-15))
-    raise RuntimeError(
-        f"no minus-to-plus sign change of the stationarity condition in (0, {hi:.4g}) "
-        f"at delta = {delta}; seed was {lambda_seed(delta):.4g}")
+    rising = np.flatnonzero((vals[:-1] < 0) & (vals[1:] >= 0))
+    if rising.size == 0:
+        raise RuntimeError(
+            f"no minus-to-plus sign change of the stationarity condition in (0, {hi:.4g}) "
+            f"at delta = {delta}; seed was {lambda_seed(delta):.4g}")
+    i = rising[0]
+    return float(_bisect(lambda lam: _stationarity(lam, delta), grid[i], grid[i + 1], 0.0))
 
 
 def optimal_lambda_by_minimization(delta: float) -> float:
     """Independent cross-check: golden-section minimization of the
     improved-circuit formula, finished with one parabolic-fit step to
     beat the flatness floor of pure sectioning."""
+    from scipy.optimize import minimize_scalar
+
     hi = 4 * SQRT_PI * delta**2
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -156,4 +172,4 @@ def homodyne_crossover_db(lo_db: float = 7.0, hi_db: float = 12.0) -> float:
         return np.log(p_err_improved_formula(d, optimal_lambda(d))) - np.log(
             p_err_homodyne_formula(d))
 
-    return float(brentq(gap, lo_db, hi_db, xtol=1e-10))
+    return float(_bisect(gap, lo_db, hi_db, 1e-10))

@@ -178,14 +178,16 @@ def main(argv=None) -> int:
         if args.command == "state-info":
             return cmd_state_info(args)
         return cmd_validate(args)
+    # LinAlgError subclasses ValueError, so it is caught first: a failed
+    # eigensolver is a convergence failure, not a config error.
+    except (np.linalg.LinAlgError, TruncationError, RuntimeError) as exc:
+        json.dump({"error": {"type": "convergence", "message": str(exc)}}, sys.stderr)
+        sys.stderr.write("\n")
+        return EXIT_CONVERGENCE
     except (sweep.ConfigError, ValueError) as exc:
         json.dump({"error": {"type": "config", "message": str(exc)}}, sys.stderr)
         sys.stderr.write("\n")
         return EXIT_CONFIG
-    except (TruncationError, RuntimeError) as exc:
-        json.dump({"error": {"type": "convergence", "message": str(exc)}}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_CONVERGENCE
 
 
 if __name__ == "__main__":

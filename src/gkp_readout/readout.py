@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -74,6 +75,26 @@ class ReadoutOutcome:
         return 0.5 * (self.p_1_given_0 + self.p_0_given_1)
 
 
+def _parity_blocks(rows, even_f, odd_f, odd_sym):
+    # [even f on parity 0, on parity 1] and [odd f from 0 to 1, from 1 to 0],
+    # the second the transpose of the first times odd_sym
+    r0, r1 = rows[0::2], rows[1::2]
+    odd = (r1 * odd_f) @ r0.T
+    return tuple((r * even_f) @ r.T for r in (r0, r1)), (odd, odd_sym * odd.T)
+
+
+@lru_cache(maxsize=4)
+def _cs_blocks(spec: HilbertSpec):
+    """Parity blocks of C = cos(sqrt(pi) X/2) and S = sin(sqrt(pi) X/2), the
+    lambda-independent factors of the Kraus pair; cached per cutoff
+    (read-only arrays)."""
+    w, v = x_eigenbasis(spec)
+    c, s = _parity_blocks(v, np.cos(np.sqrt(np.pi) / 2 * w), np.sin(np.sqrt(np.pi) / 2 * w), 1)
+    for blk in c + s:
+        blk.setflags(write=False)
+    return c, s
+
+
 def readout_kraus(spec: HilbertSpec, lam: float):
     """Kraus pair of U_x(i sqrt(pi)/2) · U_y(-lambda) on |0>_qubit ⊗ ·, as
     real Fock-parity blocks (A, B): A[p] is K0 on parity p and B[p] is M1
@@ -85,24 +106,17 @@ def readout_kraus(spec: HilbertSpec, lam: float):
     # so all four factors are real. Parity flips X and P, so the even
     # functions keep parity and the odd ones flip it: each block comes from
     # the even or odd rows of the X eigenvectors.
-    def blocks(rows, even_f, odd_f, odd_sym):
-        # [even f on parity 0, on parity 1] and [odd f from 0 to 1, from 1 to
-        # 0], the second the transpose of the first times odd_sym
-        r0, r1 = rows[0::2], rows[1::2]
-        odd = (r1 * odd_f) @ r0.T
-        return [(r * even_f) @ r.T for r in (r0, r1)], [odd, odd_sym * odd.T]
-
-    w, v = x_eigenbasis(spec)
-    c, s = blocks(v, np.cos(np.sqrt(np.pi) / 2 * w), np.sin(np.sqrt(np.pi) / 2 * w), 1)
+    c, s = _cs_blocks(spec)
     if lam == 0:
         return c, s
     # f(P) = F† f(X) F with F = diag((-i)ⁿ): within a parity F is the sign
     # of iⁿ up to a common phase, and i sin(lambda P), which is
     # antisymmetric, picks up -1 from even to odd.
-    cl, isl = blocks(i_power_signs(spec.dim)[:, None] * v, np.cos(lam * w),
-                     -np.sin(lam * w), -1)
-    return ([c[p] @ cl[p] - s[1 - p] @ isl[p] for p in (0, 1)],
-            [s[p] @ cl[p] + c[1 - p] @ isl[p] for p in (0, 1)])
+    w, v = x_eigenbasis(spec)
+    cl, isl = _parity_blocks(i_power_signs(spec.dim)[:, None] * v, np.cos(lam * w),
+                             -np.sin(lam * w), -1)
+    return (tuple(c[p] @ cl[p] - s[1 - p] @ isl[p] for p in (0, 1)),
+            tuple(s[p] @ cl[p] + c[1 - p] @ isl[p] for p in (0, 1)))
 
 
 # A state on the enumeration's path is a dict of its Fock-parity blocks:
@@ -204,25 +218,29 @@ def homodyne_p_err_numeric(pair: GkpStatePair, points_per_bin: int = 257) -> flo
     distributions.
 
     Each decision bin [(k-1/2)√π, (k+1/2)√π] is integrated separately
-    (Simpson) so the bin edges never cut a panel; each state's density
-    is evaluated once per resolution on the stacked grid of its bins.
-    The per-bin resolution is doubled until the result is stable.
+    (composite Simpson) so the bin edges never cut a panel; each state's
+    density is evaluated once per resolution on the stacked grid of its
+    bins. The per-bin resolution is doubled until the result is stable.
     """
-    from scipy.integrate import simpson
-
     from .fock import position_density
 
+    if points_per_bin < 3 or points_per_bin % 2 == 0:
+        raise ValueError(f"points_per_bin must be odd and >= 3, got {points_per_bin}")
     root_pi = np.sqrt(np.pi)
     k_max = int(np.ceil((pair.kappa * np.sqrt(2 * np.pi) + 6.0) / root_pi))
     ks = np.arange(-k_max, k_max + 1)
 
     def compute(m):
+        # m is odd, so the Simpson weights over a bin of width √π are
+        # (√π / (3 (m - 1))) [1, 4, 2, ..., 2, 4, 1].
+        weights = np.where(np.arange(m) % 2, 4.0, 2.0) * (root_pi / (3 * (m - 1)))
+        weights[[0, -1]] *= 0.5
         total = 0.0
         for mu, state in ((0, pair.state0), (1, pair.state1)):
             k = ks[ks % 2 != mu]
             x = np.linspace((k - 0.5) * root_pi, (k + 0.5) * root_pi, m, axis=-1)
             dens = position_density(pair.spec, state, x.ravel()).reshape(x.shape)
-            total += 0.5 * np.sum(simpson(dens, x=x, axis=-1))
+            total += 0.5 * np.sum(dens @ weights)
         return total
 
     val = compute(points_per_bin)

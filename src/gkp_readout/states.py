@@ -17,7 +17,6 @@ from .fock import (
     LinearOp,
     TruncationError,
     check_leakage,
-    expectation,
     function_of_x,
     leakage,
     normalize,
@@ -233,7 +232,13 @@ def effective_squeezing(spec: HilbertSpec, state: np.ndarray) -> float:
 
     Equals delta for the pure states; +inf when the expectation vanishes.
     """
-    e = abs(expectation(stabilizer_displacement(spec), state))
+    # D(i√(2π)) = exp(2i√π X) is diagonal on the X eigenbasis (w, V), so
+    # <D> = Σⱼ (VᵀρV)ⱼⱼ e^{2i√π wⱼ}, with (VᵀρV)ⱼⱼ = |(Vᵀψ)ⱼ|² for a ket.
+    w, v = x_eigenbasis(spec)
+    state = np.asarray(state)
+    weights = (np.abs(v.T @ state) ** 2 if state.ndim == 1
+               else np.einsum("kj,kj->j", v, state @ v))
+    e = abs(weights @ np.exp(2j * np.sqrt(np.pi) * w))
     if e <= 1e-300:
         return np.inf
     if e > 1.0:

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field, asdict
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import analytics
 from .fock import HilbertSpec, leakage
@@ -197,6 +196,8 @@ def run_fig1b(config: SweepConfig) -> list[SweepRow]:
 def optimize_lambda_simulated(pair, deff: float, xatol: float = 1e-7) -> tuple[float, float]:
     """Direct scalar minimization of the simulated error over lambda,
     used where the pure-state formula does not apply (mixed inputs)."""
+    from scipy.optimize import minimize_scalar
+
     hi = min(3 * np.sqrt(np.pi) * deff**2, LAMBDA_SEARCH_MAX)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

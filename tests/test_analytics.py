@@ -1,6 +1,6 @@
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import erfc
 
 from gkp_readout.analytics import (
     ErrorModelPoint,
@@ -23,14 +23,17 @@ EXACT_OPTIMUM_COEFF = np.pi**3 / 192
 
 
 def test_homodyne_formula_values():
-    # Oracle: scipy's erfc; asymptotic tail erfc(z) ~ e^{-z^2}/(z sqrt(pi))
+    # Oracles: a 50-digit erfc, to 2 ulp; asymptotic tail
+    # erfc(z) ~ e^{-z^2}/(z sqrt(pi))
     d = 0.3162
     val = p_err_homodyne_formula(d)
     assert abs(val - 7.37e-5) < 5e-7
     z = np.sqrt(np.pi) / (2 * d)
     asym = np.exp(-(z**2)) / (z * np.sqrt(np.pi))
     assert abs(val - asym) / val < 0.1
-    assert val == erfc(z)
+    with mpmath.workdps(50):
+        ref = float(mpmath.erfc(mpmath.mpf(float(z))))
+    assert abs(val - ref) <= 2 * np.spacing(ref)
 
 
 def test_homodyne_formula_monotone_and_raw_overflow():

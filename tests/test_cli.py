@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gkp_readout.cli import EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, main
@@ -85,3 +90,50 @@ def test_sweep_defaults_run(capsys, command):
     lines = capsys.readouterr().out.strip().split("\n")
     delta_dbs = {line.split(",")[1] for line in lines[1:]}
     assert delta_dbs == {"5", "14"}
+
+
+def test_eigensolver_failure_exit_code(capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, but a failed eigensolve is a
+    # convergence failure, not a config error
+    from gkp_readout import fock, states
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(fock, "eigh_tridiagonal", fail)
+    fock.x_eigenbasis.cache_clear()
+    states._gkp_ket.cache_clear()
+    assert main(["state-info", "--delta-db", "10"]) == EXIT_CONVERGENCE
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "convergence"
+
+
+IMPORT_DIET_SCRIPT = """
+import contextlib, io, sys
+from gkp_readout import analytics, cli, readout, states
+
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["fig1a", "--points", "2"],
+                 ["state-info", "--delta-db", "10", "--sigma", "0.1"],
+                 ["optimize-lambda", "--delta-db", "10"], ["validate"]):
+        assert cli.main(argv) == 0, argv
+delta = states.db_to_delta(10)
+spec = states.auto_cutoff(delta)
+mixed = states.make_state_pair(spec, delta, sigma=0.1)
+readout.simulated_p_err(mixed, readout.CircuitParams(analytics.optimal_lambda(delta), 3))
+readout.homodyne_p_err_numeric(states.make_state_pair(spec, delta))
+print(" ".join(sorted(m for m in sys.modules if m.startswith(
+    ("scipy.optimize", "scipy.special", "scipy.integrate")))))
+"""
+
+
+def test_import_diet():
+    # Outside fig1c's lambda search, the package runs on numpy and
+    # scipy.linalg alone: a fresh interpreter through every other command,
+    # a mixed readout and a homodyne loads no optimize, special or integrate
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", IMPORT_DIET_SCRIPT],
+                          env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

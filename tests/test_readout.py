@@ -185,6 +185,15 @@ def test_kraus_blocks_are_real_and_parity_exact(db):
         assert np.max(np.abs(k1 - dense1)) < 1e-12
 
 
+def test_kraus_cs_blocks_cached_read_only():
+    # The lambda-independent C and S blocks are built once per cutoff and
+    # shared; the lambda = 0 pair is those blocks
+    first, again = readout_kraus(SPEC, 0.0), readout_kraus(SPEC, 0.0)
+    for blk, same in zip((*first[0], *first[1]), (*again[0], *again[1])):
+        assert blk is same
+        assert not blk.flags.writeable
+
+
 @pytest.fixture(scope="module")
 def general_case():
     """Complex states with both parities and even-odd coherence: the 10 dB
@@ -368,6 +377,13 @@ def test_homodyne_matches_closed_form(pair_10db):
     val = homodyne_p_err_numeric(pair_10db)
     ref = p_err_homodyne_formula(DELTA_10DB)
     assert abs(val - ref) / ref < 0.2
+
+
+def test_homodyne_needs_odd_points_per_bin(pair_10db):
+    # Composite Simpson weights need an even number of panels per bin
+    for bad in (1, 2, 256):
+        with pytest.raises(ValueError):
+            homodyne_p_err_numeric(pair_10db, points_per_bin=bad)
 
 
 def test_homodyne_better_than_chance_at_large_delta():

@@ -110,6 +110,23 @@ def test_effective_squeezing_of_pure_states():
         assert abs(effective_squeezing(spec, k) - delta) < 2e-3
 
 
+@pytest.mark.parametrize("db", [7.0, 10.0, 14.0])
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_effective_squeezing_matches_stabilizer_expectation(db, sigma):
+    # Oracle: <D(i sqrt(2 pi))> from the full stabilizer matrix, on GKP
+    # states and on the complex input displaced by D(0.3 + 0.2i)
+    delta = db_to_delta(db)
+    spec = auto_cutoff(delta)
+    d = displacement(spec, 0.3 + 0.2j).matrix
+    ket = make_pure_gkp(spec, GkpSpec(0, delta))
+    stab = stabilizer_displacement(spec)
+    for state in (ket, d @ ket):
+        state = gaussian_displacement_channel(spec, state, sigma)
+        e = abs(expectation(stab, state))
+        ref = np.sqrt(np.log(1.0 / min(e, 1.0) ** 2) / (2 * np.pi))
+        assert abs(effective_squeezing(spec, state) - ref) < 1e-13
+
+
 def test_effective_squeezing_of_vacuum():
     # Oracle: |<vac|D(a)|vac>| = e^{-|a|^2/2} gives exactly 1 here
     assert abs(effective_squeezing(SPEC, vacuum(SPEC)) - 1.0) < 1e-10
