@@ -1,55 +1,60 @@
-"""Tour of the truncated-Fock-space core: quadratures, displacements,
-squeezing, and how to tell when the cutoff is biting.
+"""The truncated Fock space, and how to tell when its cutoff bites.
+
+Every quantity here is read off one cached eigendecomposition of
+truncated X per cutoff N. A strongly squeezed vacuum needs many Fock
+levels: at delta = 0.5 its variances are exact at N = 40, at delta = 0.2
+they are off until N nears 150. A 14 dB GKP pair shows the cutoff as
+population leaking into the top Fock levels, and in the readout error
+built on it.
 
 Run: python3 demos/01_fock_space_basics.py
 """
 
-import numpy as np
-
+from gkp_readout.analytics import optimal_lambda
 from gkp_readout.fock import (
+    LEAKAGE_TOL,
     HilbertSpec,
-    displacement,
-    expectation,
-    make_quadratures,
-    squeeze,
-    unitarity_defect,
-    vacuum,
+    i_power_signs,
+    leakage,
+    squeezed_vacuum,
+    x_eigenbasis,
 )
+from gkp_readout.readout import CircuitParams, simulated_p_err
+from gkp_readout.states import auto_cutoff, db_to_delta, make_state_pair
 
-spec = HilbertSpec(150)
-x, p = make_quadratures(spec)
-vac = vacuum(spec)
 
-print(f"Hilbert space: Fock levels 0..{spec.cutoff} (dim {spec.dim})")
-print(f"vacuum <X> = {expectation(x, vac).real:+.3e}, "
-      f"Var X = {expectation(x @ x, vac).real:.6f}  (expect 1/2)")
+def variance_x(spec, ket):
+    """Var X of a real ket, from its weights on the X eigenbasis."""
+    w, v = x_eigenbasis(spec)
+    weights = (v.T @ ket) ** 2
+    return weights @ w**2 - (weights @ w) ** 2
 
-# A displacement D(alpha) shifts <X> by sqrt(2) Re alpha and <P> by
-# sqrt(2) Im alpha.
-alpha = 1.2 + 0.7j
-shifted = displacement(spec, alpha) @ vac
-print(f"\nafter D({alpha}):")
-print(f"  <X> = {expectation(x, shifted).real:.6f}  "
-      f"(expect {np.sqrt(2) * alpha.real:.6f})")
-print(f"  <P> = {expectation(p, shifted).real:.6f}  "
-      f"(expect {np.sqrt(2) * alpha.imag:.6f})")
-print(f"  unitarity defect (low block): "
-      f"{unitarity_defect(displacement(spec, alpha), spec):.2e}")
 
-# Squeezing: S(delta) takes Var X from 1/2 to delta^2/2.
-for delta in (0.5, 0.3, 0.2):
-    sq = squeeze(spec, delta) @ vac
-    var_x = expectation(x @ x, sq).real
-    var_p = expectation(p @ p, sq).real
-    print(f"\nS({delta}) |vac>: Var X = {var_x:.6f} (expect {delta**2 / 2:.6f}), "
-          f"Var P = {var_p:.6f}, product = {var_x * var_p:.6f} (floor 1/4)")
-
-# The cutoff shows up first in the anti-squeezed quadrature: shrink the
-# space and watch Var P degrade while Var X stays fine.
-print("\ncutoff sensitivity of S(0.2)|vac>:")
+# Truncated P = F†XF with F = diag((-i)ⁿ). A squeezed vacuum lives on the
+# even levels, where F is the real sign (-1)^(n/2), so its Var P is the
+# Var X of the sign-flipped ket.
+print("squeezed vacuum: Var X -> delta^2/2, Var P -> 1/(2 delta^2)")
+print(f"  {'N':>4} {'delta':>6} {'Var X':>10} {'exact':>10} {'Var P':>10} {'exact':>10}")
 for n in (40, 80, 150):
-    s = HilbertSpec(n)
-    _, pp = make_quadratures(s)
-    sq = squeeze(s, 0.2) @ vacuum(s)
-    print(f"  N={n:4d}: Var P = {expectation(pp @ pp, sq).real:.6f} "
-          f"(exact {1 / (2 * 0.2**2):.6f})")
+    spec = HilbertSpec(n)
+    for delta in (0.5, 0.2):
+        sv = squeezed_vacuum(spec, delta)
+        var_p = variance_x(spec, i_power_signs(spec.dim) * sv)
+        print(f"  {n:4d} {delta:6.2f} {variance_x(spec, sv):10.6f} {delta**2 / 2:10.6f} "
+              f"{var_p:10.4f} {1 / (2 * delta**2):10.4f}")
+
+# A GKP state at 14 dB spreads over hundreds of Fock levels. Too small a
+# cutoff shows as leakage into the top two levels, and the readout error
+# of the truncated pair is wrong by orders of magnitude.
+delta = db_to_delta(14.0)
+lam = optimal_lambda(delta)
+print(f"\n14 dB GKP pair (delta = {delta:.4f}, optimal lambda = {lam:.5f}):")
+print(f"  {'N':>4} {'leakage':>10} {'p_err simple':>13} {'p_err improved':>15}")
+for n in (75, 150, 300):
+    pair = make_state_pair(HilbertSpec(n), delta, strict=False)
+    lk = max(leakage(pair.state0), leakage(pair.state1))
+    simple = simulated_p_err(pair, CircuitParams(0.0, 1)).p_err
+    improved = simulated_p_err(pair, CircuitParams(lam, 1)).p_err
+    print(f"  {n:4d} {lk:10.2e} {simple:13.6e} {improved:15.6e}")
+print(f"auto_cutoff doubles N from 150 until leakage < {LEAKAGE_TOL:.0e}: "
+      f"N = {auto_cutoff(delta).cutoff}")

@@ -1,6 +1,6 @@
 """Readout-error simulator and analytics for qubit-coupled GKP states."""
 
-from .fock import HilbertSpec, LinearOp, make_quadratures, displacement, squeeze
+from .fock import HilbertSpec
 from .states import (
     GkpSpec,
     GkpStatePair,

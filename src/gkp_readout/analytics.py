@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -93,26 +91,6 @@ def optimal_lambda(delta: float) -> float:
     return float(_bisect(lambda lam: _stationarity(lam, delta), grid[i], grid[i + 1], 0.0))
 
 
-def optimal_lambda_by_minimization(delta: float) -> float:
-    """Independent cross-check: golden-section minimization of the
-    improved-circuit formula, finished with one parabolic-fit step to
-    beat the flatness floor of pure sectioning."""
-    from scipy.optimize import minimize_scalar
-
-    hi = 4 * SQRT_PI * delta**2
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-
-        def f(l):
-            return p_err_improved_formula(delta, l)
-
-        res = minimize_scalar(f, bracket=(0.0, lambda_seed(delta), hi),
-                              method="golden", options={"xtol": 1e-12})
-        x, h = float(res.x), 1e-5
-        fm, f0, fp = f(x - h), f(x), f(x + h)
-        return x + h * (fm - fp) / (2 * (fm - 2 * f0 + fp))
-
-
 def p_err_leading_order(delta: float) -> float:
     """(5 pi^3 / 384) delta^6, the optimal-lambda error to lowest order."""
     if delta <= 0:
@@ -127,39 +105,6 @@ def helstrom_formula(overlap: complex) -> float:
     if ov2 > 1 + 1e-12:
         raise ValueError(f"|overlap| = {abs(overlap)} exceeds 1")
     return float(ov2 / (2.0 * (1.0 + np.sqrt(max(0.0, 1.0 - ov2)))))
-
-
-@dataclass(frozen=True)
-class ErrorModelPoint:
-    """Closed-form error probabilities at one (delta, lambda) point.
-
-    Reported values are capped at 0.5 (beyond which a formula is outside
-    its validity range); raw formula outputs are kept alongside.
-    """
-
-    delta: float
-    lam: Optional[float] = None
-    p_err_homodyne: float = 0.0
-    p_err_simple: float = 0.0
-    p_err_improved: float = 0.0
-    p_err_helstrom: float = 0.0
-    p_err_leading_order: float = 0.0
-    raw: dict = None
-
-    @classmethod
-    def evaluate(cls, delta: float, lam: Optional[float] = None,
-                 helstrom_overlap: complex = 0.0) -> "ErrorModelPoint":
-        if lam is None:
-            lam = optimal_lambda(delta)
-        raw = {
-            "p_err_homodyne": p_err_homodyne_formula(delta),
-            "p_err_simple": p_err_simple_formula(delta),
-            "p_err_improved": p_err_improved_formula(delta, lam),
-            "p_err_helstrom": helstrom_formula(helstrom_overlap),
-            "p_err_leading_order": p_err_leading_order(delta),
-        }
-        capped = {k: min(v, 0.5) for k, v in raw.items()}
-        return cls(delta=delta, lam=lam, raw=raw, **capped)
 
 
 def homodyne_crossover_db(lo_db: float = 7.0, hi_db: float = 12.0) -> float:

@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-from . import analytics, sweep
-from .fock import TruncationError
+from . import analytics, readout, sweep
+from .fock import HilbertSpec, TruncationError, squeezed_vacuum, x_eigenbasis
 from .states import (
     auto_cutoff,
     db_to_delta,
@@ -111,32 +111,34 @@ def cmd_state_info(args) -> int:
 
 def cmd_validate(args) -> int:
     """Run a quick in-process invariant suite and print one line each."""
-    from .fock import HilbertSpec, LinearOp, displacement, expectation, make_quadratures, squeeze, unitarity_defect, vacuum
-    from .readout import CircuitParams, simulated_p_err
-
     checks = []
-    spec = HilbertSpec(80)
-    x, p = make_quadratures(spec)
-    comm = x.matrix @ p.matrix - p.matrix @ x.matrix - 1j * np.eye(spec.dim)
-    m = spec.cutoff - 5
-    checks.append(("commutator [X,P]=i (lower block)",
-                   float(np.max(np.abs(comm[:m, :m]))) < 1e-8))
-    d = displacement(spec, 0.7 + 0.3j)
-    checks.append(("displacement unitarity", unitarity_defect(d, spec) < 1e-9))
-    sv = squeeze(spec, 0.5) @ vacuum(spec)
-    var = expectation(LinearOp(x.matrix @ x.matrix), sv).real - expectation(x, sv).real ** 2
+    delta = 0.3162
+    spec = auto_cutoff(delta)
+    lam = analytics.optimal_lambda(delta)
+    # K0†K0 + K1†K1 = I on each parity: K0 keeps parity p with block A[p],
+    # K1 = i M1 takes it to 1 - p with block B[p]. It holds on the whole
+    # truncated space, since C and S are functions of one X and cos λP and
+    # sin λP of one P.
+    a, b = readout.readout_kraus(spec, lam)
+    checks.append(("Kraus completeness", all(
+        np.max(np.abs(a[p].T @ a[p] + b[p].T @ b[p] - np.eye(len(a[p])))) < 1e-12
+        for p in (0, 1))))
+    small = HilbertSpec(80)
+    w, v = x_eigenbasis(small)
+    weights = (v.T @ squeezed_vacuum(small, 0.5)) ** 2
+    var = weights @ w**2 - (weights @ w) ** 2
     checks.append(("squeezed-vacuum X variance", abs(var - 0.125) < 1e-9))
-    spec150 = auto_cutoff(0.3162)
-    pair = make_state_pair(spec150, 0.3162)
-    out = simulated_p_err(pair, CircuitParams(0.0, 1))
+    pair = make_state_pair(spec, delta)
+    checks.append(("effective squeezing of the 10 dB ket",
+                   abs(effective_squeezing(spec, pair.state0) - delta) < 1e-9))
+    out = readout.simulated_p_err(pair, readout.CircuitParams(0.0, 1))
     checks.append(("probability conservation", all(
-        abs(sum(b.probability for b in tree) - 1) < 1e-10
+        abs(sum(branch.probability for branch in tree) - 1) < 1e-10
         for tree in (out.branches_0, out.branches_1))))
     checks.append(("Helstrom dominance",
                    out.p_err >= helstrom_bound(pair.state0, pair.state1) - 1e-10))
-    lam = analytics.optimal_lambda(0.3162)
-    sim = simulated_p_err(pair, CircuitParams(lam, 1)).p_err
-    formula = analytics.p_err_improved_formula(0.3162, lam)
+    sim = readout.simulated_p_err(pair, readout.CircuitParams(lam, 1)).p_err
+    formula = analytics.p_err_improved_formula(delta, lam)
     checks.append(("formula agreement at 10 dB",
                    abs(sim - formula) < max(0.1 * formula, 1e-5)))
     ok = True

@@ -14,11 +14,8 @@ import numpy as np
 from .analytics import helstrom_formula
 from .fock import (
     HilbertSpec,
-    LinearOp,
     TruncationError,
     check_leakage,
-    function_of_x,
-    leakage,
     normalize,
     squeezed_vacuum,
     x_eigenbasis,
@@ -155,7 +152,7 @@ def make_state_pair(spec: HilbertSpec, delta: float, kappa: Optional[float] = No
 
 
 def auto_cutoff(delta: float, kappa: Optional[float] = None, sigma: float = 0.0,
-                start: int = DEFAULT_CUTOFF, leakage_tol: float = 1e-10) -> HilbertSpec:
+                start: int = DEFAULT_CUTOFF) -> HilbertSpec:
     """Smallest cutoff in the doubling sequence whose GKP pair passes the
     leakage check (the channel does not repopulate high Fock levels
     appreciably for the sigmas in scope, so purity suffices on kets)."""
@@ -163,14 +160,11 @@ def auto_cutoff(delta: float, kappa: Optional[float] = None, sigma: float = 0.0,
     while n <= MAX_CUTOFF:
         spec = HilbertSpec(n)
         try:
-            k0 = make_pure_gkp(spec, GkpSpec(0, delta, kappa))
-            k1 = make_pure_gkp(spec, GkpSpec(1, delta, kappa))
+            for mu in (0, 1):
+                make_pure_gkp(spec, GkpSpec(mu, delta, kappa))
+            return spec
         except TruncationError:
             n *= 2
-            continue
-        if leakage(k0) < leakage_tol and leakage(k1) < leakage_tol:
-            return spec
-        n *= 2
     raise RuntimeError(f"no converged cutoff <= {MAX_CUTOFF} for delta={delta}")
 
 
@@ -214,17 +208,6 @@ def gaussian_displacement_channel(spec: HilbertSpec, state: np.ndarray,
                 rho = after * (v @ (kernel * (v.T @ rho @ v)) @ v.T)
             out += rho
     return out
-
-
-def stabilizer_displacement(spec: HilbertSpec) -> LinearOp:
-    """D(i sqrt(2π)) = exp(i 2 sqrt(π) X); its magnitude of expectation
-    defines effective squeezing."""
-    return LinearOp(function_of_x(spec, lambda w: np.exp(2j * np.sqrt(np.pi) * w)))
-
-
-def logical_z_displacement(spec: HilbertSpec) -> LinearOp:
-    """D(i sqrt(π/2)) = exp(i sqrt(π) X); approximate logical Z."""
-    return LinearOp(function_of_x(spec, lambda w: np.exp(1j * np.sqrt(np.pi) * w)))
 
 
 def effective_squeezing(spec: HilbertSpec, state: np.ndarray) -> float:

@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from . import analytics
-from .fock import HilbertSpec, leakage
+from .fock import LEAKAGE_TOL, HilbertSpec, leakage
 from .readout import CircuitParams, simulated_p_err
 from .states import (
     GkpSpec,
@@ -122,7 +122,7 @@ def _base_metrics(config: SweepConfig, delta: float, sigma: float = 0.0):
     pair = make_state_pair(spec, delta, kappa, sigma, strict=False)
     # The pair's kets are cached, so rereading them for the leakage is free.
     converged = config.cutoff_policy == "auto" or all(
-        leakage(make_pure_gkp(spec, GkpSpec(mu, delta, kappa), strict=False)) < 1e-10
+        leakage(make_pure_gkp(spec, GkpSpec(mu, delta, kappa), strict=False)) < LEAKAGE_TOL
         for mu in (0, 1))
     pur = purity(pair.state0)
     deff = effective_squeezing(spec, pair.state0)
@@ -248,12 +248,8 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
 
 
 def rows_to_json(rows: list[SweepRow]) -> str:
-    header = ("strategy",) + SWEEP_ROW_FIELDS
-    payload = []
-    for row in rows:
-        d = asdict(row)
-        payload.append({k: (None if d[k] is None else d[k]) for k in header})
-    return json.dumps(payload, indent=2) + "\n"
+    # SweepRow's fields are "strategy" followed by SWEEP_ROW_FIELDS, in order.
+    return json.dumps([asdict(row) for row in rows], indent=2) + "\n"
 
 
 def emit(rows: list[SweepRow], config: SweepConfig) -> str:
@@ -264,16 +260,20 @@ def emit(rows: list[SweepRow], config: SweepConfig) -> str:
     return text
 
 
-_BOOL_KEYS = {"allow_extreme_range"}
-_INT_KEYS = {"delta_db_points", "cutoff_n"}
-_FLOAT_KEYS = {"delta_db_min", "delta_db_max", "kappa_fixed_value"}
-_TUPLE_FLOAT_KEYS = {"lambda_fixed_values", "sigma_list"}
-_TUPLE_INT_KEYS = {"rounds_list"}
-_STR_KEYS = {"kappa_policy", "cutoff_policy", "output_path", "format"}
+def _parse_value(default, text: str):
+    """Parse text as the type of a SweepConfig default: a tuple as
+    comma-separated values of its first entry's type, None as text."""
+    if isinstance(default, bool):  # before int: bool subclasses int
+        return text.lower() in ("1", "true", "yes")
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(x) for x in text.split(",") if x.strip())
+    return text if default is None else type(default)(text)
 
 
 def parse_config_file(path: str) -> SweepConfig:
-    """Flat key = value text config; '#' starts a comment."""
+    """Flat key = value text config; '#' starts a comment. Each key takes
+    the type of its SweepConfig default."""
+    defaults = {f.name: f.default for f in fields(SweepConfig)}
     values = {}
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
@@ -284,23 +284,10 @@ def parse_config_file(path: str) -> SweepConfig:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
+            if key not in defaults:
+                raise ConfigError(f"{path}:{lineno}: unknown field {key!r}")
             try:
-                if key in _BOOL_KEYS:
-                    values[key] = val.lower() in ("1", "true", "yes")
-                elif key in _INT_KEYS:
-                    values[key] = int(val)
-                elif key in _FLOAT_KEYS:
-                    values[key] = float(val)
-                elif key in _TUPLE_FLOAT_KEYS:
-                    values[key] = tuple(float(x) for x in val.split(",") if x.strip())
-                elif key in _TUPLE_INT_KEYS:
-                    values[key] = tuple(int(x) for x in val.split(",") if x.strip())
-                elif key in _STR_KEYS:
-                    values[key] = val
-                else:
-                    raise ConfigError(f"{path}:{lineno}: unknown field {key!r}")
-            except ConfigError:
-                raise
+                values[key] = _parse_value(defaults[key], val)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: field {key!r}: {exc}") from exc
     return SweepConfig(**values)

@@ -1,16 +1,147 @@
-"""Exact qubit ⊗ oscillator construction of the readout circuit.
+"""Dense single-mode operators and the exact qubit ⊗ oscillator
+construction of the readout circuit, as plain numpy arrays.
 
-This is the slow reference the Kraus-pair readout in `gkp_readout.readout`
-is tested against: the gates act on the full 2(N+1)-dimensional hybrid
-space, with the qubit as the slow (outer) tensor factor, so
-index = q*(N+1) + n.
+This is the slow reference the package is tested against. The dense
+part builds quadratures, displacements and functions of X and P as full
+(N+1)² matrices, where the package works on the cached X eigenbasis and
+real Fock-parity blocks. The hybrid part applies the readout gates on
+the full 2(N+1)-dimensional space, with the qubit as the slow (outer)
+tensor factor, so index = q*(N+1) + n. It also holds the golden-section
+cross-check of the optimal interaction strength.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import warnings
 
-from gkp_readout.fock import HilbertSpec, LinearOp, apply, expm_i_hermitian, make_quadratures
+import numpy as np
+from scipy.linalg import eigh
+
+from gkp_readout.analytics import lambda_seed, p_err_improved_formula
+from gkp_readout.fock import HilbertSpec, x_eigenbasis
+
+
+def destroy(spec: HilbertSpec) -> np.ndarray:
+    """Annihilation operator a in the truncated number basis."""
+    return np.diag(np.sqrt(np.arange(1, spec.dim, dtype=float)), 1).astype(complex)
+
+
+def make_quadratures(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Quadratures X = (a + a†)/√2 and P = (a - a†)/(i√2), with [X, P] = i."""
+    a = destroy(spec)
+    ad = a.conj().T
+    return (a + ad) / np.sqrt(2), (a - ad) / (1j * np.sqrt(2))
+
+
+def _i_powers(count: int) -> np.ndarray:
+    """iᵏ for k = 0..count-1. With count = dim, the diagonal of F† where
+    truncated P = F† X F exactly."""
+    return np.array([1, 1j, -1, -1j])[np.arange(count) % 4]
+
+
+def p_eigenbasis(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w (those of X) and eigenvectors diag(iⁿ)·V of truncated P."""
+    w, v = x_eigenbasis(spec)
+    return w, _i_powers(spec.dim)[:, None] * v
+
+
+def function_of_x(spec: HilbertSpec, f) -> np.ndarray:
+    """f(X) = V diag(f(w)) Vᵀ for an elementwise function f."""
+    w, v = x_eigenbasis(spec)
+    return (v * f(w)) @ v.T
+
+
+def function_of_p(spec: HilbertSpec, f) -> np.ndarray:
+    """f(P) = F† f(X) F, with F = diag((-i)ⁿ)."""
+    phase = _i_powers(spec.dim)
+    return phase[:, None] * function_of_x(spec, f) * phase.conj()[None, :]
+
+
+def fock_ket(spec: HilbertSpec, n: int) -> np.ndarray:
+    ket = np.zeros(spec.dim, dtype=complex)
+    ket[n] = 1.0
+    return ket
+
+
+def vacuum(spec: HilbertSpec) -> np.ndarray:
+    return fock_ket(spec, 0)
+
+
+def ket_to_density(ket: np.ndarray) -> np.ndarray:
+    ket = np.asarray(ket, dtype=complex)
+    return np.outer(ket, ket.conj())
+
+
+def expm_i_hermitian(h: np.ndarray) -> np.ndarray:
+    """exp(i H) for Hermitian H, via eigendecomposition (exactly unitary)."""
+    w, v = eigh(h)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+def displacement(spec: HilbertSpec, alpha: complex) -> np.ndarray:
+    """Displacement D(α) = exp[√2 i(-Re[α] P + Im[α] X)].
+
+    Shifts <X> by √2 Re[α] and <P> by √2 Im[α].
+    """
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    x, p = make_quadratures(spec)
+    return expm_i_hermitian(np.sqrt(2) * (np.imag(alpha) * x - np.real(alpha) * p))
+
+
+def apply(op: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """op|ψ> for a ket, or op ρ op† for a density matrix."""
+    state = np.asarray(state, dtype=complex)
+    if state.ndim == 1:
+        return op @ state
+    return op @ state @ op.conj().T
+
+
+def expectation(op: np.ndarray, state: np.ndarray) -> complex:
+    """<ψ|op|ψ> or Tr(ρ op)."""
+    state = np.asarray(state, dtype=complex)
+    if state.ndim == 1:
+        return complex(np.vdot(state, op @ state))
+    return complex(np.trace(op @ state))
+
+
+def unitarity_defect(op: np.ndarray, spec: HilbertSpec) -> float:
+    """Max-norm of U†U - I on the lower block (top Fock rows are corrupt)."""
+    e = op.conj().T @ op - np.eye(op.shape[0])
+    m = spec.cutoff - 5
+    return float(np.max(np.abs(e[:m, :m])))
+
+
+def stabilizer_displacement(spec: HilbertSpec) -> np.ndarray:
+    """D(i sqrt(2π)) = exp(i 2 sqrt(π) X); its magnitude of expectation
+    defines effective squeezing."""
+    return function_of_x(spec, lambda w: np.exp(2j * np.sqrt(np.pi) * w))
+
+
+def logical_z_displacement(spec: HilbertSpec) -> np.ndarray:
+    """D(i sqrt(π/2)) = exp(i sqrt(π) X); approximate logical Z."""
+    return function_of_x(spec, lambda w: np.exp(1j * np.sqrt(np.pi) * w))
+
+
+def optimal_lambda_by_minimization(delta: float) -> float:
+    """Independent cross-check of `optimal_lambda`: golden-section
+    minimization of the improved-circuit formula, finished with one
+    parabolic-fit step to beat the flatness floor of pure sectioning."""
+    from scipy.optimize import minimize_scalar
+
+    hi = 4 * np.sqrt(np.pi) * delta**2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+
+        def f(l):
+            return p_err_improved_formula(delta, l)
+
+        res = minimize_scalar(f, bracket=(0.0, lambda_seed(delta), hi),
+                              method="golden", options={"xtol": 1e-12})
+        x, h = float(res.x), 1e-5
+        fm, f0, fp = f(x - h), f(x), f(x + h)
+        return x + h * (fm - fp) / (2 * (fm - 2 * f0 + fp))
+
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -23,22 +154,20 @@ def hybrid_dim(spec: HilbertSpec) -> int:
     return 2 * spec.dim
 
 
-def rabi_gate(spec: HilbertSpec, k: str, alpha: complex) -> LinearOp:
+def rabi_gate(spec: HilbertSpec, k: str, alpha: complex) -> np.ndarray:
     """Qubit-conditioned displacement U_k(α) = exp[i(-Re[α] P + Im[α] X) σ_k]."""
     if k not in PAULI:
         raise ValueError(f"k must be one of x, y, z, got {k!r}")
     x, p = make_quadratures(spec)
-    g_osc = np.imag(alpha) * x.matrix - np.real(alpha) * p.matrix
-    return LinearOp(expm_i_hermitian(np.kron(PAULI[k], g_osc)))
+    return expm_i_hermitian(np.kron(PAULI[k], np.imag(alpha) * x - np.real(alpha) * p))
 
 
-def readout_unitary(spec: HilbertSpec, lam: float) -> LinearOp:
+def readout_unitary(spec: HilbertSpec, lam: float) -> np.ndarray:
     """U_x(i sqrt(pi)/2) · U_y(-lambda) on the hybrid space."""
     ux = rabi_gate(spec, "x", 1j * np.sqrt(np.pi) / 2)
     if lam == 0:
         return ux
-    uy = rabi_gate(spec, "y", -lam)
-    return LinearOp(ux.matrix @ uy.matrix)
+    return ux @ rabi_gate(spec, "y", -lam)
 
 
 def embed_qubit_zero(osc_state: np.ndarray) -> np.ndarray:
@@ -74,14 +203,14 @@ def partial_trace_oscillator(hybrid_state: np.ndarray) -> np.ndarray:
     return np.einsum("qmqn->mn", hybrid_state.reshape(2, d, 2, d))
 
 
-def hybrid_unitarity_defect(op: LinearOp, spec: HilbertSpec) -> float:
+def hybrid_unitarity_defect(op: np.ndarray, spec: HilbertSpec) -> float:
     """Max-norm of U†U - I on the lower Fock block of both qubit sectors."""
-    e = op.matrix.conj().T @ op.matrix - np.eye(op.dim)
+    e = op.conj().T @ op - np.eye(op.shape[0])
     m = spec.cutoff - 5
     return float(np.max(np.abs(e.reshape(2, spec.dim, 2, spec.dim)[:, :m, :, :m])))
 
 
-def run_readout_hybrid(spec: HilbertSpec, state: np.ndarray, unitary: LinearOp):
+def run_readout_hybrid(spec: HilbertSpec, state: np.ndarray, unitary: np.ndarray):
     """(p0, p1, post0, post1) of one circuit run, from the qubit blocks of
     U (|0><0| ⊗ state) U†; post-states are normalized."""
     state = np.asarray(state, dtype=complex)
@@ -98,7 +227,7 @@ def run_readout_hybrid(spec: HilbertSpec, state: np.ndarray, unitary: LinearOp):
     return probs[0], probs[1], posts[0], posts[1]
 
 
-def enumerate_branches_hybrid(spec: HilbertSpec, state: np.ndarray, unitary: LinearOp,
+def enumerate_branches_hybrid(spec: HilbertSpec, state: np.ndarray, unitary: np.ndarray,
                               rounds: int, prune: float = 1e-15):
     """[(outcomes, probability, post-state)] of every outcome history of
     `rounds` runs, each from `run_readout_hybrid`, in the order 0 before 1."""

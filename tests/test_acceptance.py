@@ -21,6 +21,12 @@ from gkp_readout.states import (
     purity,
     GkpSpec,
 )
+from hybrid_oracle import (
+    displacement,
+    make_quadratures,
+    optimal_lambda_by_minimization,
+    unitarity_defect,
+)
 
 DELTA_10DB = np.sqrt(0.1)
 
@@ -95,7 +101,7 @@ def test_criterion_5_optimal_lambda():
     ok = True
     detail = []
     for d in (0.1, 0.2, 0.3, DELTA_10DB, 0.4):
-        gap = abs(analytics.optimal_lambda(d) - analytics.optimal_lambda_by_minimization(d))
+        gap = abs(analytics.optimal_lambda(d) - optimal_lambda_by_minimization(d))
         ok &= gap < 1e-9
         detail.append(f"{gap:.1e}")
     seed_rel = abs(analytics.optimal_lambda(0.1) / analytics.lambda_seed(0.1) - 1)
@@ -120,17 +126,12 @@ def test_criterion_6_mixed_state_metrics(pair_10db):
 def test_criterion_7_property_suite():
     # The detailed property tests live in the per-module suites; this
     # re-runs the headline invariants in one place.
-    from gkp_readout.fock import (
-        displacement,
-        make_quadratures,
-        unitarity_defect,
-    )
     from gkp_readout.readout import run_readout_once
 
     spec = HilbertSpec(150)
     checks = {}
     x, p = make_quadratures(spec)
-    comm = x.matrix @ p.matrix - p.matrix @ x.matrix - 1j * np.eye(spec.dim)
+    comm = x @ p - p @ x - 1j * np.eye(spec.dim)
     checks["commutator"] = np.max(np.abs(comm[:145, :145])) < 1e-8
     checks["unitarity"] = unitarity_defect(displacement(spec, 2 + 1j), spec) < 1e-9
     pair = make_state_pair(spec, DELTA_10DB)

@@ -3,18 +3,17 @@ import numpy as np
 import pytest
 
 from gkp_readout.analytics import (
-    ErrorModelPoint,
     LEADING_ORDER_COEFF,
     helstrom_formula,
     homodyne_crossover_db,
     lambda_seed,
     optimal_lambda,
-    optimal_lambda_by_minimization,
     p_err_homodyne_formula,
     p_err_improved_formula,
     p_err_leading_order,
     p_err_simple_formula,
 )
+from hybrid_oracle import optimal_lambda_by_minimization
 
 # Minimum of the improved-circuit expression at the exact stationary
 # point; the quoted leading-order coefficient (5 pi^3/384) instead
@@ -38,13 +37,10 @@ def test_homodyne_formula_values():
 
 def test_homodyne_formula_monotone_and_raw_overflow():
     assert p_err_homodyne_formula(0.2) < p_err_homodyne_formula(0.3) < p_err_homodyne_formula(0.4)
-    # Formula exceeds its validity range at large delta: raw value kept,
-    # reported value capped at 0.5 in the aggregation layer
+    # Formula exceeds its validity range at large delta: the raw value is
+    # returned, not capped
     raw = p_err_homodyne_formula(100.0)
     assert 0.98 < raw < 1.0
-    pt = ErrorModelPoint.evaluate(100.0, lam=0.0)
-    assert pt.p_err_homodyne == 0.5
-    assert pt.raw["p_err_homodyne"] == raw
 
 
 def test_simple_formula_values():
@@ -154,11 +150,3 @@ def test_helstrom_formula():
 def test_crossover_location():
     db = homodyne_crossover_db()
     assert 8.5 <= db <= 9.5
-
-
-def test_error_model_point_caps_but_keeps_raw():
-    pt = ErrorModelPoint.evaluate(0.3)
-    for name in ("p_err_homodyne", "p_err_simple", "p_err_improved",
-                 "p_err_helstrom", "p_err_leading_order"):
-        assert 0 <= getattr(pt, name) <= 0.5
-        assert pt.raw[name] == getattr(pt, name)  # in-range: raw == reported

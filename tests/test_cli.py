@@ -83,6 +83,24 @@ def test_validate_command(capsys):
     assert out.count("PASS") >= 6
 
 
+def test_validate_reports_failure(capsys, monkeypatch):
+    # A Kraus block scaled by 1.01 breaks completeness and probability
+    # conservation: validate says FAIL and exits as a convergence failure
+    from gkp_readout import readout
+
+    kraus = readout.readout_kraus
+
+    def scaled(spec, lam):
+        (a0, a1), b = kraus(spec, lam)
+        return (1.01 * a0, a1), b
+
+    monkeypatch.setattr(readout, "readout_kraus", scaled)
+    assert main(["validate"]) == EXIT_CONVERGENCE
+    out = capsys.readouterr().out
+    assert "FAIL  Kraus completeness" in out
+    assert "FAIL  probability conservation" in out
+
+
 @pytest.mark.parametrize("command", ["fig1a", "fig1b", "fig1c"])
 def test_sweep_defaults_run(capsys, command):
     # Default configuration on its two grid endpoints, 5 and 14 dB

@@ -7,15 +7,7 @@ from gkp_readout.analytics import (
     p_err_improved_formula,
     p_err_simple_formula,
 )
-from gkp_readout.fock import (
-    HilbertSpec,
-    apply,
-    displacement,
-    expectation,
-    function_of_p,
-    function_of_x,
-    ket_to_density,
-)
+from gkp_readout.fock import HilbertSpec
 from gkp_readout.readout import (
     Branch,
     CircuitParams,
@@ -33,13 +25,19 @@ from gkp_readout.states import (
     db_to_delta,
     gaussian_displacement_channel,
     helstrom_bound,
-    logical_z_displacement,
     make_pure_gkp,
     make_state_pair,
 )
 from hybrid_oracle import (
+    apply,
+    displacement,
     embed_qubit_zero,
     enumerate_branches_hybrid,
+    expectation,
+    function_of_p,
+    function_of_x,
+    ket_to_density,
+    logical_z_displacement,
     partial_trace_oscillator,
     rabi_gate,
     readout_unitary,
@@ -199,7 +197,7 @@ def general_case():
     """Complex states with both parities and even-odd coherence: the 10 dB
     pair displaced by D(0.3 + 0.2i), as kets and through the sigma = 0.1
     channel, with the hybrid unitaries at lambda = 0 and optimal lambda."""
-    d = displacement(SPEC, 0.3 + 0.2j).matrix
+    d = displacement(SPEC, 0.3 + 0.2j)
     pure = make_state_pair(SPEC, DELTA_10DB)
     kets = [d @ pure.state0, d @ pure.state1]
     rhos = [gaussian_displacement_channel(SPEC, k, 0.1) for k in kets]
@@ -439,13 +437,29 @@ def test_homodyne_14db_matches_per_bin_reference():
 
 def test_state_path_needs_no_dense_eigh(monkeypatch):
     # State preparation, the channel, the readout and the homodyne all run
-    # on tridiagonal eigensolves; dense O(N^3) eigh is kept out of them
-    from gkp_readout import fock
+    # on tridiagonal eigensolves; dense O(N^3) eigh is kept out of them.
+    # Every route to a dense eigh raises: the scipy and numpy functions and
+    # any gkp_readout module binding of either. The caches are cleared so
+    # the eigenbases, kets and Kraus blocks are built under the guard.
+    import sys
+
+    import scipy.linalg
+
+    from gkp_readout import fock, readout, states
 
     def forbidden(*args, **kwargs):
         raise AssertionError("dense eigh on the state path")
 
-    monkeypatch.setattr(fock, "eigh", forbidden)
+    dense = (scipy.linalg.eigh, np.linalg.eigh)
+    monkeypatch.setattr(scipy.linalg, "eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    for name, module in list(sys.modules.items()):
+        if name == "gkp_readout" or name.startswith("gkp_readout."):
+            for binding, value in list(vars(module).items()):
+                if any(value is d for d in dense):
+                    monkeypatch.setattr(module, binding, forbidden)
+    for cached in (fock.x_eigenbasis, states._gkp_ket, readout._cs_blocks):
+        cached.cache_clear()
     spec = auto_cutoff(DELTA_10DB)
     mixed = make_state_pair(spec, DELTA_10DB, sigma=0.1)
     out = simulated_p_err(mixed, CircuitParams(optimal_lambda(DELTA_10DB), 3))

@@ -5,15 +5,10 @@ from gkp_readout import states
 from gkp_readout.fock import (
     HilbertSpec,
     TruncationError,
-    displacement,
-    expectation,
-    ket_to_density,
     leakage,
     normalize,
-    p_eigenbasis,
     position_density,
-    squeeze,
-    vacuum,
+    squeezed_vacuum,
     x_eigenbasis,
 )
 from gkp_readout.states import (
@@ -28,12 +23,20 @@ from gkp_readout.states import (
     export_state_json,
     gaussian_displacement_channel,
     helstrom_bound,
-    logical_z_displacement,
     make_pure_gkp,
     make_state_pair,
     peak_indices,
     purity,
+)
+from hybrid_oracle import (
+    displacement,
+    expectation,
+    ket_to_density,
+    logical_z_displacement,
+    make_quadratures,
+    p_eigenbasis,
     stabilizer_displacement,
+    vacuum,
 )
 
 SPEC = HilbertSpec(150)
@@ -117,7 +120,7 @@ def test_effective_squeezing_matches_stabilizer_expectation(db, sigma):
     # states and on the complex input displaced by D(0.3 + 0.2i)
     delta = db_to_delta(db)
     spec = auto_cutoff(delta)
-    d = displacement(spec, 0.3 + 0.2j).matrix
+    d = displacement(spec, 0.3 + 0.2j)
     ket = make_pure_gkp(spec, GkpSpec(0, delta))
     stab = stabilizer_displacement(spec)
     for state in (ket, d @ ket):
@@ -147,12 +150,11 @@ def test_peak_count_stability():
     # Adding two more peaks per side changes the state negligibly
     g = GkpSpec(0, DELTA_10DB)
     base = make_pure_gkp(SPEC, g)
-    from gkp_readout.fock import make_quadratures
     from scipy.linalg import eigh
 
-    sq = squeeze(SPEC, g.delta) @ vacuum(SPEC)
+    sq = squeezed_vacuum(SPEC, g.delta)
     _, p = make_quadratures(SPEC)
-    w, v = eigh(p.matrix)
+    w, v = eigh(p)
     sq_p = v.conj().T @ sq
     s_vals = peak_indices(0, g.kappa)
     extended = np.concatenate([s_vals, [s_vals.min() - 1, s_vals.min() - 2,
@@ -171,7 +173,7 @@ def test_pure_gkp_comb_matches_per_peak_sum(db):
     delta = db_to_delta(db)
     spec = auto_cutoff(delta)
     w, v = p_eigenbasis(spec)
-    base_p = v.conj().T @ (squeeze(spec, delta) @ vacuum(spec))
+    base_p = v.conj().T @ squeezed_vacuum(spec, delta)
     for mu in (0, 1):
         g = GkpSpec(mu, delta)
         psi = np.zeros(spec.dim, dtype=complex)
@@ -214,7 +216,7 @@ def test_channel_keeps_real_parity_blocks(db):
 
 def test_channel_general_input_matches_quadrature_oracle(pair_10db):
     # A complex ket with both parities and even-odd coherence
-    ket = displacement(SPEC, 0.3 + 0.2j).matrix @ pair_10db.state0
+    ket = displacement(SPEC, 0.3 + 0.2j) @ pair_10db.state0
     rho = gaussian_displacement_channel(SPEC, ket, 0.1)
     assert np.max(np.abs(rho[0::2, 1::2])) > 1e-3
     oracle = gauss_hermite_channel(SPEC, ket_to_density(ket), 0.1, 51)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -172,6 +173,25 @@ def test_config_file_parsing(tmp_path):
     assert cfg.rounds_list == (1, 3)
     assert cfg.sigma_list == (0.0, 0.1)
     assert cfg.format == "json"
+
+
+def test_config_file_sets_every_field(tmp_path):
+    # Each key parses to the type of its SweepConfig default
+    values = dict(delta_db_min=6.5, delta_db_max=12.5, delta_db_points=7,
+                  lambda_fixed_values=(0.03, 0.07), rounds_list=(1, 7),
+                  sigma_list=(0.02, 0.12), kappa_policy="fixed", kappa_fixed_value=2.5,
+                  cutoff_policy="fixed", cutoff_n=200, output_path="table.json",
+                  format="json", allow_extreme_range=True)
+    defaults = {f.name: f.default for f in dataclasses.fields(SweepConfig)}
+    assert set(values) == set(defaults)
+    assert all(values[k] != defaults[k] for k in values)
+    path = tmp_path / "sweep.cfg"
+    path.write_text("".join(
+        f"{k} = {', '.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+        for k, v in values.items()))
+    cfg = parse_config_file(str(path))
+    assert cfg == SweepConfig(**values)
+    assert all(type(getattr(cfg, k)) is type(v) for k, v in values.items())
 
 
 def test_config_file_errors_report_location(tmp_path):
