@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 
+from .fock import NumericalError
+
 SQRT_PI = np.sqrt(np.pi)
 
 # Leading-order coefficient of the improved-circuit error at optimal
@@ -103,7 +105,7 @@ def helstrom_formula(overlap: complex) -> float:
     |overlap|^2 / (2 (1 + sqrt(1 - |overlap|^2))), which does not cancel."""
     ov2 = abs(overlap) ** 2
     if ov2 > 1 + 1e-12:
-        raise ValueError(f"|overlap| = {abs(overlap)} exceeds 1")
+        raise NumericalError(f"|overlap| = {abs(overlap)} exceeds 1")
     return float(ov2 / (2.0 * (1.0 + np.sqrt(max(0.0, 1.0 - ov2)))))
 
 

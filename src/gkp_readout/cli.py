@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import analytics, readout, sweep
-from .fock import HilbertSpec, TruncationError, squeezed_vacuum, x_eigenbasis
+from .fock import HilbertSpec, NumericalError, TruncationError, squeezed_vacuum, x_eigenbasis
 from .states import (
     auto_cutoff,
     db_to_delta,
@@ -35,35 +35,15 @@ EXIT_CONVERGENCE = 3
 
 
 def _config_from_args(args) -> sweep.SweepConfig:
-    if args.config:
-        cfg = sweep.parse_config_file(args.config)
-    else:
-        cfg = sweep.SweepConfig()
-    overrides = {}
-    for attr, key in (("delta_db_min", "delta_db_min"), ("delta_db_max", "delta_db_max"),
-                      ("points", "delta_db_points"), ("output", "output_path"),
-                      ("format", "format")):
-        val = getattr(args, attr, None)
-        if val is not None:
-            overrides[key] = val
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    cfg = sweep.parse_config_file(args.config) if args.config else sweep.SweepConfig()
+    names = {f.name for f in dataclasses.fields(cfg)}
+    return dataclasses.replace(cfg, **{k: v for k, v in vars(args).items()
+                                       if k in names and v is not None})
 
 
-def _add_sweep_flags(p):
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--delta-db-min", dest="delta_db_min", type=float)
-    p.add_argument("--delta-db-max", dest="delta_db_max", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--output", help="write the table here as well as stdout")
-    p.add_argument("--format", choices=["csv", "json"])
-
-
-def cmd_sweep(args, runner) -> int:
+def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
-    rows = runner(cfg)
-    sys.stdout.write(sweep.emit(rows, cfg))
+    sys.stdout.write(sweep.emit(args.runner(cfg), cfg))
     return EXIT_OK
 
 
@@ -84,9 +64,8 @@ def cmd_optimize_lambda(args) -> int:
 
 def cmd_state_info(args) -> int:
     delta = db_to_delta(args.delta_db)
-    kappa = args.kappa if args.kappa else None
-    spec = auto_cutoff(delta, kappa)
-    pair = make_state_pair(spec, delta, kappa, args.sigma)
+    spec = auto_cutoff(delta, args.kappa)
+    pair = make_state_pair(spec, delta, args.kappa, args.sigma)
     deff = effective_squeezing(spec, pair.state0)
     result = {
         "delta_db": args.delta_db,
@@ -149,19 +128,31 @@ def cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Runners are looked up here, at parse time, not at import time, so a
+    # wrapper installed on the sweep module is the one that runs.
     parser = argparse.ArgumentParser(prog="gkp-readout")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("fig1a", "fig1b", "fig1c"):
+    for name, runner in (("fig1a", sweep.run_fig1a), ("fig1b", sweep.run_fig1b),
+                         ("fig1c", sweep.run_fig1c)):
         p = sub.add_parser(name, help=f"emit the {name} sweep table")
-        _add_sweep_flags(p)
+        p.add_argument("--config", help="flat key = value config file")
+        p.add_argument("--delta-db-min", dest="delta_db_min", type=float)
+        p.add_argument("--delta-db-max", dest="delta_db_max", type=float)
+        p.add_argument("--points", dest="delta_db_points", type=int)
+        p.add_argument("--output", dest="output_path",
+                       help="write the table here as well as stdout")
+        p.add_argument("--format", choices=["csv", "json"])
+        p.set_defaults(run=cmd_sweep, runner=runner)
     p = sub.add_parser("optimize-lambda", help="optimal interaction strength at one squeezing")
     p.add_argument("--delta-db", dest="delta_db", type=float, required=True)
+    p.set_defaults(run=cmd_optimize_lambda)
     p = sub.add_parser("state-info", help="state quality metrics at one parameter point")
     p.add_argument("--delta-db", dest="delta_db", type=float, required=True)
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--kappa", type=float)
     p.add_argument("--dump", help="export the mu=0 state to this path (.csv or .json)")
-    sub.add_parser("validate", help="run the invariant suite")
+    p.set_defaults(run=cmd_state_info)
+    sub.add_parser("validate", help="run the invariant suite").set_defaults(run=cmd_validate)
     return parser
 
 
@@ -171,18 +162,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    runners = {"fig1a": sweep.run_fig1a, "fig1b": sweep.run_fig1b, "fig1c": sweep.run_fig1c}
     try:
-        if args.command in runners:
-            return cmd_sweep(args, runners[args.command])
-        if args.command == "optimize-lambda":
-            return cmd_optimize_lambda(args)
-        if args.command == "state-info":
-            return cmd_state_info(args)
-        return cmd_validate(args)
-    # LinAlgError subclasses ValueError, so it is caught first: a failed
-    # eigensolver is a convergence failure, not a config error.
-    except (np.linalg.LinAlgError, TruncationError, RuntimeError) as exc:
+        return args.run(args)
+    # LinAlgError and NumericalError subclass ValueError, so they are caught
+    # first: a failed eigensolve or a numerical-domain failure is a
+    # convergence failure, not a config error.
+    except (np.linalg.LinAlgError, NumericalError, TruncationError, RuntimeError) as exc:
         json.dump({"error": {"type": "convergence", "message": str(exc)}}, sys.stderr)
         sys.stderr.write("\n")
         return EXIT_CONVERGENCE

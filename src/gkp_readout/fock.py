@@ -22,6 +22,10 @@ class TruncationError(RuntimeError):
     """State has non-negligible weight at the top of the Fock ladder."""
 
 
+class NumericalError(ValueError):
+    """A computed quantity left its domain: a failure of the numerics, not bad input."""
+
+
 @dataclass(frozen=True)
 class HilbertSpec:
     """Truncated oscillator space with Fock levels 0..cutoff inclusive."""
@@ -90,11 +94,11 @@ def normalize(state: np.ndarray) -> np.ndarray:
     if state.ndim == 1:
         n = np.linalg.norm(state)
         if n == 0:
-            raise ValueError("cannot normalize zero state")
+            raise NumericalError("cannot normalize zero state")
         return state / n
     tr = np.trace(state).real
     if tr <= 0:
-        raise ValueError("cannot normalize non-positive-trace density matrix")
+        raise NumericalError("cannot normalize non-positive-trace density matrix")
     return state / tr
 
 
@@ -106,11 +110,11 @@ def leakage(state: np.ndarray) -> float:
     return float(np.real(state[-1, -1] + state[-2, -2]))
 
 
-def check_leakage(state: np.ndarray, tol: float = LEAKAGE_TOL) -> None:
+def check_leakage(state: np.ndarray) -> None:
     lk = leakage(state)
-    if lk >= tol:
+    if lk >= LEAKAGE_TOL:
         raise TruncationError(
-            f"truncation leakage {lk:.3e} exceeds {tol:.0e}; increase the cutoff")
+            f"truncation leakage {lk:.3e} exceeds {LEAKAGE_TOL:.0e}; increase the cutoff")
 
 
 def _hermite_functions(dim: int, x: np.ndarray):

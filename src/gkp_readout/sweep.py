@@ -15,6 +15,7 @@ from .fock import LEAKAGE_TOL, HilbertSpec, leakage
 from .readout import CircuitParams, simulated_p_err
 from .states import (
     GkpSpec,
+    GkpStatePair,
     auto_cutoff,
     db_to_delta,
     delta_db,
@@ -28,6 +29,8 @@ from .states import (
 DB_GUARD = (4.0, 16.0)
 # Upper end of the simulated-lambda search; CircuitParams needs |lambda| < 1.
 LAMBDA_SEARCH_MAX = 0.95
+# Accepted spellings of a boolean config value, compared case-insensitively.
+BOOL_TEXT = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 class ConfigError(ValueError):
@@ -75,22 +78,6 @@ class SweepConfig:
         dbs = np.linspace(self.delta_db_min, self.delta_db_max, self.delta_db_points)
         return np.array([db_to_delta(db) for db in dbs])
 
-    def kappa_for(self, delta: float) -> float:
-        return 1.0 / delta if self.kappa_policy == "inverse_delta" else self.kappa_fixed_value
-
-    def spec_for(self, delta: float, kappa: float) -> HilbertSpec:
-        if self.cutoff_policy == "fixed":
-            return HilbertSpec(self.cutoff_n)
-        return auto_cutoff(delta, kappa, start=self.cutoff_n)
-
-
-# Column order of the emitted tables; "strategy" is prepended.
-SWEEP_ROW_FIELDS = (
-    "delta_db", "delta", "kappa", "sigma", "purity", "delta_eff_db",
-    "lambda_used", "rounds", "p_err_simulated", "p_err_formula",
-    "p_err_homodyne_formula", "p_err_helstrom", "cutoff_N", "converged_flag",
-)
-
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -111,86 +98,89 @@ class SweepRow:
     converged_flag: bool
 
 
-def _base_metrics(config: SweepConfig, delta: float, sigma: float = 0.0):
-    """Build the state pair and the per-point scalars shared by all rows.
+# Column order of the emitted tables; "strategy" is prepended.
+SWEEP_ROW_FIELDS = tuple(f.name for f in fields(SweepRow))[1:]
 
-    With a fixed cutoff, truncation failures are flagged via
-    converged_flag rather than raised, so no row is ever dropped.
-    """
-    kappa = config.kappa_for(delta)
-    spec = config.spec_for(delta, kappa)
+
+@dataclass(frozen=True)
+class SweepPoint:
+    """The state pair of one grid point and the scalars all its rows share."""
+
+    pair: GkpStatePair
+    purity: float
+    deff: float
+    helstrom: Optional[float]
+    converged: bool
+
+    def simulated(self, lam: float, rounds: int = 1) -> float:
+        return simulated_p_err(self.pair, CircuitParams(lam, rounds)).p_err
+
+    def row(self, strategy: str, lam: float, rounds: int,
+            p_sim: Optional[float], p_formula: Optional[float]) -> SweepRow:
+        pair = self.pair
+        return SweepRow(strategy, delta_db(pair.delta), pair.delta, pair.kappa, pair.sigma,
+                        self.purity, delta_db(self.deff), lam, rounds, p_sim, p_formula,
+                        analytics.p_err_homodyne_formula(pair.delta), self.helstrom,
+                        pair.spec.cutoff, self.converged)
+
+
+def sweep_point(config: SweepConfig, delta: float, sigma: float) -> SweepPoint:
+    """The state pair and shared scalars of one grid point, under the
+    config's kappa and cutoff policies. A fixed cutoff that truncates is
+    flagged in `converged`, not raised, so no row is ever dropped."""
+    kappa = 1.0 / delta if config.kappa_policy == "inverse_delta" else config.kappa_fixed_value
+    if config.cutoff_policy == "fixed":
+        spec = HilbertSpec(config.cutoff_n)
+    else:
+        spec = auto_cutoff(delta, kappa, start=config.cutoff_n)
     pair = make_state_pair(spec, delta, kappa, sigma, strict=False)
-    # The pair's kets are cached, so rereading them for the leakage is free.
+    # auto_cutoff has already checked the kets. The pair's kets are cached,
+    # so rereading them for the leakage is free.
     converged = config.cutoff_policy == "auto" or all(
         leakage(make_pure_gkp(spec, GkpSpec(mu, delta, kappa), strict=False)) < LEAKAGE_TOL
         for mu in (0, 1))
-    pur = purity(pair.state0)
-    deff = effective_squeezing(spec, pair.state0)
-    hel = helstrom_bound(pair.state0, pair.state1) if pair.is_pure else None
-    return spec, pair, kappa, pur, deff, hel, converged
+    return SweepPoint(pair, purity(pair.state0), effective_squeezing(spec, pair.state0),
+                      helstrom_bound(pair.state0, pair.state1) if pair.is_pure else None,
+                      converged)
 
 
-def _row(strategy, delta, sigma, spec, kappa, pur, deff, hel,
-         lam, rounds, p_sim, p_formula, converged):
-    return SweepRow(
-        strategy=strategy,
-        delta_db=delta_db(delta),
-        delta=delta,
-        kappa=kappa,
-        sigma=sigma,
-        purity=pur,
-        delta_eff_db=delta_db(deff),
-        lambda_used=lam,
-        rounds=rounds,
-        p_err_simulated=p_sim,
-        p_err_formula=p_formula,
-        p_err_homodyne_formula=analytics.p_err_homodyne_formula(delta),
-        p_err_helstrom=hel,
-        cutoff_N=spec.cutoff,
-        converged_flag=converged,
-    )
+def _sweep(config: SweepConfig, sigmas, point_rows) -> list[SweepRow]:
+    """Rows of every (delta, sigma) grid point, point_rows(point) each."""
+    rows = []
+    for delta in config.delta_grid():
+        for sigma in sigmas:
+            rows.extend(point_rows(sweep_point(config, delta, sigma)))
+    return rows
+
+
+def _improved_optimal(p: SweepPoint) -> SweepRow:
+    lam = analytics.optimal_lambda(p.pair.delta)
+    return p.row("improved_optimal", lam, 1, p.simulated(lam),
+                 analytics.p_err_improved_formula(p.pair.delta, lam))
 
 
 def run_fig1a(config: SweepConfig) -> list[SweepRow]:
     """Error probability vs squeezing: simple circuit for each rounds
     value, the optimized improved circuit, homodyne, and Helstrom."""
-    rows = []
-    for delta in config.delta_grid():
-        spec, pair, kappa, pur, deff, hel, conv = _base_metrics(config, delta)
-        for r in config.rounds_list:
-            out = simulated_p_err(pair, CircuitParams(0.0, r))
-            formula = analytics.p_err_simple_formula(delta) if r == 1 else None
-            rows.append(_row(f"simple_R{r}", delta, 0.0, spec, kappa,
-                             pur, deff, hel, 0.0, r, out.p_err, formula, conv))
-        lam = analytics.optimal_lambda(delta)
-        out = simulated_p_err(pair, CircuitParams(lam, 1))
-        rows.append(_row("improved_optimal", delta, 0.0, spec, kappa,
-                         pur, deff, hel, lam, 1, out.p_err,
-                         analytics.p_err_improved_formula(delta, lam), conv))
-        rows.append(_row("homodyne_formula", delta, 0.0, spec, kappa,
-                         pur, deff, hel, 0.0, 1, None,
-                         analytics.p_err_homodyne_formula(delta), conv))
-        rows.append(_row("helstrom", delta, 0.0, spec, kappa,
-                         pur, deff, hel, 0.0, 1, None, hel, conv))
-    return rows
+    def point_rows(p):
+        delta = p.pair.delta
+        return [*(p.row(f"simple_R{r}", 0.0, r, p.simulated(0.0, r),
+                        analytics.p_err_simple_formula(delta) if r == 1 else None)
+                  for r in config.rounds_list),
+                _improved_optimal(p),
+                p.row("homodyne_formula", 0.0, 1, None, analytics.p_err_homodyne_formula(delta)),
+                p.row("helstrom", 0.0, 1, None, p.helstrom)]
+    return _sweep(config, (0.0,), point_rows)
 
 
 def run_fig1b(config: SweepConfig) -> list[SweepRow]:
     """Fixed-lambda curves vs squeezing, plus the optimized envelope."""
-    rows = []
-    for delta in config.delta_grid():
-        spec, pair, kappa, pur, deff, hel, conv = _base_metrics(config, delta)
-        for lam in config.lambda_fixed_values:
-            out = simulated_p_err(pair, CircuitParams(lam, 1))
-            rows.append(_row(f"fixed_lambda_{lam:g}", delta, 0.0, spec,
-                             kappa, pur, deff, hel, lam, 1, out.p_err,
-                             analytics.p_err_improved_formula(delta, lam), conv))
-        lam = analytics.optimal_lambda(delta)
-        out = simulated_p_err(pair, CircuitParams(lam, 1))
-        rows.append(_row("improved_optimal", delta, 0.0, spec, kappa,
-                         pur, deff, hel, lam, 1, out.p_err,
-                         analytics.p_err_improved_formula(delta, lam), conv))
-    return rows
+    def point_rows(p):
+        return [*(p.row(f"fixed_lambda_{lam:g}", lam, 1, p.simulated(lam),
+                        analytics.p_err_improved_formula(p.pair.delta, lam))
+                  for lam in config.lambda_fixed_values),
+                _improved_optimal(p)]
+    return _sweep(config, (0.0,), point_rows)
 
 
 def optimize_lambda_simulated(pair, deff: float, xatol: float = 1e-7) -> tuple[float, float]:
@@ -210,22 +200,16 @@ def optimize_lambda_simulated(pair, deff: float, xatol: float = 1e-7) -> tuple[f
 def run_fig1c(config: SweepConfig) -> list[SweepRow]:
     """Mixed-state performance: for each (delta, sigma) the simple circuit
     and the improved circuit with lambda tuned on the simulated error."""
-    rows = []
-    for delta in config.delta_grid():
-        for sigma in config.sigma_list:
-            spec, pair, kappa, pur, deff, hel, conv = _base_metrics(config, delta, sigma)
-            out = simulated_p_err(pair, CircuitParams(0.0, 1))
-            rows.append(_row("simple_R1", delta, sigma, spec, kappa,
-                             pur, deff, hel, 0.0, 1, out.p_err,
-                             analytics.p_err_simple_formula(deff), conv))
-            if sigma == 0:
-                lam = analytics.optimal_lambda(delta)
-                p_sim = simulated_p_err(pair, CircuitParams(lam, 1)).p_err
-            else:
-                lam, p_sim = optimize_lambda_simulated(pair, deff)
-            rows.append(_row("improved_optimal", delta, sigma, spec,
-                             kappa, pur, deff, hel, lam, 1, p_sim, None, conv))
-    return rows
+    def point_rows(p):
+        simple = p.row("simple_R1", 0.0, 1, p.simulated(0.0),
+                       analytics.p_err_simple_formula(p.deff))
+        if p.pair.sigma == 0:
+            lam = analytics.optimal_lambda(p.pair.delta)
+            p_sim = p.simulated(lam)
+        else:
+            lam, p_sim = optimize_lambda_simulated(p.pair, p.deff)
+        return [simple, p.row("improved_optimal", lam, 1, p_sim, None)]
+    return _sweep(config, config.sigma_list, point_rows)
 
 
 def _format_value(v) -> str:
@@ -239,16 +223,12 @@ def _format_value(v) -> str:
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
-    header = ("strategy",) + SWEEP_ROW_FIELDS
-    lines = [",".join(header)]
-    for row in rows:
-        d = asdict(row)
-        lines.append(",".join(_format_value(d[k]) for k in header))
+    lines = [",".join(("strategy",) + SWEEP_ROW_FIELDS)]
+    lines += [",".join(map(_format_value, asdict(row).values())) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows: list[SweepRow]) -> str:
-    # SweepRow's fields are "strategy" followed by SWEEP_ROW_FIELDS, in order.
     return json.dumps([asdict(row) for row in rows], indent=2) + "\n"
 
 
@@ -264,7 +244,9 @@ def _parse_value(default, text: str):
     """Parse text as the type of a SweepConfig default: a tuple as
     comma-separated values of its first entry's type, None as text."""
     if isinstance(default, bool):  # before int: bool subclasses int
-        return text.lower() in ("1", "true", "yes")
+        if text.lower() not in BOOL_TEXT:
+            raise ValueError(f"expected one of {'/'.join(BOOL_TEXT)}, got {text!r}")
+        return BOOL_TEXT[text.lower()]
     if isinstance(default, tuple):
         return tuple(type(default[0])(x) for x in text.split(",") if x.strip())
     return text if default is None else type(default)(text)

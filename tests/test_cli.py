@@ -126,6 +126,26 @@ def test_eigensolver_failure_exit_code(capsys, monkeypatch):
     assert err["error"]["type"] == "convergence"
 
 
+def test_state_info_rejects_zero_kappa(capsys):
+    # kappa = 0 is out of range like any kappa < 1, not a request for 1/delta
+    assert main(["state-info", "--delta-db", "10", "--kappa", "0"]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "config"
+
+
+def test_numerical_domain_error_exit_code(capsys, monkeypatch):
+    # A zero squeezed vacuum makes normalize fail on a zero ket: a failure
+    # of the numerics, reported as convergence, not as a config error
+    from gkp_readout import fock, states
+
+    monkeypatch.setattr(states, "squeezed_vacuum", lambda spec, delta: np.zeros(spec.dim))
+    fock.x_eigenbasis.cache_clear()
+    states._gkp_ket.cache_clear()
+    assert main(["state-info", "--delta-db", "10"]) == EXIT_CONVERGENCE
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == {"type": "convergence", "message": "cannot normalize zero state"}
+
+
 IMPORT_DIET_SCRIPT = """
 import contextlib, io, sys
 from gkp_readout import analytics, cli, readout, states

@@ -211,6 +211,63 @@ def test_config_file_errors_report_location(tmp_path):
         parse_config_file(str(bad))
 
 
+@pytest.mark.parametrize("text, value", [
+    ("true", True), ("Yes", True), ("1", True), ("FALSE", False), ("no", False), ("0", False),
+    ("on", None), ("ture", None),
+])
+def test_config_file_booleans(tmp_path, text, value):
+    # Only true/false/yes/no/1/0 parse; a typo is an error, not False
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"# flags\nallow_extreme_range = {text}\n")
+    if value is None:
+        with pytest.raises(ConfigError, match=r"sweep.cfg:2: field 'allow_extreme_range'"):
+            parse_config_file(str(path))
+    else:
+        assert parse_config_file(str(path)).allow_extreme_range is value
+
+
+# (figure, base values, changed values): every SweepConfig field, each on
+# a base config under which the figure reads it
+TINY = dict(delta_db_min=8.0, delta_db_max=9.0, delta_db_points=2, rounds_list=(1,),
+            lambda_fixed_values=(0.05,), sigma_list=(0.0,))
+CONFIG_CHANGES = [
+    (run_fig1a, {}, {"delta_db_min": 8.5}),
+    (run_fig1a, {}, {"delta_db_max": 9.5}),
+    (run_fig1a, {}, {"delta_db_points": 3}),
+    (run_fig1b, {}, {"lambda_fixed_values": (0.1,)}),
+    (run_fig1a, {}, {"rounds_list": (1, 3)}),
+    (run_fig1c, {}, {"sigma_list": (0.0, 0.1)}),
+    (run_fig1a, {}, {"kappa_policy": "fixed"}),
+    (run_fig1a, {"kappa_policy": "fixed"}, {"kappa_fixed_value": 2.5}),
+    # auto picks N = 300 at 12 dB, so the fixed N = 150 truncates
+    (run_fig1a, {"delta_db_min": 12.0, "delta_db_max": 12.5}, {"cutoff_policy": "fixed"}),
+    (run_fig1a, {}, {"cutoff_n": 300}),
+    (run_fig1a, {}, {"output_path": "table.out"}),
+    (run_fig1a, {}, {"format": "json"}),
+    # outside the guard: a ConfigError without the override
+    (run_fig1a, {"delta_db_min": 3.5, "delta_db_max": 4.5}, {"allow_extreme_range": True}),
+]
+
+
+@pytest.mark.parametrize("run, base, change", CONFIG_CHANGES,
+                         ids=[next(iter(c)) for _, _, c in CONFIG_CHANGES])
+def test_every_config_key_changes_output(tmp_path, monkeypatch, run, base, change):
+    assert {k for _, _, c in CONFIG_CHANGES for k in c} == {
+        f.name for f in dataclasses.fields(SweepConfig)}
+    monkeypatch.chdir(tmp_path)
+
+    def output(**values):
+        # The emitted text and every file written, or the config error
+        try:
+            cfg = SweepConfig(**{**TINY, **base, **values})
+        except ConfigError as exc:
+            return repr(exc)
+        text = emit(run(cfg), cfg)
+        return text, sorted((p.name, p.read_text()) for p in tmp_path.iterdir())
+
+    assert output() != output(**change)
+
+
 def test_fixed_cutoff_flags_nonconverged_rows():
     cfg = SweepConfig(delta_db_min=13.5, delta_db_max=14.0, delta_db_points=2,
                       rounds_list=(1,), cutoff_policy="fixed", cutoff_n=100)
