@@ -14,7 +14,14 @@ from .states import (
     db_to_delta,
     auto_cutoff,
 )
-from .readout import CircuitParams, ReadoutOutcome, run_readout_once, simulated_p_err, homodyne_p_err_numeric
+from .readout import (
+    CircuitParams,
+    ReadoutOutcome,
+    error_curve,
+    homodyne_p_err_numeric,
+    run_readout_once,
+    simulated_p_err,
+)
 from .analytics import (
     p_err_homodyne_formula,
     p_err_simple_formula,

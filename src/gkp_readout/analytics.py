@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from typing import Optional
 
 import numpy as np
 
@@ -57,10 +58,11 @@ def _stationarity(lam: float, delta: float) -> float:
 
 def _bisect(f, lo: float, hi: float, xtol: float) -> float:
     """Root of f between lo and hi, where f changes sign, by bisection to
-    an interval of xtol or until the midpoint stops moving."""
+    an interval of xtol or until the midpoint stops moving. No sign change
+    is a failure of the numerics (NumericalError), not bad input."""
     lo_negative = f(lo) < 0
     if lo_negative == (f(hi) < 0):
-        raise ValueError(f"no sign change of f between {lo} and {hi}")
+        raise NumericalError(f"no sign change of f between {lo} and {hi}")
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -72,9 +74,23 @@ def _bisect(f, lo: float, hi: float, xtol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def first_rising_root(f, grid: np.ndarray) -> Optional[float]:
+    """Root of f in the first grid interval where f goes from negative to
+    non-negative, bisected until the midpoint stops moving; None when f
+    has no such change on the grid. f takes an array of points as well
+    as one point."""
+    vals = f(grid)
+    rising = np.flatnonzero((vals[:-1] < 0) & (vals[1:] >= 0))
+    if rising.size == 0:
+        return None
+    i = rising[0]
+    return float(_bisect(f, grid[i], grid[i + 1], 0.0))
+
+
 def optimal_lambda(delta: float) -> float:
     """Root of (2 lambda/delta^2) e^{-lambda^2/delta^2} = sqrt(pi) cos(sqrt(pi) lambda)
-    nearest the small-delta seed, bisected until the midpoint stops moving.
+    nearest the small-delta seed: the first minus-to-plus sign change on a
+    scan, bisected until the midpoint stops moving.
 
     A root lies below sqrt(pi)/2 for every delta in (0, 1): the condition
     is negative at lambda = 0 and positive where cos(sqrt(pi) lambda) = 0.
@@ -82,15 +98,12 @@ def optimal_lambda(delta: float) -> float:
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     hi = 4 * SQRT_PI * delta**2
-    grid = np.linspace(0.0, hi, 400)
-    vals = _stationarity(grid, delta)
-    rising = np.flatnonzero((vals[:-1] < 0) & (vals[1:] >= 0))
-    if rising.size == 0:
+    lam = first_rising_root(lambda lam: _stationarity(lam, delta), np.linspace(0.0, hi, 400))
+    if lam is None:
         raise RuntimeError(
             f"no minus-to-plus sign change of the stationarity condition in (0, {hi:.4g}) "
             f"at delta = {delta}; seed was {lambda_seed(delta):.4g}")
-    i = rising[0]
-    return float(_bisect(lambda lam: _stationarity(lam, delta), grid[i], grid[i + 1], 0.0))
+    return lam
 
 
 def p_err_leading_order(delta: float) -> float:

@@ -2,8 +2,8 @@
 
 Subcommands: fig1a, fig1b, fig1c (sweep tables), optimize-lambda,
 state-info, validate. Exit codes: 0 success, 2 config error,
-3 convergence failure. Failures print a machine-readable JSON record
-to stderr.
+3 convergence failure. Failures and warnings print one machine-readable
+JSON record each to stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -156,25 +157,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stderr_record(kind: str, record: dict) -> None:
+    json.dump({kind: record}, sys.stderr)
+    sys.stderr.write("\n")
+
+
+def _warning_record(message, category, filename, lineno, file=None, line=None) -> None:
+    # Replaces warnings.showwarning, so that a warning is one JSON line on
+    # stderr like the error records.
+    _stderr_record("warning", {"type": category.__name__, "message": str(message)})
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    try:
-        return args.run(args)
-    # LinAlgError and NumericalError subclass ValueError, so they are caught
-    # first: a failed eigensolve or a numerical-domain failure is a
-    # convergence failure, not a config error.
-    except (np.linalg.LinAlgError, NumericalError, TruncationError, RuntimeError) as exc:
-        json.dump({"error": {"type": "convergence", "message": str(exc)}}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_CONVERGENCE
-    except (sweep.ConfigError, ValueError) as exc:
-        json.dump({"error": {"type": "config", "message": str(exc)}}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_CONFIG
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_record
+        try:
+            return args.run(args)
+        # LinAlgError and NumericalError subclass ValueError, so they are
+        # caught first: a failed eigensolve or a numerical-domain failure is
+        # a convergence failure, not a config error.
+        except (np.linalg.LinAlgError, NumericalError, TruncationError, RuntimeError) as exc:
+            _stderr_record("error", {"type": "convergence", "message": str(exc)})
+            return EXIT_CONVERGENCE
+        except (sweep.ConfigError, ValueError) as exc:
+            _stderr_record("error", {"type": "config", "message": str(exc)})
+            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

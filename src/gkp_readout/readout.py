@@ -7,7 +7,8 @@ afterwards, the circuit is a two-outcome instrument {K0, K1} on the
 oscillator alone, built from functions of X and P as real blocks on
 Fock parity. Multi-round runs enumerate every measurement branch
 exactly on those blocks, keeping the post-measurement oscillator state
-and resetting the qubit between rounds.
+and resetting the qubit between rounds. At one round the error is also
+a closed-form curve in lambda (`error_curve`), for lambda searches.
 """
 
 from __future__ import annotations
@@ -117,6 +118,82 @@ def readout_kraus(spec: HilbertSpec, lam: float):
                              -np.sin(lam * w), -1)
     return (tuple(c[p] @ cl[p] - s[1 - p] @ isl[p] for p in (0, 1)),
             tuple(s[p] @ cl[p] + c[1 - p] @ isl[p] for p in (0, 1)))
+
+
+@lru_cache(maxsize=4)
+def _wrong_outcome_grams(spec: HilbertSpec):
+    """(GᵀG, HᵀH, HᵀG) for input mu and parity p, indexed [mu][p], where
+    the block of the wrong outcome's Kraus operator on parity p is
+    [G diag(cos λw) + H diag(sin λw)] U_pᵀ; cached per cutoff (read-only
+    arrays)."""
+    # U_p holds the parity-p rows of the signed X eigenvectors, so in
+    # readout_kraus cos(λP) has block U_p diag(cos λw) U_pᵀ and i sin(λP)
+    # the block (2p - 1) U_{1-p} diag(sin λw) U_pᵀ. Input 0 errs on
+    # M1 = S cos(λP) + C (i sin(λP)), input 1 on K0 = C cos(λP) - S (i sin(λP)).
+    c, s = _cs_blocks(spec)
+    u = i_power_signs(spec.dim)[:, None] * x_eigenbasis(spec)[1]
+
+    def grams(mu, p, first, second):
+        g = first[p] @ u[p::2]
+        h = ((2 * p - 1) * (1 - 2 * mu)) * (second[1 - p] @ u[1 - p::2])
+        out = (g.T @ g, h.T @ h, h.T @ g)
+        for m in out:
+            m.setflags(write=False)
+        return out
+
+    return tuple(tuple(grams(mu, p, *ops) for p in (0, 1))
+                 for mu, ops in enumerate(((s, c), (c, s))))
+
+
+@dataclass(frozen=True)
+class ErrorCurve:
+    """Single-round p_err(λ) of one state pair and its slope in λ, as
+    quadratic forms ½(cᵀ M_cc c + sᵀ M_ss s + sᵀ M_sc c) in c = cos λw and
+    s = sin λw, w the X eigenvalues. Both take a scalar or an array of λ."""
+
+    w: np.ndarray
+    value_forms: tuple
+    slope_forms: tuple
+
+    def _forms(self, lam, forms):
+        x = np.multiply.outer(lam, self.w)
+        c, s = np.cos(x), np.sin(x)
+        m_cc, m_ss, m_sc = forms
+        return 0.5 * (np.sum((c @ m_cc) * c, axis=-1) + np.sum((s @ m_ss) * s, axis=-1)
+                      + np.sum((s @ m_sc) * c, axis=-1))
+
+    def __call__(self, lam):
+        return self._forms(lam, self.value_forms)
+
+    def slope(self, lam):
+        return self._forms(lam, self.slope_forms)
+
+
+def error_curve(pair: GkpStatePair) -> ErrorCurve:
+    """The R = 1 error curve of a state pair: `simulated_p_err` at one
+    round as a function of λ, O(N²) per λ after an O(N³) build.
+
+    The error is ½ Σ_mu Σ_p Tr(K ρ_pp Kᵀ) over the wrong outcome's real
+    Kraus blocks K (`_wrong_outcome_grams`). With Q = U_pᵀ ρ_pp U_p each
+    term is cᵀ(GᵀG ∘ Q)c + sᵀ(HᵀH ∘ Q)s + 2 sᵀ(HᵀG ∘ Q)c. Only Re ρ_pp
+    enters: the imaginary part of a Hermitian ρ is antisymmetric, and its
+    trace against a real K vanishes. The sums of products cancel down to
+    p_err, so the curve carries an absolute rounding error of a few 1e-16.
+    """
+    w, v = x_eigenbasis(pair.spec)
+    u = i_power_signs(pair.spec.dim)[:, None] * v
+    grams = _wrong_outcome_grams(pair.spec)
+    a = b = d = 0.0
+    for mu, state in enumerate((pair.state0, pair.state1)):
+        rho = (state if state.ndim == 2 else np.outer(state, state.conj())).real
+        for p in (0, 1):
+            q = u[p::2].T @ rho[p::2, p::2] @ u[p::2]
+            gg, hh, hg = grams[mu][p]
+            a, b, d = a + gg * q, b + hh * q, d + 2 * hg * q
+    # With W = diag(w), d/dλ c = -W s and d/dλ s = W c, so the slope is
+    # ½(cᵀ WD c - sᵀ DW s + 2 sᵀ(BW - WA) c); A and B are symmetric.
+    wc = w[:, None]
+    return ErrorCurve(w, (a, b, d), (wc * d, -d * w, 2 * (b * w - wc * a)))
 
 
 # A state on the enumeration's path is a dict of its Fock-parity blocks:

@@ -16,6 +16,7 @@ from .fock import (
     HilbertSpec,
     TruncationError,
     check_leakage,
+    i_power_signs,
     normalize,
     squeezed_vacuum,
     x_eigenbasis,
@@ -182,7 +183,7 @@ def gaussian_displacement_channel(spec: HilbertSpec, state: np.ndarray,
     """
     # In real arithmetic: the channel is real-linear, so the real and
     # imaginary parts of ρ pass separately. The P pass runs in the X
-    # eigenbasis on F ρ F† = i^(m-n) ∘ ρ (P = F†XF, F = diag((-i)ⁿ)), which
+    # eigenbasis on F ρ F† = i^(n-m) ∘ ρ (P = F†XF, F = diag((-i)ⁿ)), which
     # is real on the parity-diagonal part of ρ and imaginary on its even-odd
     # part. The channel commutes with parity, so the two parts pass
     # separately: each is weighted by its real factor before and after the
@@ -191,23 +192,47 @@ def gaussian_displacement_channel(spec: HilbertSpec, state: np.ndarray,
     state = np.asarray(state)
     if sigma == 0:
         return state
-    if state.ndim == 1:
+    if state.ndim == 1 and np.iscomplexobj(state):
         state = np.outer(state, state.conj())
     if np.iscomplexobj(state):
         return (gaussian_displacement_channel(spec, state.real, sigma)
                 + 1j * gaussian_displacement_channel(spec, state.imag, sigma))
     w, v = x_eigenbasis(spec)
     kernel = np.exp(-0.5 * sigma**2 * np.subtract.outer(w, w) ** 2)
-    n = np.arange(spec.dim)
-    phase = np.array([1, 1j, -1, -1j])[np.add.outer(-n, n) % 4]
-    out = np.zeros_like(state)
-    for signed in (phase.real, phase.imag):
-        rho = signed * state
-        if rho.any():
-            for after in (signed, np.abs(signed)):
-                rho = after * (v @ (kernel * (v.T @ rho @ v)) @ v.T)
-            out += rho
+    phases = _phase_parts(spec.dim)
+    if state.ndim == 1:
+        # A real ket needs no matrix product to reach the X eigenbasis:
+        # with e and o the X-eigenbasis components of the even and of the
+        # odd levels of iⁿψ (up to a phase per parity), the parity-diagonal
+        # part of F ψψᵀ F† becomes e eᵀ + o oᵀ and the even-odd part
+        # i(e oᵀ - o eᵀ).
+        ket = i_power_signs(spec.dim) * state
+        e, o = (v[p::2].T @ ket[p::2] for p in (0, 1))
+        first = (np.outer(e, e) + np.outer(o, o), np.outer(e, o) - np.outer(o, e))
+    else:
+        first = tuple(v.T @ (signed * state) @ v for signed, _ in phases)
+    out = np.zeros((spec.dim, spec.dim))
+    for (signed, mask), t in zip(phases, first):
+        if t.any():
+            rho = signed * (v @ (kernel * t) @ v.T)
+            out += mask * (v @ (kernel * (v.T @ rho @ v)) @ v.T)
     return out
+
+
+@lru_cache(maxsize=4)
+def _phase_parts(dim: int):
+    """(signs, mask) of the real and of the imaginary part of the phase
+    i^(n-m) of F ρ F†: signs on the parity-diagonal entries, then on the
+    even-odd ones, each with the mask of its entries (read-only arrays)."""
+    n = np.arange(dim)
+    k = np.add.outer(-n, n) % 4
+    parts = []
+    for table in ((1.0, 0.0, -1.0, 0.0), (0.0, 1.0, 0.0, -1.0)):
+        signed = np.take(table, k)
+        parts.append((signed, np.abs(signed)))
+        for arr in parts[-1]:
+            arr.setflags(write=False)
+    return tuple(parts)
 
 
 def effective_squeezing(spec: HilbertSpec, state: np.ndarray) -> float:

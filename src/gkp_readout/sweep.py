@@ -4,7 +4,6 @@ strength, rounds, and channel noise, with deterministic CSV/JSON output."""
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
@@ -12,7 +11,7 @@ import numpy as np
 
 from . import analytics
 from .fock import LEAKAGE_TOL, HilbertSpec, leakage
-from .readout import CircuitParams, simulated_p_err
+from .readout import CircuitParams, error_curve, simulated_p_err
 from .states import (
     GkpSpec,
     GkpStatePair,
@@ -27,8 +26,10 @@ from .states import (
 )
 
 DB_GUARD = (4.0, 16.0)
-# Upper end of the simulated-lambda search; CircuitParams needs |lambda| < 1.
+# Upper end of the simulated-lambda search, so that the lambda it returns
+# is one CircuitParams accepts (|lambda| < 1), and its scan points.
 LAMBDA_SEARCH_MAX = 0.95
+LAMBDA_SCAN_POINTS = 64
 # Accepted spellings of a boolean config value, compared case-insensitively.
 BOOL_TEXT = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -70,6 +71,9 @@ class SweepConfig:
             raise ConfigError(f"unknown cutoff_policy {self.cutoff_policy!r}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.format!r}")
+        for f in fields(self):
+            if isinstance(f.default, tuple) and not getattr(self, f.name):
+                raise ConfigError(f"{f.name} must not be empty")
         for r in self.rounds_list:
             if r % 2 == 0 or r < 1:
                 raise ConfigError(f"rounds_list entries must be odd, got {r}")
@@ -183,18 +187,19 @@ def run_fig1b(config: SweepConfig) -> list[SweepRow]:
     return _sweep(config, (0.0,), point_rows)
 
 
-def optimize_lambda_simulated(pair, deff: float, xatol: float = 1e-7) -> tuple[float, float]:
-    """Direct scalar minimization of the simulated error over lambda,
-    used where the pure-state formula does not apply (mixed inputs)."""
-    from scipy.optimize import minimize_scalar
-
-    hi = min(3 * np.sqrt(np.pi) * deff**2, LAMBDA_SEARCH_MAX)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = minimize_scalar(
-            lambda l: simulated_p_err(pair, CircuitParams(l, 1)).p_err,
-            bounds=(0.0, hi), method="bounded", options={"xatol": xatol})
-    return float(res.x), float(res.fun)
+def optimize_lambda_simulated(pair, deff: float) -> tuple[float, float]:
+    """Minimum of the simulated single-round error over lambda in [0, hi],
+    used where the pure-state formula does not apply (mixed inputs): the
+    first minus-to-plus sign change of the error curve's slope on a scan,
+    bisected; without one, the scan point of least error. Returns
+    (lambda, p_err)."""
+    curve = error_curve(pair)
+    grid = np.linspace(0.0, min(3 * np.sqrt(np.pi) * deff**2, LAMBDA_SEARCH_MAX),
+                       LAMBDA_SCAN_POINTS)
+    lam = analytics.first_rising_root(curve.slope, grid)
+    if lam is None:
+        lam = float(grid[np.argmin(curve(grid))])
+    return lam, float(curve(lam))
 
 
 def run_fig1c(config: SweepConfig) -> list[SweepRow]:
@@ -248,7 +253,10 @@ def _parse_value(default, text: str):
             raise ValueError(f"expected one of {'/'.join(BOOL_TEXT)}, got {text!r}")
         return BOOL_TEXT[text.lower()]
     if isinstance(default, tuple):
-        return tuple(type(default[0])(x) for x in text.split(",") if x.strip())
+        items = tuple(type(default[0])(x) for x in text.split(",") if x.strip())
+        if not items:
+            raise ValueError("expected at least one comma-separated value")
+        return items
     return text if default is None else type(default)(text)
 
 

@@ -13,6 +13,7 @@ from gkp_readout.analytics import (
     p_err_leading_order,
     p_err_simple_formula,
 )
+from gkp_readout.fock import NumericalError
 from hybrid_oracle import optimal_lambda_by_minimization
 
 # Minimum of the improved-circuit expression at the exact stationary
@@ -150,3 +151,10 @@ def test_helstrom_formula():
 def test_crossover_location():
     db = homodyne_crossover_db()
     assert 8.5 <= db <= 9.5
+
+
+def test_bisection_without_sign_change_is_numerical_error():
+    # The crossover lies near 9 dB, so [7, 8] dB holds no sign change: a
+    # failure of the numerics, which the CLI reports as exit 3
+    with pytest.raises(NumericalError, match="no sign change"):
+        homodyne_crossover_db(7.0, 8.0)

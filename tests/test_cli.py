@@ -146,12 +146,50 @@ def test_numerical_domain_error_exit_code(capsys, monkeypatch):
     assert err["error"] == {"type": "convergence", "message": "cannot normalize zero state"}
 
 
+def test_empty_config_list_exit_code(capsys, tmp_path):
+    # sigma_list = (nothing) is a config error at its line, not a bare header
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("delta_db_points = 2\nsigma_list =\n")
+    assert main(["fig1c", "--config", str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"]["type"] == "config"
+    assert "sweep.cfg:2" in err["error"]["message"]
+
+
+def test_bisection_failure_exit_code(capsys, monkeypatch):
+    # A bisection without a sign change is a numerical failure: exit 3
+    from gkp_readout import analytics
+
+    monkeypatch.setattr(analytics, "optimal_lambda",
+                        lambda delta: analytics._bisect(lambda x: x + 1.0, 0.0, 1.0, 0.0))
+    assert main(["optimize-lambda", "--delta-db", "10"]) == EXIT_CONVERGENCE
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "convergence"
+    assert "no sign change" in err["error"]["message"]
+
+
+def test_warnings_are_json_lines_on_stderr():
+    # The 5 dB optimal lambda (0.33) warns in p_err_improved_formula; the
+    # warning is a JSON record like the errors, not Python's text form
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "gkp_readout.cli", "fig1a", "--points", "2"],
+                          env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stderr.splitlines()]
+    assert records
+    assert all(set(r) == {"warning"} for r in records)
+    assert any("small-lambda regime" in r["warning"]["message"] for r in records)
+
+
 IMPORT_DIET_SCRIPT = """
 import contextlib, io, sys
 from gkp_readout import analytics, cli, readout, states
 
 with contextlib.redirect_stdout(io.StringIO()):
-    for argv in (["fig1a", "--points", "2"],
+    for argv in (["fig1a", "--points", "2"], ["fig1c", "--points", "2"],
                  ["state-info", "--delta-db", "10", "--sigma", "0.1"],
                  ["optimize-lambda", "--delta-db", "10"], ["validate"]):
         assert cli.main(argv) == 0, argv
@@ -166,9 +204,9 @@ print(" ".join(sorted(m for m in sys.modules if m.startswith(
 
 
 def test_import_diet():
-    # Outside fig1c's lambda search, the package runs on numpy and
-    # scipy.linalg alone: a fresh interpreter through every other command,
-    # a mixed readout and a homodyne loads no optimize, special or integrate
+    # The package runs on numpy and scipy.linalg alone: a fresh interpreter
+    # through every command, fig1c's lambda search included, a mixed
+    # readout and a homodyne loads no optimize, special or integrate
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", IMPORT_DIET_SCRIPT],
                           env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},

@@ -13,6 +13,7 @@ from gkp_readout.readout import (
     CircuitParams,
     ReadoutOutcome,
     branch_tree_dump,
+    error_curve,
     homodyne_p_err_numeric,
     readout_kraus,
     run_readout_once,
@@ -190,6 +191,46 @@ def test_kraus_cs_blocks_cached_read_only():
     for blk, same in zip((*first[0], *first[1]), (*again[0], *again[1])):
         assert blk is same
         assert not blk.flags.writeable
+
+
+@pytest.fixture(scope="module", params=[(db, sigma) for db in (7.0, 10.0, 14.0)
+                                        for sigma in (0.0, 0.1)])
+def curve_case(request):
+    """A ket pair or a sigma = 0.1 density pair, its error curve, and a
+    lambda grid from 0 through the optimum to 0.3."""
+    db, sigma = request.param
+    delta = db_to_delta(db)
+    pair = make_state_pair(auto_cutoff(delta), delta, sigma=sigma)
+    lam = optimal_lambda(delta)
+    return pair, error_curve(pair), np.array([0.0, 0.5 * lam, lam, 0.1, 0.2, 0.3])
+
+
+def test_error_curve_matches_simulated_p_err(curve_case):
+    # The curve's quadratic forms cancel down to p_err, so they carry an
+    # absolute rounding error of a few 1e-16; the branch enumeration's sums
+    # of squares do not. 2e-16 is 2e-11 relative at the 14 dB optimum of
+    # the ket pair, p_err = 1.09e-5.
+    pair, curve, lams = curve_case
+    ref = np.array([simulated_p_err(pair, CircuitParams(lam, 1)).p_err for lam in lams])
+    for got in (curve(lams), [curve(lam) for lam in lams]):
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref + 2e-16)
+
+
+def test_error_curve_slope_matches_central_difference(curve_case):
+    _, curve, lams = curve_case
+    h = 1e-5
+    central = (curve(lams + h) - curve(lams - h)) / (2 * h)
+    slope = curve.slope(lams)
+    assert np.max(np.abs(slope - central)) < 1e-7 * np.max(np.abs(central))
+    assert np.allclose([curve.slope(lam) for lam in lams], slope, rtol=1e-12, atol=1e-15)
+
+
+def test_error_curve_grams_cached_read_only():
+    from gkp_readout.readout import _wrong_outcome_grams
+
+    first = _wrong_outcome_grams(SPEC)
+    assert first is _wrong_outcome_grams(SPEC)
+    assert not any(m.flags.writeable for per_mu in first for per_p in per_mu for m in per_p)
 
 
 @pytest.fixture(scope="module")

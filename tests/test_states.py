@@ -284,6 +284,28 @@ def test_channel_density_input_matches_ket_input(pair_10db):
     assert np.max(np.abs(from_ket - from_rho)) < 1e-14
 
 
+@pytest.mark.parametrize("parity", ["even", "odd", "both"])
+def test_channel_ket_fast_path_matches_density_input(parity):
+    # A real ket skips the outer product and its two basis changes; its
+    # output equals that of its density matrix, and an even-odd block that
+    # is zero on input stays exactly zero
+    rng = np.random.default_rng(3)
+    ket = rng.normal(size=SPEC.dim)
+    if parity != "both":
+        ket[(1 if parity == "even" else 0)::2] = 0
+    ket /= np.linalg.norm(ket)
+    from_ket = gaussian_displacement_channel(SPEC, ket, 0.1)
+    from_rho = gaussian_displacement_channel(SPEC, np.outer(ket, ket), 0.1)
+    assert np.max(np.abs(from_ket - from_rho)) < 1e-13
+    assert np.all(from_ket[0::2, 1::2] == 0) == (parity != "both")
+
+
+def test_channel_phase_pattern_cached_read_only():
+    first = states._phase_parts(SPEC.dim)
+    assert first is states._phase_parts(SPEC.dim)
+    assert not any(arr.flags.writeable for part in first for arr in part)
+
+
 def test_purity_basics(pair_10db):
     assert abs(purity(ket_to_density(pair_10db.state0)) - 1) < 1e-8
     assert abs(purity(np.diag([0.5, 0.5]).astype(complex)) - 0.5) < 1e-14

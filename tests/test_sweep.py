@@ -5,11 +5,16 @@ import numpy as np
 import pytest
 
 from gkp_readout import analytics
+from gkp_readout.readout import CircuitParams, error_curve, simulated_p_err
+from gkp_readout.states import auto_cutoff, db_to_delta, effective_squeezing, make_state_pair
 from gkp_readout.sweep import (
+    LAMBDA_SCAN_POINTS,
+    LAMBDA_SEARCH_MAX,
     ConfigError,
     SweepConfig,
     SWEEP_ROW_FIELDS,
     emit,
+    optimize_lambda_simulated,
     parse_config_file,
     rows_to_csv,
     rows_to_json,
@@ -135,6 +140,44 @@ def test_fig1c_mixed_state_behaviour():
                - (-10 * np.log10(0.1 + 2 * 0.01))) < 0.05
 
 
+def _mixed_point(db, sigma):
+    delta = db_to_delta(db)
+    spec = auto_cutoff(delta)
+    pair = make_state_pair(spec, delta, sigma=sigma)
+    return pair, effective_squeezing(spec, pair.state0)
+
+
+@pytest.mark.parametrize("db, sigma", [(9.0, 0.05), (11.0, 0.15)])
+def test_lambda_search_matches_bounded_minimization(db, sigma):
+    # A bounded Brent run at xatol 1e-10 on the branch enumeration finds
+    # the same minimum; the search's p_err is the curve at its lambda
+    from scipy.optimize import minimize_scalar
+
+    pair, deff = _mixed_point(db, sigma)
+    lam, p_err = optimize_lambda_simulated(pair, deff)
+    res = minimize_scalar(lambda x: simulated_p_err(pair, CircuitParams(x, 1)).p_err,
+                          bounds=(0.0, min(3 * np.sqrt(np.pi) * deff**2, LAMBDA_SEARCH_MAX)),
+                          method="bounded", options={"xatol": 1e-10})
+    assert abs(lam - res.x) < 1e-7
+    assert abs(p_err - res.fun) < 1e-12 * res.fun
+    assert p_err == error_curve(pair)(lam)
+
+
+def test_lambda_search_without_minimum_returns_least_scan_point():
+    # Without a minus-to-plus change of the slope on [0, hi], the search
+    # returns the scan point of least error: here hi lies below the
+    # minimum, so the slope stays negative and that point is hi itself
+    pair, _ = _mixed_point(10.0, 0.1)
+    small = 0.02
+    grid = np.linspace(0.0, 3 * np.sqrt(np.pi) * small**2, LAMBDA_SCAN_POINTS)
+    curve = error_curve(pair)
+    assert np.all(curve.slope(grid) < 0)
+    assert np.argmin(curve(grid)) == grid.size - 1
+    lam, p_err = optimize_lambda_simulated(pair, small)
+    assert lam == grid[-1]
+    assert p_err == curve(lam)
+
+
 def test_csv_and_json_shapes(fig1a_rows):
     text = rows_to_csv(fig1a_rows)
     lines = text.strip().split("\n")
@@ -209,6 +252,18 @@ def test_config_file_errors_report_location(tmp_path):
     bad.write_text("delta_db_points = many\n")
     with pytest.raises(ConfigError, match="delta_db_points"):
         parse_config_file(str(bad))
+
+
+@pytest.mark.parametrize("key", ["sigma_list", "rounds_list", "lambda_fixed_values"])
+def test_config_file_rejects_empty_list(tmp_path, key):
+    # An empty list would run no grid point: an error at its line, not an
+    # empty table
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"delta_db_points = 2\n{key} =\n")
+    with pytest.raises(ConfigError, match=f"sweep.cfg:2: field '{key}'"):
+        parse_config_file(str(path))
+    with pytest.raises(ConfigError, match=f"{key} must not be empty"):
+        SweepConfig(**{key: ()})
 
 
 @pytest.mark.parametrize("text, value", [
