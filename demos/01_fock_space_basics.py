@@ -14,8 +14,8 @@ from gkp_readout.analytics import optimal_lambda
 from gkp_readout.fock import (
     LEAKAGE_TOL,
     HilbertSpec,
-    i_power_signs,
     leakage,
+    signed_x_rows,
     squeezed_vacuum,
     x_eigenbasis,
 )
@@ -23,24 +23,25 @@ from gkp_readout.readout import CircuitParams, simulated_p_err
 from gkp_readout.states import auto_cutoff, db_to_delta, make_state_pair
 
 
-def variance_x(spec, ket):
-    """Var X of a real ket, from its weights on the X eigenbasis."""
-    w, v = x_eigenbasis(spec)
-    weights = (v.T @ ket) ** 2
+def variance(w, amplitudes):
+    """Variance of a quadrature with eigenvalues w, from a real ket's
+    amplitudes on its eigenbasis."""
+    weights = amplitudes**2
     return weights @ w**2 - (weights @ w) ** 2
 
 
-# Truncated P = F†XF with F = diag((-i)ⁿ). A squeezed vacuum lives on the
-# even levels, where F is the real sign (-1)^(n/2), so its Var P is the
-# Var X of the sign-flipped ket.
+# Truncated P = F†XF with F = diag((-i)ⁿ), so P shares X's eigenvalues w.
+# A squeezed vacuum lives on the even levels, where P's eigenbasis is the
+# signed basis U_0 = diag((-1)^(n/2)) V_0, real like X's.
 print("squeezed vacuum: Var X -> delta^2/2, Var P -> 1/(2 delta^2)")
 print(f"  {'N':>4} {'delta':>6} {'Var X':>10} {'exact':>10} {'Var P':>10} {'exact':>10}")
 for n in (40, 80, 150):
     spec = HilbertSpec(n)
     for delta in (0.5, 0.2):
+        w, v = x_eigenbasis(spec)
         sv = squeezed_vacuum(spec, delta)
-        var_p = variance_x(spec, i_power_signs(spec.dim) * sv)
-        print(f"  {n:4d} {delta:6.2f} {variance_x(spec, sv):10.6f} {delta**2 / 2:10.6f} "
+        var_p = variance(w, signed_x_rows(spec)[0].T @ sv[0::2])
+        print(f"  {n:4d} {delta:6.2f} {variance(w, v.T @ sv):10.6f} {delta**2 / 2:10.6f} "
               f"{var_p:10.4f} {1 / (2 * delta**2):10.4f}")
 
 # A GKP state at 14 dB spreads over hundreds of Fock levels. Too small a

@@ -82,10 +82,8 @@ def cmd_state_info(args) -> int:
         result["p_err_helstrom"] = helstrom_bound(pair.state0, pair.state1)
     print(json.dumps(result, indent=2))
     if args.dump:
-        if args.dump.endswith(".csv"):
-            export_state_csv(pair.state0, args.dump)
-        else:
-            export_state_json(pair.state0, args.dump)
+        export = export_state_csv if args.dump.endswith(".csv") else export_state_json
+        export(pair.state0, args.dump)
     return EXIT_OK
 
 

@@ -56,6 +56,23 @@ def x_eigenbasis(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+@lru_cache(maxsize=4)
+def signed_x_rows(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd rows (U_0, U_1) of U = diag((-1)^⌊n/2⌋) V, V the X
+    eigenvectors; cached per cutoff (read-only arrays).
+
+    Within a Fock parity P's eigenbasis F†V, F = diag((-i)ⁿ), is U up to a
+    common phase, so f(P) has block i^(p-q) U_p diag(f(w)) U_qᵀ from parity
+    q to p: cos λP has U_p diag(cos λw) U_pᵀ on parity p, and i sin λP
+    (2p - 1) U_{1-p} diag(sin λw) U_pᵀ from p to 1 - p.
+    """
+    signs = i_power_signs(spec.dim)[:, None]
+    rows = tuple(signs[p::2] * x_eigenbasis(spec)[1][p::2] for p in (0, 1))
+    for r in rows:
+        r.setflags(write=False)
+    return rows
+
+
 def i_power_signs(count: int) -> np.ndarray:
     """(-1)^⌊k/2⌋ for k = 0..count-1: iᵏ is this sign times 1 or i."""
     return (-1.0) ** (np.arange(count) // 2)

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fock import HilbertSpec, i_power_signs, x_eigenbasis
+from .fock import HilbertSpec, signed_x_rows, x_eigenbasis
 from .states import GkpStatePair, effective_squeezing
 
 PROB_PRUNE = 1e-15
@@ -40,7 +40,7 @@ class CircuitParams:
             raise ValueError(f"rounds must be odd and >= 1, got {self.rounds}")
         if self.rounds > MAX_ROUNDS:
             raise ValueError(f"rounds capped at {MAX_ROUNDS}, got {self.rounds}")
-        if abs(self.lam) >= 1:
+        if not abs(self.lam) < 1:  # NaN fails too
             raise ValueError(f"|lambda| must be < 1, got {self.lam}")
         if abs(self.lam) > 0.5:
             import warnings
@@ -76,73 +76,58 @@ class ReadoutOutcome:
         return 0.5 * (self.p_1_given_0 + self.p_0_given_1)
 
 
-def _parity_blocks(rows, even_f, odd_f, odd_sym):
-    # [even f on parity 0, on parity 1] and [odd f from 0 to 1, from 1 to 0],
-    # the second the transpose of the first times odd_sym
-    r0, r1 = rows[0::2], rows[1::2]
-    odd = (r1 * odd_f) @ r0.T
-    return tuple((r * even_f) @ r.T for r in (r0, r1)), (odd, odd_sym * odd.T)
-
-
 @lru_cache(maxsize=4)
-def _cs_blocks(spec: HilbertSpec):
-    """Parity blocks of C = cos(sqrt(pi) X/2) and S = sin(sqrt(pi) X/2), the
-    lambda-independent factors of the Kraus pair; cached per cutoff
-    (read-only arrays)."""
+def _kraus_factors(spec: HilbertSpec):
+    """The lambda = 0 Kraus pair ((C_0, C_1), (S_0, S_1)), C_p the block of
+    C = cos(sqrt(pi) X/2) on parity p and S_p that of S = sin(sqrt(pi) X/2)
+    from p to 1 - p; and the factors (G, H, ±1) of K0 and of M1 per parity
+    p, their block there [G diag(cos λw) ± H diag(sin λw)] U_pᵀ. Cached
+    per cutoff (read-only arrays)."""
+    # K0 = C cos(λP) - S (i sin(λP)) and M1 = S cos(λP) + C (i sin(λP)),
+    # with the blocks of cos(λP) and i sin(λP) from signed_x_rows, so K0 and
+    # M1 share the four products C_p U_p and S_p U_p as factors.
     w, v = x_eigenbasis(spec)
-    c, s = _parity_blocks(v, np.cos(np.sqrt(np.pi) / 2 * w), np.sin(np.sqrt(np.pi) / 2 * w), 1)
-    for blk in c + s:
+    u = signed_x_rows(spec)
+    c_w, s_w = np.cos(np.sqrt(np.pi) / 2 * w), np.sin(np.sqrt(np.pi) / 2 * w)
+    c = tuple((v[p::2] * c_w) @ v[p::2].T for p in (0, 1))
+    s_odd = (v[1::2] * s_w) @ v[0::2].T
+    s = (s_odd, s_odd.T)
+    cu, su = (tuple(x[p] @ u[p] for p in (0, 1)) for x in (c, s))
+    for blk in (*c, *s, *cu, *su):
         blk.setflags(write=False)
-    return c, s
+    return (c, s), (tuple((cu[p], su[1 - p], 1 - 2 * p) for p in (0, 1)),
+                    tuple((su[p], cu[1 - p], 2 * p - 1) for p in (0, 1)))
 
 
 def readout_kraus(spec: HilbertSpec, lam: float):
     """Kraus pair of U_x(i sqrt(pi)/2) · U_y(-lambda) on |0>_qubit ⊗ ·, as
     real Fock-parity blocks (A, B): A[p] is K0 on parity p and B[p] is M1
     from parity p to 1 - p, where K1 = i M1."""
-    # With C = cos(sqrt(pi) X/2) and S = sin(sqrt(pi) X/2):
-    # K0 = C cos(lambda P) - S (i sin(lambda P)) and
-    # M1 = S cos(lambda P) + C (i sin(lambda P)).
     # In the number basis X is real symmetric and P imaginary antisymmetric,
-    # so all four factors are real. Parity flips X and P, so the even
-    # functions keep parity and the odd ones flip it: each block comes from
-    # the even or odd rows of the X eigenvectors.
-    c, s = _cs_blocks(spec)
+    # so C, S, cos(λP) and i sin(λP) are real; parity flips X and P, so the
+    # even functions keep parity and the odd ones flip it.
+    blocks, factors = _kraus_factors(spec)
     if lam == 0:
-        return c, s
-    # f(P) = F† f(X) F with F = diag((-i)ⁿ): within a parity F is the sign
-    # of iⁿ up to a common phase, and i sin(lambda P), which is
-    # antisymmetric, picks up -1 from even to odd.
-    w, v = x_eigenbasis(spec)
-    cl, isl = _parity_blocks(i_power_signs(spec.dim)[:, None] * v, np.cos(lam * w),
-                             -np.sin(lam * w), -1)
-    return (tuple(c[p] @ cl[p] - s[1 - p] @ isl[p] for p in (0, 1)),
-            tuple(s[p] @ cl[p] + c[1 - p] @ isl[p] for p in (0, 1)))
+        return blocks
+    w = x_eigenbasis(spec)[0]
+    c, s = np.cos(lam * w), np.sin(lam * w)
+    u = signed_x_rows(spec)
+    return tuple(tuple((g * c + h * (sign * s)) @ u[p].T for p, (g, h, sign) in enumerate(op))
+                 for op in factors)
 
 
 @lru_cache(maxsize=4)
 def _wrong_outcome_grams(spec: HilbertSpec):
-    """(GᵀG, HᵀH, HᵀG) for input mu and parity p, indexed [mu][p], where
-    the block of the wrong outcome's Kraus operator on parity p is
-    [G diag(cos λw) + H diag(sin λw)] U_pᵀ; cached per cutoff (read-only
-    arrays)."""
-    # U_p holds the parity-p rows of the signed X eigenvectors, so in
-    # readout_kraus cos(λP) has block U_p diag(cos λw) U_pᵀ and i sin(λP)
-    # the block (2p - 1) U_{1-p} diag(sin λw) U_pᵀ. Input 0 errs on
-    # M1 = S cos(λP) + C (i sin(λP)), input 1 on K0 = C cos(λP) - S (i sin(λP)).
-    c, s = _cs_blocks(spec)
-    u = i_power_signs(spec.dim)[:, None] * x_eigenbasis(spec)[1]
-
-    def grams(mu, p, first, second):
-        g = first[p] @ u[p::2]
-        h = ((2 * p - 1) * (1 - 2 * mu)) * (second[1 - p] @ u[1 - p::2])
-        out = (g.T @ g, h.T @ h, h.T @ g)
-        for m in out:
-            m.setflags(write=False)
-        return out
-
-    return tuple(tuple(grams(mu, p, *ops) for p in (0, 1))
-                 for mu, ops in enumerate(((s, c), (c, s))))
+    """(GᵀG, HᵀH, ±HᵀG) of the wrong outcome's Kraus factors for input mu
+    and parity p, indexed [mu][p]: input 0 errs on M1, input 1 on K0.
+    Cached per cutoff apart from the factors, which fig1a needs without
+    the curve (read-only arrays)."""
+    k0, m1 = _kraus_factors(spec)[1]
+    grams = tuple(tuple((g.T @ g, h.T @ h, sign * (h.T @ g)) for g, h, sign in op)
+                  for op in (m1, k0))
+    for m in (m for per_mu in grams for per_p in per_mu for m in per_p):
+        m.setflags(write=False)
+    return grams
 
 
 @dataclass(frozen=True)
@@ -175,19 +160,19 @@ def error_curve(pair: GkpStatePair) -> ErrorCurve:
 
     The error is ½ Σ_mu Σ_p Tr(K ρ_pp Kᵀ) over the wrong outcome's real
     Kraus blocks K (`_wrong_outcome_grams`). With Q = U_pᵀ ρ_pp U_p each
-    term is cᵀ(GᵀG ∘ Q)c + sᵀ(HᵀH ∘ Q)s + 2 sᵀ(HᵀG ∘ Q)c. Only Re ρ_pp
+    term is cᵀ(GᵀG ∘ Q)c + sᵀ(HᵀH ∘ Q)s ± 2 sᵀ(HᵀG ∘ Q)c. Only Re ρ_pp
     enters: the imaginary part of a Hermitian ρ is antisymmetric, and its
     trace against a real K vanishes. The sums of products cancel down to
     p_err, so the curve carries an absolute rounding error of a few 1e-16.
     """
-    w, v = x_eigenbasis(pair.spec)
-    u = i_power_signs(pair.spec.dim)[:, None] * v
+    w = x_eigenbasis(pair.spec)[0]
+    u = signed_x_rows(pair.spec)
     grams = _wrong_outcome_grams(pair.spec)
     a = b = d = 0.0
     for mu, state in enumerate((pair.state0, pair.state1)):
         rho = (state if state.ndim == 2 else np.outer(state, state.conj())).real
         for p in (0, 1):
-            q = u[p::2].T @ rho[p::2, p::2] @ u[p::2]
+            q = u[p].T @ rho[p::2, p::2] @ u[p]
             gg, hh, hg = grams[mu][p]
             a, b, d = a + gg * q, b + hh * q, d + 2 * hg * q
     # With W = diag(w), d/dλ c = -W s and d/dλ s = W c, so the slope is
@@ -261,12 +246,9 @@ def simulated_p_err(pair: GkpStatePair, params: CircuitParams) -> ReadoutOutcome
     """Exact readout error probability by full branch enumeration and
     majority vote over params.rounds repetitions."""
     kraus = readout_kraus(pair.spec, params.lam)
-    trees = []
-    wrong = []
-    for mu, state in ((0, pair.state0), (1, pair.state1)):
-        branches = _enumerate_branches(pair.spec, state, kraus, params.rounds)
-        trees.append(branches)
-        wrong.append(sum(b.probability for b in branches if b.majority != mu))
+    trees = [_enumerate_branches(pair.spec, state, kraus, params.rounds)
+             for state in (pair.state0, pair.state1)]
+    wrong = [sum(b.probability for b in tree if b.majority != mu) for mu, tree in enumerate(trees)]
     return ReadoutOutcome(p_1_given_0=wrong[0], p_0_given_1=wrong[1],
                           branches_0=trees[0], branches_1=trees[1])
 

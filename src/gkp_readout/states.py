@@ -16,8 +16,8 @@ from .fock import (
     HilbertSpec,
     TruncationError,
     check_leakage,
-    i_power_signs,
     normalize,
+    signed_x_rows,
     squeezed_vacuum,
     x_eigenbasis,
 )
@@ -65,10 +65,12 @@ class GkpSpec:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.kappa is None:
             object.__setattr__(self, "kappa", 1.0 / self.delta)
-        if self.kappa < 1:
-            raise ValueError(f"kappa must be >= 1, got {self.kappa}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        # Written so that NaN fails too; an infinite kappa or sigma would
+        # never let peak_indices reach its floor, or would prune every branch.
+        if not 1 <= self.kappa < np.inf:
+            raise ValueError(f"kappa must be finite and >= 1, got {self.kappa}")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
     @property
     def delta_db(self) -> float:
@@ -127,13 +129,13 @@ def make_pure_gkp(spec: HilbertSpec, g: GkpSpec, strict: bool = True) -> np.ndar
 @lru_cache(maxsize=16)
 def _gkp_ket(spec: HilbertSpec, mu: int, delta: float, kappa: float) -> np.ndarray:
     # All peaks share the generator P: D(c) for real c is exp(-i sqrt(2) c P),
-    # so the weighted comb is one function of P, F† comb(X) F with
-    # F = diag((-i)ⁿ). The peaks sit at ±c, so comb is an even cosine sum;
-    # on the even levels of the squeezed vacuum F is the sign of iⁿ.
-    w, v = x_eigenbasis(spec)
+    # so the weighted comb is one function of P. The peaks sit at ±c, so
+    # comb is an even cosine sum, with block U_0 diag(comb(w)) U_0ᵀ on the
+    # even levels of the squeezed vacuum (signed_x_rows).
+    w = x_eigenbasis(spec)[0]
     c = HALF_SPACING * (2 * peak_indices(mu, kappa) + mu)
     comb = np.exp(-(c**2) / kappa**2) @ np.cos(np.sqrt(2) * np.outer(c, w))
-    even = (-1.0) ** np.arange((spec.dim + 1) // 2)[:, None] * v[0::2]
+    even = signed_x_rows(spec)[0]
     psi = np.zeros(spec.dim)
     psi[0::2] = even @ (comb * (even.T @ squeezed_vacuum(spec, delta)[0::2]))
     psi = normalize(psi)
@@ -157,6 +159,8 @@ def auto_cutoff(delta: float, kappa: Optional[float] = None, sigma: float = 0.0,
     """Smallest cutoff in the doubling sequence whose GKP pair passes the
     leakage check (the channel does not repopulate high Fock levels
     appreciably for the sigmas in scope, so purity suffices on kets)."""
+    if start > MAX_CUTOFF:
+        raise ValueError(f"start cutoff {start} exceeds the largest tried, {MAX_CUTOFF}")
     n = start
     while n <= MAX_CUTOFF:
         spec = HilbertSpec(n)
@@ -167,6 +171,11 @@ def auto_cutoff(delta: float, kappa: Optional[float] = None, sigma: float = 0.0,
         except TruncationError:
             n *= 2
     raise RuntimeError(f"no converged cutoff <= {MAX_CUTOFF} for delta={delta}")
+
+
+# The two parts of ρ that the displacement channel keeps apart, as the
+# blocks (p, q) of each with their sign in the P pass.
+_PARITY_PARTS = ((((0, 0), 1), ((1, 1), 1)), (((0, 1), 1), ((1, 0), -1)))
 
 
 def gaussian_displacement_channel(spec: HilbertSpec, state: np.ndarray,
@@ -181,58 +190,36 @@ def gaussian_displacement_channel(spec: HilbertSpec, state: np.ndarray,
     exp(-σ²(w_j - w_k)²/2), so each pass is a Gaussian kernel applied
     elementwise; both quadratures share the eigenvalues w.
     """
-    # In real arithmetic: the channel is real-linear, so the real and
-    # imaginary parts of ρ pass separately. The P pass runs in the X
-    # eigenbasis on F ρ F† = i^(n-m) ∘ ρ (P = F†XF, F = diag((-i)ⁿ)), which
-    # is real on the parity-diagonal part of ρ and imaginary on its even-odd
-    # part. The channel commutes with parity, so the two parts pass
-    # separately: each is weighted by its real factor before and after the
-    # P pass and kept to its own blocks after the X pass, so a part that is
-    # zero on input stays exactly zero.
+    # The P pass runs in P's eigenbasis F†V, which on parity p is the signed
+    # basis U_p times 1 (even) or i (odd). The channel commutes with parity,
+    # so the parity-diagonal blocks of ρ and its even-odd blocks pass apart.
+    # On the diagonal blocks the phases cancel. The even-odd part enters as
+    # i(U_0ᵀρ_01U_1 - U_1ᵀρ_10U_0) and leaves with -i on block (0, 1) and i
+    # on (1, 0), so in real arithmetic it takes the sign +1 on (0, 1) and -1
+    # on (1, 0), both ways. Each part is kept to its own blocks, so a part
+    # that is zero on input stays exactly zero.
     state = np.asarray(state)
     if sigma == 0:
         return state
-    if state.ndim == 1 and np.iscomplexobj(state):
-        state = np.outer(state, state.conj())
-    if np.iscomplexobj(state):
-        return (gaussian_displacement_channel(spec, state.real, sigma)
-                + 1j * gaussian_displacement_channel(spec, state.imag, sigma))
     w, v = x_eigenbasis(spec)
+    u = signed_x_rows(spec)
     kernel = np.exp(-0.5 * sigma**2 * np.subtract.outer(w, w) ** 2)
-    phases = _phase_parts(spec.dim)
     if state.ndim == 1:
-        # A real ket needs no matrix product to reach the X eigenbasis:
-        # with e and o the X-eigenbasis components of the even and of the
-        # odd levels of iⁿψ (up to a phase per parity), the parity-diagonal
-        # part of F ψψᵀ F† becomes e eᵀ + o oᵀ and the even-odd part
-        # i(e oᵀ - o eᵀ).
-        ket = i_power_signs(spec.dim) * state
-        e, o = (v[p::2].T @ ket[p::2] for p in (0, 1))
-        first = (np.outer(e, e) + np.outer(o, o), np.outer(e, o) - np.outer(o, e))
+        # A ket needs no matrix product to reach the eigenbasis: block
+        # (p, q) of ψψ† there is the outer product of U_pᵀψ_p and U_qᵀψ_q.
+        e = [u[p].T @ state[p::2] for p in (0, 1)]
+        first = {(p, q): np.outer(e[p], e[q].conj()) for p, q in np.ndindex(2, 2)}
     else:
-        first = tuple(v.T @ (signed * state) @ v for signed, _ in phases)
-    out = np.zeros((spec.dim, spec.dim))
-    for (signed, mask), t in zip(phases, first):
+        first = {(p, q): u[p].T @ state[p::2, q::2] @ u[q] for p, q in np.ndindex(2, 2)}
+    out = np.zeros((spec.dim,) * 2, dtype=np.result_type(state, float))
+    for part in _PARITY_PARTS:
+        t = kernel * sum(sign * first[pq] for pq, sign in part)
         if t.any():
-            rho = signed * (v @ (kernel * t) @ v.T)
-            out += mask * (v @ (kernel * (v.T @ rho @ v)) @ v.T)
+            t = kernel * sum(sign * (v[p::2].T @ (u[p] @ t @ u[q].T) @ v[q::2])
+                             for (p, q), sign in part)
+            for (p, q), _ in part:
+                out[p::2, q::2] = v[p::2] @ t @ v[q::2].T
     return out
-
-
-@lru_cache(maxsize=4)
-def _phase_parts(dim: int):
-    """(signs, mask) of the real and of the imaginary part of the phase
-    i^(n-m) of F ρ F†: signs on the parity-diagonal entries, then on the
-    even-odd ones, each with the mask of its entries (read-only arrays)."""
-    n = np.arange(dim)
-    k = np.add.outer(-n, n) % 4
-    parts = []
-    for table in ((1.0, 0.0, -1.0, 0.0), (0.0, 1.0, 0.0, -1.0)):
-        signed = np.take(table, k)
-        parts.append((signed, np.abs(signed)))
-        for arr in parts[-1]:
-            arr.setflags(write=False)
-    return tuple(parts)
 
 
 def effective_squeezing(spec: HilbertSpec, state: np.ndarray) -> float:
@@ -278,20 +265,9 @@ def helstrom_bound(state0: np.ndarray, state1: np.ndarray) -> float:
 def export_state_json(state: np.ndarray, path: str) -> None:
     """Dump Fock amplitudes (ket) or row-major density entries to JSON."""
     state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        payload = {
-            "kind": "ket",
-            "dim": int(state.shape[0]),
-            "amplitudes_re": state.real.tolist(),
-            "amplitudes_im": state.imag.tolist(),
-        }
-    else:
-        payload = {
-            "kind": "density",
-            "dim": int(state.shape[0]),
-            "entries_re": state.real.tolist(),
-            "entries_im": state.imag.tolist(),
-        }
+    kind, key = ("ket", "amplitudes") if state.ndim == 1 else ("density", "entries")
+    payload = {"kind": kind, "dim": int(state.shape[0]),
+               f"{key}_re": state.real.tolist(), f"{key}_im": state.imag.tolist()}
     with open(path, "w") as f:
         json.dump(payload, f)
 
@@ -301,12 +277,6 @@ def export_state_csv(state: np.ndarray, path: str) -> None:
     state = np.asarray(state, dtype=complex)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        if state.ndim == 1:
-            writer.writerow(["n", "re", "im"])
-            for n, a in enumerate(state):
-                writer.writerow([n, repr(a.real), repr(a.imag)])
-        else:
-            writer.writerow(["row", "col", "re", "im"])
-            for i in range(state.shape[0]):
-                for j in range(state.shape[1]):
-                    writer.writerow([i, j, repr(state[i, j].real), repr(state[i, j].imag)])
+        writer.writerow(["n", "re", "im"] if state.ndim == 1 else ["row", "col", "re", "im"])
+        for index, a in zip(np.ndindex(state.shape), state.ravel().tolist()):
+            writer.writerow([*index, repr(a.real), repr(a.imag)])

@@ -13,6 +13,7 @@ from . import analytics
 from .fock import LEAKAGE_TOL, HilbertSpec, leakage
 from .readout import CircuitParams, error_curve, simulated_p_err
 from .states import (
+    MAX_CUTOFF,
     GkpSpec,
     GkpStatePair,
     auto_cutoff,
@@ -74,9 +75,13 @@ class SweepConfig:
         for f in fields(self):
             if isinstance(f.default, tuple) and not getattr(self, f.name):
                 raise ConfigError(f"{f.name} must not be empty")
+        if self.cutoff_policy == "auto" and self.cutoff_n > MAX_CUTOFF:
+            raise ConfigError(f"cutoff_n must be <= {MAX_CUTOFF} with cutoff_policy auto")
         for r in self.rounds_list:
-            if r % 2 == 0 or r < 1:
-                raise ConfigError(f"rounds_list entries must be odd, got {r}")
+            try:
+                CircuitParams(rounds=r)
+            except ValueError as exc:
+                raise ConfigError(f"rounds_list: {exc}") from None
 
     def delta_grid(self) -> np.ndarray:
         dbs = np.linspace(self.delta_db_min, self.delta_db_max, self.delta_db_points)

@@ -133,6 +133,45 @@ def test_state_info_rejects_zero_kappa(capsys):
     assert err["error"]["type"] == "config"
 
 
+NON_FINITE_CASES = {
+    "kappa_inf": (["state-info", "--delta-db", "10", "--kappa", "inf"], None),
+    "kappa_nan": (["state-info", "--delta-db", "10", "--kappa", "nan"], None),
+    "kappa_fixed_nan": (["fig1a"], "kappa_policy = fixed\nkappa_fixed_value = nan\n"),
+    "sigma_nan": (["fig1c"], "sigma_list = 0.05, nan\n"),
+    "lambda_nan": (["fig1b"], "lambda_fixed_values = nan\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+def test_non_finite_inputs_are_config_errors(tmp_path, case):
+    # NaN or inf kappa, sigma or lambda is a config error: it neither hangs
+    # the peak search nor prunes every branch into a zero error. Run in a
+    # subprocess with a timeout, so that a hang fails the test
+    argv, config = NON_FINITE_CASES[case]
+    if config is not None:
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("delta_db_points = 2\n" + config)
+        argv = argv + ["--config", str(cfg)]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "gkp_readout.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stdout == ""
+    err = json.loads(proc.stderr.splitlines()[-1])
+    assert err["error"]["type"] == "config"
+
+
+def test_auto_cutoff_start_above_largest_is_config_error(capsys, tmp_path):
+    # No cutoff is ever tried, so this is not a convergence failure
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("cutoff_policy = auto\ncutoff_n = 5000\n")
+    assert main(["fig1a", "--config", str(cfg)]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "config"
+    assert "cutoff_n" in err["error"]["message"]
+
+
 def test_numerical_domain_error_exit_code(capsys, monkeypatch):
     # A zero squeezed vacuum makes normalize fail on a zero ket: a failure
     # of the numerics, reported as convergence, not as a config error

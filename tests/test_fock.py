@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gkp_readout.fock import HilbertSpec, normalize, squeezed_vacuum, x_eigenbasis
+from gkp_readout.fock import (
+    HilbertSpec,
+    normalize,
+    signed_x_rows,
+    squeezed_vacuum,
+    x_eigenbasis,
+)
 from hybrid_oracle import (
     apply,
     displacement,
@@ -170,6 +176,29 @@ def test_cached_eigenpairs_diagonalize_x_and_p(cutoff):
     # One decomposition per cutoff, shared and read-only
     assert x_eigenbasis(HilbertSpec(cutoff))[1] is v
     assert not v.flags.writeable
+
+
+@pytest.mark.parametrize("cutoff", [60, 150])
+@pytest.mark.parametrize("lam", [0.0957, 0.3])
+def test_signed_rows_give_real_parity_blocks_of_functions_of_p(cutoff, lam):
+    # Within a Fock parity P's eigenbasis is the signed basis U_p up to a
+    # common phase: cos λP has block U_p diag(cos λw) U_pᵀ on parity p and
+    # none across, i sin λP the block (2p - 1) U_{1-p} diag(sin λw) U_pᵀ
+    # from p to 1 - p and none within
+    spec = HilbertSpec(cutoff)
+    w = x_eigenbasis(spec)[0]
+    u = signed_x_rows(spec)
+    cos_p = function_of_p(spec, lambda x: np.cos(lam * x))
+    isin_p = 1j * function_of_p(spec, lambda x: np.sin(lam * x))
+    for p in (0, 1):
+        assert np.max(np.abs((u[p] * np.cos(lam * w)) @ u[p].T - cos_p[p::2, p::2])) < 1e-12
+        assert np.max(np.abs((2 * p - 1) * (u[1 - p] * np.sin(lam * w)) @ u[p].T
+                             - isin_p[1 - p::2, p::2])) < 1e-12
+        assert np.max(np.abs(cos_p[1 - p::2, p::2])) < 1e-12
+        assert np.max(np.abs(isin_p[p::2, p::2])) < 1e-12
+    # Built once per cutoff, shared and read-only
+    assert signed_x_rows(HilbertSpec(cutoff)) is u
+    assert not any(r.flags.writeable for r in u)
 
 
 def test_quadrature_functions_match_dense_exponential():

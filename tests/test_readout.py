@@ -61,6 +61,9 @@ def test_circuit_params_validation():
         CircuitParams(0.0, 11)
     with pytest.raises(ValueError):
         CircuitParams(1.5, 1)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="lambda"):
+            CircuitParams(bad, 1)
     with pytest.warns(UserWarning):
         CircuitParams(0.7, 1)
 
@@ -499,7 +502,8 @@ def test_state_path_needs_no_dense_eigh(monkeypatch):
             for binding, value in list(vars(module).items()):
                 if any(value is d for d in dense):
                     monkeypatch.setattr(module, binding, forbidden)
-    for cached in (fock.x_eigenbasis, states._gkp_ket, readout._cs_blocks):
+    for cached in (fock.x_eigenbasis, fock.signed_x_rows, states._gkp_ket,
+                   readout._kraus_factors):
         cached.cache_clear()
     spec = auto_cutoff(DELTA_10DB)
     mixed = make_state_pair(spec, DELTA_10DB, sigma=0.1)

@@ -63,6 +63,12 @@ def test_gkp_spec_validation():
         GkpSpec(0, 0.3, kappa=0.5)
     with pytest.raises(ValueError):
         GkpSpec(0, 0.3, sigma=-0.1)
+    for bad in (np.nan, np.inf, -np.inf):
+        for kwargs in ({"kappa": bad}, {"sigma": bad}):
+            with pytest.raises(ValueError, match="finite"):
+                GkpSpec(0, 0.3, **kwargs)
+        with pytest.raises(ValueError):
+            GkpSpec(0, bad)
     g = GkpSpec(0, 0.25)
     assert abs(g.kappa - 4.0) < 1e-12
 
@@ -300,10 +306,18 @@ def test_channel_ket_fast_path_matches_density_input(parity):
     assert np.all(from_ket[0::2, 1::2] == 0) == (parity != "both")
 
 
-def test_channel_phase_pattern_cached_read_only():
-    first = states._phase_parts(SPEC.dim)
-    assert first is states._phase_parts(SPEC.dim)
-    assert not any(arr.flags.writeable for part in first for arr in part)
+@pytest.mark.parametrize("kind", ["ket", "density"])
+def test_channel_passes_complex_input_through_linearly(pair_10db, kind):
+    # Complex input runs through the same real blocks as real input: the
+    # output is that of the real part plus i times that of the imaginary
+    # part, and complex; real input stays real
+    ket = displacement(SPEC, 0.3 + 0.2j) @ pair_10db.state0
+    state = ket if kind == "ket" else ket_to_density(ket)
+    rho = ket_to_density(ket)
+    out = gaussian_displacement_channel(SPEC, state, 0.1)
+    parts = [gaussian_displacement_channel(SPEC, x, 0.1) for x in (rho.real, rho.imag)]
+    assert np.iscomplexobj(out) and all(np.isrealobj(x) for x in parts)
+    assert np.max(np.abs(out - (parts[0] + 1j * parts[1]))) < 1e-15
 
 
 def test_purity_basics(pair_10db):
@@ -343,6 +357,13 @@ def test_auto_cutoff_grows_when_needed():
     assert auto_cutoff(0.2).cutoff == 300
 
 
+def test_auto_cutoff_rejects_start_above_largest_cutoff():
+    # A start above MAX_CUTOFF tries no cutoff: a bad argument, not a
+    # convergence failure
+    with pytest.raises(ValueError, match="start cutoff"):
+        auto_cutoff(DELTA_10DB, start=states.MAX_CUTOFF + 1)
+
+
 def test_auto_cutoff_does_not_mask_bugs(monkeypatch):
     # Only truncation failures move the search on; anything else is a bug
     def broken(*args, **kwargs):
@@ -376,6 +397,9 @@ def test_state_export(tmp_path):
 
     cpath = tmp_path / "rho.csv"
     export_state_csv(ket_to_density(k), str(cpath))
-    rows = list(csv.reader(cpath.open()))
+    rows = list(csv.reader(cpath.read_text().splitlines()))
     assert rows[0] == ["row", "col", "re", "im"]
     assert len(rows) == 1 + 21 * 21
+    # Plain decimal text that reads back exactly
+    rebuilt = np.array([[float(x) for x in row[2:]] for row in rows[1:]])
+    assert np.array_equal(rebuilt[:, 0] + 1j * rebuilt[:, 1], ket_to_density(k).ravel())

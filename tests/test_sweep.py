@@ -44,6 +44,23 @@ def test_config_validation():
         SweepConfig(rounds_list=(1, 2))
 
 
+def test_config_checks_rounds_with_the_circuit_rule():
+    # rounds_list takes CircuitParams' rule, its cap included, before any
+    # state is built
+    for rounds in (0, 2, 11):
+        with pytest.raises(ConfigError, match="rounds_list"):
+            SweepConfig(rounds_list=(1, rounds))
+    SweepConfig(rounds_list=(1, 9))
+
+
+def test_config_rejects_auto_cutoff_start_above_largest():
+    # An auto search that would try no cutoff is a config error; a fixed
+    # cutoff of that size is allowed
+    with pytest.raises(ConfigError, match="cutoff_n"):
+        SweepConfig(cutoff_n=5000)
+    SweepConfig(cutoff_n=5000, cutoff_policy="fixed")
+
+
 def test_fig1a_table_shape(fig1a_rows):
     # per delta point: simple per rounds entry, improved, homodyne, helstrom
     assert len(fig1a_rows) == 2 * (2 + 3)
