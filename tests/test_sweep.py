@@ -42,20 +42,14 @@ def test_config_validation():
     SweepConfig(delta_db_min=1.0, delta_db_max=20.0, allow_extreme_range=True)
     with pytest.raises(ConfigError):
         SweepConfig(rounds_list=(1, 2))
-
-
-def test_config_checks_rounds_with_the_circuit_rule():
-    # rounds_list takes CircuitParams' rule, its cap included, before any
-    # state is built
-    for rounds in (0, 2, 11):
+    # rounds_list takes CircuitParams' rule, its cap of 9 included, before
+    # any state is built
+    for rounds in (0, 11):
         with pytest.raises(ConfigError, match="rounds_list"):
-            SweepConfig(rounds_list=(1, rounds))
+            SweepConfig(rounds_list=(rounds,))
     SweepConfig(rounds_list=(1, 9))
-
-
-def test_config_rejects_auto_cutoff_start_above_largest():
-    # An auto search that would try no cutoff is a config error; a fixed
-    # cutoff of that size is allowed
+    # An auto cutoff search that would try no cutoff is a config error; a
+    # fixed cutoff of that size is allowed
     with pytest.raises(ConfigError, match="cutoff_n"):
         SweepConfig(cutoff_n=5000)
     SweepConfig(cutoff_n=5000, cutoff_policy="fixed")
