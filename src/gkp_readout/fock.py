@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 LEAKAGE_TOL = 1e-10
 
@@ -41,6 +40,38 @@ class HilbertSpec:
         return self.cutoff + 1
 
 
+def _even_odd_svd(off: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SVD B = Y diag(s) Zᵀ, s descending, of the even-odd block
+    B = T[0::2, 1::2] of the symmetric tridiagonal T with a zero diagonal
+    and off-diagonal `off`. B is lower bidiagonal, ⌈dim/2⌉ × ⌊dim/2⌋, and Y
+    is square: for an odd dim its last column spans the null space of Bᵀ.
+    """
+    off = np.asarray(off, dtype=float)
+    b = np.zeros(((off.size + 2) // 2, (off.size + 1) // 2))
+    np.fill_diagonal(b, off[0::2])
+    np.fill_diagonal(b[1:], off[1::2])
+    y, s, zt = np.linalg.svd(b)
+    return y, s, zt.T
+
+
+def zero_diagonal_eigh(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues w and real orthonormal eigenvectors V of the
+    symmetric tridiagonal T with a zero diagonal and off-diagonal `off`.
+
+    With the even indices first T = [[0, B], [Bᵀ, 0]], so from the SVD of B
+    its eigenpairs are (±s_k, [y_k; ±z_k]/√2), and an odd dimension adds
+    the zero mode [y; 0] (Golub & Kahan, 1965).
+    """
+    y, s, z = _even_odd_svd(off)
+    half, odd = z.shape[0], y.shape[0] - z.shape[0]
+    # s is descending, so -s ascends.
+    y_pair, z_pair = y[:, :half] * np.sqrt(0.5), z * np.sqrt(0.5)
+    v = np.empty((2 * half + odd, 2 * half + odd))
+    v[0::2] = np.hstack((y_pair, y[:, half:], y_pair[:, ::-1]))
+    v[1::2] = np.hstack((-z_pair, np.zeros((half, odd)), z_pair[:, ::-1]))
+    return np.concatenate((-s, np.zeros(odd), s[::-1])), v
+
+
 @lru_cache(maxsize=4)
 def x_eigenbasis(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues w and real orthonormal eigenvectors V of truncated X,
@@ -50,7 +81,7 @@ def x_eigenbasis(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:
     Truncated X is the Hermite Jacobi matrix (zero diagonal, off-diagonal
     sqrt(n/2)), so w are the Gauss-Hermite nodes.
     """
-    w, v = eigh_tridiagonal(np.zeros(spec.dim), np.sqrt(np.arange(1, spec.dim) / 2))
+    w, v = zero_diagonal_eigh(np.sqrt(np.arange(1, spec.dim) / 2))
     w.setflags(write=False)
     v.setflags(write=False)
     return w, v
@@ -85,7 +116,7 @@ def squeezed_vacuum(spec: HilbertSpec, delta: float) -> np.ndarray:
     The generator -½ ln δ (XP + PX) = (i/2) ln δ (a² - a†²) couples only
     n ↔ n+2, also truncated, so the vacuum stays on the even levels n.
     With D = diag(iᵏ) along them the generator is D J D†, J real symmetric
-    tridiagonal with eigenpairs (θ, V). Its sign is fixed by the variance
+    tridiagonal with a zero diagonal. Its sign is fixed by the variance
     contract (tested), since (XP + PX) sign conventions differ between
     sources.
     """
@@ -93,14 +124,16 @@ def squeezed_vacuum(spec: HilbertSpec, delta: float) -> np.ndarray:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     n = np.arange(0, spec.dim, 2)
     off = -0.5 * np.log(delta) * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
-    theta, v = eigh_tridiagonal(np.zeros(n.size), off)
-    # This is D exp(iJ) e₀. J is tridiagonal with a zero diagonal, so entry
-    # k of exp(iJ) e₀ = V cos(θ) V₀ + i V sin(θ) V₀ is real on even k and
-    # imaginary on odd k; times iᵏ it is (-1)^⌊(k+1)/2⌋ times the cosine
-    # part (even k) or the sine part (odd k).
+    # This is D exp(iJ) e₀. With the even k first J = [[0, B], [Bᵀ, 0]], so
+    # from the SVD of B, exp(iJ) e₀ is Y cos(s) y₀ on even k and
+    # i Z sin(s) y₀ on odd k, y₀ the first row of Y; times iᵏ, entry k is
+    # (-1)^⌊(k+1)/2⌋ times that real part.
+    y, s, z = _even_odd_svd(off)
+    cos_s = np.ones(y.shape[1])  # cos 0 on the null-space column of an odd size
+    cos_s[:s.size] = np.cos(s)
     amp = np.empty(n.size)
-    amp[0::2] = v[0::2] @ (np.cos(theta) * v[0])
-    amp[1::2] = v[1::2] @ (np.sin(theta) * v[0])
+    amp[0::2] = y @ (cos_s * y[0])
+    amp[1::2] = z @ (np.sin(s) * y[0, :s.size])
     ket = np.zeros(spec.dim)
     ket[n] = i_power_signs(n.size + 1)[1:] * amp
     return ket

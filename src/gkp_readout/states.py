@@ -157,8 +157,10 @@ def make_state_pair(spec: HilbertSpec, delta: float, kappa: Optional[float] = No
 def auto_cutoff(delta: float, kappa: Optional[float] = None, sigma: float = 0.0,
                 start: int = DEFAULT_CUTOFF) -> HilbertSpec:
     """Smallest cutoff in the doubling sequence whose GKP pair passes the
-    leakage check (the channel does not repopulate high Fock levels
-    appreciably for the sigmas in scope, so purity suffices on kets)."""
+    leakage check. The check covers the kets only: sigma is accepted but
+    unused, and the displacement channel's output can leak more than its
+    input (at N = 150 and 11.5 dB, 3.7e-11 for the ket and 1.2e-10 after
+    sigma = 0.15)."""
     if start > MAX_CUTOFF:
         raise ValueError(f"start cutoff {start} exceeds the largest tried, {MAX_CUTOFF}")
     n = start

@@ -77,11 +77,15 @@ class SweepConfig:
                 raise ConfigError(f"{f.name} must not be empty")
         if self.cutoff_policy == "auto" and self.cutoff_n > MAX_CUTOFF:
             raise ConfigError(f"cutoff_n must be <= {MAX_CUTOFF} with cutoff_policy auto")
-        for r in self.rounds_list:
-            try:
-                CircuitParams(rounds=r)
-            except ValueError as exc:
-                raise ConfigError(f"rounds_list: {exc}") from None
+        # Each list entry takes the rule of what it builds, before any state is.
+        for name, check in (("rounds_list", lambda r: CircuitParams(rounds=r)),
+                            ("lambda_fixed_values", lambda lam: CircuitParams(lam=lam)),
+                            ("sigma_list", lambda sigma: GkpSpec(0, 0.5, sigma=sigma))):
+            for value in getattr(self, name):
+                try:
+                    check(value)
+                except ValueError as exc:
+                    raise ConfigError(f"{name}: {exc}") from None
 
     def delta_grid(self) -> np.ndarray:
         dbs = np.linspace(self.delta_db_min, self.delta_db_max, self.delta_db_points)

@@ -111,14 +111,14 @@ def test_sweep_defaults_run(capsys, command):
 
 
 def test_eigensolver_failure_exit_code(capsys, monkeypatch):
-    # LinAlgError subclasses ValueError, but a failed eigensolve is a
-    # convergence failure, not a config error
+    # LinAlgError subclasses ValueError, but a failed eigensolve (the SVD
+    # of the even-odd block) is a convergence failure, not a config error
     from gkp_readout import fock, states
 
     def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("eigenvalues did not converge")
+        raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(fock, "eigh_tridiagonal", fail)
+    monkeypatch.setattr(np.linalg, "svd", fail)
     fock.x_eigenbasis.cache_clear()
     states._gkp_ket.cache_clear()
     assert main(["state-info", "--delta-db", "10"]) == EXIT_CONVERGENCE
@@ -227,25 +227,31 @@ IMPORT_DIET_SCRIPT = """
 import contextlib, io, sys
 from gkp_readout import analytics, cli, readout, states
 
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+assert scipy_modules() == [], scipy_modules()
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["fig1a", "--points", "2"], ["fig1c", "--points", "2"],
                  ["state-info", "--delta-db", "10", "--sigma", "0.1"],
                  ["optimize-lambda", "--delta-db", "10"], ["validate"]):
         assert cli.main(argv) == 0, argv
+        assert scipy_modules() == [], (argv, scipy_modules())
 delta = states.db_to_delta(10)
 spec = states.auto_cutoff(delta)
 mixed = states.make_state_pair(spec, delta, sigma=0.1)
 readout.simulated_p_err(mixed, readout.CircuitParams(analytics.optimal_lambda(delta), 3))
 readout.homodyne_p_err_numeric(states.make_state_pair(spec, delta))
-print(" ".join(sorted(m for m in sys.modules if m.startswith(
-    ("scipy.optimize", "scipy.special", "scipy.integrate")))))
+print(" ".join(scipy_modules()))
 """
 
 
 def test_import_diet():
-    # The package runs on numpy and scipy.linalg alone: a fresh interpreter
-    # through every command, fig1c's lambda search included, a mixed
-    # readout and a homodyne loads no optimize, special or integrate
+    # The package runs on numpy alone: a fresh interpreter loads no scipy
+    # module on import, after each command (fig1c's lambda search included),
+    # or after a mixed readout and a homodyne
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", IMPORT_DIET_SCRIPT],
                           env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},

@@ -8,6 +8,7 @@ from gkp_readout.fock import (
     signed_x_rows,
     squeezed_vacuum,
     x_eigenbasis,
+    zero_diagonal_eigh,
 )
 from hybrid_oracle import (
     apply,
@@ -176,6 +177,21 @@ def test_cached_eigenpairs_diagonalize_x_and_p(cutoff):
     # One decomposition per cutoff, shared and read-only
     assert x_eigenbasis(HilbertSpec(cutoff))[1] is v
     assert not v.flags.writeable
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 151, 152, 301])
+def test_zero_diagonal_eigh_matches_tridiagonal_solver(dim):
+    # The SVD of the even-odd block gives the eigenpairs of a general
+    # tridiagonal solver, odd and even dimensions alike: ascending w, and
+    # the same orthonormal V up to the sign of each column
+    off = np.sqrt(np.arange(1, dim) / 2)
+    w, v = zero_diagonal_eigh(off)
+    w_ref, v_ref = scipy.linalg.eigh_tridiagonal(np.zeros(dim), off)
+    assert np.all(np.diff(w) > 0)
+    assert np.max(np.abs(w - w_ref)) < 1e-13
+    signs = np.sign(np.sum(v * v_ref, axis=0))
+    assert np.max(np.abs(v * signs - v_ref)) < 1e-12
+    assert np.max(np.abs(v.T @ v - np.eye(dim))) < 1e-13
 
 
 @pytest.mark.parametrize("cutoff", [60, 150])

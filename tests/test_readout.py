@@ -481,7 +481,8 @@ def test_homodyne_14db_matches_per_bin_reference():
 
 def test_state_path_needs_no_dense_eigh(monkeypatch):
     # State preparation, the channel, the readout and the homodyne all run
-    # on tridiagonal eigensolves; dense O(N^3) eigh is kept out of them.
+    # on an SVD of a half-size bidiagonal block; dense O(N^3) eigh is kept
+    # out of them.
     # Every route to a dense eigh raises: the scipy and numpy functions and
     # any gkp_readout module binding of either. The caches are cleared so
     # the eigenbases, kets and Kraus blocks are built under the guard.

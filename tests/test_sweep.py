@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from gkp_readout import analytics
+from gkp_readout import analytics, sweep
+from gkp_readout.cli import EXIT_CONFIG, main
 from gkp_readout.readout import CircuitParams, error_curve, simulated_p_err
 from gkp_readout.states import auto_cutoff, db_to_delta, effective_squeezing, make_state_pair
 from gkp_readout.sweep import (
@@ -32,7 +33,7 @@ def fig1a_rows():
     return run_fig1a(SMALL)
 
 
-def test_config_validation():
+def test_config_validation(monkeypatch, tmp_path):
     with pytest.raises(ConfigError):
         SweepConfig(delta_db_points=1)
     with pytest.raises(ConfigError):
@@ -48,6 +49,25 @@ def test_config_validation():
         with pytest.raises(ConfigError, match="rounds_list"):
             SweepConfig(rounds_list=(rounds,))
     SweepConfig(rounds_list=(1, 9))
+    # lambda_fixed_values and sigma_list entries take CircuitParams' and
+    # GkpSpec's rules: finite, |lambda| < 1 and sigma >= 0
+    for lam in (1.0, -1.5, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="lambda_fixed_values"):
+            SweepConfig(lambda_fixed_values=(0.05, lam))
+    for sigma in (-0.1, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="sigma_list"):
+            SweepConfig(sigma_list=(0.0, sigma))
+    SweepConfig(lambda_fixed_values=(-0.05, 0.0, 0.45), sigma_list=(0.0, 2.0))
+    with pytest.warns(UserWarning, match="small-lambda regime"):
+        SweepConfig(lambda_fixed_values=(0.9,))
+    # A bad list entry from a config file exits 2 before any state is built
+    calls = []
+    monkeypatch.setattr(sweep, "make_state_pair",
+                        lambda *args, **kwargs: calls.append(args) or make_state_pair(*args, **kwargs))
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("lambda_fixed_values = 0.05, 1.5\n")
+    assert main(["fig1b", "--config", str(cfg)]) == EXIT_CONFIG
+    assert calls == []
     # An auto cutoff search that would try no cutoff is a config error; a
     # fixed cutoff of that size is allowed
     with pytest.raises(ConfigError, match="cutoff_n"):
