@@ -166,39 +166,3 @@ def check_leakage(state: np.ndarray) -> None:
         raise TruncationError(
             f"truncation leakage {lk:.3e} exceeds {LEAKAGE_TOL:.0e}; increase the cutoff")
 
-
-def _hermite_functions(dim: int, x: np.ndarray):
-    """Yield φ_n(x) for n = 0..dim-1 by the stable upward recurrence on
-    the normalized functions, holding two rows at a time."""
-    prev, cur = np.zeros_like(x), np.pi ** -0.25 * np.exp(-0.5 * x**2)
-    yield cur
-    for n in range(1, dim):
-        prev, cur = cur, np.sqrt(2.0 / n) * x * cur - np.sqrt((n - 1) / n) * prev
-        yield cur
-
-
-def position_wavefunctions(spec: HilbertSpec, x: np.ndarray) -> np.ndarray:
-    """Harmonic-oscillator eigenfunctions φ_n(x), shape (dim, len(x)).
-
-    The X convention here has vacuum variance 1/2.
-    """
-    x = np.asarray(x, dtype=float)
-    phi = np.empty((spec.dim, x.size))
-    for n, row in enumerate(_hermite_functions(spec.dim, x)):
-        phi[n] = row
-    return phi
-
-
-def position_density(spec: HilbertSpec, state: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """|ψ(x)|² for a ket, accumulated along the recurrence without a
-    (dim, len(x)) table, or <x|ρ|x> for a density matrix."""
-    state = np.asarray(state)
-    x = np.asarray(x, dtype=float)
-    if state.ndim == 1:
-        psi = np.zeros(x.shape, dtype=np.result_type(state, float))
-        for amp, phi in zip(state, _hermite_functions(spec.dim, x)):
-            psi += amp * phi
-        return np.abs(psi) ** 2
-    phi = position_wavefunctions(spec, x)
-    # φ is real, so only Re ρ contributes.
-    return np.sum(phi * (state.real @ phi), axis=0)

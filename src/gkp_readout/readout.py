@@ -8,12 +8,14 @@ oscillator alone, built from functions of X and P as real blocks on
 Fock parity. Multi-round runs enumerate every measurement branch
 exactly on those blocks, keeping the post-measurement oscillator state
 and resetting the qubit between rounds. At one round the error is also
-a closed-form curve in lambda (`error_curve`), for lambda searches.
+a closed-form curve in lambda (`error_curve`), for lambda searches. The
+ideal homodyne readout they are compared with is a closed-form peak sum.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -21,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .fock import HilbertSpec, signed_x_rows, x_eigenbasis
-from .states import GkpStatePair, effective_squeezing
+from .states import GkpStatePair, effective_squeezing, peak_indices
 
 PROB_PRUNE = 1e-15
 MAX_ROUNDS = 9
@@ -271,42 +273,30 @@ def branch_tree_dump(pair: GkpStatePair, outcome: ReadoutOutcome) -> str:
     return json.dumps(payload, indent=2)
 
 
-def homodyne_p_err_numeric(pair: GkpStatePair, points_per_bin: int = 257) -> float:
+def homodyne_p_err_numeric(pair: GkpStatePair) -> float:
     """Readout error of an ideal X-quadrature measurement with
-    nearest-sqrt(pi)-lattice-point binning, from the simulated position
-    distributions.
+    nearest-sqrt(pi)-lattice-point binning, in closed form for the
+    untruncated states of the pair's (delta, kappa, sigma).
 
-    Each decision bin [(k-1/2)√π, (k+1/2)√π] is integrated separately
-    (composite Simpson) so the bin edges never cut a panel; each state's
-    density is evaluated once per resolution on the stacked grid of its
-    bins. The per-bin resolution is doubled until the result is stable.
+    ψ_μ(x) = Σ_s a_s g(x - √π(2s + μ)) over `peak_indices`, with
+    a_s = exp(-π(2s + μ)²/(2κ²)) and |g|² of variance δ²/2 (Gottesman,
+    Kitaev & Preskill, 2001). So |ψ_μ|², convolved with N(0, σ²) by the
+    channel, is a sum over peak pairs (s, t) of Gaussians of one variance
+    δ²/2 + σ², of weight a_s a_t exp(-π(s - t)²/δ²), centred on the lattice
+    point √π(s + t + μ). A centred Gaussian puts mass q in the bins at odd
+    offsets, so a pair errs with q when s + t is even and 1 - q when it is
+    odd. Every term is positive.
     """
-    from .fock import position_density
-
-    if points_per_bin < 3 or points_per_bin % 2 == 0:
-        raise ValueError(f"points_per_bin must be odd and >= 3, got {points_per_bin}")
-    root_pi = np.sqrt(np.pi)
-    k_max = int(np.ceil((pair.kappa * np.sqrt(2 * np.pi) + 6.0) / root_pi))
-    ks = np.arange(-k_max, k_max + 1)
-
-    def compute(m):
-        # m is odd, so the Simpson weights over a bin of width √π are
-        # (√π / (3 (m - 1))) [1, 4, 2, ..., 2, 4, 1].
-        weights = np.where(np.arange(m) % 2, 4.0, 2.0) * (root_pi / (3 * (m - 1)))
-        weights[[0, -1]] *= 0.5
-        total = 0.0
-        for mu, state in ((0, pair.state0), (1, pair.state1)):
-            k = ks[ks % 2 != mu]
-            x = np.linspace((k - 0.5) * root_pi, (k + 0.5) * root_pi, m, axis=-1)
-            dens = position_density(pair.spec, state, x.ravel()).reshape(x.shape)
-            total += 0.5 * np.sum(dens @ weights)
-        return total
-
-    val = compute(points_per_bin)
-    while True:
-        fine = compute(2 * points_per_bin - 1)
-        if abs(fine - val) < max(1e-12, 1e-4 * abs(fine)):
-            return float(fine)
-        val, points_per_bin = fine, 2 * points_per_bin - 1
-        if points_per_bin > 10000:
-            raise RuntimeError("homodyne grid did not converge")
+    # The bins at offsets ±j, j odd, hold erfc((2j - 1)h) - erfc((2j + 1)h)
+    # between them; past erfc(27) ~ 1e-318 the terms underflow.
+    h = np.sqrt(np.pi / (8 * (pair.delta**2 / 2 + pair.sigma**2)))
+    q = sum(math.erfc((2 * j - 1) * h) - math.erfc((2 * j + 1) * h)
+            for j in range(1, int(13.5 / h) + 2, 2))
+    total = 0.0
+    for mu in (0, 1):
+        s = peak_indices(mu, pair.kappa)
+        a = np.exp(-np.pi * (2 * s + mu) ** 2 / (2 * pair.kappa**2))
+        w = np.outer(a, a) * np.exp(-np.pi * np.subtract.outer(s, s) ** 2 / pair.delta**2)
+        odd = np.add.outer(s, s) % 2 == 1
+        total += (q * w[~odd].sum() + (1 - q) * w[odd].sum()) / w.sum()
+    return float(0.5 * total)

@@ -146,21 +146,25 @@ def _gkp_ket(spec: HilbertSpec, mu: int, delta: float, kappa: float) -> np.ndarr
 def make_state_pair(spec: HilbertSpec, delta: float, kappa: Optional[float] = None,
                     sigma: float = 0.0, strict: bool = True) -> GkpStatePair:
     """Build the (|0~>, |1~>) pair, mixed through the displacement
-    channel when sigma > 0."""
+    channel when sigma > 0. strict checks the leakage of the kets and of
+    the channel's output, which can leak more than its input."""
     kappa = GkpSpec(0, delta, kappa, sigma).kappa
     pair = [make_pure_gkp(spec, GkpSpec(mu, delta, kappa), strict=strict) for mu in (0, 1)]
     if sigma != 0:
         pair = [gaussian_displacement_channel(spec, k, sigma) for k in pair]
+        if strict:
+            for state in pair:
+                check_leakage(state)
     return GkpStatePair(*pair, spec, delta, kappa, float(sigma))
 
 
 def auto_cutoff(delta: float, kappa: Optional[float] = None, sigma: float = 0.0,
                 start: int = DEFAULT_CUTOFF) -> HilbertSpec:
-    """Smallest cutoff in the doubling sequence whose GKP pair passes the
-    leakage check. The check covers the kets only: sigma is accepted but
-    unused, and the displacement channel's output can leak more than its
-    input (at N = 150 and 11.5 dB, 3.7e-11 for the ket and 1.2e-10 after
-    sigma = 0.15)."""
+    """Smallest cutoff in the doubling sequence whose GKP kets pass the
+    leakage check. sigma is accepted but unused: the displacement
+    channel's output can leak more than its input (at N = 150 and 11.5 dB,
+    3.7e-11 for the ket and 1.2e-10 after sigma = 0.15), and only a strict
+    `make_state_pair` checks it."""
     if start > MAX_CUTOFF:
         raise ValueError(f"start cutoff {start} exceeds the largest tried, {MAX_CUTOFF}")
     n = start

@@ -21,7 +21,6 @@ from .states import (
     delta_db,
     effective_squeezing,
     helstrom_bound,
-    make_pure_gkp,
     make_state_pair,
     purity,
 )
@@ -139,19 +138,16 @@ class SweepPoint:
 
 def sweep_point(config: SweepConfig, delta: float, sigma: float) -> SweepPoint:
     """The state pair and shared scalars of one grid point, under the
-    config's kappa and cutoff policies. A fixed cutoff that truncates is
-    flagged in `converged`, not raised, so no row is ever dropped."""
+    config's kappa and cutoff policies. A cutoff that truncates a ket or
+    the channel's output, under either policy, is flagged in `converged`,
+    not raised, so no row is ever dropped."""
     kappa = 1.0 / delta if config.kappa_policy == "inverse_delta" else config.kappa_fixed_value
     if config.cutoff_policy == "fixed":
         spec = HilbertSpec(config.cutoff_n)
     else:
         spec = auto_cutoff(delta, kappa, start=config.cutoff_n)
     pair = make_state_pair(spec, delta, kappa, sigma, strict=False)
-    # auto_cutoff has already checked the kets. The pair's kets are cached,
-    # so rereading them for the leakage is free.
-    converged = config.cutoff_policy == "auto" or all(
-        leakage(make_pure_gkp(spec, GkpSpec(mu, delta, kappa), strict=False)) < LEAKAGE_TOL
-        for mu in (0, 1))
+    converged = all(leakage(state) < LEAKAGE_TOL for state in (pair.state0, pair.state1))
     return SweepPoint(pair, purity(pair.state0), effective_squeezing(spec, pair.state0),
                       helstrom_bound(pair.state0, pair.state1) if pair.is_pure else None,
                       converged)

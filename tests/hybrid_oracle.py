@@ -7,7 +7,9 @@ part builds quadratures, displacements and functions of X and P as full
 real Fock-parity blocks. The hybrid part applies the readout gates on
 the full 2(N+1)-dimensional space, with the qubit as the slow (outer)
 tensor factor, so index = q*(N+1) + n. It also holds the golden-section
-cross-check of the optimal interaction strength.
+cross-check of the optimal interaction strength, and the position
+densities along the Hermite-function recurrence that the homodyne's
+per-bin quadrature reference integrates.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+from scipy.integrate import simpson
 from scipy.linalg import eigh
 
 from gkp_readout.analytics import lambda_seed, p_err_improved_formula
@@ -141,6 +144,57 @@ def optimal_lambda_by_minimization(delta: float) -> float:
         x, h = float(res.x), 1e-5
         fm, f0, fp = f(x - h), f(x), f(x + h)
         return x + h * (fm - fp) / (2 * (fm - 2 * f0 + fp))
+
+
+def hermite_functions(dim: int, x: np.ndarray):
+    """Yield φ_n(x) for n = 0..dim-1 by the stable upward recurrence on
+    the normalized functions, holding two rows at a time."""
+    prev, cur = np.zeros_like(x), np.pi ** -0.25 * np.exp(-0.5 * x**2)
+    yield cur
+    for n in range(1, dim):
+        prev, cur = cur, np.sqrt(2.0 / n) * x * cur - np.sqrt((n - 1) / n) * prev
+        yield cur
+
+
+def position_wavefunctions(spec: HilbertSpec, x: np.ndarray) -> np.ndarray:
+    """Harmonic-oscillator eigenfunctions φ_n(x), shape (dim, len(x)), in
+    the X convention with vacuum variance 1/2."""
+    x = np.asarray(x, dtype=float)
+    phi = np.empty((spec.dim, x.size))
+    for n, row in enumerate(hermite_functions(spec.dim, x)):
+        phi[n] = row
+    return phi
+
+
+def position_density(spec: HilbertSpec, state: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """|ψ(x)|² for a ket, or <x|ρ|x> for a density matrix."""
+    state = np.asarray(state)
+    phi = position_wavefunctions(spec, x)
+    if state.ndim == 1:
+        return np.abs(state @ phi) ** 2
+    # φ is real, so only Re ρ contributes.
+    return np.sum(phi * (state.real @ phi), axis=0)
+
+
+def binned_misclassification(spec: HilbertSpec, state: np.ndarray, mu: int, kappa: float,
+                             points: int = 2049) -> float:
+    """Probability that an X measurement of the Fock state |mu~> lands in
+    a decision bin [(k - 1/2)√π, (k + 1/2)√π] of the other logical value
+    (k ≢ mu mod 2): one position density and one Simpson rule per bin."""
+    root_pi = np.sqrt(np.pi)
+    k_max = int(np.ceil((kappa * np.sqrt(2 * np.pi) + 6.0) / root_pi))
+    total = 0.0
+    for k in range(-k_max, k_max + 1):
+        if k % 2 != mu:
+            x = np.linspace((k - 0.5) * root_pi, (k + 0.5) * root_pi, points)
+            total += simpson(position_density(spec, state, x), x=x)
+    return total
+
+
+def binned_p_err(pair, points: int = 2049) -> float:
+    """Homodyne readout error of a Fock state pair by per-bin quadrature."""
+    return 0.5 * sum(binned_misclassification(pair.spec, state, mu, pair.kappa, points)
+                     for mu, state in ((0, pair.state0), (1, pair.state1)))
 
 
 PAULI = {

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -110,6 +111,23 @@ def test_sweep_defaults_run(capsys, command):
     assert delta_dbs == {"5", "14"}
 
 
+def readme_commands():
+    """The `gkp-readout` lines of README's "Command line" block, without
+    their trailing comments."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].strip() for line in block.splitlines()
+            if line.startswith("gkp-readout ")]
+
+
+@pytest.mark.parametrize("command", readme_commands())
+def test_readme_command(capsys, tmp_path, monkeypatch, command):
+    # Every documented command works with its defaults; files it writes
+    # land in a scratch directory
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(command)[1:]) == EXIT_OK
+
+
 def test_eigensolver_failure_exit_code(capsys, monkeypatch):
     # LinAlgError subclasses ValueError, but a failed eigensolve (the SVD
     # of the even-odd block) is a convergence failure, not a config error
@@ -124,6 +142,15 @@ def test_eigensolver_failure_exit_code(capsys, monkeypatch):
     assert main(["state-info", "--delta-db", "10"]) == EXIT_CONVERGENCE
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "convergence"
+
+
+def test_state_info_channel_leakage_exit_code(capsys):
+    # The kets converge at N = 150, but sigma = 5 spreads the mixed state
+    # onto the top Fock levels (leakage 9.1e-4): a convergence failure
+    assert main(["state-info", "--delta-db", "10", "--sigma", "5"]) == EXIT_CONVERGENCE
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "convergence"
+    assert "leakage" in err["error"]["message"]
 
 
 def test_state_info_rejects_zero_kappa(capsys):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -28,9 +29,12 @@ from gkp_readout.states import (
     helstrom_bound,
     make_pure_gkp,
     make_state_pair,
+    peak_indices,
 )
 from hybrid_oracle import (
     apply,
+    binned_misclassification,
+    binned_p_err,
     displacement,
     embed_qubit_zero,
     enumerate_branches_hybrid,
@@ -421,40 +425,56 @@ def test_homodyne_matches_closed_form(pair_10db):
     assert abs(val - ref) / ref < 0.2
 
 
-def test_homodyne_needs_odd_points_per_bin(pair_10db):
-    # Composite Simpson weights need an even number of panels per bin
-    for bad in (1, 2, 256):
-        with pytest.raises(ValueError):
-            homodyne_p_err_numeric(pair_10db, points_per_bin=bad)
-
-
 def test_homodyne_better_than_chance_at_large_delta():
     spec = HilbertSpec(150)
     pair = make_state_pair(spec, 0.6, kappa=2.0)
     assert homodyne_p_err_numeric(pair) < 0.5
 
 
-def binned_misclassification(spec, state, mu, kappa, points=513):
-    """Reference: probability of state |mu~> outside its decision bins,
-    one position_density + Simpson evaluation per bin."""
-    from scipy.integrate import simpson
+def mpmath_homodyne_p_err(delta, kappa, sigma):
+    """30-digit reference: every peak pair's Gaussian integrated over every
+    decision bin of the other logical value, bin by bin."""
+    with mpmath.workdps(30):
+        root_pi, half = mpmath.sqrt(mpmath.pi), mpmath.mpf(1) / 2
+        scale = mpmath.sqrt(2 * (mpmath.mpf(delta) ** 2 / 2 + mpmath.mpf(sigma) ** 2))
+        reach = int(mpmath.ceil(14 * scale / root_pi)) + 1
 
-    from gkp_readout.fock import position_density
+        def mass(lo, hi):
+            # Mass of N(0, scale²/2) on [lo, hi], from the tails so that
+            # small masses keep their digits.
+            if lo >= 0:
+                return (mpmath.erfc(lo / scale) - mpmath.erfc(hi / scale)) / 2
+            if hi <= 0:
+                return mass(-hi, -lo)
+            return 1 - (mpmath.erfc(-lo / scale) + mpmath.erfc(hi / scale)) / 2
 
-    root_pi = np.sqrt(np.pi)
-    k_max = int(np.ceil((kappa * np.sqrt(2 * np.pi) + 6.0) / root_pi))
-    total = 0.0
-    for k in range(-k_max, k_max + 1):
-        if k % 2 == mu:
-            continue
-        x = np.linspace((k - 0.5) * root_pi, (k + 0.5) * root_pi, points)
-        total += simpson(position_density(spec, state, x), x=x)
-    return total
+        total = 0
+        for mu in (0, 1):
+            peaks = [int(s) for s in peak_indices(mu, kappa)]
+            amp = {s: mpmath.exp(-mpmath.pi * (2 * s + mu) ** 2 / (2 * mpmath.mpf(kappa) ** 2))
+                   for s in peaks}
+            weight = err = 0
+            for s in peaks:
+                for t in peaks:
+                    w = amp[s] * amp[t] * mpmath.exp(-mpmath.pi * (s - t) ** 2
+                                                     / mpmath.mpf(delta) ** 2)
+                    centre = s + t + mu
+                    weight += w
+                    err += w * sum(mass((k - centre - half) * root_pi, (k - centre + half) * root_pi)
+                                   for k in range(centre - reach, centre + reach + 1)
+                                   if k % 2 != mu)
+            total += err / weight
+        return float(total / 2)
 
 
-def binned_p_err(pair):
-    return 0.5 * sum(binned_misclassification(pair.spec, state, mu, pair.kappa)
-                     for mu, state in ((0, pair.state0), (1, pair.state1)))
+@pytest.mark.parametrize("db, sigma", [(7.0, 0.0), (10.0, 0.0), (14.0, 0.0), (10.0, 0.1)])
+def test_homodyne_matches_mpmath_peak_sum(db, sigma):
+    # The closed form reads only delta, kappa and sigma. At 7 dB the
+    # cross terms of odd s + t carry weight; at 14 dB p_err is ~3.4e-10.
+    delta = db_to_delta(db)
+    pair = GkpStatePair(None, None, SPEC, delta, 1.0 / delta, sigma)
+    ref = mpmath_homodyne_p_err(delta, 1.0 / delta, sigma)
+    assert abs(homodyne_p_err_numeric(pair) - ref) <= 1e-13 * ref
 
 
 def test_homodyne_relabeling_symmetry(pair_10db):
@@ -466,17 +486,31 @@ def test_homodyne_relabeling_symmetry(pair_10db):
     assert abs(0.5 * (e0 + e1) - homodyne_p_err_numeric(pair_10db)) < 1e-6
 
 
+# The Fock states converge to the closed form as the cutoff grows: the
+# per-bin quadrature of their densities (2049 points per bin) is within
+# 3.3e-10 relative at 10 dB and N = 300 (5.0e-6 at N = 150), and within
+# 1.1e-7 at 14 dB and N = 600 (8 % at N = 300).
+def test_homodyne_10db_matches_per_bin_reference():
+    pair = make_state_pair(HilbertSpec(300), DELTA_10DB)
+    exact = homodyne_p_err_numeric(pair)
+    assert abs(binned_p_err(pair) - exact) < 1e-9 * exact
+
+
 def test_homodyne_mixed_input_matches_per_bin_reference():
-    pair = make_state_pair(SPEC, DELTA_10DB, sigma=0.1)
-    ref = binned_p_err(pair)
-    assert abs(homodyne_p_err_numeric(pair) - ref) < 1e-10 * ref
+    pair = make_state_pair(HilbertSpec(300), DELTA_10DB, sigma=0.1)
+    exact = homodyne_p_err_numeric(pair)
+    assert abs(binned_p_err(pair) - exact) < 1e-9 * exact
 
 
 def test_homodyne_14db_matches_per_bin_reference():
-    # p_err ~ 3.6e-10: the misclassified bins hold only the envelope tails
-    pair = make_state_pair(HilbertSpec(300), db_to_delta(14.0))
-    ref = binned_p_err(pair)
-    assert abs(homodyne_p_err_numeric(pair) - ref) < 1e-10 * ref
+    # p_err ~ 3.4e-10: the misclassified bins hold only the envelope tails
+    gaps = []
+    for cutoff in (300, 600):
+        pair = make_state_pair(HilbertSpec(cutoff), db_to_delta(14.0))
+        exact = homodyne_p_err_numeric(pair)
+        gaps.append(abs(binned_p_err(pair) - exact) / exact)
+    assert gaps[1] < 1e-6
+    assert gaps[0] > gaps[1]
 
 
 def test_state_path_needs_no_dense_eigh(monkeypatch):

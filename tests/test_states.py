@@ -7,7 +7,6 @@ from gkp_readout.fock import (
     TruncationError,
     leakage,
     normalize,
-    position_density,
     squeezed_vacuum,
     x_eigenbasis,
 )
@@ -35,6 +34,8 @@ from hybrid_oracle import (
     logical_z_displacement,
     make_quadratures,
     p_eigenbasis,
+    position_density,
+    position_wavefunctions,
     stabilizer_displacement,
     vacuum,
 )
@@ -209,6 +210,17 @@ def test_cached_ket_still_checks_leakage():
         make_pure_gkp(spec, g)
 
 
+def test_strict_pair_checks_channel_output():
+    # At 11.5 dB and N = 150 the kets leak 3.7e-11, under the tolerance,
+    # but the sigma = 0.15 channel output of |1~> leaks 1.2e-10, over it
+    delta = db_to_delta(11.5)
+    make_state_pair(SPEC, delta)
+    with pytest.raises(TruncationError):
+        make_state_pair(SPEC, delta, sigma=0.15)
+    loose = make_state_pair(SPEC, delta, sigma=0.15, strict=False)
+    assert leakage(loose.state0) < 1e-10 < leakage(loose.state1)
+
+
 @pytest.mark.parametrize("db", [7.0, 10.0, 14.0])
 def test_channel_keeps_real_parity_blocks(db):
     # The channel commutes with parity: an even ket stays block-diagonal
@@ -341,8 +353,6 @@ def test_helstrom_edges():
 
 def test_helstrom_dual_method():
     # Overlap from Fock inner product vs X-grid wavefunction integral
-    from gkp_readout.fock import position_wavefunctions
-
     k0 = make_pure_gkp(SPEC, GkpSpec(0, 0.5, 2.0))
     k1 = make_pure_gkp(SPEC, GkpSpec(1, 0.5, 2.0))
     ov_fock = abs(np.vdot(k0, k1))

@@ -351,7 +351,26 @@ def test_every_config_key_changes_output(tmp_path, monkeypatch, run, base, chang
         text = emit(run(cfg), cfg)
         return text, sorted((p.name, p.read_text()) for p in tmp_path.iterdir())
 
-    assert output() != output(**change)
+    unchanged = output()  # first: the changed config may write a file
+    if "allow_extreme_range" in change:
+        # The optimal lambda at 3.5 and at 4.5 dB lies outside the improved
+        # formula's small-lambda regime, and each says so once
+        with pytest.warns(UserWarning, match="small-lambda regime") as caught:
+            changed = output(**change)
+        assert len(caught) == 2
+    else:
+        changed = output(**change)
+    assert unchanged != changed
+
+
+def test_auto_cutoff_flags_leaking_channel_output():
+    # Auto picks N = 150 at 11.5 dB from the kets, whose sigma = 0.15
+    # channel output then leaks 1.2e-10: its rows are flagged, not dropped
+    cfg = SweepConfig(delta_db_min=11.0, delta_db_max=11.5, delta_db_points=2,
+                      sigma_list=(0.0, 0.15))
+    flags = {(r.delta_db, r.sigma): r.converged_flag for r in run_fig1c(cfg)}
+    assert flags == {(11.0, 0.0): True, (11.0, 0.15): True,
+                     (11.5, 0.0): True, (11.5, 0.15): False}
 
 
 def test_fixed_cutoff_flags_nonconverged_rows():
