@@ -19,6 +19,7 @@ from .readout import (
     ReadoutOutcome,
     error_curve,
     homodyne_p_err_numeric,
+    readout_error,
     run_readout_once,
     simulated_p_err,
 )

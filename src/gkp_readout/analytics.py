@@ -74,23 +74,25 @@ def _bisect(f, lo: float, hi: float, xtol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def first_rising_root(f, grid: np.ndarray) -> Optional[float]:
+def first_rising_root(f, grid: np.ndarray, xtol: float = 0.0) -> Optional[float]:
     """Root of f in the first grid interval where f goes from negative to
-    non-negative, bisected until the midpoint stops moving; None when f
-    has no such change on the grid. f takes an array of points as well
-    as one point."""
+    non-negative, bisected to an interval of xtol or until the midpoint
+    stops moving; None when f has no such change on the grid. f takes an
+    array of points as well as one point."""
     vals = f(grid)
     rising = np.flatnonzero((vals[:-1] < 0) & (vals[1:] >= 0))
     if rising.size == 0:
         return None
     i = rising[0]
-    return float(_bisect(f, grid[i], grid[i + 1], 0.0))
+    return float(_bisect(f, grid[i], grid[i + 1], xtol))
 
 
 def optimal_lambda(delta: float) -> float:
     """Root of (2 lambda/delta^2) e^{-lambda^2/delta^2} = sqrt(pi) cos(sqrt(pi) lambda)
     nearest the small-delta seed: the first minus-to-plus sign change on a
-    scan, bisected until the midpoint stops moving.
+    scan, bisected until the midpoint stops moving. The simulated error
+    is read at this lambda, and it is not flat there, since the formula's
+    optimum is not the simulated one.
 
     A root lies below sqrt(pi)/2 for every delta in (0, 1): the condition
     is negative at lambda = 0 and positive where cos(sqrt(pi) lambda) = 0.

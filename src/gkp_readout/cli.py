@@ -115,10 +115,16 @@ def cmd_validate(args) -> int:
         for tree in (out.branches_0, out.branches_1))))
     checks.append(("Helstrom dominance",
                    out.p_err >= helstrom_bound(pair.state0, pair.state1) - 1e-10))
-    sim = readout.simulated_p_err(pair, readout.CircuitParams(lam, 1)).p_err
+    # The sweeps' closed forms (R = 3 at lambda = 0, R = 1 at the optimum)
+    # against the branch enumeration.
+    params = (readout.CircuitParams(0.0, 3), readout.CircuitParams(lam, 1))
+    closed = [readout.readout_error(pair, prm) for prm in params]
+    checks.append(("closed-form p_err equals branch enumeration at 10 dB", all(
+        abs(c - readout.simulated_p_err(pair, prm).p_err) <= 1e-12 * c + 1e-16
+        for c, prm in zip(closed, params))))
     formula = analytics.p_err_improved_formula(delta, lam)
     checks.append(("formula agreement at 10 dB",
-                   abs(sim - formula) < max(0.1 * formula, 1e-5)))
+                   abs(closed[1] - formula) < max(0.1 * formula, 1e-5)))
     ok = True
     for name, passed in checks:
         print(f"{'PASS' if passed else 'FAIL'}  {name}")

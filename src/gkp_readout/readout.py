@@ -7,9 +7,12 @@ afterwards, the circuit is a two-outcome instrument {K0, K1} on the
 oscillator alone, built from functions of X and P as real blocks on
 Fock parity. Multi-round runs enumerate every measurement branch
 exactly on those blocks, keeping the post-measurement oscillator state
-and resetting the qubit between rounds. At one round the error is also
-a closed-form curve in lambda (`error_curve`), for lambda searches. The
-ideal homodyne readout they are compared with is a closed-form peak sum.
+and resetting the qubit between rounds. `readout_error` gives the same
+error without the branches where a closed form exists: at lambda = 0 on
+the X eigenbasis, and at one round on a ket from the cached Kraus
+factors. At one round the error is also a closed-form curve in lambda
+(`error_curve`), for lambda searches. The ideal homodyne readout they
+are compared with is a closed-form peak sum.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .fock import HilbertSpec, signed_x_rows, x_eigenbasis
-from .states import GkpStatePair, effective_squeezing, peak_indices
+from .states import GkpStatePair, effective_squeezing, peak_indices, x_populations
 
 PROB_PRUNE = 1e-15
 MAX_ROUNDS = 9
@@ -253,6 +256,49 @@ def simulated_p_err(pair: GkpStatePair, params: CircuitParams) -> ReadoutOutcome
     wrong = [sum(b.probability for b in tree if b.majority != mu) for mu, tree in enumerate(trees)]
     return ReadoutOutcome(p_1_given_0=wrong[0], p_0_given_1=wrong[1],
                           branches_0=trees[0], branches_1=trees[1])
+
+
+def readout_error(pair: GkpStatePair, params: CircuitParams) -> float:
+    """`simulated_p_err(pair, params).p_err` by the cheapest exact route;
+    no branch is enumerated where a closed form exists.
+
+    - At lambda = 0, any rounds, kets or density matrices: K0 and M1 are
+      cos(√π X/2) and sin(√π X/2), so given the X eigenvalue w_j the
+      rounds are i.i.d. with P(1) = s_j = sin²(√π w_j/2), and
+      p_err = ½ Σ_j [d⁰_j P(Bin(R, s_j) > R/2) + d¹_j P(Bin(R, s_j) < R/2)],
+      d^μ the X populations of state μ (`x_populations`).
+    - At one round on kets, any lambda: the wrong outcome's factors
+      (G, H, ±) on parity p (`_kraus_factors`) give
+      p_err = ½ Σ_μ Σ_p ‖G(c∘e) ± H(s∘e)‖², e = U_pᵀψ_p, c = cos λw and
+      s = sin λw: a few O(N²) products, and no Kraus pair is built.
+    - Otherwise, the branch enumeration.
+
+    Every term of both closed forms is non-negative.
+    """
+    w = x_eigenbasis(pair.spec)[0]
+    states = (pair.state0, pair.state1)
+    if params.lam == 0:
+        r = params.rounds
+        # Each directly, not as 1 minus the other, so neither cancels.
+        half = np.sqrt(np.pi) / 2 * w
+        s, c = np.sin(half) ** 2, np.cos(half) ** 2
+        p_ones = [math.comb(r, m) * s**m * c ** (r - m) for m in range(r + 1)]
+        # Input 0 errs on a majority of ones, input 1 on a majority of zeros.
+        wrong = (sum(p_ones[r // 2 + 1:]), sum(p_ones[:r // 2 + 1]))
+        return float(0.5 * sum(x_populations(pair.spec, state) @ tail
+                               for state, tail in zip(states, wrong)))
+    if params.rounds == 1 and pair.is_pure:
+        c, s = np.cos(params.lam * w), np.sin(params.lam * w)
+        u = signed_x_rows(pair.spec)
+        total = 0.0
+        # Input 0 errs on M1, input 1 on K0.
+        for state, op in zip(states, _kraus_factors(pair.spec)[1][::-1]):
+            for p, (g, h, sign) in enumerate(op):
+                e = u[p].T @ state[p::2]
+                y = g @ (c * e) + sign * (h @ (s * e))
+                total += float(np.vdot(y, y).real)
+        return 0.5 * total
+    return simulated_p_err(pair, params).p_err
 
 
 def branch_tree_dump(pair: GkpStatePair, outcome: ReadoutOutcome) -> str:

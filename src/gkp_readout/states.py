@@ -163,8 +163,9 @@ def auto_cutoff(delta: float, kappa: Optional[float] = None, sigma: float = 0.0,
     """Smallest cutoff in the doubling sequence whose GKP kets pass the
     leakage check. sigma is accepted but unused: the displacement
     channel's output can leak more than its input (at N = 150 and 11.5 dB,
-    3.7e-11 for the ket and 1.2e-10 after sigma = 0.15), and only a strict
-    `make_state_pair` checks it."""
+    3.7e-11 for the ket and 1.2e-10 after sigma = 0.15). A strict
+    `make_state_pair` raises on that, and a sweep under the auto policy
+    doubles the cutoff again, building the channel once per cutoff."""
     if start > MAX_CUTOFF:
         raise ValueError(f"start cutoff {start} exceeds the largest tried, {MAX_CUTOFF}")
     n = start
@@ -228,18 +229,26 @@ def gaussian_displacement_channel(spec: HilbertSpec, state: np.ndarray,
     return out
 
 
+def x_populations(spec: HilbertSpec, state: np.ndarray) -> np.ndarray:
+    """Populations (VᵀρV)ⱼⱼ of a ket or density matrix on the X
+    eigenbasis (w, V): |(Vᵀψ)ⱼ|² for a ket. Real and non-negative up to
+    rounding."""
+    v = x_eigenbasis(spec)[1]
+    state = np.asarray(state)
+    if state.ndim == 1:
+        return np.abs(v.T @ state) ** 2
+    return np.einsum("kj,kj->j", v, state @ v).real
+
+
 def effective_squeezing(spec: HilbertSpec, state: np.ndarray) -> float:
     """Effective peak width sqrt(ln(1/|<D(i√(2π))>|²) / (2π)).
 
     Equals delta for the pure states; +inf when the expectation vanishes.
     """
     # D(i√(2π)) = exp(2i√π X) is diagonal on the X eigenbasis (w, V), so
-    # <D> = Σⱼ (VᵀρV)ⱼⱼ e^{2i√π wⱼ}, with (VᵀρV)ⱼⱼ = |(Vᵀψ)ⱼ|² for a ket.
-    w, v = x_eigenbasis(spec)
-    state = np.asarray(state)
-    weights = (np.abs(v.T @ state) ** 2 if state.ndim == 1
-               else np.einsum("kj,kj->j", v, state @ v))
-    e = abs(weights @ np.exp(2j * np.sqrt(np.pi) * w))
+    # <D> = Σⱼ (VᵀρV)ⱼⱼ e^{2i√π wⱼ}.
+    w = x_eigenbasis(spec)[0]
+    e = abs(x_populations(spec, state) @ np.exp(2j * np.sqrt(np.pi) * w))
     if e <= 1e-300:
         return np.inf
     if e > 1.0:

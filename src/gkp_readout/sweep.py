@@ -11,7 +11,7 @@ import numpy as np
 
 from . import analytics
 from .fock import LEAKAGE_TOL, HilbertSpec, leakage
-from .readout import CircuitParams, error_curve, simulated_p_err
+from .readout import CircuitParams, error_curve, readout_error
 from .states import (
     MAX_CUTOFF,
     GkpSpec,
@@ -30,6 +30,9 @@ DB_GUARD = (4.0, 16.0)
 # is one CircuitParams accepts (|lambda| < 1), and its scan points.
 LAMBDA_SEARCH_MAX = 0.95
 LAMBDA_SCAN_POINTS = 64
+# Width in lambda at which the search stops bisecting: the error is flat
+# at its minimum, so lambda digits below it leave p_err unchanged.
+LAMBDA_XTOL = 1e-10
 # Accepted spellings of a boolean config value, compared case-insensitively.
 BOOL_TEXT = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -125,7 +128,7 @@ class SweepPoint:
     converged: bool
 
     def simulated(self, lam: float, rounds: int = 1) -> float:
-        return simulated_p_err(self.pair, CircuitParams(lam, rounds)).p_err
+        return readout_error(self.pair, CircuitParams(lam, rounds))
 
     def row(self, strategy: str, lam: float, rounds: int,
             p_sim: Optional[float], p_formula: Optional[float]) -> SweepRow:
@@ -138,16 +141,22 @@ class SweepPoint:
 
 def sweep_point(config: SweepConfig, delta: float, sigma: float) -> SweepPoint:
     """The state pair and shared scalars of one grid point, under the
-    config's kappa and cutoff policies. A cutoff that truncates a ket or
-    the channel's output, under either policy, is flagged in `converged`,
-    not raised, so no row is ever dropped."""
+    config's kappa and cutoff policies. The auto policy starts from the
+    kets' cutoff (`auto_cutoff`) and doubles it while the channel's output
+    leaks, up to `MAX_CUTOFF`. A cutoff that still truncates a ket or the
+    channel's output is flagged in `converged`, not raised, so no row is
+    ever dropped."""
     kappa = 1.0 / delta if config.kappa_policy == "inverse_delta" else config.kappa_fixed_value
     if config.cutoff_policy == "fixed":
         spec = HilbertSpec(config.cutoff_n)
     else:
         spec = auto_cutoff(delta, kappa, start=config.cutoff_n)
-    pair = make_state_pair(spec, delta, kappa, sigma, strict=False)
-    converged = all(leakage(state) < LEAKAGE_TOL for state in (pair.state0, pair.state1))
+    while True:
+        pair = make_state_pair(spec, delta, kappa, sigma, strict=False)
+        converged = all(leakage(state) < LEAKAGE_TOL for state in (pair.state0, pair.state1))
+        if converged or config.cutoff_policy == "fixed" or 2 * spec.cutoff > MAX_CUTOFF:
+            break
+        spec = HilbertSpec(2 * spec.cutoff)
     return SweepPoint(pair, purity(pair.state0), effective_squeezing(spec, pair.state0),
                       helstrom_bound(pair.state0, pair.state1) if pair.is_pure else None,
                       converged)
@@ -196,12 +205,12 @@ def optimize_lambda_simulated(pair, deff: float) -> tuple[float, float]:
     """Minimum of the simulated single-round error over lambda in [0, hi],
     used where the pure-state formula does not apply (mixed inputs): the
     first minus-to-plus sign change of the error curve's slope on a scan,
-    bisected; without one, the scan point of least error. Returns
-    (lambda, p_err)."""
+    bisected to LAMBDA_XTOL, where the error is flat; without one, the
+    scan point of least error. Returns (lambda, p_err)."""
     curve = error_curve(pair)
     grid = np.linspace(0.0, min(3 * np.sqrt(np.pi) * deff**2, LAMBDA_SEARCH_MAX),
                        LAMBDA_SCAN_POINTS)
-    lam = analytics.first_rising_root(curve.slope, grid)
+    lam = analytics.first_rising_root(curve.slope, grid, LAMBDA_XTOL)
     if lam is None:
         lam = float(grid[np.argmin(curve(grid))])
     return lam, float(curve(lam))

@@ -4,6 +4,7 @@ import pytest
 
 from gkp_readout.analytics import (
     LEADING_ORDER_COEFF,
+    first_rising_root,
     helstrom_formula,
     homodyne_crossover_db,
     lambda_seed,
@@ -158,3 +159,21 @@ def test_bisection_without_sign_change_is_numerical_error():
     # failure of the numerics, which the CLI reports as exit 3
     with pytest.raises(NumericalError, match="no sign change"):
         homodyne_crossover_db(7.0, 8.0)
+
+
+def test_first_rising_root_stops_at_xtol():
+    # One call on the grid, two on the bracket, then one per halving: a
+    # 1/64-wide bracket reaches 1e-10 in 28 halvings; without xtol it
+    # halves until the midpoint stops moving
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.asarray(x) - 0.3
+
+    grid = np.linspace(0.0, 1.0, 65)
+    assert abs(first_rising_root(f, grid, 1e-10) - 0.3) <= 5e-11
+    assert len(calls) == 1 + 2 + 28
+    calls.clear()
+    assert abs(first_rising_root(f, grid) - 0.3) <= 1e-16
+    assert len(calls) > 1 + 2 + 45

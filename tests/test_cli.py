@@ -81,7 +81,8 @@ def test_validate_command(capsys):
     assert main(["validate"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert out.count("PASS") >= 6
+    assert out.count("PASS") >= 7
+    assert "PASS  closed-form p_err equals branch enumeration at 10 dB" in out
 
 
 def test_validate_reports_failure(capsys, monkeypatch):

@@ -16,6 +16,7 @@ from gkp_readout.readout import (
     branch_tree_dump,
     error_curve,
     homodyne_p_err_numeric,
+    readout_error,
     readout_kraus,
     run_readout_once,
     simulated_p_err,
@@ -287,6 +288,59 @@ def test_general_input_branches_match_hybrid_oracle(general_case):
                 wrong.append(sum(prob for outcomes, prob, _ in want
                                  if Branch(outcomes, prob, None).majority != mu))
             assert abs(out.p_err - 0.5 * sum(wrong)) < 1e-10 * out.p_err
+
+
+@pytest.fixture(scope="module")
+def sweep_pairs():
+    """(db, sigma) -> the state pair a sweep builds there: auto cutoff,
+    N = 150 at 7 and 10 dB and N = 300 at 12 dB; each built once."""
+    pairs = {}
+
+    def build(db, sigma):
+        if (db, sigma) not in pairs:
+            delta = db_to_delta(db)
+            pairs[db, sigma] = make_state_pair(auto_cutoff(delta), delta, sigma=sigma)
+        return pairs[db, sigma]
+
+    return build
+
+
+@pytest.mark.parametrize("db", [7.0, 10.0, 12.0])
+@pytest.mark.parametrize("sigma", [0.0, 0.05, 0.1])
+def test_readout_error_equals_branch_enumeration(sweep_pairs, db, sigma):
+    # The closed forms (lambda = 0; one round on kets) and the fallback
+    # against the enumeration they replace in the sweeps
+    pair = sweep_pairs(db, sigma)
+    assert pair.spec.cutoff == (300 if db == 12.0 else 150)
+    for lam in (0.0, optimal_lambda(pair.delta), 0.3):
+        for rounds in (1, 3, 5):
+            params = CircuitParams(lam, rounds)
+            want = simulated_p_err(pair, params).p_err
+            assert abs(readout_error(pair, params) - want) <= 1e-12 * want + 1e-16
+
+
+def test_readout_error_lambda_zero_matches_hybrid_oracle(oracle_case):
+    # R = 5 at lambda = 0 from the X populations against the
+    # qubit⊗oscillator branch tree
+    spec, pair, _, unitaries = oracle_case(10)
+    wrong = 0.0
+    for mu, state in enumerate((pair.state0, pair.state1)):
+        wrong += sum(prob for outcomes, prob, _ in
+                     enumerate_branches_hybrid(spec, state, unitaries[0.0], 5)
+                     if Branch(outcomes, prob, None).majority != mu)
+    want = 0.5 * wrong
+    assert abs(readout_error(pair, CircuitParams(0.0, 5)) - want) < 1e-10 * want
+
+
+def test_readout_error_general_input(general_case):
+    # Complex kets on both parities and densities with even-odd coherence
+    pairs, unitaries = general_case
+    for lam in unitaries:
+        for pair in pairs:
+            for rounds in (1, 3):
+                params = CircuitParams(lam, rounds)
+                want = simulated_p_err(pair, params).p_err
+                assert abs(readout_error(pair, params) - want) <= 1e-12 * want + 1e-16
 
 
 def test_simple_p_err_matches_formula(pair_10db):

@@ -363,14 +363,28 @@ def test_every_config_key_changes_output(tmp_path, monkeypatch, run, base, chang
     assert unchanged != changed
 
 
-def test_auto_cutoff_flags_leaking_channel_output():
-    # Auto picks N = 150 at 11.5 dB from the kets, whose sigma = 0.15
-    # channel output then leaks 1.2e-10: its rows are flagged, not dropped
+def test_auto_cutoff_doubles_on_leaking_channel_output(monkeypatch):
+    # The kets at 11.5 dB converge at N = 150, but their sigma = 0.15
+    # channel output leaks 1.2e-10 there: auto doubles N for that point
+    # alone, and every point builds its channel once per cutoff tried
+    from gkp_readout import states
+
+    channel = states.gaussian_displacement_channel
+    cutoffs = []
+
+    def counted(spec, state, sigma):
+        cutoffs.append(spec.cutoff)
+        return channel(spec, state, sigma)
+
+    monkeypatch.setattr(states, "gaussian_displacement_channel", counted)
     cfg = SweepConfig(delta_db_min=11.0, delta_db_max=11.5, delta_db_points=2,
                       sigma_list=(0.0, 0.15))
-    flags = {(r.delta_db, r.sigma): r.converged_flag for r in run_fig1c(cfg)}
-    assert flags == {(11.0, 0.0): True, (11.0, 0.15): True,
-                     (11.5, 0.0): True, (11.5, 0.15): False}
+    rows = run_fig1c(cfg)
+    assert {(r.delta_db, r.sigma): (r.cutoff_N, r.converged_flag) for r in rows} == {
+        (11.0, 0.0): (150, True), (11.0, 0.15): (150, True),
+        (11.5, 0.0): (150, True), (11.5, 0.15): (300, True)}
+    # Two states: 11 dB at N = 150, then 11.5 dB at N = 150 and at 300
+    assert cutoffs == [150, 150, 150, 150, 300, 300]
 
 
 def test_fixed_cutoff_flags_nonconverged_rows():
@@ -379,3 +393,20 @@ def test_fixed_cutoff_flags_nonconverged_rows():
     rows = run_fig1a(cfg)
     assert rows  # never silently dropped
     assert any(not r.converged_flag for r in rows)
+
+
+def test_sweeps_enumerate_no_branches(monkeypatch):
+    # Every sweep cell is a closed form (lambda = 0, or one round on kets)
+    # or the error curve: no branch enumeration and no Kraus pair
+    from gkp_readout import readout
+
+    calls = []
+    for name in ("simulated_p_err", "readout_kraus", "_enumerate_branches"):
+        def counted(*args, _name=name, _f=getattr(readout, name), **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(readout, name, counted)
+    for command in ("fig1a", "fig1b", "fig1c"):
+        assert main([command, "--points", "2"]) == 0
+    assert calls == []
