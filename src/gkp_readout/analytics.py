@@ -56,13 +56,15 @@ def _stationarity(lam: float, delta: float) -> float:
     return (2 * lam / delta**2) * np.exp(-(lam**2) / delta**2) - SQRT_PI * np.cos(SQRT_PI * lam)
 
 
-def _bisect(f, lo: float, hi: float, xtol: float) -> float:
+def _bisect(f, lo: float, hi: float, xtol: float, lo_negative: Optional[bool] = None) -> float:
     """Root of f between lo and hi, where f changes sign, by bisection to
     an interval of xtol or until the midpoint stops moving. No sign change
-    is a failure of the numerics (NumericalError), not bad input."""
-    lo_negative = f(lo) < 0
-    if lo_negative == (f(hi) < 0):
-        raise NumericalError(f"no sign change of f between {lo} and {hi}")
+    is a failure of the numerics (NumericalError), not bad input. A scan
+    that saw the sign change passes f(lo) < 0 as lo_negative instead."""
+    if lo_negative is None:
+        lo_negative = f(lo) < 0
+        if lo_negative == (f(hi) < 0):
+            raise NumericalError(f"no sign change of f between {lo} and {hi}")
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -84,7 +86,7 @@ def first_rising_root(f, grid: np.ndarray, xtol: float = 0.0) -> Optional[float]
     if rising.size == 0:
         return None
     i = rising[0]
-    return float(_bisect(f, grid[i], grid[i + 1], xtol))
+    return float(_bisect(f, grid[i], grid[i + 1], xtol, lo_negative=True))
 
 
 def optimal_lambda(delta: float) -> float:

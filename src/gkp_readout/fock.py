@@ -54,6 +54,17 @@ def _even_odd_svd(off: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return y, s, zt.T
 
 
+def _eigenpairs(y: np.ndarray, s: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Ascending w and V from the even-odd SVD, padded (`x_sectors`) or not.
+    half, odd = z.shape[0], y.shape[0] - z.shape[0]
+    # s is descending, so -s ascends.
+    y_pair, z_pair = y[:, :half] * np.sqrt(0.5), z[:, :half] * np.sqrt(0.5)
+    v = np.empty((2 * half + odd, 2 * half + odd))
+    v[0::2] = np.hstack((y_pair, y[:, half:], y_pair[:, ::-1]))
+    v[1::2] = np.hstack((-z_pair, np.zeros((half, odd)), z_pair[:, ::-1]))
+    return np.concatenate((-s[:half], np.zeros(odd), s[:half][::-1])), v
+
+
 def zero_diagonal_eigh(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues w and real orthonormal eigenvectors V of the
     symmetric tridiagonal T with a zero diagonal and off-diagonal `off`.
@@ -62,26 +73,38 @@ def zero_diagonal_eigh(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its eigenpairs are (±s_k, [y_k; ±z_k]/√2), and an odd dimension adds
     the zero mode [y; 0] (Golub & Kahan, 1965).
     """
-    y, s, z = _even_odd_svd(off)
-    half, odd = z.shape[0], y.shape[0] - z.shape[0]
-    # s is descending, so -s ascends.
-    y_pair, z_pair = y[:, :half] * np.sqrt(0.5), z * np.sqrt(0.5)
-    v = np.empty((2 * half + odd, 2 * half + odd))
-    v[0::2] = np.hstack((y_pair, y[:, half:], y_pair[:, ::-1]))
-    v[1::2] = np.hstack((-z_pair, np.zeros((half, odd)), z_pair[:, ::-1]))
-    return np.concatenate((-s, np.zeros(odd), s[::-1])), v
+    return _eigenpairs(*_even_odd_svd(off))
+
+
+@lru_cache(maxsize=4)
+def x_sectors(spec: HilbertSpec) -> tuple:
+    """The one SVD of truncated X per cutoff, X[0::2, 1::2] = Y diag(s) Zᵀ,
+    as half-size sectors (Y, s, Z, Y_s, Z_s, c), read-only. Sector a holds
+    the eigenpairs (±s_a, [y_a; ±z_a]/√2); an odd dim adds the null mode
+    [y; 0] as a last sector with s = 0 and a zero column of Z. Y_s = S_0 Y
+    and Z_s = S_1 Z, S = diag((-1)^⌊n/2⌋), do the same for P
+    (`signed_x_rows`), and c = (YᵀY_s, ZᵀZ_s) takes blocks from the P to
+    the X sectors."""
+    y, s, z = _even_odd_svd(np.sqrt(np.arange(1, spec.dim) / 2))
+    pad = y.shape[0] - s.size
+    s, z = np.concatenate((s, np.zeros(pad))), np.hstack((z, np.zeros((z.shape[0], pad))))
+    y_s, z_s = (i_power_signs(spec.dim)[p::2, None] * b for p, b in enumerate((y, z)))
+    c = (y.T @ y_s, z.T @ z_s)
+    for a in (y, s, z, y_s, z_s, *c):
+        a.setflags(write=False)
+    return y, s, z, y_s, z_s, c
 
 
 @lru_cache(maxsize=4)
 def x_eigenbasis(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues w and real orthonormal eigenvectors V of truncated X,
-    X = V diag(w) Vᵀ. Computed on first use per cutoff and cached
-    (read-only arrays).
+    X = V diag(w) Vᵀ, assembled from `x_sectors`. Computed on first use
+    per cutoff and cached (read-only arrays).
 
     Truncated X is the Hermite Jacobi matrix (zero diagonal, off-diagonal
     sqrt(n/2)), so w are the Gauss-Hermite nodes.
     """
-    w, v = zero_diagonal_eigh(np.sqrt(np.arange(1, spec.dim) / 2))
+    w, v = _eigenpairs(*x_sectors(spec)[:3])
     w.setflags(write=False)
     v.setflags(write=False)
     return w, v
@@ -109,9 +132,10 @@ def i_power_signs(count: int) -> np.ndarray:
     return (-1.0) ** (np.arange(count) // 2)
 
 
+@lru_cache(maxsize=4)
 def squeezed_vacuum(spec: HilbertSpec, delta: float) -> np.ndarray:
     """Squeezed vacuum of X-width delta, Var_X = delta²/2; real, on the even
-    Fock levels only.
+    Fock levels only. Cached per (cutoff, delta) for both kets of a pair.
 
     The generator -½ ln δ (XP + PX) = (i/2) ln δ (a² - a†²) couples only
     n ↔ n+2, also truncated, so the vacuum stays on the even levels n.
@@ -136,6 +160,7 @@ def squeezed_vacuum(spec: HilbertSpec, delta: float) -> np.ndarray:
     amp[1::2] = z @ (np.sin(s) * y[0, :s.size])
     ket = np.zeros(spec.dim)
     ket[n] = i_power_signs(n.size + 1)[1:] * amp
+    ket.setflags(write=False)
     return ket
 
 

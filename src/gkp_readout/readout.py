@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fock import HilbertSpec, signed_x_rows, x_eigenbasis
+from .fock import HilbertSpec, signed_x_rows, x_eigenbasis, x_sectors
 from .states import GkpStatePair, effective_squeezing, peak_indices, x_populations
 
 PROB_PRUNE = 1e-15
@@ -121,15 +121,29 @@ def readout_kraus(spec: HilbertSpec, lam: float):
                  for op in factors)
 
 
+def _fold(x: np.ndarray, p: int, sine: bool) -> np.ndarray:
+    # x P_pᵀ, or x diag(σ) P_pᵀ for sine, for columns x in X-eigenvalue
+    # order and σ the sign of each column's eigenvalue. U_p = W_p P_p with
+    # W = (Y_s, Z_s) of `fock.x_sectors`: P_p takes the columns of the pair
+    # a, at ±s_a, to (x₊ ± x₋)/√2 (the sign σ on the odd levels) and the
+    # null column of an odd dim to itself on the even levels only.
+    half = x.shape[1] // 2
+    pairs = np.sqrt(0.5) * (x[:, :-half - 1:-1] + (1 if p == sine else -1) * x[:, :half])
+    null = x[:, half:x.shape[1] - half] * (p == 0 and not sine)
+    return np.hstack((pairs, null))
+
+
 @lru_cache(maxsize=4)
 def _wrong_outcome_grams(spec: HilbertSpec):
-    """(GᵀG, HᵀH, ±HᵀG) of the wrong outcome's Kraus factors for input mu
-    and parity p, indexed [mu][p]: input 0 errs on M1, input 1 on K0.
-    Cached per cutoff apart from the factors, which fig1a needs without
-    the curve (read-only arrays)."""
+    """(ĜᵀĜ, ĤᵀĤ, ±ĤᵀĜ), Ĝ = G P_pᵀ and Ĥ = H diag(σ) P_pᵀ (`_fold`), of
+    the wrong outcome's Kraus factors (G, H, ±) for input mu and parity p,
+    indexed [mu][p]: input 0 errs on M1, input 1 on K0. Cached per cutoff
+    apart from the factors, which fig1a needs without the curve."""
     k0, m1 = _kraus_factors(spec)[1]
+    folded = (((_fold(g, p, False), _fold(h, p, True), sign) for p, (g, h, sign) in enumerate(op))
+              for op in (m1, k0))
     grams = tuple(tuple((g.T @ g, h.T @ h, sign * (h.T @ g)) for g, h, sign in op)
-                  for op in (m1, k0))
+                  for op in folded)
     for m in (m for per_mu in grams for per_p in per_mu for m in per_p):
         m.setflags(write=False)
     return grams
@@ -139,7 +153,7 @@ def _wrong_outcome_grams(spec: HilbertSpec):
 class ErrorCurve:
     """Single-round p_err(λ) of one state pair and its slope in λ, as
     quadratic forms ½(cᵀ M_cc c + sᵀ M_ss s + sᵀ M_sc c) in c = cos λw and
-    s = sin λw, w the X eigenvalues. Both take a scalar or an array of λ."""
+    s = sin λw, w the s_a of `fock.x_sectors`. Both take λ or an array."""
 
     w: np.ndarray
     value_forms: tuple
@@ -164,24 +178,26 @@ def error_curve(pair: GkpStatePair) -> ErrorCurve:
     round as a function of λ, O(N²) per λ after an O(N³) build.
 
     The error is ½ Σ_mu Σ_p Tr(K ρ_pp Kᵀ) over the wrong outcome's real
-    Kraus blocks K (`_wrong_outcome_grams`). With Q = U_pᵀ ρ_pp U_p each
-    term is cᵀ(GᵀG ∘ Q)c + sᵀ(HᵀH ∘ Q)s ± 2 sᵀ(HᵀG ∘ Q)c. Only Re ρ_pp
-    enters: the imaginary part of a Hermitian ρ is antisymmetric, and its
-    trace against a real K vanishes. The sums of products cancel down to
-    p_err, so the curve carries an absolute rounding error of a few 1e-16.
+    Kraus blocks K = [G diag(c) ± H diag(s)] U_pᵀ, c = cos λw, s = sin λw:
+    cᵀ(GᵀG ∘ Q)c + sᵀ(HᵀH ∘ Q)s ± 2 sᵀ(HᵀG ∘ Q)c with Q = U_pᵀ ρ_pp U_p.
+    On `fock.x_sectors` Q = P_pᵀ(W_pᵀ ρ_pp W_p)P_p, W = (Y_s, Z_s), and P_p
+    pairs the eigenvalues ±s_a, where c is even and s odd, so each form
+    folds to ĉᵀ(Ĝ ∘ W_pᵀ ρ_pp W_p)ĉ, ĉ = cos λs and ŝ = sin λs, on the grams
+    of `_wrong_outcome_grams`. Only Re ρ_pp enters, as K is real and ρ
+    Hermitian. The sums of products cancel down to p_err, with an absolute
+    rounding error of a few 1e-16.
     """
-    w = x_eigenbasis(pair.spec)[0]
-    u = signed_x_rows(pair.spec)
+    _, w, _, y_s, z_s, _ = x_sectors(pair.spec)
     grams = _wrong_outcome_grams(pair.spec)
     a = b = d = 0.0
     for mu, state in enumerate((pair.state0, pair.state1)):
         rho = (state if state.ndim == 2 else np.outer(state, state.conj())).real
-        for p in (0, 1):
-            q = u[p].T @ rho[p::2, p::2] @ u[p]
+        for p, basis in enumerate((y_s, z_s)):
+            m = basis.T @ rho[p::2, p::2] @ basis
             gg, hh, hg = grams[mu][p]
-            a, b, d = a + gg * q, b + hh * q, d + 2 * hg * q
-    # With W = diag(w), d/dλ c = -W s and d/dλ s = W c, so the slope is
-    # ½(cᵀ WD c - sᵀ DW s + 2 sᵀ(BW - WA) c); A and B are symmetric.
+            a, b, d = a + gg * m, b + hh * m, d + 2 * hg * m
+    # With Ω = diag(s), d/dλ ĉ = -Ω ŝ and d/dλ ŝ = Ω ĉ, so the slope is
+    # ½(ĉᵀ ΩD ĉ - ŝᵀ DΩ ŝ + 2 ŝᵀ(BΩ - ΩA) ĉ); A and B are symmetric.
     wc = w[:, None]
     return ErrorCurve(w, (a, b, d), (wc * d, -d * w, 2 * (b * w - wc * a)))
 

@@ -20,6 +20,7 @@ from .fock import (
     signed_x_rows,
     squeezed_vacuum,
     x_eigenbasis,
+    x_sectors,
 )
 
 # Half of the logical lattice spacing in the displacement-amplitude plane:
@@ -187,45 +188,54 @@ _PARITY_PARTS = ((((0, 0), 1), ((1, 1), 1)), (((0, 1), 1), ((1, 0), -1)))
 
 def gaussian_displacement_channel(spec: HilbertSpec, state: np.ndarray,
                                   sigma: float) -> np.ndarray:
-    """Gaussian displacement channel of strength sigma.
-
+    """Gaussian displacement channel of strength sigma,
     ρ -> (1/πσ²) ∫ d²α e^{-|α|²/σ²} D(α) ρ D†(α).
 
-    The isotropic Gaussian factorizes over (Re α, Im α): Re α shifts X
-    (generated by P), Im α shifts P (generated by X). In the eigenbasis
-    (w, V) of the generator, averaging the shifts multiplies ρ_jk by
-    exp(-σ²(w_j - w_k)²/2), so each pass is a Gaussian kernel applied
-    elementwise; both quadratures share the eigenvalues w.
+    Re α shifts X (generated by P), Im α shifts P (generated by X). In the
+    generator's eigenbasis, eigenvalues w, averaging the shifts multiplies
+    ρ_jk by g(w_j - w_k), g(x) = exp(-σ²x²/2). On the sectors of
+    `fock.x_sectors` (eigenvectors [y_a; ±z_a]/√2 at ±s_a) g summed over the
+    four sign pairs leaves K± = g(s_a - s_b) ± g(s_a + s_b), so A = Yᵀρ_00Y
+    and B = Zᵀρ_11Z map to A' = ½(K₊∘A + K₋∘B) and B' = ½(K₋∘A + K₊∘B), and
+    Yᵀρ_01Z and Zᵀρ_10Y the same way. The null mode of an odd dim (s = 0,
+    z = 0) needs no case of its own: K₋ vanishes on its row and column.
     """
-    # The P pass runs in P's eigenbasis F†V, which on parity p is the signed
-    # basis U_p times 1 (even) or i (odd). The channel commutes with parity,
-    # so the parity-diagonal blocks of ρ and its even-odd blocks pass apart.
-    # On the diagonal blocks the phases cancel. The even-odd part enters as
-    # i(U_0ᵀρ_01U_1 - U_1ᵀρ_10U_0) and leaves with -i on block (0, 1) and i
-    # on (1, 0), so in real arithmetic it takes the sign +1 on (0, 1) and -1
-    # on (1, 0), both ways. Each part is kept to its own blocks, so a part
+    # The P pass runs on the signed sectors Y_s and Z_s: P's eigenbasis is
+    # the signed basis U_p times 1 (even) or i (odd). The channel commutes
+    # with parity, so the parity-diagonal blocks of ρ and its even-odd
+    # blocks pass apart. On the diagonal blocks the phases cancel. The
+    # even-odd part enters as i(U_0ᵀρ_01U_1 - U_1ᵀρ_10U_0) and leaves with
+    # -i on block (0, 1) and i on (1, 0), so in real arithmetic it takes the
+    # sign +1 on (0, 1) and -1 on (1, 0), both ways. C_p then takes each
+    # block to the X sectors. Each part is kept to its own blocks, so a part
     # that is zero on input stays exactly zero.
     state = np.asarray(state)
     if sigma == 0:
         return state
-    w, v = x_eigenbasis(spec)
-    u = signed_x_rows(spec)
-    kernel = np.exp(-0.5 * sigma**2 * np.subtract.outer(w, w) ** 2)
+    y, s, z, y_s, z_s, c = x_sectors(spec)
+    near, far = (np.exp(-0.5 * sigma**2 * op.outer(s, s) ** 2) for op in (np.subtract, np.add))
+    k_plus, k_minus = near + far, near - far
+
+    def kernel(a, b):
+        return 0.5 * (k_plus * a + k_minus * b), 0.5 * (k_minus * a + k_plus * b)
+
     if state.ndim == 1:
-        # A ket needs no matrix product to reach the eigenbasis: block
-        # (p, q) of ψψ† there is the outer product of U_pᵀψ_p and U_qᵀψ_q.
-        e = [u[p].T @ state[p::2] for p in (0, 1)]
+        # A ket needs no matrix product to reach the sectors: block (p, q)
+        # of ψψ† there is the outer product of its two sector vectors.
+        e = [(y_s, z_s)[p].T @ state[p::2] for p in (0, 1)]
         first = {(p, q): np.outer(e[p], e[q].conj()) for p, q in np.ndindex(2, 2)}
     else:
-        first = {(p, q): u[p].T @ state[p::2, q::2] @ u[q] for p, q in np.ndindex(2, 2)}
+        first = {(p, q): (y_s, z_s)[p].T @ state[p::2, q::2] @ (y_s, z_s)[q]
+                 for p, q in np.ndindex(2, 2)}
     out = np.zeros((spec.dim,) * 2, dtype=np.result_type(state, float))
     for part in _PARITY_PARTS:
-        t = kernel * sum(sign * first[pq] for pq, sign in part)
-        if t.any():
-            t = kernel * sum(sign * (v[p::2].T @ (u[p] @ t @ u[q].T) @ v[q::2])
-                             for (p, q), sign in part)
-            for (p, q), _ in part:
-                out[p::2, q::2] = v[p::2] @ t @ v[q::2].T
+        blocks = [sign * first[pq] for pq, sign in part]
+        if any(b.any() for b in blocks):
+            blocks = kernel(*blocks)
+            blocks = kernel(*(sign * (c[p] @ b @ c[q].T)
+                              for ((p, q), sign), b in zip(part, blocks)))
+            for ((p, q), _), b in zip(part, blocks):
+                out[p::2, q::2] = (y, z)[p] @ b @ (y, z)[q].T
     return out
 
 
@@ -233,11 +243,17 @@ def x_populations(spec: HilbertSpec, state: np.ndarray) -> np.ndarray:
     """Populations (VᵀρV)ⱼⱼ of a ket or density matrix on the X
     eigenbasis (w, V): |(Vᵀψ)ⱼ|² for a ket. Real and non-negative up to
     rounding."""
-    v = x_eigenbasis(spec)[1]
     state = np.asarray(state)
     if state.ndim == 1:
-        return np.abs(v.T @ state) ** 2
-    return np.einsum("kj,kj->j", v, state @ v).real
+        return np.abs(x_eigenbasis(spec)[1].T @ state) ** 2
+    # On the sectors of `fock.x_sectors` the population of [y_a; ±z_a]/√2
+    # is ½(A_aa + B_aa) ± ½(E_aa + F_aa), with A, B, E and F the blocks of
+    # ρ there as in the channel; the null mode of an odd dim holds A_aa.
+    y, _, z = x_sectors(spec)[:3]
+    d = {(p, q): np.einsum("ka,ka->a", (y, z)[p], state[p::2, q::2] @ (y, z)[q]).real
+         for p, q in np.ndindex(2, 2)}
+    even, odd, half = 0.5 * (d[0, 0] + d[1, 1]), 0.5 * (d[0, 1] + d[1, 0]), spec.dim // 2
+    return np.concatenate(((even - odd)[:half], d[0, 0][half:], (even + odd)[:half][::-1]))
 
 
 def effective_squeezing(spec: HilbertSpec, state: np.ndarray) -> float:

@@ -4,7 +4,7 @@ strength, rounds, and channel noise, with deterministic CSV/JSON output."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -241,14 +241,20 @@ def _format_value(v) -> str:
     return str(v)
 
 
+def _columns(row: SweepRow) -> dict:
+    # The row's fields in table order, read directly: asdict would
+    # deep-copy every value.
+    return {name: getattr(row, name) for name in ("strategy",) + SWEEP_ROW_FIELDS}
+
+
 def rows_to_csv(rows: list[SweepRow]) -> str:
     lines = [",".join(("strategy",) + SWEEP_ROW_FIELDS)]
-    lines += [",".join(map(_format_value, asdict(row).values())) for row in rows]
+    lines += [",".join(map(_format_value, _columns(row).values())) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows: list[SweepRow]) -> str:
-    return json.dumps([asdict(row) for row in rows], indent=2) + "\n"
+    return json.dumps([_columns(row) for row in rows], indent=2) + "\n"
 
 
 def emit(rows: list[SweepRow], config: SweepConfig) -> str:

@@ -6,10 +6,11 @@ part builds quadratures, displacements and functions of X and P as full
 (N+1)² matrices, where the package works on the cached X eigenbasis and
 real Fock-parity blocks. The hybrid part applies the readout gates on
 the full 2(N+1)-dimensional space, with the qubit as the slow (outer)
-tensor factor, so index = q*(N+1) + n. It also holds the golden-section
-cross-check of the optimal interaction strength, and the position
-densities along the Hermite-function recurrence that the homodyne's
-per-bin quadrature reference integrates.
+tensor factor, so index = q*(N+1) + n. It also holds the displacement
+channel on the full X eigenbasis, the golden-section cross-check of the
+optimal interaction strength, and the position densities along the
+Hermite-function recurrence that the homodyne's per-bin quadrature
+reference integrates.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from scipy.integrate import simpson
 from scipy.linalg import eigh
 
 from gkp_readout.analytics import lambda_seed, p_err_improved_formula
-from gkp_readout.fock import HilbertSpec, x_eigenbasis
+from gkp_readout.fock import HilbertSpec, signed_x_rows, x_eigenbasis
 
 
 def destroy(spec: HilbertSpec) -> np.ndarray:
@@ -124,6 +125,31 @@ def stabilizer_displacement(spec: HilbertSpec) -> np.ndarray:
 def logical_z_displacement(spec: HilbertSpec) -> np.ndarray:
     """D(i sqrt(π/2)) = exp(i sqrt(π) X); approximate logical Z."""
     return function_of_x(spec, lambda w: np.exp(1j * np.sqrt(np.pi) * w))
+
+
+def dense_displacement_channel(spec: HilbertSpec, state: np.ndarray,
+                               sigma: float) -> np.ndarray:
+    """The Gaussian displacement channel on the full X eigenbasis: the P
+    pass multiplies block (p, q) of ρ on the signed basis U of P by the
+    kernel exp(-σ²(w_j - w_k)²/2), the X pass does the same on V. The
+    parity-diagonal blocks and the even-odd blocks pass apart, the latter
+    with sign +1 on (0, 1) and -1 on (1, 0) in the P pass. Dense d × d
+    products throughout, where the package works on half-size sectors."""
+    state = np.asarray(state)
+    w, v = x_eigenbasis(spec)
+    u = signed_x_rows(spec)
+    kernel = np.exp(-0.5 * sigma**2 * np.subtract.outer(w, w) ** 2)
+    if state.ndim == 1:
+        state = np.outer(state, state.conj())
+    first = {(p, q): u[p].T @ state[p::2, q::2] @ u[q] for p, q in np.ndindex(2, 2)}
+    out = np.zeros((spec.dim,) * 2, dtype=np.result_type(state, float))
+    for part in ((((0, 0), 1), ((1, 1), 1)), (((0, 1), 1), ((1, 0), -1))):
+        t = kernel * sum(sign * first[pq] for pq, sign in part)
+        t = kernel * sum(sign * (v[p::2].T @ (u[p] @ t @ u[q].T) @ v[q::2])
+                         for (p, q), sign in part)
+        for (p, q), _ in part:
+            out[p::2, q::2] = v[p::2] @ t @ v[q::2].T
+    return out
 
 
 def optimal_lambda_by_minimization(delta: float) -> float:

@@ -138,8 +138,8 @@ def test_eigensolver_failure_exit_code(capsys, monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", fail)
-    fock.x_eigenbasis.cache_clear()
-    states._gkp_ket.cache_clear()
+    for cached in (fock.x_sectors, fock.x_eigenbasis, fock.squeezed_vacuum, states._gkp_ket):
+        cached.cache_clear()
     assert main(["state-info", "--delta-db", "10"]) == EXIT_CONVERGENCE
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "convergence"

@@ -201,14 +201,17 @@ def test_kraus_cs_blocks_cached_read_only():
         assert not blk.flags.writeable
 
 
-@pytest.fixture(scope="module", params=[(db, sigma) for db in (7.0, 10.0, 14.0)
-                                        for sigma in (0.0, 0.1)])
+@pytest.fixture(scope="module", params=[(db, sigma, None) for db in (7.0, 10.0, 14.0)
+                                        for sigma in (0.0, 0.1)]
+                + [(db, sigma, 151) for db in (7.0, 10.0) for sigma in (0.0, 0.1)])
 def curve_case(request):
     """A ket pair or a sigma = 0.1 density pair, its error curve, and a
-    lambda grid from 0 through the optimum to 0.3."""
-    db, sigma = request.param
+    lambda grid from 0 through the optimum to 0.3. The auto cutoffs give
+    odd dimensions, with a null mode; N = 151 gives an even one."""
+    db, sigma, cutoff = request.param
     delta = db_to_delta(db)
-    pair = make_state_pair(auto_cutoff(delta), delta, sigma=sigma)
+    spec = auto_cutoff(delta) if cutoff is None else HilbertSpec(cutoff)
+    pair = make_state_pair(spec, delta, sigma=sigma)
     lam = optimal_lambda(delta)
     return pair, error_curve(pair), np.array([0.0, 0.5 * lam, lam, 0.1, 0.2, 0.3])
 
@@ -591,12 +594,14 @@ def test_state_path_needs_no_dense_eigh(monkeypatch):
             for binding, value in list(vars(module).items()):
                 if any(value is d for d in dense):
                     monkeypatch.setattr(module, binding, forbidden)
-    for cached in (fock.x_eigenbasis, fock.signed_x_rows, states._gkp_ket,
-                   readout._kraus_factors):
+    for cached in (fock.x_sectors, fock.x_eigenbasis, fock.signed_x_rows,
+                   fock.squeezed_vacuum, states._gkp_ket, readout._kraus_factors,
+                   readout._wrong_outcome_grams):
         cached.cache_clear()
     spec = auto_cutoff(DELTA_10DB)
     mixed = make_state_pair(spec, DELTA_10DB, sigma=0.1)
     out = simulated_p_err(mixed, CircuitParams(optimal_lambda(DELTA_10DB), 3))
     assert 0 < out.p_err < 0.5
+    assert 0 < error_curve(mixed)(0.1) < 0.5
     pure = make_state_pair(spec, DELTA_10DB)
     assert 0 < homodyne_p_err_numeric(pure) < 0.5

@@ -28,6 +28,7 @@ from gkp_readout.states import (
     purity,
 )
 from hybrid_oracle import (
+    dense_displacement_channel,
     displacement,
     expectation,
     ket_to_density,
@@ -316,6 +317,37 @@ def test_channel_ket_fast_path_matches_density_input(parity):
     from_rho = gaussian_displacement_channel(SPEC, np.outer(ket, ket), 0.1)
     assert np.max(np.abs(from_ket - from_rho)) < 1e-13
     assert np.all(from_ket[0::2, 1::2] == 0) == (parity != "both")
+
+
+@pytest.mark.parametrize("cutoff", [150, 151])
+@pytest.mark.parametrize("kind", ["even", "odd", "both", "coherent density", "complex ket",
+                                  "complex density", "gkp"])
+def test_channel_matches_dense_reference(cutoff, kind):
+    # The half-size sector channel against the d × d one on the full X
+    # eigenbasis, at an odd dim (N = 150, with the null mode) and an even one
+    spec = HilbertSpec(cutoff)
+    rng = np.random.default_rng(11)
+    ket = rng.normal(size=spec.dim)
+    if kind in ("even", "odd"):
+        ket[(1 if kind == "even" else 0)::2] = 0
+    if kind.startswith("complex"):
+        ket = ket + 1j * rng.normal(size=spec.dim)
+    if kind == "gkp":
+        ket = make_pure_gkp(spec, GkpSpec(1, DELTA_10DB))
+    state = ket / np.linalg.norm(ket)
+    if kind.endswith("density"):
+        # A mixture of two kets, with even-odd coherence
+        other = rng.normal(size=spec.dim)
+        state = 0.7 * ket_to_density(state) + 0.3 * ket_to_density(other / np.linalg.norm(other))
+        if np.isrealobj(ket):
+            state = state.real
+        assert np.max(np.abs(state[0::2, 1::2])) > 1e-3
+    out = gaussian_displacement_channel(spec, state, 0.1)
+    ref = dense_displacement_channel(spec, state, 0.1)
+    assert np.iscomplexobj(out) == np.iscomplexobj(ref)
+    assert np.max(np.abs(out - ref)) < 1e-14
+    # An even-odd part that is zero on input stays exactly zero
+    assert np.all(out[0::2, 1::2] == 0) == (kind in ("even", "odd", "gkp"))
 
 
 @pytest.mark.parametrize("kind", ["ket", "density"])

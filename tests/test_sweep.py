@@ -410,3 +410,37 @@ def test_sweeps_enumerate_no_branches(monkeypatch):
     for command in ("fig1a", "fig1b", "fig1c"):
         assert main([command, "--points", "2"]) == 0
     assert calls == []
+
+
+def test_one_svd_per_cutoff_and_per_squeezed_vacuum(monkeypatch):
+    # From cold, a sweep runs the even-odd SVD once per cutoff for the X
+    # basis, which the eigenbasis, the signed rows, the channel and the
+    # error curve share, and once per (cutoff, delta) for the squeezed
+    # vacuum that both kets of a pair start from
+    from gkp_readout import fock, readout, states
+
+    svd = fock._even_odd_svd
+    x_basis, squeeze, kets = [], [], set()
+
+    def counted(off):
+        if np.array_equal(off, np.sqrt(np.arange(1, len(off) + 1) / 2)):
+            x_basis.append(len(off) + 1)
+        else:
+            squeeze.append((len(off), off[0]))
+        return svd(off)
+
+    def recorded(spec, g, strict=True):
+        kets.add((spec.cutoff, g.delta))
+        return make_pure_gkp(spec, g, strict)
+
+    make_pure_gkp = states.make_pure_gkp
+    monkeypatch.setattr(fock, "_even_odd_svd", counted)
+    monkeypatch.setattr(states, "make_pure_gkp", recorded)
+    for cached in (fock.x_sectors, fock.x_eigenbasis, fock.signed_x_rows,
+                   fock.squeezed_vacuum, states._gkp_ket, readout._kraus_factors,
+                   readout._wrong_outcome_grams):
+        cached.cache_clear()
+    assert main(["fig1c", "--points", "2"]) == 0
+    cutoffs = {n for n, _ in kets}
+    assert sorted(x_basis) == sorted(n + 1 for n in cutoffs)
+    assert len(set(squeeze)) == len(squeeze) == len(kets)
