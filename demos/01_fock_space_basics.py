@@ -1,48 +1,42 @@
 """The truncated Fock space, and how to tell when its cutoff bites.
 
-Every quantity here is read off one cached eigendecomposition of
-truncated X per cutoff N. A strongly squeezed vacuum needs many Fock
-levels: at delta = 0.5 its variances are exact at N = 40, at delta = 0.2
-they are off until N nears 150. A 14 dB GKP pair shows the cutoff as
-population leaking into the top Fock levels, and in the readout error
-built on it.
+Every quantity here is read off one cached SVD of truncated X's
+even-odd block per cutoff N: X's eigenbasis as half-size parity
+sectors. A strongly squeezed vacuum needs many Fock levels: at
+delta = 0.5 its variances are exact at N = 40, at delta = 0.2 they are
+off until N nears 150. A 14 dB GKP pair shows the cutoff as population
+leaking into the top Fock levels, and in the readout error built on it.
 
 Run: python3 demos/01_fock_space_basics.py
 """
 
+import numpy as np
+
 from gkp_readout.analytics import optimal_lambda
-from gkp_readout.fock import (
-    LEAKAGE_TOL,
-    HilbertSpec,
-    leakage,
-    signed_x_rows,
-    squeezed_vacuum,
-    x_eigenbasis,
-)
+from gkp_readout.fock import LEAKAGE_TOL, HilbertSpec, leakage, squeezed_vacuum, x_sectors
 from gkp_readout.readout import CircuitParams, simulated_p_err
-from gkp_readout.states import auto_cutoff, db_to_delta, make_state_pair
+from gkp_readout.states import auto_cutoff, db_to_delta, make_state_pair, x_populations
 
 
-def variance(w, amplitudes):
-    """Variance of a quadrature with eigenvalues w, from a real ket's
-    amplitudes on its eigenbasis."""
-    weights = amplitudes**2
-    return weights @ w**2 - (weights @ w) ** 2
+def variance_x(spec, ket):
+    """Var X of a ket from its populations on X's sectors, eigenvalues ±s:
+    Σ w² is even in w and Σ w odd, so they read sym and anti."""
+    s = x_sectors(spec)[1]
+    sym, anti = x_populations(spec, ket)
+    return sym @ s**2 - (anti @ s) ** 2
 
 
-# Truncated P = F†XF with F = diag((-i)ⁿ), so P shares X's eigenvalues w.
-# A squeezed vacuum lives on the even levels, where P's eigenbasis is the
-# signed basis U_0 = diag((-1)^(n/2)) V_0, real like X's.
+# Truncated P = F†XF with F = diag((-i)ⁿ), so Var P of a ket ψ is Var X
+# of Fψ: P shares X's eigenvalues, and its sectors are X's with signs.
 print("squeezed vacuum: Var X -> delta^2/2, Var P -> 1/(2 delta^2)")
 print(f"  {'N':>4} {'delta':>6} {'Var X':>10} {'exact':>10} {'Var P':>10} {'exact':>10}")
 for n in (40, 80, 150):
     spec = HilbertSpec(n)
+    f = np.array([1, -1j, -1, 1j])[np.arange(spec.dim) % 4]
     for delta in (0.5, 0.2):
-        w, v = x_eigenbasis(spec)
         sv = squeezed_vacuum(spec, delta)
-        var_p = variance(w, signed_x_rows(spec)[0].T @ sv[0::2])
-        print(f"  {n:4d} {delta:6.2f} {variance(w, v.T @ sv):10.6f} {delta**2 / 2:10.6f} "
-              f"{var_p:10.4f} {1 / (2 * delta**2):10.4f}")
+        print(f"  {n:4d} {delta:6.2f} {variance_x(spec, sv):10.6f} {delta**2 / 2:10.6f} "
+              f"{variance_x(spec, f * sv):10.4f} {1 / (2 * delta**2):10.4f}")
 
 # A GKP state at 14 dB spreads over hundreds of Fock levels. Too small a
 # cutoff shows as leakage into the top two levels, and the readout error

@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from . import analytics, readout, sweep
-from .fock import HilbertSpec, NumericalError, TruncationError, squeezed_vacuum, x_eigenbasis
+from .fock import HilbertSpec, NumericalError, TruncationError, squeezed_vacuum, x_sectors
 from .states import (
     auto_cutoff,
     db_to_delta,
@@ -28,6 +28,7 @@ from .states import (
     helstrom_bound,
     make_state_pair,
     purity,
+    x_populations,
 )
 
 EXIT_OK = 0
@@ -102,9 +103,10 @@ def cmd_validate(args) -> int:
         np.max(np.abs(a[p].T @ a[p] + b[p].T @ b[p] - np.eye(len(a[p])))) < 1e-12
         for p in (0, 1))))
     small = HilbertSpec(80)
-    w, v = x_eigenbasis(small)
-    weights = (v.T @ squeezed_vacuum(small, 0.5)) ** 2
-    var = weights @ w**2 - (weights @ w) ** 2
+    # Σ w² over the populations is even in w and Σ w odd (`x_populations`).
+    sym, anti = x_populations(small, squeezed_vacuum(small, 0.5))
+    s = x_sectors(small)[1]
+    var = sym @ s**2 - (anti @ s) ** 2
     checks.append(("squeezed-vacuum X variance", abs(var - 0.125) < 1e-9))
     pair = make_state_pair(spec, delta)
     checks.append(("effective squeezing of the 10 dB ket",

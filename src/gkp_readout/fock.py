@@ -1,10 +1,11 @@
 """Truncated Fock space of a single bosonic mode, over the number basis
 |0..N>.
 
-Everything the readout needs is a function of X or P, built on one
-cached eigendecomposition of truncated X per cutoff. Fock parity flips
+Everything the readout needs is a function of X or P. Fock parity flips
 both truncated quadratures exactly, so even functions of X or P keep
-parity and odd ones flip it.
+parity and odd ones flip it, and each is a pair of real half-size blocks
+on the even and odd levels. All of them are read off one cached SVD of
+X's even-odd block per cutoff (`x_sectors`).
 """
 
 from __future__ import annotations
@@ -54,37 +55,20 @@ def _even_odd_svd(off: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return y, s, zt.T
 
 
-def _eigenpairs(y: np.ndarray, s: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Ascending w and V from the even-odd SVD, padded (`x_sectors`) or not.
-    half, odd = z.shape[0], y.shape[0] - z.shape[0]
-    # s is descending, so -s ascends.
-    y_pair, z_pair = y[:, :half] * np.sqrt(0.5), z[:, :half] * np.sqrt(0.5)
-    v = np.empty((2 * half + odd, 2 * half + odd))
-    v[0::2] = np.hstack((y_pair, y[:, half:], y_pair[:, ::-1]))
-    v[1::2] = np.hstack((-z_pair, np.zeros((half, odd)), z_pair[:, ::-1]))
-    return np.concatenate((-s[:half], np.zeros(odd), s[:half][::-1])), v
-
-
-def zero_diagonal_eigh(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues w and real orthonormal eigenvectors V of the
-    symmetric tridiagonal T with a zero diagonal and off-diagonal `off`.
-
-    With the even indices first T = [[0, B], [Bᵀ, 0]], so from the SVD of B
-    its eigenpairs are (±s_k, [y_k; ±z_k]/√2), and an odd dimension adds
-    the zero mode [y; 0] (Golub & Kahan, 1965).
-    """
-    return _eigenpairs(*_even_odd_svd(off))
-
-
 @lru_cache(maxsize=4)
 def x_sectors(spec: HilbertSpec) -> tuple:
-    """The one SVD of truncated X per cutoff, X[0::2, 1::2] = Y diag(s) Zᵀ,
-    as half-size sectors (Y, s, Z, Y_s, Z_s, c), read-only. Sector a holds
-    the eigenpairs (±s_a, [y_a; ±z_a]/√2); an odd dim adds the null mode
-    [y; 0] as a last sector with s = 0 and a zero column of Z. Y_s = S_0 Y
-    and Z_s = S_1 Z, S = diag((-1)^⌊n/2⌋), do the same for P
-    (`signed_x_rows`), and c = (YᵀY_s, ZᵀZ_s) takes blocks from the P to
-    the X sectors."""
+    """X's eigenbasis as half-size sectors (Y, s, Z, Y_s, Z_s, (C₀, C₁)),
+    read-only, from the one SVD X[0::2, 1::2] = Y diag(s) Zᵀ per cutoff.
+
+    Sector a holds the eigenpairs (±s_a, [y_a; ±z_a]/√2); an odd dim adds
+    the null mode [y; 0] as a last sector, with s = 0 and a zero column of
+    Z (Golub & Kahan, 1965). So with B = (Y, Z) an even f(X) has block
+    B_p diag(f(s)) B_pᵀ on parity p, and an odd one B_{1-p} diag(f(s)) B_pᵀ
+    from p to 1 - p. As P = F†XF, F = diag((-i)ⁿ), f(P) reads the same on
+    W = (Y_s, Z_s) = (S_0 Y, S_1 Z), S = diag((-1)^⌊n/2⌋), up to phases:
+    i sin λP has block (2p - 1) W_{1-p} diag(sin λs) W_pᵀ. C_p = B_pᵀW_p
+    takes a block from the P to the X sectors.
+    """
     y, s, z = _even_odd_svd(np.sqrt(np.arange(1, spec.dim) / 2))
     pad = y.shape[0] - s.size
     s, z = np.concatenate((s, np.zeros(pad))), np.hstack((z, np.zeros((z.shape[0], pad))))
@@ -93,38 +77,6 @@ def x_sectors(spec: HilbertSpec) -> tuple:
     for a in (y, s, z, y_s, z_s, *c):
         a.setflags(write=False)
     return y, s, z, y_s, z_s, c
-
-
-@lru_cache(maxsize=4)
-def x_eigenbasis(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues w and real orthonormal eigenvectors V of truncated X,
-    X = V diag(w) Vᵀ, assembled from `x_sectors`. Computed on first use
-    per cutoff and cached (read-only arrays).
-
-    Truncated X is the Hermite Jacobi matrix (zero diagonal, off-diagonal
-    sqrt(n/2)), so w are the Gauss-Hermite nodes.
-    """
-    w, v = _eigenpairs(*x_sectors(spec)[:3])
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return w, v
-
-
-@lru_cache(maxsize=4)
-def signed_x_rows(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd rows (U_0, U_1) of U = diag((-1)^⌊n/2⌋) V, V the X
-    eigenvectors; cached per cutoff (read-only arrays).
-
-    Within a Fock parity P's eigenbasis F†V, F = diag((-i)ⁿ), is U up to a
-    common phase, so f(P) has block i^(p-q) U_p diag(f(w)) U_qᵀ from parity
-    q to p: cos λP has U_p diag(cos λw) U_pᵀ on parity p, and i sin λP
-    (2p - 1) U_{1-p} diag(sin λw) U_pᵀ from p to 1 - p.
-    """
-    signs = i_power_signs(spec.dim)[:, None]
-    rows = tuple(signs[p::2] * x_eigenbasis(spec)[1][p::2] for p in (0, 1))
-    for r in rows:
-        r.setflags(write=False)
-    return rows
 
 
 def i_power_signs(count: int) -> np.ndarray:

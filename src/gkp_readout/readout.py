@@ -5,14 +5,15 @@ to (|0>_qubit ⊗ state) and measures the qubit; the improved circuit
 prepends U_y(-lambda). With the qubit prepared in |0> and measured
 afterwards, the circuit is a two-outcome instrument {K0, K1} on the
 oscillator alone, built from functions of X and P as real blocks on
-Fock parity. Multi-round runs enumerate every measurement branch
-exactly on those blocks, keeping the post-measurement oscillator state
-and resetting the qubit between rounds. `readout_error` gives the same
-error without the branches where a closed form exists: at lambda = 0 on
-the X eigenbasis, and at one round on a ket from the cached Kraus
-factors. At one round the error is also a closed-form curve in lambda
-(`error_curve`), for lambda searches. The ideal homodyne readout they
-are compared with is a closed-form peak sum.
+Fock parity, on the sectors of `fock.x_sectors`. Multi-round runs
+enumerate every measurement branch exactly on those blocks, keeping the
+post-measurement oscillator state and resetting the qubit between
+rounds. `readout_error` gives the same error without the branches where
+a closed form exists: at lambda = 0 on the X populations, and at one
+round on a ket from the cached Kraus factors. At one round the error is
+also a closed-form curve in lambda (`error_curve`), for lambda searches.
+The ideal homodyne readout they are compared with is a closed-form peak
+sum.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fock import HilbertSpec, signed_x_rows, x_eigenbasis, x_sectors
+from .fock import HilbertSpec, x_sectors
 from .states import GkpStatePair, effective_squeezing, peak_indices, x_populations
 
 PROB_PRUNE = 1e-15
@@ -83,25 +84,22 @@ class ReadoutOutcome:
 
 @lru_cache(maxsize=4)
 def _kraus_factors(spec: HilbertSpec):
-    """The lambda = 0 Kraus pair ((C_0, C_1), (S_0, S_1)), C_p the block of
-    C = cos(sqrt(pi) X/2) on parity p and S_p that of S = sin(sqrt(pi) X/2)
-    from p to 1 - p; and the factors (G, H, ±1) of K0 and of M1 per parity
-    p, their block there [G diag(cos λw) ± H diag(sin λw)] U_pᵀ. Cached
-    per cutoff (read-only arrays)."""
+    """The factors (G, H, ±1) of K0 and of M1 per input parity p, their
+    block B_out[G diag(cos λs) ± H diag(sin λs)] W_pᵀ on the sectors of
+    `fock.x_sectors`, B_out = B_p for K0 and B_{1-p} for M1. Cached per
+    cutoff (read-only ⌈dim/2⌉-square arrays)."""
     # K0 = C cos(λP) - S (i sin(λP)) and M1 = S cos(λP) + C (i sin(λP)),
-    # with the blocks of cos(λP) and i sin(λP) from signed_x_rows, so K0 and
-    # M1 share the four products C_p U_p and S_p U_p as factors.
-    w, v = x_eigenbasis(spec)
-    u = signed_x_rows(spec)
-    c_w, s_w = np.cos(np.sqrt(np.pi) / 2 * w), np.sin(np.sqrt(np.pi) / 2 * w)
-    c = tuple((v[p::2] * c_w) @ v[p::2].T for p in (0, 1))
-    s_odd = (v[1::2] * s_w) @ v[0::2].T
-    s = (s_odd, s_odd.T)
-    cu, su = (tuple(x[p] @ u[p] for p in (0, 1)) for x in (c, s))
-    for blk in (*c, *s, *cu, *su):
+    # C = cos(√π X/2) and S = sin(√π X/2). C has block B_p diag(c) B_pᵀ and
+    # S B_{1-p} diag(σ) B_pᵀ, so with C_p = B_pᵀ W_p, K0 and M1 share the
+    # four products c C_p and σ C_p as factors. G and H vanish on the null
+    # row wherever the output parity is odd, so ‖B_out y‖ = ‖y‖.
+    _, s, _, _, _, c_p = x_sectors(spec)
+    half = np.sqrt(np.pi) / 2 * s
+    cu, su = (tuple(f(half)[:, None] * c_p[p] for p in (0, 1)) for f in (np.cos, np.sin))
+    for blk in (*cu, *su):
         blk.setflags(write=False)
-    return (c, s), (tuple((cu[p], su[1 - p], 1 - 2 * p) for p in (0, 1)),
-                    tuple((su[p], cu[1 - p], 2 * p - 1) for p in (0, 1)))
+    return (tuple((cu[p], su[1 - p], 1 - 2 * p) for p in (0, 1)),
+            tuple((su[p], cu[1 - p], 2 * p - 1) for p in (0, 1)))
 
 
 def readout_kraus(spec: HilbertSpec, lam: float):
@@ -111,39 +109,22 @@ def readout_kraus(spec: HilbertSpec, lam: float):
     # In the number basis X is real symmetric and P imaginary antisymmetric,
     # so C, S, cos(λP) and i sin(λP) are real; parity flips X and P, so the
     # even functions keep parity and the odd ones flip it.
-    blocks, factors = _kraus_factors(spec)
-    if lam == 0:
-        return blocks
-    w = x_eigenbasis(spec)[0]
-    c, s = np.cos(lam * w), np.sin(lam * w)
-    u = signed_x_rows(spec)
-    return tuple(tuple((g * c + h * (sign * s)) @ u[p].T for p, (g, h, sign) in enumerate(op))
-                 for op in factors)
-
-
-def _fold(x: np.ndarray, p: int, sine: bool) -> np.ndarray:
-    # x P_pᵀ, or x diag(σ) P_pᵀ for sine, for columns x in X-eigenvalue
-    # order and σ the sign of each column's eigenvalue. U_p = W_p P_p with
-    # W = (Y_s, Z_s) of `fock.x_sectors`: P_p takes the columns of the pair
-    # a, at ±s_a, to (x₊ ± x₋)/√2 (the sign σ on the odd levels) and the
-    # null column of an odd dim to itself on the even levels only.
-    half = x.shape[1] // 2
-    pairs = np.sqrt(0.5) * (x[:, :-half - 1:-1] + (1 if p == sine else -1) * x[:, :half])
-    null = x[:, half:x.shape[1] - half] * (p == 0 and not sine)
-    return np.hstack((pairs, null))
+    y, s, z, y_s, z_s, _ = x_sectors(spec)
+    c, sn = np.cos(lam * s), np.sin(lam * s)
+    return tuple(tuple((y, z)[p ^ flip] @ (g * c + h * (sign * sn)) @ (y_s, z_s)[p].T
+                       for p, (g, h, sign) in enumerate(op))
+                 for flip, op in enumerate(_kraus_factors(spec)))
 
 
 @lru_cache(maxsize=4)
 def _wrong_outcome_grams(spec: HilbertSpec):
-    """(ĜᵀĜ, ĤᵀĤ, ±ĤᵀĜ), Ĝ = G P_pᵀ and Ĥ = H diag(σ) P_pᵀ (`_fold`), of
-    the wrong outcome's Kraus factors (G, H, ±) for input mu and parity p,
-    indexed [mu][p]: input 0 errs on M1, input 1 on K0. Cached per cutoff
-    apart from the factors, which fig1a needs without the curve."""
-    k0, m1 = _kraus_factors(spec)[1]
-    folded = (((_fold(g, p, False), _fold(h, p, True), sign) for p, (g, h, sign) in enumerate(op))
-              for op in (m1, k0))
+    """(GᵀG, HᵀH, ±HᵀG) of the wrong outcome's Kraus factors (G, H, ±) for
+    input mu and parity p, indexed [mu][p]: input 0 errs on M1, input 1 on
+    K0. Cached per cutoff apart from the factors, which fig1a needs without
+    the curve."""
+    k0, m1 = _kraus_factors(spec)
     grams = tuple(tuple((g.T @ g, h.T @ h, sign * (h.T @ g)) for g, h, sign in op)
-                  for op in folded)
+                  for op in (m1, k0))
     for m in (m for per_mu in grams for per_p in per_mu for m in per_p):
         m.setflags(write=False)
     return grams
@@ -178,14 +159,12 @@ def error_curve(pair: GkpStatePair) -> ErrorCurve:
     round as a function of λ, O(N²) per λ after an O(N³) build.
 
     The error is ½ Σ_mu Σ_p Tr(K ρ_pp Kᵀ) over the wrong outcome's real
-    Kraus blocks K = [G diag(c) ± H diag(s)] U_pᵀ, c = cos λw, s = sin λw:
-    cᵀ(GᵀG ∘ Q)c + sᵀ(HᵀH ∘ Q)s ± 2 sᵀ(HᵀG ∘ Q)c with Q = U_pᵀ ρ_pp U_p.
-    On `fock.x_sectors` Q = P_pᵀ(W_pᵀ ρ_pp W_p)P_p, W = (Y_s, Z_s), and P_p
-    pairs the eigenvalues ±s_a, where c is even and s odd, so each form
-    folds to ĉᵀ(Ĝ ∘ W_pᵀ ρ_pp W_p)ĉ, ĉ = cos λs and ŝ = sin λs, on the grams
-    of `_wrong_outcome_grams`. Only Re ρ_pp enters, as K is real and ρ
-    Hermitian. The sums of products cancel down to p_err, with an absolute
-    rounding error of a few 1e-16.
+    Kraus blocks K = B_out[G diag(c) ± H diag(s)] W_pᵀ, c = cos λs and
+    s = sin λs (`_kraus_factors`). As ‖B_out y‖ = ‖y‖ that is
+    cᵀ(GᵀG ∘ Q)c + sᵀ(HᵀH ∘ Q)s ± 2 sᵀ(HᵀG ∘ Q)c with Q = W_pᵀ ρ_pp W_p,
+    on the grams of `_wrong_outcome_grams`. Only Re ρ_pp enters, as K is
+    real and ρ Hermitian. The sums of products cancel down to p_err, with
+    an absolute rounding error of a few 1e-16.
     """
     _, w, _, y_s, z_s, _ = x_sectors(pair.spec)
     grams = _wrong_outcome_grams(pair.spec)
@@ -279,38 +258,38 @@ def readout_error(pair: GkpStatePair, params: CircuitParams) -> float:
     no branch is enumerated where a closed form exists.
 
     - At lambda = 0, any rounds, kets or density matrices: K0 and M1 are
-      cos(√π X/2) and sin(√π X/2), so given the X eigenvalue w_j the
-      rounds are i.i.d. with P(1) = s_j = sin²(√π w_j/2), and
-      p_err = ½ Σ_j [d⁰_j P(Bin(R, s_j) > R/2) + d¹_j P(Bin(R, s_j) < R/2)],
-      d^μ the X populations of state μ (`x_populations`).
+      cos(√π X/2) and sin(√π X/2), so at X = ±s_a the rounds are i.i.d.
+      with P(1) = q_a = sin²(√π s_a/2), and
+      p_err = ½ Σ_a [d⁰_a P(Bin(R, q_a) > R/2) + d¹_a P(Bin(R, q_a) < R/2)],
+      d^μ the populations `sym` of state μ (`x_populations`).
     - At one round on kets, any lambda: the wrong outcome's factors
       (G, H, ±) on parity p (`_kraus_factors`) give
-      p_err = ½ Σ_μ Σ_p ‖G(c∘e) ± H(s∘e)‖², e = U_pᵀψ_p, c = cos λw and
-      s = sin λw: a few O(N²) products, and no Kraus pair is built.
+      p_err = ½ Σ_μ Σ_p ‖G(c∘e) ± H(s∘e)‖², e = W_pᵀψ_p, c = cos λs and
+      s = sin λs: a few O(N²) products, and no Kraus pair is built.
     - Otherwise, the branch enumeration.
 
     Every term of both closed forms is non-negative.
     """
-    w = x_eigenbasis(pair.spec)[0]
+    _, w, _, y_s, z_s, _ = x_sectors(pair.spec)
     states = (pair.state0, pair.state1)
     if params.lam == 0:
         r = params.rounds
-        # Each directly, not as 1 minus the other, so neither cancels.
+        # Each directly, not as 1 minus the other, so neither cancels. Both
+        # are even in w, so the sector sums of `x_populations` carry them.
         half = np.sqrt(np.pi) / 2 * w
         s, c = np.sin(half) ** 2, np.cos(half) ** 2
         p_ones = [math.comb(r, m) * s**m * c ** (r - m) for m in range(r + 1)]
         # Input 0 errs on a majority of ones, input 1 on a majority of zeros.
         wrong = (sum(p_ones[r // 2 + 1:]), sum(p_ones[:r // 2 + 1]))
-        return float(0.5 * sum(x_populations(pair.spec, state) @ tail
+        return float(0.5 * sum(x_populations(pair.spec, state)[0] @ tail
                                for state, tail in zip(states, wrong)))
     if params.rounds == 1 and pair.is_pure:
         c, s = np.cos(params.lam * w), np.sin(params.lam * w)
-        u = signed_x_rows(pair.spec)
         total = 0.0
         # Input 0 errs on M1, input 1 on K0.
-        for state, op in zip(states, _kraus_factors(pair.spec)[1][::-1]):
+        for state, op in zip(states, _kraus_factors(pair.spec)[::-1]):
             for p, (g, h, sign) in enumerate(op):
-                e = u[p].T @ state[p::2]
+                e = (y_s, z_s)[p].T @ state[p::2]
                 y = g @ (c * e) + sign * (h @ (s * e))
                 total += float(np.vdot(y, y).real)
         return 0.5 * total

@@ -17,9 +17,7 @@ from .fock import (
     TruncationError,
     check_leakage,
     normalize,
-    signed_x_rows,
     squeezed_vacuum,
-    x_eigenbasis,
     x_sectors,
 )
 
@@ -131,14 +129,13 @@ def make_pure_gkp(spec: HilbertSpec, g: GkpSpec, strict: bool = True) -> np.ndar
 def _gkp_ket(spec: HilbertSpec, mu: int, delta: float, kappa: float) -> np.ndarray:
     # All peaks share the generator P: D(c) for real c is exp(-i sqrt(2) c P),
     # so the weighted comb is one function of P. The peaks sit at ±c, so
-    # comb is an even cosine sum, with block U_0 diag(comb(w)) U_0ᵀ on the
-    # even levels of the squeezed vacuum (signed_x_rows).
-    w = x_eigenbasis(spec)[0]
+    # comb is an even cosine sum, with block Y_s diag(comb(s)) Y_sᵀ on the
+    # even levels of the squeezed vacuum (`fock.x_sectors`).
+    _, s, _, y_s, _, _ = x_sectors(spec)
     c = HALF_SPACING * (2 * peak_indices(mu, kappa) + mu)
-    comb = np.exp(-(c**2) / kappa**2) @ np.cos(np.sqrt(2) * np.outer(c, w))
-    even = signed_x_rows(spec)[0]
+    comb = np.exp(-(c**2) / kappa**2) @ np.cos(np.sqrt(2) * np.outer(c, s))
     psi = np.zeros(spec.dim)
-    psi[0::2] = even @ (comb * (even.T @ squeezed_vacuum(spec, delta)[0::2]))
+    psi[0::2] = y_s @ (comb * (y_s.T @ squeezed_vacuum(spec, delta)[0::2]))
     psi = normalize(psi)
     psi.setflags(write=False)
     return psi
@@ -200,11 +197,11 @@ def gaussian_displacement_channel(spec: HilbertSpec, state: np.ndarray,
     Yᵀρ_01Z and Zᵀρ_10Y the same way. The null mode of an odd dim (s = 0,
     z = 0) needs no case of its own: K₋ vanishes on its row and column.
     """
-    # The P pass runs on the signed sectors Y_s and Z_s: P's eigenbasis is
-    # the signed basis U_p times 1 (even) or i (odd). The channel commutes
+    # The P pass runs on the signed sectors W = (Y_s, Z_s): on parity p,
+    # P's eigenbasis is W_p's times 1 (even) or i (odd). The channel commutes
     # with parity, so the parity-diagonal blocks of ρ and its even-odd
     # blocks pass apart. On the diagonal blocks the phases cancel. The
-    # even-odd part enters as i(U_0ᵀρ_01U_1 - U_1ᵀρ_10U_0) and leaves with
+    # even-odd part enters as i(W_0ᵀρ_01W_1 - W_1ᵀρ_10W_0) and leaves with
     # -i on block (0, 1) and i on (1, 0), so in real arithmetic it takes the
     # sign +1 on (0, 1) and -1 on (1, 0), both ways. C_p then takes each
     # block to the X sectors. Each part is kept to its own blocks, so a part
@@ -239,21 +236,21 @@ def gaussian_displacement_channel(spec: HilbertSpec, state: np.ndarray,
     return out
 
 
-def x_populations(spec: HilbertSpec, state: np.ndarray) -> np.ndarray:
-    """Populations (VᵀρV)ⱼⱼ of a ket or density matrix on the X
-    eigenbasis (w, V): |(Vᵀψ)ⱼ|² for a ket. Real and non-negative up to
-    rounding."""
+def x_populations(spec: HilbertSpec, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X populations of a ket or density matrix per sector of
+    `fock.x_sectors`, as the pair (sym, anti): the eigenvalues ±s_a hold
+    ½(sym_a ± anti_a), and the null mode of an odd dim holds sym_a. So
+    Σⱼ f(wⱼ)(VᵀρV)ⱼⱼ is sym·f(s) for an even f and anti·f(s) for an odd one.
+    """
+    # With A = YᵀρY, B = ZᵀρZ and E = Yᵀρ_01Z, the populations of
+    # [y_a; ±z_a]/√2 are ½(A_aa + B_aa) ± Re E_aa; the null mode has z = 0.
+    y, _, z = x_sectors(spec)[:3]
     state = np.asarray(state)
     if state.ndim == 1:
-        return np.abs(x_eigenbasis(spec)[1].T @ state) ** 2
-    # On the sectors of `fock.x_sectors` the population of [y_a; ±z_a]/√2
-    # is ½(A_aa + B_aa) ± ½(E_aa + F_aa), with A, B, E and F the blocks of
-    # ρ there as in the channel; the null mode of an odd dim holds A_aa.
-    y, _, z = x_sectors(spec)[:3]
-    d = {(p, q): np.einsum("ka,ka->a", (y, z)[p], state[p::2, q::2] @ (y, z)[q]).real
-         for p, q in np.ndindex(2, 2)}
-    even, odd, half = 0.5 * (d[0, 0] + d[1, 1]), 0.5 * (d[0, 1] + d[1, 0]), spec.dim // 2
-    return np.concatenate(((even - odd)[:half], d[0, 0][half:], (even + odd)[:half][::-1]))
+        e0, e1 = y.T @ state[0::2], z.T @ state[1::2]
+        return np.abs(e0) ** 2 + np.abs(e1) ** 2, 2 * (e0 * e1.conj()).real
+    sym = sum(np.einsum("ka,ka->a", b, state[p::2, p::2] @ b).real for p, b in enumerate((y, z)))
+    return sym, 2 * np.einsum("ka,ka->a", y, state[0::2, 1::2] @ z).real
 
 
 def effective_squeezing(spec: HilbertSpec, state: np.ndarray) -> float:
@@ -261,10 +258,11 @@ def effective_squeezing(spec: HilbertSpec, state: np.ndarray) -> float:
 
     Equals delta for the pure states; +inf when the expectation vanishes.
     """
-    # D(i√(2π)) = exp(2i√π X) is diagonal on the X eigenbasis (w, V), so
-    # <D> = Σⱼ (VᵀρV)ⱼⱼ e^{2i√π wⱼ}.
-    w = x_eigenbasis(spec)[0]
-    e = abs(x_populations(spec, state) @ np.exp(2j * np.sqrt(np.pi) * w))
+    # D(i√(2π)) = exp(2i√π X) is diagonal on the X eigenbasis; cos is even
+    # and sin odd, so <D> = sym·cos(2√π s) + i anti·sin(2√π s).
+    theta = 2 * np.sqrt(np.pi) * x_sectors(spec)[1]
+    sym, anti = x_populations(spec, state)
+    e = abs(complex(sym @ np.cos(theta), anti @ np.sin(theta)))
     if e <= 1e-300:
         return np.inf
     if e > 1.0:

@@ -3,11 +3,12 @@ construction of the readout circuit, as plain numpy arrays.
 
 This is the slow reference the package is tested against. The dense
 part builds quadratures, displacements and functions of X and P as full
-(N+1)² matrices, where the package works on the cached X eigenbasis and
-real Fock-parity blocks. The hybrid part applies the readout gates on
-the full 2(N+1)-dimensional space, with the qubit as the slow (outer)
-tensor factor, so index = q*(N+1) + n. It also holds the displacement
-channel on the full X eigenbasis, the golden-section cross-check of the
+(N+1)² matrices on X's eigenbasis from its own dense eigh, where the
+package works on real half-size Fock-parity blocks of one cached SVD.
+The hybrid part applies the readout gates on the full 2(N+1)-dimensional
+space, with the qubit as the slow (outer) tensor factor, so
+index = q*(N+1) + n. It also holds the displacement channel on the full
+X eigenbasis, the golden-section cross-check of the
 optimal interaction strength, and the position densities along the
 Hermite-function recurrence that the homodyne's per-bin quadrature
 reference integrates.
@@ -16,13 +17,14 @@ reference integrates.
 from __future__ import annotations
 
 import warnings
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import simpson
 from scipy.linalg import eigh
 
 from gkp_readout.analytics import lambda_seed, p_err_improved_formula
-from gkp_readout.fock import HilbertSpec, signed_x_rows, x_eigenbasis
+from gkp_readout.fock import HilbertSpec
 
 
 def destroy(spec: HilbertSpec) -> np.ndarray:
@@ -41,6 +43,24 @@ def _i_powers(count: int) -> np.ndarray:
     """iᵏ for k = 0..count-1. With count = dim, the diagonal of F† where
     truncated P = F† X F exactly."""
     return np.array([1, 1j, -1, -1j])[np.arange(count) % 4]
+
+
+@lru_cache(maxsize=8)
+def x_eigenbasis(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues w and real orthonormal eigenvectors V of
+    truncated X, from a dense eigh of the tridiagonal matrix; read-only.
+    Column signs are arbitrary, and cancel in everything built on V here."""
+    w, v = np.linalg.eigh(make_quadratures(spec)[0].real)
+    for a in (w, v):
+        a.setflags(write=False)
+    return w, v
+
+
+def signed_x_rows(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd rows (U_0, U_1) of U = diag((-1)^⌊n/2⌋)·V: on parity p,
+    P's eigenvectors are U_p's times 1 (even) or i (odd)."""
+    u = (-1.0) ** (np.arange(spec.dim) // 2)[:, None] * x_eigenbasis(spec)[1]
+    return u[0::2], u[1::2]
 
 
 def p_eigenbasis(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:

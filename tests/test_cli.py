@@ -129,17 +129,13 @@ def test_readme_command(capsys, tmp_path, monkeypatch, command):
     assert main(shlex.split(command)[1:]) == EXIT_OK
 
 
-def test_eigensolver_failure_exit_code(capsys, monkeypatch):
+def test_eigensolver_failure_exit_code(capsys, monkeypatch, cold_caches):
     # LinAlgError subclasses ValueError, but a failed eigensolve (the SVD
     # of the even-odd block) is a convergence failure, not a config error
-    from gkp_readout import fock, states
-
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", fail)
-    for cached in (fock.x_sectors, fock.x_eigenbasis, fock.squeezed_vacuum, states._gkp_ket):
-        cached.cache_clear()
     assert main(["state-info", "--delta-db", "10"]) == EXIT_CONVERGENCE
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "convergence"
@@ -200,14 +196,12 @@ def test_auto_cutoff_start_above_largest_is_config_error(capsys, tmp_path):
     assert "cutoff_n" in err["error"]["message"]
 
 
-def test_numerical_domain_error_exit_code(capsys, monkeypatch):
+def test_numerical_domain_error_exit_code(capsys, monkeypatch, cold_caches):
     # A zero squeezed vacuum makes normalize fail on a zero ket: a failure
     # of the numerics, reported as convergence, not as a config error
-    from gkp_readout import fock, states
+    from gkp_readout import states
 
     monkeypatch.setattr(states, "squeezed_vacuum", lambda spec, delta: np.zeros(spec.dim))
-    fock.x_eigenbasis.cache_clear()
-    states._gkp_ket.cache_clear()
     assert main(["state-info", "--delta-db", "10"]) == EXIT_CONVERGENCE
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == {"type": "convergence", "message": "cannot normalize zero state"}

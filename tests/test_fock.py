@@ -5,10 +5,8 @@ import scipy.linalg
 from gkp_readout.fock import (
     HilbertSpec,
     normalize,
-    signed_x_rows,
     squeezed_vacuum,
-    x_eigenbasis,
-    zero_diagonal_eigh,
+    x_sectors,
 )
 from hybrid_oracle import (
     apply,
@@ -22,7 +20,6 @@ from hybrid_oracle import (
     hybrid_unitarity_defect,
     ket_to_density,
     make_quadratures,
-    p_eigenbasis,
     partial_trace_qubit,
     rabi_gate,
     unitarity_defect,
@@ -164,29 +161,49 @@ def test_gate_unitarity(alpha):
     assert hybrid_unitarity_defect(rabi_gate(SPEC, "x", alpha), SPEC) < 1e-9
 
 
+def sector_eigenpairs(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues w and eigenvectors V of truncated X, assembled
+    from `x_sectors`: sector a gives (±s_a, [y_a; ±z_a]/√2), and the null
+    sector of an odd dim (s = 0, zero column of Z) gives (0, [y; 0])."""
+    y, s, z = x_sectors(spec)[:3]
+    half, odd = spec.dim // 2, spec.dim % 2
+    # s is descending, so -s ascends.
+    y_pair, z_pair = y[:, :half] * np.sqrt(0.5), z[:, :half] * np.sqrt(0.5)
+    v = np.empty((spec.dim, spec.dim))
+    v[0::2] = np.hstack((y_pair, y[:, half:], y_pair[:, ::-1]))
+    v[1::2] = np.hstack((-z_pair, z[:, half:], z_pair[:, ::-1]))
+    return np.concatenate((-s[:half], s[half:], s[:half][::-1])), v
+
+
 @pytest.mark.parametrize("cutoff", [60, 150, 300])
 def test_cached_eigenpairs_diagonalize_x_and_p(cutoff):
     spec = HilbertSpec(cutoff)
     x_op, p_op = make_quadratures(spec)
-    w, v = x_eigenbasis(spec)
+    w, v = sector_eigenpairs(spec)
     assert np.max(np.abs(x_op @ v - v * w)) < 1e-12
     assert np.max(np.abs(v.T @ v - np.eye(spec.dim))) < 1e-12
-    wp, vp = p_eigenbasis(spec)
-    assert np.array_equal(wp, w)
+    # P = F†XF, F = diag((-i)ⁿ), shares the eigenvalues
+    vp = np.array([1, 1j, -1, -1j])[np.arange(spec.dim) % 4, None] * v
     assert np.max(np.abs(p_op @ vp - vp * w)) < 1e-12
     # One decomposition per cutoff, shared and read-only
-    assert x_eigenbasis(HilbertSpec(cutoff))[1] is v
-    assert not v.flags.writeable
+    sectors = x_sectors(spec)
+    assert x_sectors(HilbertSpec(cutoff)) is sectors
+    assert not any(a.flags.writeable for a in (*sectors[:5], *sectors[5]))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 151, 152, 301])
 def test_zero_diagonal_eigh_matches_tridiagonal_solver(dim):
-    # The SVD of the even-odd block gives the eigenpairs of a general
+    # The SVD of X's even-odd block gives the eigenpairs of a general
     # tridiagonal solver, odd and even dimensions alike: ascending w, and
     # the same orthonormal V up to the sign of each column
-    off = np.sqrt(np.arange(1, dim) / 2)
-    w, v = zero_diagonal_eigh(off)
-    w_ref, v_ref = scipy.linalg.eigh_tridiagonal(np.zeros(dim), off)
+    spec = HilbertSpec(dim - 1)
+    y, s, z = x_sectors(spec)[:3]
+    x_op = make_quadratures(spec)[0].real
+    half = (dim + 1) // 2
+    assert y.shape == (half, half) and z.shape == (dim // 2, half) and s.shape == (half,)
+    assert np.max(np.abs((y * s) @ z.T - x_op[0::2, 1::2])) < 1e-13
+    w, v = sector_eigenpairs(spec)
+    w_ref, v_ref = scipy.linalg.eigh_tridiagonal(np.zeros(dim), np.sqrt(np.arange(1, dim) / 2))
     assert np.all(np.diff(w) > 0)
     assert np.max(np.abs(w - w_ref)) < 1e-13
     signs = np.sign(np.sum(v * v_ref, axis=0))
@@ -197,24 +214,24 @@ def test_zero_diagonal_eigh_matches_tridiagonal_solver(dim):
 @pytest.mark.parametrize("cutoff", [60, 150])
 @pytest.mark.parametrize("lam", [0.0957, 0.3])
 def test_signed_rows_give_real_parity_blocks_of_functions_of_p(cutoff, lam):
-    # Within a Fock parity P's eigenbasis is the signed basis U_p up to a
-    # common phase: cos λP has block U_p diag(cos λw) U_pᵀ on parity p and
-    # none across, i sin λP the block (2p - 1) U_{1-p} diag(sin λw) U_pᵀ
-    # from p to 1 - p and none within
+    # On the signed sectors W = (Y_s, Z_s) cos λP has block
+    # W_p diag(cos λs) W_pᵀ on parity p and none across, i sin λP the block
+    # (2p - 1) W_{1-p} diag(sin λs) W_pᵀ from p to 1 - p and none within
     spec = HilbertSpec(cutoff)
-    w = x_eigenbasis(spec)[0]
-    u = signed_x_rows(spec)
+    _, s, _, y_s, z_s, _ = x_sectors(spec)
+    signed = (y_s, z_s)
     cos_p = function_of_p(spec, lambda x: np.cos(lam * x))
     isin_p = 1j * function_of_p(spec, lambda x: np.sin(lam * x))
     for p in (0, 1):
-        assert np.max(np.abs((u[p] * np.cos(lam * w)) @ u[p].T - cos_p[p::2, p::2])) < 1e-12
-        assert np.max(np.abs((2 * p - 1) * (u[1 - p] * np.sin(lam * w)) @ u[p].T
+        w_p, w_q = signed[p], signed[1 - p]
+        assert np.max(np.abs((w_p * np.cos(lam * s)) @ w_p.T - cos_p[p::2, p::2])) < 1e-12
+        assert np.max(np.abs((2 * p - 1) * (w_q * np.sin(lam * s)) @ w_p.T
                              - isin_p[1 - p::2, p::2])) < 1e-12
         assert np.max(np.abs(cos_p[1 - p::2, p::2])) < 1e-12
         assert np.max(np.abs(isin_p[p::2, p::2])) < 1e-12
     # Built once per cutoff, shared and read-only
-    assert signed_x_rows(HilbertSpec(cutoff)) is u
-    assert not any(r.flags.writeable for r in u)
+    assert x_sectors(HilbertSpec(cutoff))[3] is y_s
+    assert not (y_s.flags.writeable or z_s.flags.writeable)
 
 
 def test_quadrature_functions_match_dense_exponential():

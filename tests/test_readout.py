@@ -192,13 +192,19 @@ def test_kraus_blocks_are_real_and_parity_exact(db):
         assert np.max(np.abs(k1 - dense1)) < 1e-12
 
 
-def test_kraus_cs_blocks_cached_read_only():
-    # The lambda-independent C and S blocks are built once per cutoff and
-    # shared; the lambda = 0 pair is those blocks
-    first, again = readout_kraus(SPEC, 0.0), readout_kraus(SPEC, 0.0)
-    for blk, same in zip((*first[0], *first[1]), (*again[0], *again[1])):
-        assert blk is same
-        assert not blk.flags.writeable
+def test_kraus_factors_cached_read_only():
+    # The lambda-independent Kraus factors are built once per cutoff and
+    # shared, as read-only half-size blocks
+    from gkp_readout.readout import _kraus_factors
+
+    first = _kraus_factors(SPEC)
+    assert _kraus_factors(HilbertSpec(SPEC.cutoff)) is first
+    assert _kraus_factors(HilbertSpec(SPEC.cutoff + 1)) is not first
+    half = (SPEC.dim + 1) // 2
+    for g, h, _ in (factor for op in first for factor in op):
+        for blk in (g, h):
+            assert blk.shape == (half, half)
+            assert not blk.flags.writeable
 
 
 @pytest.fixture(scope="module", params=[(db, sigma, None) for db in (7.0, 10.0, 14.0)
@@ -570,18 +576,16 @@ def test_homodyne_14db_matches_per_bin_reference():
     assert gaps[0] > gaps[1]
 
 
-def test_state_path_needs_no_dense_eigh(monkeypatch):
+def test_state_path_needs_no_dense_eigh(monkeypatch, cold_caches):
     # State preparation, the channel, the readout and the homodyne all run
     # on an SVD of a half-size bidiagonal block; dense O(N^3) eigh is kept
     # out of them.
     # Every route to a dense eigh raises: the scipy and numpy functions and
-    # any gkp_readout module binding of either. The caches are cleared so
-    # the eigenbases, kets and Kraus blocks are built under the guard.
+    # any gkp_readout module binding of either. The caches start cold, so
+    # the sectors, kets and Kraus factors are built under the guard.
     import sys
 
     import scipy.linalg
-
-    from gkp_readout import fock, readout, states
 
     def forbidden(*args, **kwargs):
         raise AssertionError("dense eigh on the state path")
@@ -594,10 +598,6 @@ def test_state_path_needs_no_dense_eigh(monkeypatch):
             for binding, value in list(vars(module).items()):
                 if any(value is d for d in dense):
                     monkeypatch.setattr(module, binding, forbidden)
-    for cached in (fock.x_sectors, fock.x_eigenbasis, fock.signed_x_rows,
-                   fock.squeezed_vacuum, states._gkp_ket, readout._kraus_factors,
-                   readout._wrong_outcome_grams):
-        cached.cache_clear()
     spec = auto_cutoff(DELTA_10DB)
     mixed = make_state_pair(spec, DELTA_10DB, sigma=0.1)
     out = simulated_p_err(mixed, CircuitParams(optimal_lambda(DELTA_10DB), 3))

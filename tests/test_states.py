@@ -8,7 +8,7 @@ from gkp_readout.fock import (
     leakage,
     normalize,
     squeezed_vacuum,
-    x_eigenbasis,
+    x_sectors,
 )
 from gkp_readout.states import (
     HALF_SPACING,
@@ -26,6 +26,7 @@ from gkp_readout.states import (
     make_state_pair,
     peak_indices,
     purity,
+    x_populations,
 )
 from hybrid_oracle import (
     dense_displacement_channel,
@@ -39,6 +40,7 @@ from hybrid_oracle import (
     position_wavefunctions,
     stabilizer_displacement,
     vacuum,
+    x_eigenbasis,
 )
 
 SPEC = HilbertSpec(150)
@@ -136,6 +138,30 @@ def test_effective_squeezing_matches_stabilizer_expectation(db, sigma):
         e = abs(expectation(stab, state))
         ref = np.sqrt(np.log(1.0 / min(e, 1.0) ** 2) / (2 * np.pi))
         assert abs(effective_squeezing(spec, state) - ref) < 1e-13
+
+
+@pytest.mark.parametrize("cutoff", [150, 151])
+def test_x_populations_match_dense_eigenbasis(cutoff):
+    # Oracle: the diagonal of VᵀρV on a dense eigh of X. Eigenvalue ±s_a
+    # holds ½(sym_a ± anti_a), the null mode of an odd dim sym_a, on a
+    # complex ket with both parities and on a density matrix with even-odd
+    # coherence
+    spec = HilbertSpec(cutoff)
+    w, v = x_eigenbasis(spec)
+    s = x_sectors(spec)[1]
+    ket = displacement(spec, 0.3 + 0.2j) @ make_pure_gkp(spec, GkpSpec(0, DELTA_10DB))
+    rho = gaussian_displacement_channel(spec, ket, 0.1)
+    for state in (ket, rho):
+        ref = np.real(np.diag(v.T @ ket_to_density(state) @ v) if state.ndim == 1
+                      else np.diag(v.T @ state @ v))
+        sym, anti = x_populations(spec, state)
+        pairs = spec.dim // 2
+        assert np.max(np.abs(w[::-1][:pairs] - s[:pairs])) < 1e-12
+        assert np.max(np.abs(ref[::-1][:pairs] - 0.5 * (sym + anti)[:pairs])) < 1e-13
+        assert np.max(np.abs(ref[:pairs] - 0.5 * (sym - anti)[:pairs])) < 1e-13
+        if spec.dim % 2:
+            assert abs(ref[pairs] - sym[-1]) < 1e-13 and anti[-1] == 0
+        assert abs(anti @ s) > 0.1  # the displaced input has <X> ≠ 0
 
 
 def test_effective_squeezing_of_vacuum():

@@ -412,12 +412,12 @@ def test_sweeps_enumerate_no_branches(monkeypatch):
     assert calls == []
 
 
-def test_one_svd_per_cutoff_and_per_squeezed_vacuum(monkeypatch):
+def test_one_svd_per_cutoff_and_per_squeezed_vacuum(monkeypatch, cold_caches):
     # From cold, a sweep runs the even-odd SVD once per cutoff for the X
-    # basis, which the eigenbasis, the signed rows, the channel and the
-    # error curve share, and once per (cutoff, delta) for the squeezed
-    # vacuum that both kets of a pair start from
-    from gkp_readout import fock, readout, states
+    # sectors, which the kets, the Kraus factors, the channel and the error
+    # curve share, and once per (cutoff, delta) for the squeezed vacuum that
+    # both kets of a pair start from
+    from gkp_readout import fock, states
 
     svd = fock._even_odd_svd
     x_basis, squeeze, kets = [], [], set()
@@ -436,11 +436,38 @@ def test_one_svd_per_cutoff_and_per_squeezed_vacuum(monkeypatch):
     make_pure_gkp = states.make_pure_gkp
     monkeypatch.setattr(fock, "_even_odd_svd", counted)
     monkeypatch.setattr(states, "make_pure_gkp", recorded)
-    for cached in (fock.x_sectors, fock.x_eigenbasis, fock.signed_x_rows,
-                   fock.squeezed_vacuum, states._gkp_ket, readout._kraus_factors,
-                   readout._wrong_outcome_grams):
-        cached.cache_clear()
     assert main(["fig1c", "--points", "2"]) == 0
     cutoffs = {n for n, _ in kets}
     assert sorted(x_basis) == sorted(n + 1 for n in cutoffs)
     assert len(set(squeeze)) == len(squeeze) == len(kets)
+
+
+def test_caches_hold_only_half_size_blocks(monkeypatch, cold_caches):
+    # X's eigenbasis is kept only as its half-size parity sectors: after
+    # cold fig1a and fig1c runs, every 2-D array a package cache holds is at
+    # most ⌈dim/2⌉ along each axis. A cache holds what it returns, so every
+    # binding of each cache is wrapped to record its returns.
+    held = []
+
+    def recording(cached):
+        def call(spec, *args):
+            out = cached(spec, *args)
+            held.append((spec, out))
+            return out
+        return call
+
+    for module, name, cached in cold_caches:
+        monkeypatch.setattr(module, name, recording(cached))
+    for command in ("fig1a", "fig1c"):
+        assert main([command, "--points", "2"]) == 0
+
+    def arrays(x):
+        if isinstance(x, np.ndarray):
+            yield x
+        elif isinstance(x, tuple):
+            for item in x:
+                yield from arrays(item)
+
+    shapes = {(spec.dim, a.shape) for spec, out in held for a in arrays(out) if a.ndim == 2}
+    assert shapes
+    assert all(max(shape) <= (dim + 1) // 2 for dim, shape in shapes), shapes
