@@ -5,8 +5,6 @@ JSON emission.  The same sweeps are available from the command line as
 Run: python3 demos/05_sweeps_and_io.py
 """
 
-import json
-
 from gkp_readout.sweep import (
     SweepConfig,
     rows_to_csv,

@@ -111,12 +111,14 @@ def cmd_validate(args) -> int:
     pair = make_state_pair(spec, delta)
     checks.append(("effective squeezing of the 10 dB ket",
                    abs(effective_squeezing(spec, pair.state0) - delta) < 1e-9))
-    out = readout.simulated_p_err(pair, readout.CircuitParams(0.0, 1))
+    # At lambda = 0 the branches run on the X sectors, so the optimal
+    # lambda is what puts the Kraus pair itself to this test.
+    outs = [readout.simulated_p_err(pair, readout.CircuitParams(x, 1)) for x in (0.0, lam)]
     checks.append(("probability conservation", all(
         abs(sum(branch.probability for branch in tree) - 1) < 1e-10
-        for tree in (out.branches_0, out.branches_1))))
-    checks.append(("Helstrom dominance",
-                   out.p_err >= helstrom_bound(pair.state0, pair.state1) - 1e-10))
+        for out in outs for tree in (out.branches_0, out.branches_1))))
+    bound = helstrom_bound(pair.state0, pair.state1)
+    checks.append(("Helstrom dominance", all(out.p_err >= bound - 1e-10 for out in outs)))
     # The sweeps' closed forms (R = 3 at lambda = 0, R = 1 at the optimum)
     # against the branch enumeration.
     params = (readout.CircuitParams(0.0, 3), readout.CircuitParams(lam, 1))

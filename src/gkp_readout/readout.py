@@ -6,14 +6,20 @@ prepends U_y(-lambda). With the qubit prepared in |0> and measured
 afterwards, the circuit is a two-outcome instrument {K0, K1} on the
 oscillator alone, built from functions of X and P as real blocks on
 Fock parity, on the sectors of `fock.x_sectors`. Multi-round runs
-enumerate every measurement branch exactly on those blocks, keeping the
-post-measurement oscillator state and resetting the qubit between
-rounds. `readout_error` gives the same error without the branches where
-a closed form exists: at lambda = 0 on the X populations, and at one
-round on a ket from the cached Kraus factors. At one round the error is
-also a closed-form curve in lambda (`error_curve`), for lambda searches.
-The ideal homodyne readout they are compared with is a closed-form peak
-sum.
+enumerate every measurement branch exactly, resetting the qubit between
+rounds; each branch keeps its outcome string, probability and
+post-measurement oscillator state. At lambda = 0 the tree runs on the X
+sectors, where K0 and M1 are diagonal: a branch with m ones has
+probability sym·(c²)^(R-m) (σ²)^m and no Kraus pair is built. Otherwise
+it runs on the parity blocks under the Kraus pair, and a density
+matrix's last round reads its probabilities off the Grams KᵀK. Post-states
+are built on first read, read-only; at lambda = 0 the branches with the
+same m share one. `readout_error` gives the same error without the
+branches where a closed form exists: at lambda = 0 on the X populations,
+and at one round on a ket from the cached Kraus factors. At one round
+the error is also a closed-form curve in lambda (`error_curve`), for
+lambda searches. The ideal homodyne readout they are compared with is a
+closed-form peak sum.
 """
 
 from __future__ import annotations
@@ -21,13 +27,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
 
 from .fock import HilbertSpec, x_sectors
-from .states import GkpStatePair, effective_squeezing, peak_indices, x_populations
+from .states import GkpStatePair, effective_squeezing, peak_indices
 
 PROB_PRUNE = 1e-15
 MAX_ROUNDS = 9
@@ -54,13 +60,24 @@ class CircuitParams:
             warnings.warn(f"lambda = {self.lam} is far outside the small-lambda regime")
 
 
-@dataclass(frozen=True)
 class Branch:
-    """One measurement-outcome history of a multi-round run."""
+    """One measurement-outcome history of a multi-round run: its outcome
+    string, probability and normalized post-measurement oscillator state.
+    The post-state may be given as a function that builds it; it is then
+    built on the first read of `post_state` and kept, read-only."""
 
-    outcomes: str
-    probability: float
-    post_state: Optional[np.ndarray]
+    __slots__ = ("outcomes", "probability", "_post")
+
+    def __init__(self, outcomes: str, probability: float, post_state):
+        self.outcomes, self.probability, self._post = outcomes, probability, post_state
+
+    @property
+    def post_state(self) -> Optional[np.ndarray]:
+        if callable(self._post):
+            post = self._post()
+            post.setflags(write=False)
+            self._post = post
+        return self._post
 
     @property
     def majority(self) -> int:
@@ -183,36 +200,37 @@ def error_curve(pair: GkpStatePair) -> ErrorCurve:
 
 # A state on the enumeration's path is a dict of its Fock-parity blocks:
 # {p: ψ_p} for a ket, {(p, q): ρ_pq} for a density matrix. Blocks that are
-# exactly zero are left out, so their products are never formed.
+# exactly zero are left out, so their products are never formed. Blocks
+# are carried unnormalized: their squared norm (ket) or trace (density
+# matrix) is the probability of the outcomes that led to them.
 def _split(state: np.ndarray) -> dict:
     blocks = ({p: state[p::2] for p in (0, 1)} if state.ndim == 1 else
               {(p, q): state[p::2, q::2] for p in (0, 1) for q in (0, 1)})
     return {k: b for k, b in blocks.items() if b.any()}
 
 
-def _join(blocks: Optional[dict], dim: int, ket: bool, ones: int):
-    # The full array; a ket takes the phase iᵒⁿᵉˢ that K1 = i M1 leaves out.
-    if blocks is None:
-        return None
-    out = np.zeros((dim,) * (1 if ket else 2), dtype=np.result_type(*blocks.values()))
+def _apply(ops, flip: int, blocks: dict, ket: bool) -> dict:
+    # K0 (flip 0) or M1 (flip 1), given as its blocks per input parity.
+    if ket:
+        return {p ^ flip: ops[p] @ x for p, x in blocks.items()}
+    return {(p ^ flip, q ^ flip): ops[p] @ x @ ops[q].T for (p, q), x in blocks.items()}
+
+
+def _weight(blocks: dict, ket: bool) -> float:
+    if ket:
+        return sum(float(np.vdot(x, x).real) for x in blocks.values())
+    return sum(float(np.trace(x).real) for (p, q), x in blocks.items() if p == q)
+
+
+def _join(blocks: dict, dim: int, ket: bool, ones: int, prob: float) -> np.ndarray:
+    # The full array divided by its norm; a ket takes the phase iᵒⁿᵉˢ that
+    # K1 = i M1 leaves out.
+    phase = 1j**ones if ket and ones else 1
+    out = np.zeros((dim,) * (1 if ket else 2), dtype=np.result_type(*blocks.values(), phase))
     for k, x in blocks.items():
         out[tuple(slice(p, None, 2) for p in np.atleast_1d(k))] = x
-    return out * 1j**ones if ket and ones else out
-
-
-def _step(kraus, blocks: dict, ket: bool):
-    # One circuit run: (p0, post0) for K0, then (p1, post1) for M1, with
-    # normalized post-states, None at p <= PROB_PRUNE.
-    for ops, flip in zip(kraus, (0, 1)):
-        if ket:
-            post = {p ^ flip: ops[p] @ x for p, x in blocks.items()}
-            prob = sum(float(np.vdot(x, x).real) for x in post.values())
-        else:
-            post = {(p ^ flip, q ^ flip): ops[p] @ x @ ops[q].T
-                    for (p, q), x in blocks.items()}
-            prob = sum(float(np.trace(x).real) for (p, q), x in post.items() if p == q)
-        norm = np.sqrt(prob) if ket else prob
-        yield prob, ({k: x / norm for k, x in post.items()} if prob > PROB_PRUNE else None)
+    out *= phase / (np.sqrt(prob) if ket else prob)
+    return out
 
 
 def run_readout_once(spec: HilbertSpec, state: np.ndarray, lam: float, kraus=None):
@@ -225,29 +243,105 @@ def run_readout_once(spec: HilbertSpec, state: np.ndarray, lam: float, kraus=Non
     to reuse one pair across calls.
     """
     state = np.asarray(state)
-    ket = state.ndim == 1
-    (p0, post0), (p1, post1) = _step(kraus or readout_kraus(spec, lam), _split(state), ket)
-    return p0, p1, _join(post0, spec.dim, ket, 0), _join(post1, spec.dim, ket, 1)
+    ket, blocks = state.ndim == 1, _split(state)
+    out = []
+    for flip, ops in enumerate(kraus or readout_kraus(spec, lam)):
+        post = _apply(ops, flip, blocks, ket)
+        prob = _weight(post, ket)
+        out.append((prob, _join(post, spec.dim, ket, flip, prob) if prob > PROB_PRUNE else None))
+    (p0, post0), (p1, post1) = out
+    return p0, p1, post0, post1
 
 
-def _enumerate_branches(spec, state, kraus, rounds):
-    ket = state.ndim == 1
-    branches = [("", 1.0, _split(state))]
-    for _ in range(rounds):
-        branches = [(outcomes + bit, prob * p, post)
-                    for outcomes, prob, blocks in branches if blocks is not None
-                    for bit, (p, post) in zip("01", _step(kraus, blocks, ket))
-                    if prob * p > PROB_PRUNE]
-    return tuple(Branch(outcomes, prob, _join(blocks, spec.dim, ket, outcomes.count("1")))
-                 for outcomes, prob, blocks in branches)
+# The enumeration runs one loop over a tree of nodes that holds its own
+# representation of the state: `root`, `children(node, last)` giving
+# (probability, child) for outcome 0 and then 1, and `post_state(child,
+# probability, ones)`, which builds the normalized post-state of a leaf.
+class _KrausTree:
+    """Branches on the parity blocks of a ket or density matrix, under the
+    real Kraus blocks of `readout_kraus`. In the last round a density
+    matrix's probabilities come from the Grams KᵀK, Tr(K x Kᵀ) = ⟨KᵀK, x⟩
+    over the parity-diagonal blocks, in O(N²) per block; a ket's from
+    ‖Kψ‖², where a Gram would cost more than it saves. A leaf is the
+    parent's blocks and the flip of its last operator, applied only when
+    its post-state is read."""
+
+    def __init__(self, spec: HilbertSpec, state: np.ndarray, kraus, grams):
+        self.dim, self.ket, self.kraus, self.grams = spec.dim, state.ndim == 1, kraus, grams
+        self.root = _split(state)
+
+    def children(self, blocks: dict, last: bool):
+        for flip, ops in enumerate(self.kraus):
+            if last and not self.ket:
+                yield sum(float(np.vdot(self.grams[flip][p], x.real))
+                          for (p, q), x in blocks.items() if p == q), (blocks, flip)
+            else:
+                child = _apply(ops, flip, blocks, self.ket)
+                yield _weight(child, self.ket), (blocks, flip) if last else child
+
+    def post_state(self, leaf, prob: float, ones: int) -> np.ndarray:
+        blocks, flip = leaf
+        return _join(_apply(self.kraus[flip], flip, blocks, self.ket), self.dim, self.ket,
+                     ones, prob)
+
+
+class _SectorTree:
+    """Branches at lambda = 0 on the sectors of `fock.x_sectors`. There
+    K0 = cos(√π X/2) and M1 = sin(√π X/2) are diagonal, with values c and σ
+    at s: K0 has block B_p diag(c) B_pᵀ on parity p, and M1 B_{1-p} diag(σ) B_pᵀ
+    from p to 1 - p. So a node is its (zeros, ones) count, of probability
+    sym·(c²)^zeros (σ²)^ones, `sym` from `x_populations`, and every leaf
+    with m ones has the post-state of B_out diag(D) B_inᵀ, D = c^(R-m) σ^m,
+    built once and shared."""
+
+    def __init__(self, spec: HilbertSpec, state: np.ndarray, sym: np.ndarray):
+        y, s, z = x_sectors(spec)[:3]
+        half = np.sqrt(np.pi) / 2 * s
+        self.c, self.sn = np.cos(half), np.sin(half)
+        self.c2, self.s2 = self.c**2, self.sn**2
+        self.dim, self.ket, self.sym, self.bases = spec.dim, state.ndim == 1, sym, (y, z)
+        self.blocks, self.root, self.shared = _split(state), (0, 0), {}
+
+    def children(self, node: tuple, last: bool):
+        zeros, ones = node
+        for child in ((zeros + 1, ones), (zeros, ones + 1)):
+            yield float(self.sym @ (self.c2 ** child[0] * self.s2 ** child[1])), child
+
+    def post_state(self, leaf: tuple, prob: float, ones: int) -> np.ndarray:
+        if ones not in self.shared:
+            d, flip, b = self.c ** leaf[0] * self.sn**ones, ones % 2, self.bases
+            ops = [b[p ^ flip] * d @ b[p].T for p in (0, 1)]
+            self.shared[ones] = _join(_apply(ops, flip, self.blocks, self.ket), self.dim,
+                                      self.ket, ones, prob)
+        return self.shared[ones]
+
+
+def _enumerate_branches(tree, rounds: int) -> tuple:
+    # Every outcome string, 0 before 1, whose probability stays above
+    # PROB_PRUNE in every round; the post-states are built on first read.
+    nodes = [("", 1.0, tree.root)]
+    for k in range(rounds):
+        nodes = [(outcomes + bit, prob, child)
+                 for outcomes, _, node in nodes
+                 for bit, (prob, child) in zip("01", tree.children(node, k == rounds - 1))
+                 if prob > PROB_PRUNE]
+    return tuple(Branch(outcomes, prob, partial(tree.post_state, leaf, prob, outcomes.count("1")))
+                 for outcomes, prob, leaf in nodes)
 
 
 def simulated_p_err(pair: GkpStatePair, params: CircuitParams) -> ReadoutOutcome:
     """Exact readout error probability by full branch enumeration and
-    majority vote over params.rounds repetitions."""
-    kraus = readout_kraus(pair.spec, params.lam)
-    trees = [_enumerate_branches(pair.spec, state, kraus, params.rounds)
-             for state in (pair.state0, pair.state1)]
+    majority vote over params.rounds repetitions. At lambda = 0 the
+    branches run on the X sectors and no Kraus pair is built."""
+    states = (pair.state0, pair.state1)
+    if params.lam == 0:
+        trees = [_SectorTree(pair.spec, state, sym)
+                 for state, (sym, _) in zip(states, pair.populations)]
+    else:
+        kraus = readout_kraus(pair.spec, params.lam)
+        grams = None if pair.is_pure else tuple(tuple(op.T @ op for op in ops) for ops in kraus)
+        trees = [_KrausTree(pair.spec, state, kraus, grams) for state in states]
+    trees = [_enumerate_branches(tree, params.rounds) for tree in trees]
     wrong = [sum(b.probability for b in tree if b.majority != mu) for mu, tree in enumerate(trees)]
     return ReadoutOutcome(p_1_given_0=wrong[0], p_0_given_1=wrong[1],
                           branches_0=trees[0], branches_1=trees[1])
@@ -281,8 +375,7 @@ def readout_error(pair: GkpStatePair, params: CircuitParams) -> float:
         p_ones = [math.comb(r, m) * s**m * c ** (r - m) for m in range(r + 1)]
         # Input 0 errs on a majority of ones, input 1 on a majority of zeros.
         wrong = (sum(p_ones[r // 2 + 1:]), sum(p_ones[:r // 2 + 1]))
-        return float(0.5 * sum(x_populations(pair.spec, state)[0] @ tail
-                               for state, tail in zip(states, wrong)))
+        return float(0.5 * sum(sym @ tail for (sym, _), tail in zip(pair.populations, wrong)))
     if params.rounds == 1 and pair.is_pure:
         c, s = np.cos(params.lam * w), np.sin(params.lam * w)
         total = 0.0

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -93,6 +93,11 @@ class GkpStatePair:
     @property
     def is_pure(self) -> bool:
         return self.state0.ndim == 1
+
+    @cached_property
+    def populations(self) -> tuple:
+        """`x_populations` of state0 and of state1, computed once per pair."""
+        return tuple(x_populations(self.spec, state) for state in (self.state0, self.state1))
 
 
 def peak_indices(mu: int, kappa: float) -> np.ndarray:
@@ -258,10 +263,15 @@ def effective_squeezing(spec: HilbertSpec, state: np.ndarray) -> float:
 
     Equals delta for the pure states; +inf when the expectation vanishes.
     """
+    return effective_squeezing_of(spec, x_populations(spec, state))
+
+
+def effective_squeezing_of(spec: HilbertSpec, populations: tuple) -> float:
+    """`effective_squeezing` of the state whose `x_populations` are given."""
     # D(i√(2π)) = exp(2i√π X) is diagonal on the X eigenbasis; cos is even
     # and sin odd, so <D> = sym·cos(2√π s) + i anti·sin(2√π s).
     theta = 2 * np.sqrt(np.pi) * x_sectors(spec)[1]
-    sym, anti = x_populations(spec, state)
+    sym, anti = populations
     e = abs(complex(sym @ np.cos(theta), anti @ np.sin(theta)))
     if e <= 1e-300:
         return np.inf

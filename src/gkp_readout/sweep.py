@@ -19,7 +19,7 @@ from .states import (
     auto_cutoff,
     db_to_delta,
     delta_db,
-    effective_squeezing,
+    effective_squeezing_of,
     helstrom_bound,
     make_state_pair,
     purity,
@@ -157,7 +157,8 @@ def sweep_point(config: SweepConfig, delta: float, sigma: float) -> SweepPoint:
         if converged or config.cutoff_policy == "fixed" or 2 * spec.cutoff > MAX_CUTOFF:
             break
         spec = HilbertSpec(2 * spec.cutoff)
-    return SweepPoint(pair, purity(pair.state0), effective_squeezing(spec, pair.state0),
+    return SweepPoint(pair, purity(pair.state0),
+                      effective_squeezing_of(spec, pair.populations[0]),
                       helstrom_bound(pair.state0, pair.state1) if pair.is_pure else None,
                       converged)
 

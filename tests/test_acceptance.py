@@ -12,14 +12,11 @@ from gkp_readout.fock import HilbertSpec
 from gkp_readout.readout import CircuitParams, simulated_p_err
 from gkp_readout.states import (
     auto_cutoff,
-    db_to_delta,
     effective_squeezing,
     gaussian_displacement_channel,
     helstrom_bound,
-    make_pure_gkp,
     make_state_pair,
     purity,
-    GkpSpec,
 )
 from hybrid_oracle import (
     displacement,

@@ -281,22 +281,93 @@ def test_general_input_run_once_matches_hybrid_oracle(general_case):
                     assert _rel(g, w) < 1e-10
 
 
+def _assert_tree_matches_hybrid_oracle(pair, lam, unitary, rounds):
+    # Outcome strings in the same order, then probabilities, post-states
+    # and p_err within 1e-10 relative
+    out = simulated_p_err(pair, CircuitParams(lam, rounds))
+    wrong = []
+    for mu, state, tree in ((0, pair.state0, out.branches_0),
+                            (1, pair.state1, out.branches_1)):
+        want = enumerate_branches_hybrid(pair.spec, state, unitary, rounds)
+        assert [b.outcomes for b in tree] == [w[0] for w in want]
+        for b, (_, prob, post) in zip(tree, want):
+            assert abs(b.probability - prob) < 1e-10 * prob
+            assert _rel(b.post_state, post) < 1e-10
+        wrong.append(sum(prob for outcomes, prob, _ in want
+                         if Branch(outcomes, prob, None).majority != mu))
+    assert abs(out.p_err - 0.5 * sum(wrong)) < 1e-10 * out.p_err
+
+
 def test_general_input_branches_match_hybrid_oracle(general_case):
     pairs, unitaries = general_case
     for lam, unitary in unitaries.items():
         for pair in pairs:
-            out = simulated_p_err(pair, CircuitParams(lam, 3))
-            wrong = []
-            for mu, state, tree in ((0, pair.state0, out.branches_0),
-                                    (1, pair.state1, out.branches_1)):
-                want = enumerate_branches_hybrid(SPEC, state, unitary, 3)
-                assert [b.outcomes for b in tree] == [w[0] for w in want]
-                for b, (_, prob, post) in zip(tree, want):
-                    assert abs(b.probability - prob) < 1e-10 * prob
-                    assert _rel(b.post_state, post) < 1e-10
-                wrong.append(sum(prob for outcomes, prob, _ in want
-                                 if Branch(outcomes, prob, None).majority != mu))
-            assert abs(out.p_err - 0.5 * sum(wrong)) < 1e-10 * out.p_err
+            _assert_tree_matches_hybrid_oracle(pair, lam, unitary, 3)
+
+
+@pytest.mark.parametrize("case", ["gkp_sigma_0.1", "displaced_ket", "displaced_density"])
+def test_five_round_branches_match_hybrid_oracle(oracle_case, general_case, case):
+    # R = 5 at lambda = 0 (the X-sector tree) and at the optimal lambda (the
+    # Kraus tree with its last round on Grams)
+    if case == "gkp_sigma_0.1":
+        _, _, pair, unitaries = oracle_case(10)
+    else:
+        pairs, unitaries = general_case
+        pair = pairs[case == "displaced_density"]
+    for lam, unitary in unitaries.items():
+        _assert_tree_matches_hybrid_oracle(pair, lam, unitary, 5)
+
+
+def test_lambda_zero_builds_no_kraus_pair(monkeypatch, pair_10db):
+    from gkp_readout import readout
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Kraus pair built at lambda = 0")
+
+    monkeypatch.setattr(readout, "readout_kraus", forbidden)
+    monkeypatch.setattr(readout, "_kraus_factors", forbidden)
+    mixed = make_state_pair(SPEC, DELTA_10DB, sigma=0.1)
+    for pair in (pair_10db, mixed):
+        for rounds in (1, 3, 5):
+            out = simulated_p_err(pair, CircuitParams(0.0, rounds))
+            assert 0 < out.p_err < 0.5
+            assert out.branches_0[-1].post_state is not None
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_post_states_built_on_first_read(monkeypatch, lam, sigma):
+    # No full post-state is assembled while the tree is enumerated; each is
+    # built on its first read, once, read-only. At lambda = 0 the branches
+    # with the same number of ones share one.
+    from gkp_readout import readout
+
+    built = []
+    join = readout._join
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return join(*args, **kwargs)
+
+    monkeypatch.setattr(readout, "_join", counted)
+    pair = make_state_pair(SPEC, DELTA_10DB, sigma=sigma)
+    tree = simulated_p_err(pair, CircuitParams(lam, 3)).branches_0
+    assert len(tree) == 8 and built == []
+    first = tree[0].post_state
+    assert len(built) == 1 and tree[0].post_state is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0
+    posts = [b.post_state for b in tree]
+    assert all(not post.flags.writeable for post in posts)
+    ones = [b.outcomes.count("1") for b in tree]
+    if lam == 0:
+        assert len(built) == len(set(ones))
+        for post, m in zip(posts, ones):
+            assert post is posts[ones.index(m)]
+    else:
+        assert len(built) == len(tree)
+        assert len({id(post) for post in posts}) == len(tree)
 
 
 @pytest.fixture(scope="module")

@@ -412,6 +412,26 @@ def test_sweeps_enumerate_no_branches(monkeypatch):
     assert calls == []
 
 
+def test_one_x_population_pass_per_state_per_point(monkeypatch):
+    # A fig1a point's effective squeezing and its lambda = 0 cells for
+    # every rounds value read the X populations its pair computed once
+    from gkp_readout import states
+
+    seen = []
+    populations = states.x_populations
+
+    def counted(spec, state):
+        seen.append(state)
+        return populations(spec, state)
+
+    monkeypatch.setattr(states, "x_populations", counted)
+    cfg = SweepConfig(delta_db_min=8.0, delta_db_max=10.0, delta_db_points=3)
+    assert cfg.rounds_list == (1, 3, 5)
+    run_fig1a(cfg)
+    assert len(seen) == 2 * cfg.delta_db_points
+    assert len({id(state) for state in seen}) == len(seen)
+
+
 def test_one_svd_per_cutoff_and_per_squeezed_vacuum(monkeypatch, cold_caches):
     # From cold, a sweep runs the even-odd SVD once per cutoff for the X
     # sectors, which the kets, the Kraus factors, the channel and the error
