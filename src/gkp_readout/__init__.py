@@ -20,7 +20,6 @@ from .readout import (
     error_curve,
     homodyne_p_err_numeric,
     readout_error,
-    run_readout_once,
     simulated_p_err,
 )
 from .analytics import (

@@ -5,7 +5,8 @@ Everything the readout needs is a function of X or P. Fock parity flips
 both truncated quadratures exactly, so even functions of X or P keep
 parity and odd ones flip it, and each is a pair of real half-size blocks
 on the even and odd levels. All of them are read off one cached SVD of
-X's even-odd block per cutoff (`x_sectors`).
+X's even-odd block per cutoff (`x_sectors`), and the squeezed vacuum of
+every δ off one of the squeeze generator's (`squeeze_sectors`).
 """
 
 from __future__ import annotations
@@ -45,14 +46,16 @@ def _even_odd_svd(off: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """SVD B = Y diag(s) Zᵀ, s descending, of the even-odd block
     B = T[0::2, 1::2] of the symmetric tridiagonal T with a zero diagonal
     and off-diagonal `off`. B is lower bidiagonal, ⌈dim/2⌉ × ⌊dim/2⌋, and Y
-    is square: for an odd dim its last column spans the null space of Bᵀ.
+    is square: for an odd dim its last column spans the null space of Bᵀ,
+    and s is padded with a 0 and Z with a zero column to match.
     """
     off = np.asarray(off, dtype=float)
     b = np.zeros(((off.size + 2) // 2, (off.size + 1) // 2))
     np.fill_diagonal(b, off[0::2])
     np.fill_diagonal(b[1:], off[1::2])
     y, s, zt = np.linalg.svd(b)
-    return y, s, zt.T
+    pad = y.shape[0] - s.size
+    return y, np.concatenate((s, np.zeros(pad))), np.hstack((zt.T, np.zeros((zt.shape[1], pad))))
 
 
 @lru_cache(maxsize=4)
@@ -70,8 +73,6 @@ def x_sectors(spec: HilbertSpec) -> tuple:
     takes a block from the P to the X sectors.
     """
     y, s, z = _even_odd_svd(np.sqrt(np.arange(1, spec.dim) / 2))
-    pad = y.shape[0] - s.size
-    s, z = np.concatenate((s, np.zeros(pad))), np.hstack((z, np.zeros((z.shape[0], pad))))
     y_s, z_s = (i_power_signs(spec.dim)[p::2, None] * b for p, b in enumerate((y, z)))
     c = (y.T @ y_s, z.T @ z_s)
     for a in (y, s, z, y_s, z_s, *c):
@@ -85,33 +86,45 @@ def i_power_signs(count: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
+def squeeze_sectors(spec: HilbertSpec) -> tuple:
+    """(Y, s, Z) of the SVD of J's even-odd block, J the δ-free squeeze
+    generator of `squeezed_vacuum`, read-only, once per cutoff; the rows of
+    Y and Z, at the k-th even level, signed by (-1)^⌊(k+1)/2⌋, and the null
+    mode of an odd size padded as in `x_sectors`."""
+    n = np.arange(0, spec.dim, 2)
+    y, s, z = _even_odd_svd(np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0)))
+    y, z = (i_power_signs(n.size + 1)[1 + p::2, None] * b for p, b in enumerate((y, z)))
+    for a in (y, s, z):
+        a.setflags(write=False)
+    return y, s, z
+
+
 def squeezed_vacuum(spec: HilbertSpec, delta: float) -> np.ndarray:
-    """Squeezed vacuum of X-width delta, Var_X = delta²/2; real, on the even
-    Fock levels only. Cached per (cutoff, delta) for both kets of a pair.
+    """Squeezed vacuum of X-width delta, Var_X = delta²/2; real, read-only,
+    on the even Fock levels only. Two matrix-vector products on the SVD
+    that `squeeze_sectors` caches per cutoff, for any delta.
 
     The generator -½ ln δ (XP + PX) = (i/2) ln δ (a² - a†²) couples only
     n ↔ n+2, also truncated, so the vacuum stays on the even levels n.
-    With D = diag(iᵏ) along them the generator is D J D†, J real symmetric
-    tridiagonal with a zero diagonal. Its sign is fixed by the variance
-    contract (tested), since (XP + PX) sign conventions differ between
-    sources.
+    With D = diag(iᵏ) along them the generator is D (tJ) D†, t = -½ ln δ,
+    J real symmetric tridiagonal with a zero diagonal and no δ in it. Its
+    sign is fixed by the variance contract (tested), since (XP + PX) sign
+    conventions differ between sources.
     """
     if not 0 < delta <= 1:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
-    n = np.arange(0, spec.dim, 2)
-    off = -0.5 * np.log(delta) * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
-    # This is D exp(iJ) e₀. With the even k first J = [[0, B], [Bᵀ, 0]], so
-    # from the SVD of B, exp(iJ) e₀ is Y cos(s) y₀ on even k and
-    # i Z sin(s) y₀ on odd k, y₀ the first row of Y; times iᵏ, entry k is
-    # (-1)^⌊(k+1)/2⌋ times that real part.
-    y, s, z = _even_odd_svd(off)
-    cos_s = np.ones(y.shape[1])  # cos 0 on the null-space column of an odd size
-    cos_s[:s.size] = np.cos(s)
-    amp = np.empty(n.size)
-    amp[0::2] = y @ (cos_s * y[0])
-    amp[1::2] = z @ (np.sin(s) * y[0, :s.size])
     ket = np.zeros(spec.dim)
-    ket[n] = i_power_signs(n.size + 1)[1:] * amp
+    if delta == 1:
+        ket[0] = 1.0  # exactly, where Y Y[0]ᵀ is e₀ only to rounding
+    else:
+        # This is D exp(itJ) e₀. With the even k first tJ = [[0, tB], [tBᵀ, 0]],
+        # so from B = Y diag(s) Zᵀ, exp(itJ) e₀ is Y cos(ts) y₀ on even k and
+        # i Z sin(ts) y₀ on odd k, y₀ the first row of Y; iᵏ, which takes
+        # the i, is in the row signs. The sign of each pair (y_a, z_a) cancels.
+        y, s, z = squeeze_sectors(spec)
+        ts = -0.5 * np.log(delta) * s
+        ket[0::4] = y @ (np.cos(ts) * y[0])
+        ket[2::4] = z @ (np.sin(ts) * y[0])
     ket.setflags(write=False)
     return ket
 

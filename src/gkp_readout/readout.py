@@ -24,7 +24,6 @@ closed-form peak sum.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -33,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .fock import HilbertSpec, x_sectors
-from .states import GkpStatePair, effective_squeezing, peak_indices
+from .states import GkpStatePair, peak_indices
 
 PROB_PRUNE = 1e-15
 MAX_ROUNDS = 9
@@ -233,26 +232,6 @@ def _join(blocks: dict, dim: int, ket: bool, ones: int, prob: float) -> np.ndarr
     return out
 
 
-def run_readout_once(spec: HilbertSpec, state: np.ndarray, lam: float, kraus=None):
-    """One circuit execution on an oscillator ket or density matrix.
-
-    Returns (p0, p1, post0, post1) with the normalized post-measurement
-    oscillator states; a zero-probability branch yields a None post-state.
-    Qubit outcome 0 is read as logical 0 (calibrated on |0~> at small
-    delta, lambda = 0). `kraus` is `readout_kraus(spec, lam)`, passed in
-    to reuse one pair across calls.
-    """
-    state = np.asarray(state)
-    ket, blocks = state.ndim == 1, _split(state)
-    out = []
-    for flip, ops in enumerate(kraus or readout_kraus(spec, lam)):
-        post = _apply(ops, flip, blocks, ket)
-        prob = _weight(post, ket)
-        out.append((prob, _join(post, spec.dim, ket, flip, prob) if prob > PROB_PRUNE else None))
-    (p0, post0), (p1, post1) = out
-    return p0, p1, post0, post1
-
-
 # The enumeration runs one loop over a tree of nodes that holds its own
 # representation of the state: `root`, `children(node, last)` giving
 # (probability, child) for outcome 0 and then 1, and `post_state(child,
@@ -387,24 +366,6 @@ def readout_error(pair: GkpStatePair, params: CircuitParams) -> float:
                 total += float(np.vdot(y, y).real)
         return 0.5 * total
     return simulated_p_err(pair, params).p_err
-
-
-def branch_tree_dump(pair: GkpStatePair, outcome: ReadoutOutcome) -> str:
-    """JSON record of every branch: outcome string, probability, and the
-    effective squeezing of the post-measurement state."""
-    payload = {}
-    for mu, branches in (("input_0", outcome.branches_0),
-                         ("input_1", outcome.branches_1)):
-        payload[mu] = [
-            {
-                "outcomes": b.outcomes,
-                "probability": b.probability,
-                "post_delta_eff": (None if b.post_state is None
-                                   else effective_squeezing(pair.spec, b.post_state)),
-            }
-            for b in branches
-        ]
-    return json.dumps(payload, indent=2)
 
 
 def homodyne_p_err_numeric(pair: GkpStatePair) -> float:

@@ -123,7 +123,7 @@ def test_criterion_6_mixed_state_metrics(pair_10db):
 def test_criterion_7_property_suite():
     # The detailed property tests live in the per-module suites; this
     # re-runs the headline invariants in one place.
-    from gkp_readout.readout import run_readout_once
+    from readout_once import run_readout_once
 
     spec = HilbertSpec(150)
     checks = {}

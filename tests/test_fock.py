@@ -108,6 +108,37 @@ def test_squeeze_matches_dense_generator(cutoff):
         assert np.max(np.abs(squeezed_vacuum(spec, delta) - u[:, 0])) < 1e-12
 
 
+def _squeezed_vacuum_per_delta(spec, delta):
+    # A fresh SVD at every δ of the even-odd block of J, the generator along
+    # the even levels n with its phases taken out: exp(iJ)e₀ is Y cos(s) y₀
+    # on the even positions k and i Z sin(s) y₀ on the odd ones, and iᵏ
+    # makes both real.
+    n = np.arange(0, spec.dim, 2)
+    off = -0.5 * np.log(delta) * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
+    y, s, zt = np.linalg.svd((np.diag(off, 1) + np.diag(off, -1))[0::2, 1::2])
+    cos_s = np.ones(y.shape[1])
+    cos_s[:s.size] = np.cos(s)
+    amp = np.empty(n.size)
+    amp[0::2] = y @ (cos_s * y[0])
+    amp[1::2] = zt.T @ (np.sin(s) * y[0, :s.size])
+    ket = np.zeros(spec.dim)
+    ket[n] = (-1.0) ** ((np.arange(n.size) + 1) // 2) * amp
+    return ket
+
+
+@pytest.mark.parametrize("cutoff", [60, 61, 62, 300, 301, 302])
+def test_squeeze_matches_per_delta_svd(cutoff):
+    # One SVD per cutoff serves every δ: the generator's block is
+    # -½ ln δ times a fixed matrix. The block has a null mode at 60, 61,
+    # 300 and 301, and none at 62 and 302.
+    spec = HilbertSpec(cutoff)
+    for delta in (0.9, 0.5, 0.2, 0.1):
+        sv = squeezed_vacuum(spec, delta)
+        assert np.max(np.abs(sv - _squeezed_vacuum_per_delta(spec, delta))) <= 1e-13
+        assert sv.dtype == np.float64 and not sv.flags.writeable
+        assert not np.any(sv[1::2])
+
+
 def test_squeeze_variance_convention():
     # Oracle: numerical integration of the squeezed-vacuum wavefunction.
     # The anti-squeezed quadrature converges slowly in N, hence the

@@ -13,12 +13,10 @@ from gkp_readout.readout import (
     Branch,
     CircuitParams,
     ReadoutOutcome,
-    branch_tree_dump,
     error_curve,
     homodyne_p_err_numeric,
     readout_error,
     readout_kraus,
-    run_readout_once,
     simulated_p_err,
 )
 from gkp_readout.states import (
@@ -49,6 +47,7 @@ from hybrid_oracle import (
     readout_unitary,
     run_readout_hybrid,
 )
+from readout_once import run_readout_once
 
 SPEC = HilbertSpec(150)
 DELTA_10DB = np.sqrt(0.1)
@@ -539,17 +538,6 @@ def test_convergence_in_cutoff():
 def test_branch_majority():
     assert Branch("001", 0.1, None).majority == 0
     assert Branch("011", 0.1, None).majority == 1
-
-
-def test_branch_tree_dump(pair_10db):
-    import json
-
-    out = simulated_p_err(pair_10db, CircuitParams(0.0, 1))
-    payload = json.loads(branch_tree_dump(pair_10db, out))
-    assert set(payload) == {"input_0", "input_1"}
-    rec = payload["input_0"][0]
-    assert set(rec) == {"outcomes", "probability", "post_delta_eff"}
-    assert rec["post_delta_eff"] > 0
 
 
 def test_homodyne_matches_closed_form(pair_10db):

@@ -432,11 +432,11 @@ def test_one_x_population_pass_per_state_per_point(monkeypatch):
     assert len({id(state) for state in seen}) == len(seen)
 
 
-def test_one_svd_per_cutoff_and_per_squeezed_vacuum(monkeypatch, cold_caches):
+def test_one_squeeze_svd_per_cutoff_whatever_the_deltas(monkeypatch, cold_caches):
     # From cold, a sweep runs the even-odd SVD once per cutoff for the X
     # sectors, which the kets, the Kraus factors, the channel and the error
-    # curve share, and once per (cutoff, delta) for the squeezed vacuum that
-    # both kets of a pair start from
+    # curve share, and once per cutoff for the squeezed vacuum, however many
+    # deltas start from it
     from gkp_readout import fock, states
 
     svd = fock._even_odd_svd
@@ -446,7 +446,9 @@ def test_one_svd_per_cutoff_and_per_squeezed_vacuum(monkeypatch, cold_caches):
         if np.array_equal(off, np.sqrt(np.arange(1, len(off) + 1) / 2)):
             x_basis.append(len(off) + 1)
         else:
-            squeeze.append((len(off), off[0]))
+            n = 2.0 * np.arange(len(off))
+            assert np.array_equal(off, np.sqrt((n + 1) * (n + 2)))
+            squeeze.append(len(off))
         return svd(off)
 
     def recorded(spec, g, strict=True):
@@ -456,10 +458,12 @@ def test_one_svd_per_cutoff_and_per_squeezed_vacuum(monkeypatch, cold_caches):
     make_pure_gkp = states.make_pure_gkp
     monkeypatch.setattr(fock, "_even_odd_svd", counted)
     monkeypatch.setattr(states, "make_pure_gkp", recorded)
-    assert main(["fig1c", "--points", "2"]) == 0
+    assert main(["fig1c", "--points", "3"]) == 0
     cutoffs = {n for n, _ in kets}
+    assert len(kets) > len(cutoffs)  # some cutoff serves several deltas
     assert sorted(x_basis) == sorted(n + 1 for n in cutoffs)
-    assert len(set(squeeze)) == len(squeeze) == len(kets)
+    # The squeeze block's off-diagonal runs along the even levels 0..n
+    assert sorted(squeeze) == sorted(n // 2 for n in cutoffs)
 
 
 def test_caches_hold_only_half_size_blocks(monkeypatch, cold_caches):
