@@ -11,12 +11,15 @@ rounds; each branch keeps its outcome string, probability and
 post-measurement oscillator state. At lambda = 0 the tree runs on the X
 sectors, where K0 and M1 are diagonal: a branch with m ones has
 probability sym·(c²)^(R-m) (σ²)^m and no Kraus pair is built. Otherwise
-it runs on the parity blocks under the Kraus pair, and a density
-matrix's last round reads its probabilities off the Grams KᵀK. Post-states
-are built on first read, read-only; at lambda = 0 the branches with the
-same m share one. `readout_error` gives the same error without the
-branches where a closed form exists: at lambda = 0 on the X populations,
-and at one round on a ket from the cached Kraus factors. At one round
+it runs on the parity blocks under the Kraus pair. A ket runs every
+round forward; a density matrix meets in the middle: its first ⌊R/2⌋
+rounds run forward, and every later round reads its probabilities off
+the effects K_wᵀK_w of the remaining outcome strings w, built once per
+call and shared by both trees of the pair. Post-states are built on
+first read, read-only; at lambda = 0 the branches with the same m share
+one. `readout_error` gives the same error without the branches where a
+closed form exists: at lambda = 0 on the X populations, and at one
+round on a ket from the cached Kraus factors. At one round
 the error is also a closed-form curve in lambda (`error_curve`), for
 lambda searches. The ideal homodyne readout they are compared with is a
 closed-form peak sum.
@@ -233,35 +236,66 @@ def _join(blocks: dict, dim: int, ket: bool, ones: int, prob: float) -> np.ndarr
 
 
 # The enumeration runs one loop over a tree of nodes that holds its own
-# representation of the state: `root`, `children(node, last)` giving
-# (probability, child) for outcome 0 and then 1, and `post_state(child,
-# probability, ones)`, which builds the normalized post-state of a leaf.
+# representation of the state: `root`, `children(node, k)` giving
+# (probability, child) for outcome 0 and then 1 in round k, and
+# `post_state(child, probability, ones)`, which builds the normalized
+# post-state of a leaf.
+def _suffix_effects(kraus, rounds: int) -> tuple:
+    """The effects E_w = K_wᵀK_w of every outcome string w of the last
+    m = rounds - ⌊rounds/2⌋ rounds, K_w = K_{w_j}…K_{w_1} on the real Kraus
+    blocks of `readout_kraus`, stacked per input parity p: row
+    (2ʲ - 2) + int(w, 2) holds E_w on parity p, flattened, for w of length
+    j = 1…m. The first level is the Grams KᵀK; the rest are built as
+    E_{bw} = K_bᵀ E_w K_b, with E_w on the parity K_b leads to."""
+    m = rounds - rounds // 2
+    stacks = [np.empty((2 ** (m + 1) - 2, d, d)) for d in (ops.shape[1] for ops in kraus[0])]
+    for p, stack in enumerate(stacks):
+        for b, ops in enumerate(kraus):
+            np.matmul(ops[p].T, ops[p], out=stack[b])
+    for j in range(1, m):
+        # Level j holds rows lo…lo + n - 1; level j + 1 follows it, b major.
+        lo, n = 2**j - 2, 2**j
+        for p, stack in enumerate(stacks):
+            for b, ops in enumerate(kraus):
+                np.matmul(ops[p].T, stacks[p ^ b][lo:lo + n] @ ops[p],
+                          out=stack[lo + n * (b + 1):lo + n * (b + 2)])
+    return tuple(stack.reshape(len(stack), -1) for stack in stacks)
+
+
 class _KrausTree:
     """Branches on the parity blocks of a ket or density matrix, under the
-    real Kraus blocks of `readout_kraus`. In the last round a density
-    matrix's probabilities come from the Grams KᵀK, Tr(K x Kᵀ) = ⟨KᵀK, x⟩
-    over the parity-diagonal blocks, in O(N²) per block; a ket's from
-    ‖Kψ‖², where a Gram would cost more than it saves. A leaf is the
-    parent's blocks and the flip of its last operator, applied only when
-    its post-state is read."""
+    real Kraus blocks of `readout_kraus`. A ket runs every round forward,
+    its probabilities ‖Kψ‖². A density matrix runs only its first ⌊R/2⌋
+    rounds forward; a node there holds its blocks ρ_u. The rest meet it
+    from the other end: every later history uw has probability
+    Tr(K_w ρ_u K_wᵀ) = ⟨E_w, ρ_u⟩ over the parity-diagonal blocks, on the
+    `_suffix_effects` shared by both trees of a pair, so one product of a
+    stack with each block gives every round's probability below u. A node
+    there is (ρ_u, w, those probabilities), and a leaf's suffix operators
+    are applied to ρ_u only when its post-state is read."""
 
-    def __init__(self, spec: HilbertSpec, state: np.ndarray, kraus, grams):
-        self.dim, self.ket, self.kraus, self.grams = spec.dim, state.ndim == 1, kraus, grams
-        self.root = _split(state)
+    def __init__(self, spec: HilbertSpec, state: np.ndarray, kraus, effects, rounds: int):
+        self.dim, self.ket, self.kraus, self.effects = spec.dim, state.ndim == 1, kraus, effects
+        self.forward = rounds if self.ket else rounds // 2
+        self.root = (_split(state), "", None)
 
-    def children(self, blocks: dict, last: bool):
-        for flip, ops in enumerate(self.kraus):
-            if last and not self.ket:
-                yield sum(float(np.vdot(self.grams[flip][p], x.real))
-                          for (p, q), x in blocks.items() if p == q), (blocks, flip)
-            else:
+    def children(self, node: tuple, k: int):
+        blocks, w, probs = node
+        if k < self.forward:
+            for flip, ops in enumerate(self.kraus):
                 child = _apply(ops, flip, blocks, self.ket)
-                yield _weight(child, self.ket), (blocks, flip) if last else child
+                yield _weight(child, self.ket), (child, "", None)
+            return
+        if probs is None:
+            probs = sum(self.effects[p] @ x.real.ravel() for (p, q), x in blocks.items() if p == q)
+        for bit in "01":
+            yield float(probs[(2 << len(w)) - 2 + int(w + bit, 2)]), (blocks, w + bit, probs)
 
-    def post_state(self, leaf, prob: float, ones: int) -> np.ndarray:
-        blocks, flip = leaf
-        return _join(_apply(self.kraus[flip], flip, blocks, self.ket), self.dim, self.ket,
-                     ones, prob)
+    def post_state(self, leaf: tuple, prob: float, ones: int) -> np.ndarray:
+        blocks, w, _ = leaf
+        for flip in map(int, w):
+            blocks = _apply(self.kraus[flip], flip, blocks, self.ket)
+        return _join(blocks, self.dim, self.ket, ones, prob)
 
 
 class _SectorTree:
@@ -281,7 +315,7 @@ class _SectorTree:
         self.dim, self.ket, self.sym, self.bases = spec.dim, state.ndim == 1, sym, (y, z)
         self.blocks, self.root, self.shared = _split(state), (0, 0), {}
 
-    def children(self, node: tuple, last: bool):
+    def children(self, node: tuple, k: int):
         zeros, ones = node
         for child in ((zeros + 1, ones), (zeros, ones + 1)):
             yield float(self.sym @ (self.c2 ** child[0] * self.s2 ** child[1])), child
@@ -302,7 +336,7 @@ def _enumerate_branches(tree, rounds: int) -> tuple:
     for k in range(rounds):
         nodes = [(outcomes + bit, prob, child)
                  for outcomes, _, node in nodes
-                 for bit, (prob, child) in zip("01", tree.children(node, k == rounds - 1))
+                 for bit, (prob, child) in zip("01", tree.children(node, k))
                  if prob > PROB_PRUNE]
     return tuple(Branch(outcomes, prob, partial(tree.post_state, leaf, prob, outcomes.count("1")))
                  for outcomes, prob, leaf in nodes)
@@ -318,8 +352,8 @@ def simulated_p_err(pair: GkpStatePair, params: CircuitParams) -> ReadoutOutcome
                  for state, (sym, _) in zip(states, pair.populations)]
     else:
         kraus = readout_kraus(pair.spec, params.lam)
-        grams = None if pair.is_pure else tuple(tuple(op.T @ op for op in ops) for ops in kraus)
-        trees = [_KrausTree(pair.spec, state, kraus, grams) for state in states]
+        effects = None if pair.is_pure else _suffix_effects(kraus, params.rounds)
+        trees = [_KrausTree(pair.spec, state, kraus, effects, params.rounds) for state in states]
     trees = [_enumerate_branches(tree, params.rounds) for tree in trees]
     wrong = [sum(b.probability for b in tree if b.majority != mu) for mu, tree in enumerate(trees)]
     return ReadoutOutcome(p_1_given_0=wrong[0], p_0_given_1=wrong[1],

@@ -255,7 +255,10 @@ def x_populations(spec: HilbertSpec, state: np.ndarray) -> tuple[np.ndarray, np.
         e0, e1 = y.T @ state[0::2], z.T @ state[1::2]
         return np.abs(e0) ** 2 + np.abs(e1) ** 2, 2 * (e0 * e1.conj()).real
     sym = sum(np.einsum("ka,ka->a", b, state[p::2, p::2] @ b).real for p, b in enumerate((y, z)))
-    return sym, 2 * np.einsum("ka,ka->a", y, state[0::2, 1::2] @ z).real
+    # A channel output of a GKP ket has no parity coherence: skip its block.
+    coherence = state[0::2, 1::2]
+    return sym, (2 * np.einsum("ka,ka->a", y, coherence @ z).real if coherence.any()
+                 else np.zeros_like(sym))
 
 
 def effective_squeezing(spec: HilbertSpec, state: np.ndarray) -> float:

@@ -94,6 +94,28 @@ def test_optimal_lambda_stationarity():
         assert abs(deriv) < 1e-6
 
 
+def test_optimal_lambda_is_the_full_bisection_in_a_few_evaluations(monkeypatch):
+    # The same float as bisecting the scan's bracket on every step, from at
+    # most a dozen scalar evaluations of the condition (about 48 before)
+    from gkp_readout import analytics
+
+    stationarity, scalar_calls = analytics._stationarity, []
+
+    def counted(lam, delta):
+        scalar_calls.append(np.ndim(lam) == 0)
+        return stationarity(lam, delta)
+
+    deltas = np.concatenate([np.linspace(0.02, 0.98, 500), 10.0 ** (-np.arange(1, 30.5, 0.5) / 20)])
+    for d in deltas:
+        full = first_rising_root(lambda lam: stationarity(lam, d),
+                                 np.linspace(0.0, 4 * np.sqrt(np.pi) * d**2, 400))
+        monkeypatch.setattr(analytics, "_stationarity", counted)
+        scalar_calls.clear()
+        assert optimal_lambda(d) == full
+        assert sum(scalar_calls) <= 12
+        monkeypatch.setattr(analytics, "_stationarity", stationarity)
+
+
 def test_optimal_lambda_values():
     assert abs(optimal_lambda(np.sqrt(0.1)) - 0.0957338) < 1e-6
     # small-delta seed approximation within 2% at delta = 0.1

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import mpmath
 import numpy as np
 import pytest
@@ -304,17 +306,75 @@ def test_general_input_branches_match_hybrid_oracle(general_case):
             _assert_tree_matches_hybrid_oracle(pair, lam, unitary, 3)
 
 
-@pytest.mark.parametrize("case", ["gkp_sigma_0.1", "displaced_ket", "displaced_density"])
-def test_five_round_branches_match_hybrid_oracle(oracle_case, general_case, case):
-    # R = 5 at lambda = 0 (the X-sector tree) and at the optimal lambda (the
-    # Kraus tree with its last round on Grams)
+@pytest.mark.parametrize("case, rounds", [("gkp_sigma_0.1", 5), ("displaced_ket", 5),
+                                           ("displaced_density", 5), ("gkp_sigma_0.1", 7)])
+def test_multi_round_branches_match_hybrid_oracle(oracle_case, general_case, case, rounds):
+    # At lambda = 0 (the X-sector tree) and at the optimal lambda (the Kraus
+    # tree, whose density matrices run rounds//2 rounds forward and read the
+    # rest off the suffix effects: a 2/3 split at R = 5, 3/4 at R = 7)
     if case == "gkp_sigma_0.1":
         _, _, pair, unitaries = oracle_case(10)
     else:
         pairs, unitaries = general_case
         pair = pairs[case == "displaced_density"]
     for lam, unitary in unitaries.items():
-        _assert_tree_matches_hybrid_oracle(pair, lam, unitary, 5)
+        _assert_tree_matches_hybrid_oracle(pair, lam, unitary, rounds)
+
+
+def test_pruning_inside_the_suffix_rounds(monkeypatch, oracle_case):
+    # With a coarse PROB_PRUNE, R = 5 histories of a density matrix die in
+    # rounds 3-5, which read their probabilities off the suffix effects; each
+    # must go in the round where the oracle's cumulative probability falls.
+    from gkp_readout import readout
+
+    prune = 1e-4
+    monkeypatch.setattr(readout, "PROB_PRUNE", prune)
+    _, _, pair, unitaries = oracle_case(10)
+    lam = max(unitaries)
+    out = simulated_p_err(pair, CircuitParams(lam, 5))
+    for state, tree in ((pair.state0, out.branches_0), (pair.state1, out.branches_1)):
+        want = enumerate_branches_hybrid(pair.spec, state, unitaries[lam], 5, prune=prune)
+        assert [b.outcomes for b in tree] == [w[0] for w in want]
+        for b, (_, prob, _) in zip(tree, want):
+            assert abs(b.probability - prob) < 1e-10
+        # Some two-round prefix keeps only part of its eight histories.
+        leaves = Counter(b.outcomes[:2] for b in tree)
+        assert any(n < 8 for n in leaves.values())
+
+
+@pytest.mark.parametrize("rounds, applies", [(1, 0), (3, 4), (5, 12), (7, 28)])
+def test_density_tree_work_is_pinned(monkeypatch, rounds, applies):
+    # A density pair at lambda != 0 builds the suffix effects once per call,
+    # shared by both trees, and runs only rounds//2 rounds forward: at R = 5,
+    # 2 + 4 conjugations per tree, against 2 + 4 + 8 + 16 with every round
+    # before the last run forward.
+    from gkp_readout import readout
+
+    calls = {"_apply": 0, "effects": [], "trees": []}
+    apply, effects, init = readout._apply, readout._suffix_effects, readout._KrausTree.__init__
+
+    def counted_apply(*args):
+        calls["_apply"] += 1
+        return apply(*args)
+
+    def counted_effects(*args):
+        calls["effects"].append(effects(*args))
+        return calls["effects"][-1]
+
+    def recorded_init(tree, *args):
+        init(tree, *args)
+        calls["trees"].append(tree)
+
+    monkeypatch.setattr(readout, "_apply", counted_apply)
+    monkeypatch.setattr(readout, "_suffix_effects", counted_effects)
+    monkeypatch.setattr(readout._KrausTree, "__init__", recorded_init)
+    pair = make_state_pair(SPEC, DELTA_10DB, sigma=0.1)
+    out = simulated_p_err(pair, CircuitParams(optimal_lambda(DELTA_10DB), rounds))
+    assert len(out.branches_0) == len(out.branches_1) == 2**rounds
+    assert len(calls["effects"]) == 1 and len(calls["trees"]) == 2
+    assert all(tree.effects is calls["effects"][0] for tree in calls["trees"])
+    assert [len(stack) for stack in calls["effects"][0]] == [2 ** (rounds - rounds // 2 + 1) - 2] * 2
+    assert calls["_apply"] == applies
 
 
 def test_lambda_zero_builds_no_kraus_pair(monkeypatch, pair_10db):

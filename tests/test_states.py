@@ -164,6 +164,22 @@ def test_x_populations_match_dense_eigenbasis(cutoff):
         assert abs(anti @ s) > 0.1  # the displaced input has <X> ≠ 0
 
 
+def test_x_populations_without_parity_coherence():
+    # The channel output of a GKP ket has no even-odd block: anti is exactly
+    # zero, and sym still matches the dense eigenbasis (odd dim: a null mode)
+    spec = HilbertSpec(150)
+    w, v = x_eigenbasis(spec)
+    rho = gaussian_displacement_channel(spec, make_pure_gkp(spec, GkpSpec(1, DELTA_10DB)), 0.1)
+    assert not rho[0::2, 1::2].any()
+    sym, anti = x_populations(spec, rho)
+    assert anti.shape == sym.shape and not anti.any()
+    ref = np.diag(v.T @ rho @ v)
+    pairs = spec.dim // 2
+    assert np.max(np.abs(ref[::-1][:pairs] - 0.5 * sym[:pairs])) < 1e-13
+    assert np.max(np.abs(ref[:pairs] - 0.5 * sym[:pairs])) < 1e-13
+    assert abs(ref[pairs] - sym[-1]) < 1e-13
+
+
 def test_effective_squeezing_of_vacuum():
     # Oracle: |<vac|D(a)|vac>| = e^{-|a|^2/2} gives exactly 1 here
     assert abs(effective_squeezing(SPEC, vacuum(SPEC)) - 1.0) < 1e-10
