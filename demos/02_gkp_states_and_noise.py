@@ -11,7 +11,6 @@ from gkp_readout.states import (
     GkpSpec,
     delta_db,
     effective_squeezing,
-    effective_squeezing_db,
     gaussian_displacement_channel,
     helstrom_bound,
     make_pure_gkp,
@@ -44,4 +43,4 @@ for sigma in (0.0, 0.05, 0.1, 0.15):
     deff = effective_squeezing(spec, rho)
     pred = np.sqrt(delta**2 + 2 * sigma**2)
     print(f"  {sigma:6.2f} {deff:10.4f} {pred:10.4f} "
-          f"{effective_squeezing_db(spec, rho):13.2f} {purity(rho):8.4f}")
+          f"{delta_db(deff):13.2f} {purity(rho):8.4f}")

@@ -13,6 +13,7 @@ from .states import (
     delta_db,
     db_to_delta,
     auto_cutoff,
+    converged_pair,
 )
 from .readout import (
     CircuitParams,

@@ -17,16 +17,22 @@ import warnings
 import numpy as np
 
 from . import analytics, readout, sweep
-from .fock import HilbertSpec, NumericalError, TruncationError, squeezed_vacuum, x_sectors
+from .fock import (
+    HilbertSpec,
+    NumericalError,
+    TruncationError,
+    check_leakage,
+    squeezed_vacuum,
+    x_sectors,
+)
 from .states import (
-    auto_cutoff,
+    converged_pair,
     db_to_delta,
     delta_db,
     effective_squeezing,
     export_state_csv,
     export_state_json,
     helstrom_bound,
-    make_state_pair,
     purity,
     x_populations,
 )
@@ -66,15 +72,16 @@ def cmd_optimize_lambda(args) -> int:
 
 def cmd_state_info(args) -> int:
     delta = db_to_delta(args.delta_db)
-    spec = auto_cutoff(delta, args.kappa)
-    pair = make_state_pair(spec, delta, args.kappa, args.sigma)
-    deff = effective_squeezing(spec, pair.state0)
+    pair = converged_pair(delta, args.kappa, args.sigma)
+    for state in (pair.state0, pair.state1):
+        check_leakage(state)
+    deff = effective_squeezing(pair.spec, pair.state0)
     result = {
         "delta_db": args.delta_db,
         "delta": delta,
         "kappa": pair.kappa,
         "sigma": args.sigma,
-        "cutoff_N": spec.cutoff,
+        "cutoff_N": pair.spec.cutoff,
         "purity": purity(pair.state0),
         "delta_eff": deff,
         "delta_eff_db": delta_db(deff),
@@ -92,13 +99,13 @@ def cmd_validate(args) -> int:
     """Run a quick in-process invariant suite and print one line each."""
     checks = []
     delta = 0.3162
-    spec = auto_cutoff(delta)
+    pair = converged_pair(delta)
     lam = analytics.optimal_lambda(delta)
     # K0†K0 + K1†K1 = I on each parity: K0 keeps parity p with block A[p],
     # K1 = i M1 takes it to 1 - p with block B[p]. It holds on the whole
     # truncated space, since C and S are functions of one X and cos λP and
     # sin λP of one P.
-    a, b = readout.readout_kraus(spec, lam)
+    a, b = readout.readout_kraus(pair.spec, lam)
     checks.append(("Kraus completeness", all(
         np.max(np.abs(a[p].T @ a[p] + b[p].T @ b[p] - np.eye(len(a[p])))) < 1e-12
         for p in (0, 1))))
@@ -108,9 +115,8 @@ def cmd_validate(args) -> int:
     s = x_sectors(small)[1]
     var = sym @ s**2 - (anti @ s) ** 2
     checks.append(("squeezed-vacuum X variance", abs(var - 0.125) < 1e-9))
-    pair = make_state_pair(spec, delta)
     checks.append(("effective squeezing of the 10 dB ket",
-                   abs(effective_squeezing(spec, pair.state0) - delta) < 1e-9))
+                   abs(effective_squeezing(pair.spec, pair.state0) - delta) < 1e-9))
     # At lambda = 0 the branches run on the X sectors, so the optimal
     # lambda is what puts the Kraus pair itself to this test.
     outs = [readout.simulated_p_err(pair, readout.CircuitParams(x, 1)) for x in (0.0, lam)]
@@ -120,12 +126,13 @@ def cmd_validate(args) -> int:
     bound = helstrom_bound(pair.state0, pair.state1)
     checks.append(("Helstrom dominance", all(out.p_err >= bound - 1e-10 for out in outs)))
     # The sweeps' closed forms (R = 3 at lambda = 0, R = 1 at the optimum)
-    # against the branch enumeration.
+    # against the branch enumeration, which outs[1] already holds at the
+    # optimum.
     params = (readout.CircuitParams(0.0, 3), readout.CircuitParams(lam, 1))
     closed = [readout.readout_error(pair, prm) for prm in params]
     checks.append(("closed-form p_err equals branch enumeration at 10 dB", all(
-        abs(c - readout.simulated_p_err(pair, prm).p_err) <= 1e-12 * c + 1e-16
-        for c, prm in zip(closed, params))))
+        abs(c - out.p_err) <= 1e-12 * c + 1e-16
+        for c, out in zip(closed, (readout.simulated_p_err(pair, params[0]), outs[1])))))
     formula = analytics.p_err_improved_formula(delta, lam)
     checks.append(("formula agreement at 10 dB",
                    abs(closed[1] - formula) < max(0.1 * formula, 1e-5)))

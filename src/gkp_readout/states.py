@@ -13,9 +13,10 @@ import numpy as np
 
 from .analytics import helstrom_formula
 from .fock import (
+    LEAKAGE_TOL,
     HilbertSpec,
-    TruncationError,
     check_leakage,
+    leakage,
     normalize,
     squeezed_vacuum,
     x_sectors,
@@ -64,8 +65,9 @@ class GkpSpec:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.kappa is None:
             object.__setattr__(self, "kappa", 1.0 / self.delta)
-        # Written so that NaN fails too; an infinite kappa or sigma would
-        # never let peak_indices reach its floor, or would prune every branch.
+        # Written so that NaN fails too; an infinite kappa would leave
+        # peak_indices no finite range, and an infinite sigma would prune
+        # every branch.
         if not 1 <= self.kappa < np.inf:
             raise ValueError(f"kappa must be finite and >= 1, got {self.kappa}")
         if not 0 <= self.sigma < np.inf:
@@ -94,6 +96,11 @@ class GkpStatePair:
     def is_pure(self) -> bool:
         return self.state0.ndim == 1
 
+    @property
+    def converged(self) -> bool:
+        """Whether both states' truncation leakage is below LEAKAGE_TOL."""
+        return all(leakage(state) < LEAKAGE_TOL for state in (self.state0, self.state1))
+
     @cached_property
     def populations(self) -> tuple:
         """`x_populations` of state0 and of state1, computed once per pair."""
@@ -102,16 +109,11 @@ class GkpStatePair:
 
 def peak_indices(mu: int, kappa: float) -> np.ndarray:
     """Integers s whose peak envelope weight clears the retention floor."""
-    s_vals = [0]
-    for direction in (1, -1):
-        s = direction
-        while True:
-            c = HALF_SPACING * (2 * s + mu)
-            if np.exp(-(c**2) / kappa**2) < PEAK_WEIGHT_FLOOR:
-                break
-            s_vals.append(s)
-            s += direction
-    return np.array(sorted(s_vals))
+    # At s = ±n, |c| > 8 kappa: a weight below exp(-64), far under the floor.
+    n = int(4 * kappa / HALF_SPACING) + 2
+    s = np.arange(-n, n + 1)
+    c = HALF_SPACING * (2 * s + mu)
+    return s[np.exp(-(c**2) / kappa**2) >= PEAK_WEIGHT_FLOOR]
 
 
 def make_pure_gkp(spec: HilbertSpec, g: GkpSpec, strict: bool = True) -> np.ndarray:
@@ -161,26 +163,33 @@ def make_state_pair(spec: HilbertSpec, delta: float, kappa: Optional[float] = No
     return GkpStatePair(*pair, spec, delta, kappa, float(sigma))
 
 
-def auto_cutoff(delta: float, kappa: Optional[float] = None, sigma: float = 0.0,
-                start: int = DEFAULT_CUTOFF) -> HilbertSpec:
-    """Smallest cutoff in the doubling sequence whose GKP kets pass the
-    leakage check. sigma is accepted but unused: the displacement
-    channel's output can leak more than its input (at N = 150 and 11.5 dB,
-    3.7e-11 for the ket and 1.2e-10 after sigma = 0.15). A strict
-    `make_state_pair` raises on that, and a sweep under the auto policy
-    doubles the cutoff again, building the channel once per cutoff."""
+def converged_pair(delta: float, kappa: Optional[float] = None, sigma: float = 0.0,
+                   start: int = DEFAULT_CUTOFF) -> GkpStatePair:
+    """The pair at the first cutoff, doubling from start up to MAX_CUTOFF,
+    where both states pass the leakage check, or else the last pair tried
+    (`converged` false). The channel's output can leak more than the kets,
+    so it is built at each cutoff where the kets pass, and at the last."""
     if start > MAX_CUTOFF:
         raise ValueError(f"start cutoff {start} exceeds the largest tried, {MAX_CUTOFF}")
-    n = start
-    while n <= MAX_CUTOFF:
-        spec = HilbertSpec(n)
-        try:
-            for mu in (0, 1):
-                make_pure_gkp(spec, GkpSpec(mu, delta, kappa))
-            return spec
-        except TruncationError:
-            n *= 2
-    raise RuntimeError(f"no converged cutoff <= {MAX_CUTOFF} for delta={delta}")
+    spec = HilbertSpec(start)
+    while True:
+        last = 2 * spec.cutoff > MAX_CUTOFF
+        pair = make_state_pair(spec, delta, kappa, strict=False)
+        if sigma != 0 and (pair.converged or last):
+            pair = make_state_pair(spec, delta, kappa, sigma, strict=False)
+        if pair.converged or last:
+            return pair
+        spec = HilbertSpec(2 * spec.cutoff)
+
+
+def auto_cutoff(delta: float, kappa: Optional[float] = None, sigma: float = 0.0,
+                start: int = DEFAULT_CUTOFF) -> HilbertSpec:
+    """The kets' cutoff under `converged_pair`. sigma is unused, so that a
+    caller who builds the mixed pair itself builds its channel once."""
+    pair = converged_pair(delta, kappa, start=start)
+    if not pair.converged:
+        raise RuntimeError(f"no converged cutoff <= {MAX_CUTOFF} for delta={delta}")
+    return pair.spec
 
 
 # The two parts of ρ that the displacement channel keeps apart, as the
@@ -281,11 +290,6 @@ def effective_squeezing_of(spec: HilbertSpec, populations: tuple) -> float:
     if e > 1.0:
         e = 1.0
     return float(np.sqrt(np.log(1.0 / e**2) / (2 * np.pi)))
-
-
-def effective_squeezing_db(spec: HilbertSpec, state: np.ndarray) -> float:
-    d = effective_squeezing(spec, state)
-    return -np.inf if d == np.inf else delta_db(d)
 
 
 def purity(state: np.ndarray) -> float:

@@ -10,13 +10,13 @@ from typing import Optional
 import numpy as np
 
 from . import analytics
-from .fock import LEAKAGE_TOL, HilbertSpec, leakage
+from .fock import HilbertSpec
 from .readout import CircuitParams, error_curve, readout_error
 from .states import (
     MAX_CUTOFF,
     GkpSpec,
     GkpStatePair,
-    auto_cutoff,
+    converged_pair,
     db_to_delta,
     delta_db,
     effective_squeezing_of,
@@ -125,7 +125,6 @@ class SweepPoint:
     purity: float
     deff: float
     helstrom: Optional[float]
-    converged: bool
 
     def simulated(self, lam: float, rounds: int = 1) -> float:
         return readout_error(self.pair, CircuitParams(lam, rounds))
@@ -136,31 +135,23 @@ class SweepPoint:
         return SweepRow(strategy, delta_db(pair.delta), pair.delta, pair.kappa, pair.sigma,
                         self.purity, delta_db(self.deff), lam, rounds, p_sim, p_formula,
                         analytics.p_err_homodyne_formula(pair.delta), self.helstrom,
-                        pair.spec.cutoff, self.converged)
+                        pair.spec.cutoff, pair.converged)
 
 
 def sweep_point(config: SweepConfig, delta: float, sigma: float) -> SweepPoint:
     """The state pair and shared scalars of one grid point, under the
-    config's kappa and cutoff policies. The auto policy starts from the
-    kets' cutoff (`auto_cutoff`) and doubles it while the channel's output
-    leaks, up to `MAX_CUTOFF`. A cutoff that still truncates a ket or the
-    channel's output is flagged in `converged`, not raised, so no row is
-    ever dropped."""
+    config's kappa and cutoff policies: the fixed policy builds the pair
+    at `cutoff_n`, the auto policy takes `converged_pair` from it. A pair
+    that still truncates is flagged by its `converged`, not raised, so no
+    row is ever dropped."""
     kappa = 1.0 / delta if config.kappa_policy == "inverse_delta" else config.kappa_fixed_value
     if config.cutoff_policy == "fixed":
-        spec = HilbertSpec(config.cutoff_n)
+        pair = make_state_pair(HilbertSpec(config.cutoff_n), delta, kappa, sigma, strict=False)
     else:
-        spec = auto_cutoff(delta, kappa, start=config.cutoff_n)
-    while True:
-        pair = make_state_pair(spec, delta, kappa, sigma, strict=False)
-        converged = all(leakage(state) < LEAKAGE_TOL for state in (pair.state0, pair.state1))
-        if converged or config.cutoff_policy == "fixed" or 2 * spec.cutoff > MAX_CUTOFF:
-            break
-        spec = HilbertSpec(2 * spec.cutoff)
+        pair = converged_pair(delta, kappa, sigma, config.cutoff_n)
     return SweepPoint(pair, purity(pair.state0),
-                      effective_squeezing_of(spec, pair.populations[0]),
-                      helstrom_bound(pair.state0, pair.state1) if pair.is_pure else None,
-                      converged)
+                      effective_squeezing_of(pair.spec, pair.populations[0]),
+                      helstrom_bound(pair.state0, pair.state1) if pair.is_pure else None)
 
 
 def _sweep(config: SweepConfig, sigmas, point_rows) -> list[SweepRow]:

@@ -141,13 +141,32 @@ def test_eigensolver_failure_exit_code(capsys, monkeypatch, cold_caches):
     assert err["error"]["type"] == "convergence"
 
 
-def test_state_info_channel_leakage_exit_code(capsys):
-    # The kets converge at N = 150, but sigma = 5 spreads the mixed state
-    # onto the top Fock levels (leakage 9.1e-4): a convergence failure
+def test_state_info_channel_leakage_exit_code(capsys, monkeypatch):
+    # sigma = 5 spreads the 10 dB mixed state onto the top Fock levels. It
+    # converges at N = 1200, but with N = 300 the largest cutoff the search
+    # may try, the channel's output still leaks 5.9e-6: a convergence failure
+    from gkp_readout import states
+
+    monkeypatch.setattr(states, "MAX_CUTOFF", 300)
     assert main(["state-info", "--delta-db", "10", "--sigma", "5"]) == EXIT_CONVERGENCE
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "convergence"
     assert "leakage" in err["error"]["message"]
+
+
+def test_state_info_takes_the_sweeps_cutoff(capsys):
+    # The kets at 11.5 dB converge at N = 150 but their sigma = 0.15
+    # channel output does not: state-info doubles N as fig1c does, and
+    # reports that point's cutoff and purity
+    from gkp_readout.sweep import SweepConfig, run_fig1c
+
+    assert main(["state-info", "--delta-db", "11.5", "--sigma", "0.15"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    row = run_fig1c(SweepConfig(delta_db_min=11.0, delta_db_max=11.5, delta_db_points=2,
+                                sigma_list=(0.15,)))[-1]
+    assert (row.delta_db, row.sigma, row.converged_flag) == (11.5, 0.15, True)
+    assert out["cutoff_N"] == row.cutoff_N == 300
+    assert out["purity"] == row.purity
 
 
 def test_state_info_rejects_zero_kappa(capsys):

@@ -217,6 +217,27 @@ def test_peak_count_stability():
     assert abs(1 - abs(np.vdot(base, psi)) ** 2) < 1e-10
 
 
+def test_peak_indices_match_the_outward_walk():
+    # Reference: walk out from s = 0 on each side until a peak's weight
+    # falls below the floor. The mask must keep exactly those integers
+    def walk(mu, kappa):
+        kept = [0]
+        for step in (1, -1):
+            s = step
+            c = HALF_SPACING * (2 * s + mu)
+            while np.exp(-(c**2) / kappa**2) >= states.PEAK_WEIGHT_FLOOR:
+                kept.append(s)
+                s += step
+                c = HALF_SPACING * (2 * s + mu)
+        return sorted(kept)
+
+    kappas = [*np.linspace(1.0, 60.0, 237),
+              *(1 / db_to_delta(db) for db in np.linspace(0.01, 30.0, 301))]
+    for kappa in kappas:
+        for mu in (0, 1):
+            assert peak_indices(mu, kappa).tolist() == walk(mu, kappa)
+
+
 @pytest.mark.parametrize("db", [7.0, 10.0, 14.0])
 def test_pure_gkp_comb_matches_per_peak_sum(db):
     # The summed-phase comb equals one displaced squeezed vacuum per peak

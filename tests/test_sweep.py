@@ -366,7 +366,9 @@ def test_every_config_key_changes_output(tmp_path, monkeypatch, run, base, chang
 def test_auto_cutoff_doubles_on_leaking_channel_output(monkeypatch):
     # The kets at 11.5 dB converge at N = 150, but their sigma = 0.15
     # channel output leaks 1.2e-10 there: auto doubles N for that point
-    # alone, and every point builds its channel once per cutoff tried
+    # alone, and every point builds its channel once per cutoff tried. The
+    # kets at 12 dB leak at N = 150, so that point's channel is built at
+    # N = 300 only
     from gkp_readout import states
 
     channel = states.gaussian_displacement_channel
@@ -377,14 +379,27 @@ def test_auto_cutoff_doubles_on_leaking_channel_output(monkeypatch):
         return channel(spec, state, sigma)
 
     monkeypatch.setattr(states, "gaussian_displacement_channel", counted)
-    cfg = SweepConfig(delta_db_min=11.0, delta_db_max=11.5, delta_db_points=2,
+    cfg = SweepConfig(delta_db_min=11.0, delta_db_max=12.0, delta_db_points=3,
                       sigma_list=(0.0, 0.15))
     rows = run_fig1c(cfg)
     assert {(r.delta_db, r.sigma): (r.cutoff_N, r.converged_flag) for r in rows} == {
         (11.0, 0.0): (150, True), (11.0, 0.15): (150, True),
-        (11.5, 0.0): (150, True), (11.5, 0.15): (300, True)}
-    # Two states: 11 dB at N = 150, then 11.5 dB at N = 150 and at 300
-    assert cutoffs == [150, 150, 150, 150, 300, 300]
+        (11.5, 0.0): (150, True), (11.5, 0.15): (300, True),
+        (12.0, 0.0): (300, True), (12.0, 0.15): (300, True)}
+    # Two states: 11 dB at N = 150, 11.5 dB at N = 150 and at 300, then
+    # 12 dB at N = 300
+    assert cutoffs == [150, 150, 150, 150, 300, 300, 300, 300]
+
+
+def test_auto_cutoff_flags_rows_past_the_largest_cutoff(monkeypatch):
+    # The kets from 12 dB on leak at N = 150: with no larger cutoff to try,
+    # every point flags its rows instead of discarding the table
+    from gkp_readout import states
+
+    monkeypatch.setattr(states, "MAX_CUTOFF", 150)
+    rows = run_fig1a(SweepConfig(delta_db_min=12.0, delta_db_max=13.0, delta_db_points=2))
+    assert len(rows) == 2 * (len(SweepConfig.rounds_list) + 3)
+    assert {(r.cutoff_N, r.converged_flag) for r in rows} == {(150, False)}
 
 
 def test_fixed_cutoff_flags_nonconverged_rows():
