@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .fock import NumericalError
 
-SQRT_PI = np.sqrt(np.pi)
+SQRT_PI = math.sqrt(math.pi)
 
 # Leading-order coefficient of the improved-circuit error at optimal
 # lambda: 5 pi^3 / 384 ~ 0.4036.
@@ -53,15 +52,11 @@ def lambda_seed(delta: float) -> float:
     return SQRT_PI * delta**2 / 2
 
 
-def _stationarity(lam: float, delta: float) -> float:
-    return (2 * lam / delta**2) * np.exp(-(lam**2) / delta**2) - SQRT_PI * np.cos(SQRT_PI * lam)
-
-
 def _bisect(f, lo: float, hi: float, xtol: float, lo_negative: Optional[bool] = None) -> float:
     """Root of f between lo and hi, where f changes sign, by bisection to
     an interval of xtol or until the midpoint stops moving. No sign change
-    is a failure of the numerics (NumericalError), not bad input. A scan
-    that saw the sign change passes f(lo) < 0 as lo_negative instead."""
+    is a failure of the numerics (NumericalError), not bad input. A caller
+    that knows f(lo) < 0 < f(hi) passes lo_negative instead."""
     if lo_negative is None:
         lo_negative = f(lo) < 0
         if lo_negative == (f(hi) < 0):
@@ -77,71 +72,37 @@ def _bisect(f, lo: float, hi: float, xtol: float, lo_negative: Optional[bool] = 
     return 0.5 * (lo + hi)
 
 
-def _rising_bracket(f, grid: np.ndarray):
-    # The first grid interval where f goes from negative to non-negative.
-    vals = f(grid)
-    rising = np.flatnonzero((vals[:-1] < 0) & (vals[1:] >= 0))
-    return None if rising.size == 0 else (float(grid[rising[0]]), float(grid[rising[0] + 1]))
-
-
 def first_rising_root(f, grid: np.ndarray, xtol: float = 0.0) -> Optional[float]:
     """Root of f in the first grid interval where f goes from negative to
     non-negative, bisected to an interval of xtol or until the midpoint
     stops moving; None when f has no such change on the grid. f takes an
     array of points as well as one point."""
-    bracket = _rising_bracket(f, grid)
-    return None if bracket is None else float(_bisect(f, *bracket, xtol, lo_negative=True))
-
-
-def _newton_stationary(delta: float, x: float) -> float:
-    # At most 8 Newton steps on `_stationarity` with its closed-form slope,
-    # in Python floats; they stop where the slope is not positive.
-    d2, rt = delta * delta, math.sqrt(math.pi)
-    for _ in range(8):
-        e = math.exp(-x * x / d2)
-        slope = (2 / d2) * (1 - 2 * x * x / d2) * e + math.pi * math.sin(rt * x)
-        if not slope > 0:
-            break
-        step = ((2 * x / d2) * e - rt * math.cos(rt * x)) / slope
-        x -= step
-        if not math.isfinite(x) or abs(step) <= math.ulp(x):
-            break
-    return x
-
-
-def _banded(f, a: float, b: float, lam: float) -> float:
-    return -1.0 if lam < a else 1.0 if lam > b else f(lam)
+    vals = f(grid)
+    rising = np.flatnonzero((vals[:-1] < 0) & (vals[1:] >= 0))
+    if rising.size == 0:
+        return None
+    i = rising[0]
+    return float(_bisect(f, float(grid[i]), float(grid[i + 1]), xtol, lo_negative=True))
 
 
 def optimal_lambda(delta: float) -> float:
-    """Root of (2 lambda/delta^2) e^{-lambda^2/delta^2} = sqrt(pi) cos(sqrt(pi) lambda)
-    nearest the small-delta seed: the first minus-to-plus sign change on a
-    scan, bisected until the midpoint stops moving. The simulated error
-    is read at this lambda, and it is not flat there, since the formula's
-    optimum is not the simulated one.
-
-    The bisection reads the condition only within 32 ulps of a Newton
-    root: with its sign checked at both ends of that band, the midpoints
-    below it are negative and those above it positive, so the bisection
-    takes the same steps to the same float from about 9 evaluations, not 48.
-
-    A root lies below sqrt(pi)/2 for every delta in (0, 1): the condition
-    is negative at lambda = 0 and positive where cos(sqrt(pi) lambda) = 0.
+    """Root of (2 lambda/delta^2) e^{-lambda^2/delta^2} = sqrt(pi) cos(sqrt(pi) lambda),
+    bisected on (0, delta/sqrt(2)) until the midpoint stops moving: the simulated
+    error is read at this lambda and is not flat there, since the formula's
+    optimum is not the simulated one. The bracket holds one root for every delta
+    in (0, 1). The difference f of the two sides rises on it, as both terms of
+    f' = (2/delta^2)(1 - 2 lambda^2/delta^2) e^{-lambda^2/delta^2} + pi sin(sqrt(pi) lambda)
+    are positive while lambda < delta/sqrt(2) < sqrt(pi); f(0) = -sqrt(pi); and
+    f(delta/sqrt(2)) is at least 0.0922, its least value, near delta = 0.706.
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    hi = 4 * SQRT_PI * delta**2
-    f = partial(_stationarity, delta=delta)
-    bracket = _rising_bracket(f, np.linspace(0.0, hi, 400))
-    if bracket is None:
-        raise RuntimeError(
-            f"no minus-to-plus sign change of the stationarity condition in (0, {hi:.4g}) "
-            f"at delta = {delta}; seed was {lambda_seed(delta):.4g}")
-    x = _newton_stationary(delta, 0.5 * (bracket[0] + bracket[1]))
-    a, b = x - 32 * math.ulp(x), x + 32 * math.ulp(x)
-    if bracket[0] < a and b < bracket[1] and f(a) < 0 <= f(b):
-        f = partial(_banded, f, a, b)
-    return float(_bisect(f, *bracket, 0.0, lo_negative=True))
+    d2 = float(delta) ** 2
+
+    def f(lam):
+        return (2 * lam / d2) * math.exp(-lam * lam / d2) - SQRT_PI * math.cos(SQRT_PI * lam)
+
+    return _bisect(f, 0.0, math.sqrt(d2 / 2), 0.0, lo_negative=True)
 
 
 def p_err_leading_order(delta: float) -> float:

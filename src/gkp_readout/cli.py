@@ -195,11 +195,12 @@ def main(argv=None) -> int:
             return args.run(args)
         # LinAlgError and NumericalError subclass ValueError, so they are
         # caught first: a failed eigensolve or a numerical-domain failure is
-        # a convergence failure, not a config error.
+        # a convergence failure, not a config error. A path that cannot be
+        # read or written (OSError) is a config error.
         except (np.linalg.LinAlgError, NumericalError, TruncationError, RuntimeError) as exc:
             _stderr_record("error", {"type": "convergence", "message": str(exc)})
             return EXIT_CONVERGENCE
-        except (sweep.ConfigError, ValueError) as exc:
+        except (sweep.ConfigError, ValueError, OSError) as exc:
             _stderr_record("error", {"type": "config", "message": str(exc)})
             return EXIT_CONFIG
 

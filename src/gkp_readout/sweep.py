@@ -60,8 +60,11 @@ class SweepConfig:
     def __post_init__(self):
         if self.delta_db_points < 2:
             raise ConfigError(f"delta_db_points must be >= 2, got {self.delta_db_points}")
-        if self.delta_db_min >= self.delta_db_max:
-            raise ConfigError("delta_db range must be ordered (min < max)")
+        # Finite, ordered bounds (NaN fails every comparison), and
+        # delta_db_min > 0 so that every delta < 1.
+        if not 0 < self.delta_db_min < self.delta_db_max < np.inf:
+            raise ConfigError(f"need 0 < delta_db_min < delta_db_max < inf, got delta_db_min = "
+                              f"{self.delta_db_min}, delta_db_max = {self.delta_db_max}")
         if not self.allow_extreme_range and not (
             DB_GUARD[0] <= self.delta_db_min and self.delta_db_max <= DB_GUARD[1]
         ):

@@ -94,26 +94,29 @@ def test_optimal_lambda_stationarity():
         assert abs(deriv) < 1e-6
 
 
-def test_optimal_lambda_is_the_full_bisection_in_a_few_evaluations(monkeypatch):
-    # The same float as bisecting the scan's bracket on every step, from at
-    # most a dozen scalar evaluations of the condition (about 48 before)
-    from gkp_readout import analytics
-
-    stationarity, scalar_calls = analytics._stationarity, []
-
-    def counted(lam, delta):
-        scalar_calls.append(np.ndim(lam) == 0)
-        return stationarity(lam, delta)
-
+def test_optimal_lambda_is_the_root_to_a_few_ulps():
+    # Against a 40-digit root of the stationarity condition, found by
+    # mpmath on the same bracket. The float condition's rounding near the
+    # root sets the error: at most 4.26 ulps here, at delta = 0.3567
     deltas = np.concatenate([np.linspace(0.02, 0.98, 500), 10.0 ** (-np.arange(1, 30.5, 0.5) / 20)])
-    for d in deltas:
-        full = first_rising_root(lambda lam: stationarity(lam, d),
-                                 np.linspace(0.0, 4 * np.sqrt(np.pi) * d**2, 400))
-        monkeypatch.setattr(analytics, "_stationarity", counted)
-        scalar_calls.clear()
-        assert optimal_lambda(d) == full
-        assert sum(scalar_calls) <= 12
-        monkeypatch.setattr(analytics, "_stationarity", stationarity)
+    with mpmath.workdps(40):
+        for d in deltas:
+            md = mpmath.mpf(float(d))
+            root = mpmath.findroot(
+                lambda lam: (2 * lam / md**2) * mpmath.exp(-(lam**2) / md**2)
+                - mpmath.sqrt(mpmath.pi) * mpmath.cos(mpmath.sqrt(mpmath.pi) * lam),
+                (mpmath.mpf(0), md / mpmath.sqrt(2)), solver="anderson")
+            assert abs(optimal_lambda(d) - root) <= 5 * np.spacing(float(root))
+
+
+def test_optimal_lambda_bracket_ends_are_positive():
+    # f(delta/sqrt(2)) = (sqrt(2)/delta) e^{-1/2} - sqrt(pi) cos(sqrt(pi) delta/sqrt(2))
+    # stays above 0.09 on (0, 1), with its minimum near delta = 0.706, so
+    # (0, delta/sqrt(2)) brackets the root for every delta the domain allows
+    d = np.linspace(0.0, 1.0, 2_000_001)[1:-1]
+    ends = np.sqrt(2) / d * np.exp(-0.5) - np.sqrt(np.pi) * np.cos(np.sqrt(np.pi) * d / np.sqrt(2))
+    assert ends.min() > 0.09
+    assert abs(d[ends.argmin()] - 0.706) < 1e-3
 
 
 def test_optimal_lambda_values():

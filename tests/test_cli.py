@@ -177,20 +177,25 @@ def test_state_info_rejects_zero_kappa(capsys):
 
 
 NON_FINITE_CASES = {
-    "kappa_inf": (["state-info", "--delta-db", "10", "--kappa", "inf"], None),
-    "kappa_nan": (["state-info", "--delta-db", "10", "--kappa", "nan"], None),
-    "kappa_fixed_nan": (["fig1a"], "kappa_policy = fixed\nkappa_fixed_value = nan\n"),
-    "sigma_nan": (["fig1c"], "sigma_list = 0.05, nan\n"),
-    "lambda_nan": (["fig1b"], "lambda_fixed_values = nan\n"),
+    "kappa_inf": (["state-info", "--delta-db", "10", "--kappa", "inf"], None, "kappa"),
+    "kappa_nan": (["state-info", "--delta-db", "10", "--kappa", "nan"], None, "kappa"),
+    "kappa_fixed_nan": (["fig1a"], "kappa_policy = fixed\nkappa_fixed_value = nan\n", "kappa"),
+    "sigma_nan": (["fig1c"], "sigma_list = 0.05, nan\n", "sigma_list"),
+    "lambda_nan": (["fig1b"], "lambda_fixed_values = nan\n", "lambda_fixed_values"),
+    "delta_db_max_inf": (["fig1c"], "allow_extreme_range = true\ndelta_db_max = inf\n",
+                         "delta_db_max = inf"),
+    "delta_db_min_nan": (["fig1c"], "allow_extreme_range = true\ndelta_db_min = nan\n",
+                         "delta_db_min = nan"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
 def test_non_finite_inputs_are_config_errors(tmp_path, case):
-    # NaN or inf kappa, sigma or lambda is a config error: it neither hangs
-    # the peak search nor prunes every branch into a zero error. Run in a
-    # subprocess with a timeout, so that a hang fails the test
-    argv, config = NON_FINITE_CASES[case]
+    # NaN or inf kappa, sigma, lambda or grid bound is a config error, one
+    # record naming its key: it neither hangs the peak search nor prunes
+    # every branch into a zero error. Run in a subprocess with a timeout,
+    # so that a hang fails the test
+    argv, config, named = NON_FINITE_CASES[case]
     if config is not None:
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("delta_db_points = 2\n" + config)
@@ -201,8 +206,30 @@ def test_non_finite_inputs_are_config_errors(tmp_path, case):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert proc.stdout == ""
-    err = json.loads(proc.stderr.splitlines()[-1])
+    (line,) = proc.stderr.splitlines()
+    err = json.loads(line)
     assert err["error"]["type"] == "config"
+    assert named in err["error"]["message"]
+
+
+BAD_PATH_CASES = {
+    "config": ["fig1a", "--config", "{missing}/sweep.cfg"],
+    "output": ["fig1a", "--delta-db-min", "9", "--delta-db-max", "10", "--points", "2",
+               "--output", "{missing}/table.csv"],
+    "dump": ["state-info", "--delta-db", "10", "--dump", "{missing}/state.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PATH_CASES))
+def test_bad_path_is_config_error(capsys, tmp_path, case):
+    # A file that cannot be read or written is a config error: exit 2 with
+    # one JSON record, not a traceback
+    missing = tmp_path / "missing"
+    argv = [arg.format(missing=missing) for arg in BAD_PATH_CASES[case]]
+    assert main(argv) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "config"
+    assert str(missing) in err["error"]["message"]
 
 
 def test_auto_cutoff_start_above_largest_is_config_error(capsys, tmp_path):

@@ -41,6 +41,9 @@ def test_config_validation(monkeypatch, tmp_path):
     with pytest.raises(ConfigError):
         SweepConfig(delta_db_min=1.0)  # outside the guard
     SweepConfig(delta_db_min=1.0, delta_db_max=20.0, allow_extreme_range=True)
+    # delta_db_min = 0 would put delta at 1, outside GkpSpec's domain
+    with pytest.raises(ConfigError, match="delta_db_min = 0.0"):
+        SweepConfig(delta_db_min=0.0, allow_extreme_range=True)
     with pytest.raises(ConfigError):
         SweepConfig(rounds_list=(1, 2))
     # rounds_list takes CircuitParams' rule, its cap of 9 included, before

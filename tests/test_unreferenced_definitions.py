@@ -1,5 +1,6 @@
-"""Every module-level function and class in src/, and every method that is
-not a dunder, is referenced outside its own definition.
+"""Every module-level function, class and constant in src/, and every method
+that is not a dunder, is referenced outside its own definition. A constant is
+a module-level assignment to a plain name that is not a dunder.
 
 A stdlib-`ast` scan, like `test_unused_imports`. A reference is a name, an
 attribute, or an identifier inside a string (`bench/spans.py` names the
@@ -31,14 +32,22 @@ def references(node: ast.AST) -> Counter:
     return found
 
 
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(tree: ast.Module):
-    """Module-level functions and classes, and their classes' non-dunder methods."""
+    """(name, node) of module-level functions, classes and constants, and of
+    the classes' non-dunder methods."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node.name, node
         if isinstance(node, ast.ClassDef):
-            yield from (m for m in node.body if isinstance(m, ast.FunctionDef)
-                        and not (m.name.startswith("__") and m.name.endswith("__")))
+            yield from ((m.name, m) for m in node.body
+                        if isinstance(m, ast.FunctionDef) and not is_dunder(m.name))
+        if isinstance(node, ast.Assign):
+            yield from ((t.id, node) for t in node.targets
+                        if isinstance(t, ast.Name) and not is_dunder(t.id))
 
 
 def unreferenced(sources: list[str], files: dict[str, str]) -> list[str]:
@@ -46,19 +55,23 @@ def unreferenced(sources: list[str], files: dict[str, str]) -> list[str]:
     (name -> source, `sources` among them) refers to outside themselves."""
     trees = {name: ast.parse(text) for name, text in files.items()}
     total = sum((references(tree) for tree in trees.values()), Counter())
-    return [f"{name}:{d.lineno}: {d.name}" for name in sources for d in definitions(trees[name])
-            if total[d.name] <= references(d)[d.name]]
+    return [f"{source}:{node.lineno}: {name}" for source in sources
+            for name, node in definitions(trees[source]) if total[name] <= references(node)[name]]
 
 
 def test_scan_finds_an_unreferenced_definition():
     files = {"lib.py": "def f(n):\n    return f(n - 1)\n\n\nclass C:\n"
                        "    def __init__(self):\n        pass\n\n"
                        "    def m(self):\n        return self.n()\n\n"
-                       "    def n(self):\n        pass\n",
-             "use.py": "C()\nprint('f')\n"}
+                       "    def n(self):\n        pass\n\n\n"
+                       "K = 1\nUSED = K + 1\n__version__ = '1'\n",
+             "use.py": "C()\nprint('f', USED)\n"}
     assert unreferenced(["lib.py"], files) == ["lib.py:9: m"]
+    files["use.py"] = "C()\nprint('f')\n"
+    assert unreferenced(["lib.py"], files) == ["lib.py:9: m", "lib.py:17: USED"]
     del files["use.py"]
-    assert unreferenced(["lib.py"], files) == ["lib.py:1: f", "lib.py:5: C", "lib.py:9: m"]
+    assert unreferenced(["lib.py"], files) == ["lib.py:1: f", "lib.py:5: C", "lib.py:9: m",
+                                               "lib.py:17: USED"]
 
 
 def test_every_source_definition_is_referenced():
