@@ -129,17 +129,11 @@ def squeezed_vacuum(spec: HilbertSpec, delta: float) -> np.ndarray:
     return ket
 
 
-def normalize(state: np.ndarray) -> np.ndarray:
-    state = np.asarray(state)
-    if state.ndim == 1:
-        n = np.linalg.norm(state)
-        if n == 0:
-            raise NumericalError("cannot normalize zero state")
-        return state / n
-    tr = np.trace(state).real
-    if tr <= 0:
-        raise NumericalError("cannot normalize non-positive-trace density matrix")
-    return state / tr
+def normalize(ket: np.ndarray) -> np.ndarray:
+    n = np.linalg.norm(ket)
+    if n == 0:
+        raise NumericalError("cannot normalize zero state")
+    return ket / n
 
 
 def leakage(state: np.ndarray) -> float:

@@ -8,20 +8,19 @@ oscillator alone, built from functions of X and P as real blocks on
 Fock parity, on the sectors of `fock.x_sectors`. Multi-round runs
 enumerate every measurement branch exactly, resetting the qubit between
 rounds; each branch keeps its outcome string, probability and
-post-measurement oscillator state. At lambda = 0 the tree runs on the X
-sectors, where K0 and M1 are diagonal: a branch with m ones has
-probability sym·(c²)^(R-m) (σ²)^m and no Kraus pair is built. Otherwise
-it runs on the parity blocks under the Kraus pair. A ket runs every
-round forward; a density matrix meets in the middle: its first ⌊R/2⌋
-rounds run forward, and every later round reads its probabilities off
-the effects K_wᵀK_w of the remaining outcome strings w, built once per
-call and shared by both trees of the pair. Post-states are built on
-first read, read-only; at lambda = 0 the branches with the same m share
-one. `readout_error` gives the same error without the branches where a
-closed form exists: at lambda = 0 on the X populations, and at one
-round on a ket from the cached Kraus factors. At one round
-the error is also a closed-form curve in lambda (`error_curve`), for
-lambda searches. The ideal homodyne readout they are compared with is a
+post-measurement oscillator state. One tree runs on the parity blocks:
+its first rounds run forward under the Kraus pair, and every later round
+reads its probabilities off the effects K_wᵀK_w of the remaining outcome
+strings w, built once per call and shared by both trees of the pair. A
+ket runs every round forward and a density matrix its first ⌊R/2⌋; at
+lambda = 0 the effects are diagonal on the X sectors, so no round runs
+forward and no Kraus pair is built until a post-state is read.
+Post-states are built on first read, read-only, by replaying the leaf's
+operators. `readout_error` gives the same error without the branches
+where a closed form exists: at lambda = 0 on the X populations, and at
+one round on a ket from the cached Kraus factors. At one round the error
+is also a closed-form curve in lambda (`error_curve`), for lambda
+searches. The ideal homodyne readout they are compared with is a
 closed-form peak sum.
 """
 
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -235,11 +234,6 @@ def _join(blocks: dict, dim: int, ket: bool, ones: int, prob: float) -> np.ndarr
     return out
 
 
-# The enumeration runs one loop over a tree of nodes that holds its own
-# representation of the state: `root`, `children(node, k)` giving
-# (probability, child) for outcome 0 and then 1 in round k, and
-# `post_state(child, probability, ones)`, which builds the normalized
-# post-state of a leaf.
 def _suffix_effects(kraus, rounds: int) -> tuple:
     """The effects E_w = K_wᵀK_w of every outcome string w of the last
     m = rounds - ⌊rounds/2⌋ rounds, K_w = K_{w_j}…K_{w_1} on the real Kraus
@@ -262,71 +256,55 @@ def _suffix_effects(kraus, rounds: int) -> tuple:
     return tuple(stack.reshape(len(stack), -1) for stack in stacks)
 
 
+def _sector_effects(spec: HilbertSpec, rounds: int) -> np.ndarray:
+    """The effects E_w of every outcome string of all `rounds` rounds at
+    lambda = 0, in the row layout of `_suffix_effects`. There K0 = cos(√π X/2)
+    and M1 = sin(√π X/2) are diagonal on the sectors of `fock.x_sectors`, so
+    E_w is too: row (2ʲ - 2) + int(w, 2) holds (c²)^zeros (σ²)^ones at s, and
+    ⟨E_w, ρ⟩ = E_w · sym, `sym` from `x_populations`."""
+    half = np.sqrt(np.pi) / 2 * x_sectors(spec)[1]
+    first = np.stack((np.cos(half) ** 2, np.sin(half) ** 2))
+    levels = [first]
+    for _ in range(1, rounds):
+        # E_{bw} = E_b E_w, b major
+        levels.append((first[:, None] * levels[-1]).reshape(-1, half.size))
+    return np.concatenate(levels)
+
+
 class _KrausTree:
     """Branches on the parity blocks of a ket or density matrix, under the
-    real Kraus blocks of `readout_kraus`. A ket runs every round forward,
-    its probabilities ‖Kψ‖². A density matrix runs only its first ⌊R/2⌋
-    rounds forward; a node there holds its blocks ρ_u. The rest meet it
-    from the other end: every later history uw has probability
-    Tr(K_w ρ_u K_wᵀ) = ⟨E_w, ρ_u⟩ over the parity-diagonal blocks, on the
-    `_suffix_effects` shared by both trees of a pair, so one product of a
-    stack with each block gives every round's probability below u. A node
+    real Kraus blocks of `readout_kraus` that `kraus()` builds once. The
+    first `forward` rounds run forward; a node there holds its blocks ρ_u.
+    The rest meet it from the other end: `suffix(ρ_u)` gives at once the
+    probability Tr(K_w ρ_u K_wᵀ) = ⟨E_w, ρ_u⟩ of every later history uw, on
+    effects built once per call and shared by both trees of a pair. A node
     there is (ρ_u, w, those probabilities), and a leaf's suffix operators
-    are applied to ρ_u only when its post-state is read."""
+    are applied to ρ_u only when its post-state is read. A ket runs every
+    round forward and a density matrix ⌊R/2⌋; at lambda = 0, where every
+    effect is diagonal on the X sectors (`_sector_effects`), none does."""
 
-    def __init__(self, spec: HilbertSpec, state: np.ndarray, kraus, effects, rounds: int):
-        self.dim, self.ket, self.kraus, self.effects = spec.dim, state.ndim == 1, kraus, effects
-        self.forward = rounds if self.ket else rounds // 2
+    def __init__(self, spec: HilbertSpec, state: np.ndarray, kraus, forward: int, suffix):
+        self.dim, self.ket, self.kraus = spec.dim, state.ndim == 1, kraus
+        self.forward, self.suffix = forward, suffix
         self.root = (_split(state), "", None)
 
     def children(self, node: tuple, k: int):
         blocks, w, probs = node
         if k < self.forward:
-            for flip, ops in enumerate(self.kraus):
+            for flip, ops in enumerate(self.kraus()):
                 child = _apply(ops, flip, blocks, self.ket)
                 yield _weight(child, self.ket), (child, "", None)
             return
         if probs is None:
-            probs = sum(self.effects[p] @ x.real.ravel() for (p, q), x in blocks.items() if p == q)
+            probs = self.suffix(blocks)
         for bit in "01":
             yield float(probs[(2 << len(w)) - 2 + int(w + bit, 2)]), (blocks, w + bit, probs)
 
     def post_state(self, leaf: tuple, prob: float, ones: int) -> np.ndarray:
         blocks, w, _ = leaf
         for flip in map(int, w):
-            blocks = _apply(self.kraus[flip], flip, blocks, self.ket)
+            blocks = _apply(self.kraus()[flip], flip, blocks, self.ket)
         return _join(blocks, self.dim, self.ket, ones, prob)
-
-
-class _SectorTree:
-    """Branches at lambda = 0 on the sectors of `fock.x_sectors`. There
-    K0 = cos(√π X/2) and M1 = sin(√π X/2) are diagonal, with values c and σ
-    at s: K0 has block B_p diag(c) B_pᵀ on parity p, and M1 B_{1-p} diag(σ) B_pᵀ
-    from p to 1 - p. So a node is its (zeros, ones) count, of probability
-    sym·(c²)^zeros (σ²)^ones, `sym` from `x_populations`, and every leaf
-    with m ones has the post-state of B_out diag(D) B_inᵀ, D = c^(R-m) σ^m,
-    built once and shared."""
-
-    def __init__(self, spec: HilbertSpec, state: np.ndarray, sym: np.ndarray):
-        y, s, z = x_sectors(spec)[:3]
-        half = np.sqrt(np.pi) / 2 * s
-        self.c, self.sn = np.cos(half), np.sin(half)
-        self.c2, self.s2 = self.c**2, self.sn**2
-        self.dim, self.ket, self.sym, self.bases = spec.dim, state.ndim == 1, sym, (y, z)
-        self.blocks, self.root, self.shared = _split(state), (0, 0), {}
-
-    def children(self, node: tuple, k: int):
-        zeros, ones = node
-        for child in ((zeros + 1, ones), (zeros, ones + 1)):
-            yield float(self.sym @ (self.c2 ** child[0] * self.s2 ** child[1])), child
-
-    def post_state(self, leaf: tuple, prob: float, ones: int) -> np.ndarray:
-        if ones not in self.shared:
-            d, flip, b = self.c ** leaf[0] * self.sn**ones, ones % 2, self.bases
-            ops = [b[p ^ flip] * d @ b[p].T for p in (0, 1)]
-            self.shared[ones] = _join(_apply(ops, flip, self.blocks, self.ket), self.dim,
-                                      self.ket, ones, prob)
-        return self.shared[ones]
 
 
 def _enumerate_branches(tree, rounds: int) -> tuple:
@@ -344,16 +322,20 @@ def _enumerate_branches(tree, rounds: int) -> tuple:
 
 def simulated_p_err(pair: GkpStatePair, params: CircuitParams) -> ReadoutOutcome:
     """Exact readout error probability by full branch enumeration and
-    majority vote over params.rounds repetitions. At lambda = 0 the
-    branches run on the X sectors and no Kraus pair is built."""
-    states = (pair.state0, pair.state1)
+    majority vote over params.rounds repetitions. At lambda = 0 every
+    round reads its probabilities off the X populations, and no Kraus pair
+    is built unless a post-state is read."""
+    kraus = cache(partial(readout_kraus, pair.spec, params.lam))
     if params.lam == 0:
-        trees = [_SectorTree(pair.spec, state, sym)
-                 for state, (sym, _) in zip(states, pair.populations)]
+        forward, effects = 0, _sector_effects(pair.spec, params.rounds)
+        suffixes = [lambda _, sym=sym: effects @ sym for sym, _ in pair.populations]
     else:
-        kraus = readout_kraus(pair.spec, params.lam)
-        effects = None if pair.is_pure else _suffix_effects(kraus, params.rounds)
-        trees = [_KrausTree(pair.spec, state, kraus, effects, params.rounds) for state in states]
+        forward = params.rounds if pair.is_pure else params.rounds // 2
+        effects = None if pair.is_pure else _suffix_effects(kraus(), params.rounds)
+        suffixes = [lambda blocks: sum(effects[p] @ x.real.ravel()
+                                       for (p, q), x in blocks.items() if p == q)] * 2
+    trees = [_KrausTree(pair.spec, state, kraus, forward, suffix)
+             for state, suffix in zip((pair.state0, pair.state1), suffixes)]
     trees = [_enumerate_branches(tree, params.rounds) for tree in trees]
     wrong = [sum(b.probability for b in tree if b.majority != mu) for mu, tree in enumerate(trees)]
     return ReadoutOutcome(p_1_given_0=wrong[0], p_0_given_1=wrong[1],

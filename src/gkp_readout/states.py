@@ -73,10 +73,6 @@ class GkpSpec:
         if not 0 <= self.sigma < np.inf:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
-    @property
-    def delta_db(self) -> float:
-        return delta_db(self.delta)
-
 
 @dataclass(frozen=True)
 class GkpStatePair:

@@ -82,11 +82,15 @@ class SweepConfig:
                 raise ConfigError(f"{f.name} must not be empty")
         if self.cutoff_policy == "auto" and self.cutoff_n > MAX_CUTOFF:
             raise ConfigError(f"cutoff_n must be <= {MAX_CUTOFF} with cutoff_policy auto")
-        # Each list entry takes the rule of what it builds, before any state is.
-        for name, check in (("rounds_list", lambda r: CircuitParams(rounds=r)),
-                            ("lambda_fixed_values", lambda lam: CircuitParams(lam=lam)),
-                            ("sigma_list", lambda sigma: GkpSpec(0, 0.5, sigma=sigma))):
-            for value in getattr(self, name):
+        # Each value takes the rule of what it builds, before any state is.
+        kappas = (self.kappa_fixed_value,) if self.kappa_policy == "fixed" else ()
+        for name, values, check in (
+                ("cutoff_n", (self.cutoff_n,), HilbertSpec),
+                ("kappa_fixed_value", kappas, lambda x: GkpSpec(0, 0.5, kappa=x)),
+                ("rounds_list", self.rounds_list, lambda x: CircuitParams(rounds=x)),
+                ("lambda_fixed_values", self.lambda_fixed_values, lambda x: CircuitParams(lam=x)),
+                ("sigma_list", self.sigma_list, lambda x: GkpSpec(0, 0.5, sigma=x))):
+            for value in values:
                 try:
                     check(value)
                 except ValueError as exc:
@@ -189,7 +193,7 @@ def run_fig1a(config: SweepConfig) -> list[SweepRow]:
 def run_fig1b(config: SweepConfig) -> list[SweepRow]:
     """Fixed-lambda curves vs squeezing, plus the optimized envelope."""
     def point_rows(p):
-        return [*(p.row(f"fixed_lambda_{lam:g}", lam, 1, p.simulated(lam),
+        return [*(p.row(f"fixed_lambda_{float(lam)!r}", lam, 1, p.simulated(lam),
                         analytics.p_err_improved_formula(p.pair.delta, lam))
                   for lam in config.lambda_fixed_values),
                 _improved_optimal(p)]

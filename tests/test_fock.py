@@ -303,7 +303,5 @@ def test_partial_trace_qubit():
 def test_normalize():
     v = 3.0 * vacuum(SPEC)
     assert abs(np.linalg.norm(normalize(v)) - 1) < 1e-12
-    rho = 2.0 * ket_to_density(vacuum(SPEC))
-    assert abs(np.trace(normalize(rho)).real - 1) < 1e-12
     with pytest.raises(ValueError):
         normalize(np.zeros(SPEC.dim))

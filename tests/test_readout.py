@@ -309,9 +309,10 @@ def test_general_input_branches_match_hybrid_oracle(general_case):
 @pytest.mark.parametrize("case, rounds", [("gkp_sigma_0.1", 5), ("displaced_ket", 5),
                                            ("displaced_density", 5), ("gkp_sigma_0.1", 7)])
 def test_multi_round_branches_match_hybrid_oracle(oracle_case, general_case, case, rounds):
-    # At lambda = 0 (the X-sector tree) and at the optimal lambda (the Kraus
-    # tree, whose density matrices run rounds//2 rounds forward and read the
-    # rest off the suffix effects: a 2/3 split at R = 5, 3/4 at R = 7)
+    # At lambda = 0 (no round runs forward: every round reads the diagonal
+    # sector effects) and at the optimal lambda (density matrices run
+    # rounds//2 rounds forward and read the rest off the suffix effects: a
+    # 2/3 split at R = 5, 3/4 at R = 7)
     if case == "gkp_sigma_0.1":
         _, _, pair, unitaries = oracle_case(10)
     else:
@@ -323,82 +324,94 @@ def test_multi_round_branches_match_hybrid_oracle(oracle_case, general_case, cas
 
 def test_pruning_inside_the_suffix_rounds(monkeypatch, oracle_case):
     # With a coarse PROB_PRUNE, R = 5 histories of a density matrix die in
-    # rounds 3-5, which read their probabilities off the suffix effects; each
-    # must go in the round where the oracle's cumulative probability falls.
+    # rounds 3-5, which read their probabilities off the suffix effects (at
+    # lambda = 0 every round does); each must go in the round where the
+    # oracle's cumulative probability falls.
     from gkp_readout import readout
 
     prune = 1e-4
     monkeypatch.setattr(readout, "PROB_PRUNE", prune)
     _, _, pair, unitaries = oracle_case(10)
-    lam = max(unitaries)
-    out = simulated_p_err(pair, CircuitParams(lam, 5))
-    for state, tree in ((pair.state0, out.branches_0), (pair.state1, out.branches_1)):
-        want = enumerate_branches_hybrid(pair.spec, state, unitaries[lam], 5, prune=prune)
-        assert [b.outcomes for b in tree] == [w[0] for w in want]
-        for b, (_, prob, _) in zip(tree, want):
-            assert abs(b.probability - prob) < 1e-10
-        # Some two-round prefix keeps only part of its eight histories.
-        leaves = Counter(b.outcomes[:2] for b in tree)
-        assert any(n < 8 for n in leaves.values())
+    for lam in (0.0, max(unitaries)):
+        out = simulated_p_err(pair, CircuitParams(lam, 5))
+        for state, tree in ((pair.state0, out.branches_0), (pair.state1, out.branches_1)):
+            want = enumerate_branches_hybrid(pair.spec, state, unitaries[lam], 5, prune=prune)
+            assert [b.outcomes for b in tree] == [w[0] for w in want]
+            for b, (_, prob, _) in zip(tree, want):
+                assert abs(b.probability - prob) < 1e-10
+            # Some two-round prefix keeps only part of its eight histories.
+            leaves = Counter(b.outcomes[:2] for b in tree)
+            assert any(n < 8 for n in leaves.values())
 
 
 @pytest.mark.parametrize("rounds, applies", [(1, 0), (3, 4), (5, 12), (7, 28)])
 def test_density_tree_work_is_pinned(monkeypatch, rounds, applies):
     # A density pair at lambda != 0 builds the suffix effects once per call,
-    # shared by both trees, and runs only rounds//2 rounds forward: at R = 5,
-    # 2 + 4 conjugations per tree, against 2 + 4 + 8 + 16 with every round
-    # before the last run forward.
+    # and both trees read them, and runs only rounds//2 rounds forward: at
+    # R = 5, 2 + 4 conjugations per tree, against 2 + 4 + 8 + 16 with every
+    # round before the last run forward.
     from gkp_readout import readout
 
-    calls = {"_apply": 0, "effects": [], "trees": []}
-    apply, effects, init = readout._apply, readout._suffix_effects, readout._KrausTree.__init__
+    calls = {"_apply": 0, "effects": 0, "reads": 0}
+    apply, effects = readout._apply, readout._suffix_effects
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            calls["reads"] += 1
+            return np.asarray(self) @ other
 
     def counted_apply(*args):
         calls["_apply"] += 1
         return apply(*args)
 
     def counted_effects(*args):
-        calls["effects"].append(effects(*args))
-        return calls["effects"][-1]
-
-    def recorded_init(tree, *args):
-        init(tree, *args)
-        calls["trees"].append(tree)
+        calls["effects"] += 1
+        stacks = effects(*args)
+        assert [len(stack) for stack in stacks] == [2 ** (rounds - rounds // 2 + 1) - 2] * 2
+        return tuple(stack.view(Counted) for stack in stacks)
 
     monkeypatch.setattr(readout, "_apply", counted_apply)
     monkeypatch.setattr(readout, "_suffix_effects", counted_effects)
-    monkeypatch.setattr(readout._KrausTree, "__init__", recorded_init)
     pair = make_state_pair(SPEC, DELTA_10DB, sigma=0.1)
     out = simulated_p_err(pair, CircuitParams(optimal_lambda(DELTA_10DB), rounds))
     assert len(out.branches_0) == len(out.branches_1) == 2**rounds
-    assert len(calls["effects"]) == 1 and len(calls["trees"]) == 2
-    assert all(tree.effects is calls["effects"][0] for tree in calls["trees"])
-    assert [len(stack) for stack in calls["effects"][0]] == [2 ** (rounds - rounds // 2 + 1) - 2] * 2
+    assert calls["effects"] == 1
+    # Each tree's 2^(R//2) forward leaves read both parity stacks once.
+    assert calls["reads"] == 2 * 2 ** (rounds // 2) * 2
     assert calls["_apply"] == applies
 
 
 def test_lambda_zero_builds_no_kraus_pair(monkeypatch, pair_10db):
+    # Enumerating builds no Kraus pair at lambda = 0; the first post-state
+    # read builds one per call, which every later read of either tree shares.
     from gkp_readout import readout
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("Kraus pair built at lambda = 0")
+    built = Counter()
+    for name in ("readout_kraus", "_kraus_factors"):
+        def counted(*args, _name=name, _f=getattr(readout, name)):
+            built[_name] += 1
+            return _f(*args)
 
-    monkeypatch.setattr(readout, "readout_kraus", forbidden)
-    monkeypatch.setattr(readout, "_kraus_factors", forbidden)
+        monkeypatch.setattr(readout, name, counted)
     mixed = make_state_pair(SPEC, DELTA_10DB, sigma=0.1)
     for pair in (pair_10db, mixed):
         for rounds in (1, 3, 5):
+            built.clear()
             out = simulated_p_err(pair, CircuitParams(0.0, rounds))
             assert 0 < out.p_err < 0.5
+            assert not built
             assert out.branches_0[-1].post_state is not None
+            assert built["readout_kraus"] == 1
+            for b in out.branches_0 + out.branches_1:
+                assert b.post_state is not None
+            assert built["readout_kraus"] == 1
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.1])
 @pytest.mark.parametrize("sigma", [0.0, 0.1])
 def test_post_states_built_on_first_read(monkeypatch, lam, sigma):
     # No full post-state is assembled while the tree is enumerated; each is
-    # built on its first read, once, read-only. At lambda = 0 the branches
-    # with the same number of ones share one.
+    # built on its first read, once, read-only, one per branch.
     from gkp_readout import readout
 
     built = []
@@ -419,14 +432,8 @@ def test_post_states_built_on_first_read(monkeypatch, lam, sigma):
         first[0] = 0
     posts = [b.post_state for b in tree]
     assert all(not post.flags.writeable for post in posts)
-    ones = [b.outcomes.count("1") for b in tree]
-    if lam == 0:
-        assert len(built) == len(set(ones))
-        for post, m in zip(posts, ones):
-            assert post is posts[ones.index(m)]
-    else:
-        assert len(built) == len(tree)
-        assert len({id(post) for post in posts}) == len(tree)
+    assert len(built) == len(tree)
+    assert len({id(post) for post in posts}) == len(tree)
 
 
 @pytest.fixture(scope="module")
@@ -452,7 +459,8 @@ def test_readout_error_equals_branch_enumeration(sweep_pairs, db, sigma):
     pair = sweep_pairs(db, sigma)
     assert pair.spec.cutoff == (300 if db == 12.0 else 150)
     for lam in (0.0, optimal_lambda(pair.delta), 0.3):
-        for rounds in (1, 3, 5):
+        # R = 9 at lambda = 0 reads the deepest sector effects, 1022 rows
+        for rounds in (1, 3, 5, 9) if lam == 0 else (1, 3, 5):
             params = CircuitParams(lam, rounds)
             want = simulated_p_err(pair, params).p_err
             assert abs(readout_error(pair, params) - want) <= 1e-12 * want + 1e-16

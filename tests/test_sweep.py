@@ -76,6 +76,19 @@ def test_config_validation(monkeypatch, tmp_path):
     with pytest.raises(ConfigError, match="cutoff_n"):
         SweepConfig(cutoff_n=5000)
     SweepConfig(cutoff_n=5000, cutoff_policy="fixed")
+    # cutoff_n takes HilbertSpec's rule under either policy, and a fixed
+    # kappa GkpSpec's, named by their keys and before any state is built
+    for policy in ("auto", "fixed"):
+        with pytest.raises(ConfigError, match="cutoff_n: cutoff must be >= 1"):
+            SweepConfig(cutoff_n=0, cutoff_policy=policy)
+    for kappa in (np.nan, np.inf, 0.5):
+        with pytest.raises(ConfigError, match="kappa_fixed_value: kappa must be"):
+            SweepConfig(kappa_policy="fixed", kappa_fixed_value=kappa)
+    SweepConfig(kappa_fixed_value=np.nan)  # unread under inverse_delta
+    for text in ("cutoff_n = 0\n", "kappa_policy = fixed\nkappa_fixed_value = nan\n"):
+        cfg.write_text(text)
+        assert main(["fig1a", "--config", str(cfg)]) == EXIT_CONFIG
+    assert calls == []
 
 
 def test_fig1a_table_shape(fig1a_rows):
@@ -123,10 +136,24 @@ def test_fig1b_envelope_property():
 def test_fig1b_fixed_zero_equals_simple():
     cfg = SweepConfig(delta_db_min=9.0, delta_db_max=10.0, delta_db_points=2,
                       lambda_fixed_values=(0.0,))
-    rows = run_fig1b(cfg)
+    rows = [r for r in run_fig1b(cfg) if r.strategy == "fixed_lambda_0.0"]
+    assert len(rows) == 2
     for r in rows:
-        if r.strategy == "fixed_lambda_0":
-            assert abs(r.p_err_formula - analytics.p_err_simple_formula(r.delta)) < 1e-12
+        assert abs(r.p_err_formula - analytics.p_err_simple_formula(r.delta)) < 1e-12
+
+
+def test_fig1b_labels_tell_every_lambda_apart():
+    # Two lambdas that agree to 6 significant digits get their own labels;
+    # the defaults keep their short ones.
+    cfg = SweepConfig(delta_db_min=9.0, delta_db_max=10.0, delta_db_points=2,
+                      lambda_fixed_values=(0.1234567, 0.1234568))
+    labels = {r.strategy: r.lambda_used for r in run_fig1b(cfg)}
+    assert labels["fixed_lambda_0.1234567"] == 0.1234567
+    assert labels["fixed_lambda_0.1234568"] == 0.1234568
+    defaults = dataclasses.replace(cfg, lambda_fixed_values=SweepConfig().lambda_fixed_values)
+    assert {r.strategy for r in run_fig1b(defaults)} == {
+        "fixed_lambda_0.02", "fixed_lambda_0.05", "fixed_lambda_0.1", "fixed_lambda_0.15",
+        "improved_optimal"}
 
 
 def test_fixed_lambda_touches_envelope_once():
