@@ -35,12 +35,14 @@ print(f"\nkappa = 2.0 envelope: delta_eff = {effective_squeezing(spec, wide):.4f
 
 # Gaussian displacement noise of strength sigma degrades the state to a
 # mixture; delta_eff grows as sqrt(delta^2 + 2 sigma^2) and purity drops.
+# The channel returns the mixture as its blocks on X's eigenbasis, which
+# effective_squeezing and purity read directly.
 print("\nnoise channel on |0>:")
 print(f"  {'sigma':>6} {'delta_eff':>10} {'predicted':>10} "
       f"{'delta_eff(dB)':>13} {'purity':>8}")
 for sigma in (0.0, 0.05, 0.1, 0.15):
-    rho = gaussian_displacement_channel(spec, pair.state0, sigma)
-    deff = effective_squeezing(spec, rho)
+    blocks = gaussian_displacement_channel(spec, pair.state0, sigma)
+    deff = effective_squeezing(spec, blocks)
     pred = np.sqrt(delta**2 + 2 * sigma**2)
     print(f"  {sigma:6.2f} {deff:10.4f} {pred:10.4f} "
-          f"{delta_db(deff):13.2f} {purity(rho):8.4f}")
+          f"{delta_db(deff):13.2f} {purity(blocks):8.4f}")

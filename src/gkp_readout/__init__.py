@@ -7,6 +7,7 @@ from .states import (
     make_pure_gkp,
     make_state_pair,
     gaussian_displacement_channel,
+    assemble_density,
     effective_squeezing,
     purity,
     helstrom_bound,

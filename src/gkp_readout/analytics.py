@@ -33,12 +33,9 @@ def p_err_simple_formula(delta: float) -> float:
 
 
 def p_err_improved_formula(delta: float, lam: float) -> float:
-    """Improved-circuit error
-    (1 - e^{-pi delta^2/4} (e^{-lambda^2/delta^2} + sin(sqrt(pi) lambda))) / 2.
-
-    Exact reduction to the simple circuit at lambda = 0; derived for
-    |lambda| << 1.
-    """
+    """Improved-circuit error, derived for |lambda| << 1 and exactly the
+    simple circuit's at lambda = 0:
+    (1 - e^{-pi delta^2/4} (e^{-lambda^2/delta^2} + sin(sqrt(pi) lambda))) / 2."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     if abs(lam) > 0.3:
@@ -72,17 +69,32 @@ def _bisect(f, lo: float, hi: float, xtol: float, lo_negative: Optional[bool] = 
     return 0.5 * (lo + hi)
 
 
-def first_rising_root(f, grid: np.ndarray, xtol: float = 0.0) -> Optional[float]:
-    """Root of f in the first grid interval where f goes from negative to
-    non-negative, bisected to an interval of xtol or until the midpoint
-    stops moving; None when f has no such change on the grid. f takes an
-    array of points as well as one point."""
+def first_rising_root(f, fprime, grid: np.ndarray, xtol: float = 0.0) -> Optional[float]:
+    """Root of f (which takes arrays too) in the first grid interval where
+    it goes from negative to non-negative, or None: Newton steps on f and
+    its derivative fprime from the secant point of the interval. A step
+    over xtol that would leave the shrinking bracket, or one where
+    fprime <= 0, bisects instead. It stops at a step of at most xtol, or
+    where no float lies inside the bracket."""
     vals = f(grid)
     rising = np.flatnonzero((vals[:-1] < 0) & (vals[1:] >= 0))
     if rising.size == 0:
         return None
     i = rising[0]
-    return float(_bisect(f, float(grid[i]), float(grid[i + 1]), xtol, lo_negative=True))
+    lo, hi = float(grid[i]), float(grid[i + 1])
+    x = lo - vals[i] * (hi - lo) / (vals[i + 1] - vals[i])
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    while lo < x < hi:
+        fx, slope = f(x), fprime(x)
+        lo, hi = (x, hi) if fx < 0 else (lo, x)
+        step = fx / slope if slope > 0 else np.inf
+        if not (lo < x - step < hi or abs(step) <= xtol):
+            step = x - 0.5 * (lo + hi)
+        x -= step
+        if abs(step) <= xtol:
+            break
+    return float(x)
 
 
 def optimal_lambda(delta: float) -> float:

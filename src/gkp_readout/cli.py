@@ -1,10 +1,7 @@
-"""Command-line entry point.
-
-Subcommands: fig1a, fig1b, fig1c (sweep tables), optimize-lambda,
-state-info, validate. Exit codes: 0 success, 2 config error,
-3 convergence failure. Failures and warnings print one machine-readable
-JSON record each to stderr.
-"""
+"""Command-line entry point: fig1a, fig1b, fig1c (sweep tables),
+optimize-lambda, state-info and validate. Exit codes: 0 success, 2 config
+error, 3 convergence failure. Failures and warnings print one
+machine-readable JSON record each to stderr."""
 
 from __future__ import annotations
 
@@ -30,6 +27,7 @@ from .states import (
     db_to_delta,
     delta_db,
     effective_squeezing,
+    effective_squeezing_of,
     export_state_csv,
     export_state_json,
     helstrom_bound,
@@ -58,14 +56,10 @@ def cmd_sweep(args) -> int:
 def cmd_optimize_lambda(args) -> int:
     delta = db_to_delta(args.delta_db)
     lam = analytics.optimal_lambda(delta)
-    result = {
-        "delta_db": args.delta_db,
-        "delta": delta,
-        "optimal_lambda": lam,
-        "lambda_small_delta_seed": analytics.lambda_seed(delta),
-        "p_err_improved": analytics.p_err_improved_formula(delta, lam),
-        "p_err_simple": analytics.p_err_simple_formula(delta),
-    }
+    result = {"delta_db": args.delta_db, "delta": delta, "optimal_lambda": lam,
+              "lambda_small_delta_seed": analytics.lambda_seed(delta),
+              "p_err_improved": analytics.p_err_improved_formula(delta, lam),
+              "p_err_simple": analytics.p_err_simple_formula(delta)}
     print(json.dumps(result, indent=2))
     return EXIT_OK
 
@@ -73,19 +67,12 @@ def cmd_optimize_lambda(args) -> int:
 def cmd_state_info(args) -> int:
     delta = db_to_delta(args.delta_db)
     pair = converged_pair(delta, args.kappa, args.sigma)
-    for state in (pair.state0, pair.state1):
-        check_leakage(state)
-    deff = effective_squeezing(pair.spec, pair.state0)
-    result = {
-        "delta_db": args.delta_db,
-        "delta": delta,
-        "kappa": pair.kappa,
-        "sigma": args.sigma,
-        "cutoff_N": pair.spec.cutoff,
-        "purity": purity(pair.state0),
-        "delta_eff": deff,
-        "delta_eff_db": delta_db(deff),
-    }
+    check_leakage(max(pair.leakages))
+    deff = effective_squeezing_of(pair.spec, pair.populations[0])
+    result = {"delta_db": args.delta_db, "delta": delta, "kappa": pair.kappa,
+              "sigma": args.sigma, "cutoff_N": pair.spec.cutoff,
+              "purity": purity(pair.sectors[0]), "delta_eff": deff,
+              "delta_eff_db": delta_db(deff)}
     if pair.is_pure:
         result["p_err_helstrom"] = helstrom_bound(pair.state0, pair.state1)
     print(json.dumps(result, indent=2))

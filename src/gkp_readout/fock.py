@@ -1,13 +1,8 @@
-"""Truncated Fock space of a single bosonic mode, over the number basis
-|0..N>.
-
-Everything the readout needs is a function of X or P. Fock parity flips
-both truncated quadratures exactly, so even functions of X or P keep
-parity and odd ones flip it, and each is a pair of real half-size blocks
-on the even and odd levels. All of them are read off one cached SVD of
-X's even-odd block per cutoff (`x_sectors`), and the squeezed vacuum of
-every δ off one of the squeeze generator's (`squeeze_sectors`).
-"""
+"""Truncated Fock space |0..N> of a single bosonic mode. Every function
+of X or P the readout needs is a pair of real half-size blocks on Fock
+parity, read off one cached SVD of X's even-odd block per cutoff
+(`x_sectors`); the squeezed vacuum of every δ is read off one of the
+squeeze generator's (`squeeze_sectors`)."""
 
 from __future__ import annotations
 
@@ -100,17 +95,15 @@ def squeeze_sectors(spec: HilbertSpec) -> tuple:
 
 
 def squeezed_vacuum(spec: HilbertSpec, delta: float) -> np.ndarray:
-    """Squeezed vacuum of X-width delta, Var_X = delta²/2; real, read-only,
-    on the even Fock levels only. Two matrix-vector products on the SVD
-    that `squeeze_sectors` caches per cutoff, for any delta.
-
-    The generator -½ ln δ (XP + PX) = (i/2) ln δ (a² - a†²) couples only
-    n ↔ n+2, also truncated, so the vacuum stays on the even levels n.
-    With D = diag(iᵏ) along them the generator is D (tJ) D†, t = -½ ln δ,
-    J real symmetric tridiagonal with a zero diagonal and no δ in it. Its
-    sign is fixed by the variance contract (tested), since (XP + PX) sign
-    conventions differ between sources.
-    """
+    """Squeezed vacuum of X-width delta, Var_X = delta²/2; real, read-only, on
+    the even Fock levels only. Two matrix-vector products on the SVD that
+    `squeeze_sectors` caches per cutoff, for any delta. The generator
+    -½ ln δ (XP + PX) = (i/2) ln δ (a² - a†²) couples only n ↔ n+2, also
+    truncated, so the vacuum stays on the even levels n. With D = diag(iᵏ)
+    along them the generator is D (tJ) D†, t = -½ ln δ, J real symmetric
+    tridiagonal with a zero diagonal and no δ in it. Its sign is fixed by
+    the variance contract (tested), since (XP + PX) sign conventions differ
+    between sources."""
     if not 0 < delta <= 1:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     ket = np.zeros(spec.dim)
@@ -136,16 +129,12 @@ def normalize(ket: np.ndarray) -> np.ndarray:
     return ket / n
 
 
-def leakage(state: np.ndarray) -> float:
-    """Population in the top two Fock levels (oscillator states only)."""
-    state = np.asarray(state)
-    if state.ndim == 1:
-        return float(np.abs(state[-1]) ** 2 + np.abs(state[-2]) ** 2)
-    return float(np.real(state[-1, -1] + state[-2, -2]))
+def leakage(ket: np.ndarray) -> float:
+    """Population of a ket in the top two Fock levels."""
+    return float(np.abs(ket[-1]) ** 2 + np.abs(ket[-2]) ** 2)
 
 
-def check_leakage(state: np.ndarray) -> None:
-    lk = leakage(state)
+def check_leakage(lk: float) -> None:
     if lk >= LEAKAGE_TOL:
         raise TruncationError(
             f"truncation leakage {lk:.3e} exceeds {LEAKAGE_TOL:.0e}; increase the cutoff")

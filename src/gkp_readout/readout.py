@@ -4,31 +4,20 @@ The simple circuit applies the conditional displacement U_x(i sqrt(pi)/2)
 to (|0>_qubit ⊗ state) and measures the qubit; the improved circuit
 prepends U_y(-lambda). With the qubit prepared in |0> and measured
 afterwards, the circuit is a two-outcome instrument {K0, K1} on the
-oscillator alone, built from functions of X and P as real blocks on
-Fock parity, on the sectors of `fock.x_sectors`. Multi-round runs
-enumerate every measurement branch exactly, resetting the qubit between
-rounds; each branch keeps its outcome string, probability and
-post-measurement oscillator state. One tree runs on the parity blocks:
-its first rounds run forward under the Kraus pair, and every later round
-reads its probabilities off the effects K_wᵀK_w of the remaining outcome
-strings w, built once per call and shared by both trees of the pair. A
-ket runs every round forward and a density matrix its first ⌊R/2⌋; at
-lambda = 0 the effects are diagonal on the X sectors, so no round runs
-forward and no Kraus pair is built until a post-state is read.
-Post-states are built on first read, read-only, by replaying the leaf's
-operators. `readout_error` gives the same error without the branches
-where a closed form exists: at lambda = 0 on the X populations, and at
-one round on a ket from the cached Kraus factors. At one round the error
-is also a closed-form curve in lambda (`error_curve`), for lambda
-searches. The ideal homodyne readout they are compared with is a
-closed-form peak sum.
+oscillator alone, as real blocks on Fock parity over the sectors of
+`fock.x_sectors`. `simulated_p_err` enumerates every branch of a
+multi-round run exactly, with its outcomes, probability and post-state;
+`readout_error` takes a closed form where one exists; `error_curve` is
+the one-round error as a function of lambda, with its slope and
+curvature, for lambda searches. The ideal homodyne readout they are
+compared with is a closed-form peak sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache, partial, partialmethod
 from typing import Optional
 
 import numpy as np
@@ -136,40 +125,46 @@ def readout_kraus(spec: HilbertSpec, lam: float):
 
 @lru_cache(maxsize=4)
 def _wrong_outcome_grams(spec: HilbertSpec):
-    """(GᵀG, HᵀH, ±HᵀG) of the wrong outcome's Kraus factors (G, H, ±) for
-    input mu and parity p, indexed [mu][p]: input 0 errs on M1, input 1 on
-    K0. Cached per cutoff apart from the factors, which fig1a needs without
-    the curve."""
+    """(GᵀG, HᵀH, ±2HᵀG), stacked, of the wrong outcome's Kraus factors
+    (G, H, ±) for input mu and parity p, indexed [mu][p]: input 0 errs on
+    M1, input 1 on K0. Cached per cutoff apart from the factors, which
+    fig1a needs without the curve."""
     k0, m1 = _kraus_factors(spec)
-    grams = tuple(tuple((g.T @ g, h.T @ h, sign * (h.T @ g)) for g, h, sign in op)
+    grams = tuple(tuple(np.stack((g.T @ g, h.T @ h, 2 * sign * (h.T @ g))) for g, h, sign in op)
                   for op in (m1, k0))
-    for m in (m for per_mu in grams for per_p in per_mu for m in per_p):
+    for m in (m for per_mu in grams for m in per_mu):
         m.setflags(write=False)
     return grams
 
 
+def _derivative(forms: tuple, w: np.ndarray) -> tuple:
+    """ErrorCurve's forms (M_cc, M_ss, M_sc) of a λ-derivative: as
+    d/dλ c = -Ωs and d/dλ s = Ωc, Ω = diag(w), they become
+    (ΩM_sc, -M_scΩ, (M_ss + M_ssᵀ)Ω - Ω(M_cc + M_ccᵀ))."""
+    m_cc, m_ss, m_sc = forms
+    wc = w[:, None]
+    return wc * m_sc, -m_sc * w, (m_ss + m_ss.T) * w - wc * (m_cc + m_cc.T)
+
+
 @dataclass(frozen=True)
 class ErrorCurve:
-    """Single-round p_err(λ) of one state pair and its slope in λ, as
-    quadratic forms ½(cᵀ M_cc c + sᵀ M_ss s + sᵀ M_sc c) in c = cos λw and
-    s = sin λw, w the s_a of `fock.x_sectors`. Both take λ or an array."""
+    """Single-round p_err(λ) of one state pair (order 0), its slope (1)
+    and its curvature (2) in λ, each as quadratic forms
+    ½(cᵀ M_cc c + sᵀ M_ss s + sᵀ M_sc c) in c = cos λw and s = sin λw, w
+    the s_a of `fock.x_sectors`. All take λ or an array."""
 
     w: np.ndarray
-    value_forms: tuple
-    slope_forms: tuple
+    forms: tuple
 
-    def _forms(self, lam, forms):
+    def __call__(self, lam, order: int = 0):
         x = np.multiply.outer(lam, self.w)
         c, s = np.cos(x), np.sin(x)
-        m_cc, m_ss, m_sc = forms
+        m_cc, m_ss, m_sc = self.forms[order]
         return 0.5 * (np.sum((c @ m_cc) * c, axis=-1) + np.sum((s @ m_ss) * s, axis=-1)
                       + np.sum((s @ m_sc) * c, axis=-1))
 
-    def __call__(self, lam):
-        return self._forms(lam, self.value_forms)
-
-    def slope(self, lam):
-        return self._forms(lam, self.slope_forms)
+    slope = partialmethod(__call__, order=1)
+    curvature = partialmethod(__call__, order=2)
 
 
 def error_curve(pair: GkpStatePair) -> ErrorCurve:
@@ -179,24 +174,27 @@ def error_curve(pair: GkpStatePair) -> ErrorCurve:
     The error is ½ Σ_mu Σ_p Tr(K ρ_pp Kᵀ) over the wrong outcome's real
     Kraus blocks K = B_out[G diag(c) ± H diag(s)] W_pᵀ, c = cos λs and
     s = sin λs (`_kraus_factors`). As ‖B_out y‖ = ‖y‖ that is
-    cᵀ(GᵀG ∘ Q)c + sᵀ(HᵀH ∘ Q)s ± 2 sᵀ(HᵀG ∘ Q)c with Q = W_pᵀ ρ_pp W_p,
-    on the grams of `_wrong_outcome_grams`. Only Re ρ_pp enters, as K is
-    real and ρ Hermitian. The sums of products cancel down to p_err, with
-    an absolute rounding error of a few 1e-16.
+    cᵀ(GᵀG ∘ M)c + sᵀ(HᵀH ∘ M)s ± 2 sᵀ(HᵀG ∘ M)c, on the grams of
+    `_wrong_outcome_grams`, with M = W_pᵀ ρ_pp W_p: (W_pᵀψ_p)(W_pᵀψ_p)ᵀ for
+    a ket, C_pᵀ A_pp C_p on X-sector blocks A. Only Re ρ_pp enters. The
+    sums of products cancel down to p_err, with an absolute rounding error
+    of a few 1e-16. The slope and curvature forms follow by `_derivative`.
     """
-    _, w, _, y_s, z_s, _ = x_sectors(pair.spec)
+    _, w, _, y_s, z_s, c = x_sectors(pair.spec)
     grams = _wrong_outcome_grams(pair.spec)
-    a = b = d = 0.0
-    for mu, state in enumerate((pair.state0, pair.state1)):
-        rho = (state if state.ndim == 2 else np.outer(state, state.conj())).real
-        for p, basis in enumerate((y_s, z_s)):
-            m = basis.T @ rho[p::2, p::2] @ basis
-            gg, hh, hg = grams[mu][p]
-            a, b, d = a + gg * m, b + hh * m, d + 2 * hg * m
-    # With Ω = diag(s), d/dλ ĉ = -Ω ŝ and d/dλ ŝ = Ω ĉ, so the slope is
-    # ½(ĉᵀ ΩD ĉ - ŝᵀ DΩ ŝ + 2 ŝᵀ(BΩ - ΩA) ĉ); A and B are symmetric.
-    wc = w[:, None]
-    return ErrorCurve(w, (a, b, d), (wc * d, -d * w, 2 * (b * w - wc * a)))
+    forms = 0.0
+    for mu, state in enumerate(pair.sectors):
+        for p in (0, 1):
+            if not isinstance(state, dict):
+                e = (y_s, z_s)[p].T @ state[p::2]
+                m = np.outer(e, e.conj()).real
+            elif (p, p) in state:
+                m = c[p].T @ state[p, p].real @ c[p]
+            else:
+                continue
+            forms = forms + grams[mu][p] * m
+    slope = _derivative(forms, w)
+    return ErrorCurve(w, (tuple(forms), slope, _derivative(slope, w)))
 
 
 # A state on the enumeration's path is a dict of its Fock-parity blocks:
@@ -273,15 +271,11 @@ def _sector_effects(spec: HilbertSpec, rounds: int) -> np.ndarray:
 
 class _KrausTree:
     """Branches on the parity blocks of a ket or density matrix, under the
-    real Kraus blocks of `readout_kraus` that `kraus()` builds once. The
-    first `forward` rounds run forward; a node there holds its blocks ρ_u.
-    The rest meet it from the other end: `suffix(ρ_u)` gives at once the
-    probability Tr(K_w ρ_u K_wᵀ) = ⟨E_w, ρ_u⟩ of every later history uw, on
-    effects built once per call and shared by both trees of a pair. A node
-    there is (ρ_u, w, those probabilities), and a leaf's suffix operators
-    are applied to ρ_u only when its post-state is read. A ket runs every
-    round forward and a density matrix ⌊R/2⌋; at lambda = 0, where every
-    effect is diagonal on the X sectors (`_sector_effects`), none does."""
+    Kraus blocks of `readout_kraus` that `kraus()` builds once. The first
+    `forward` rounds run forward, a node holding its blocks ρ_u; then
+    `suffix(ρ_u)` gives the probability ⟨E_w, ρ_u⟩ of every later history
+    uw at once, and a node is (ρ_u, w, those probabilities). A leaf's
+    suffix operators are applied only when its post-state is read."""
 
     def __init__(self, spec: HilbertSpec, state: np.ndarray, kraus, forward: int, suffix):
         self.dim, self.ket, self.kraus = spec.dim, state.ndim == 1, kraus
@@ -344,8 +338,8 @@ def simulated_p_err(pair: GkpStatePair, params: CircuitParams) -> ReadoutOutcome
 
 def readout_error(pair: GkpStatePair, params: CircuitParams) -> float:
     """`simulated_p_err(pair, params).p_err` by the cheapest exact route;
-    no branch is enumerated where a closed form exists.
-
+    no branch is enumerated where a closed form exists. Every term of both
+    closed forms is non-negative.
     - At lambda = 0, any rounds, kets or density matrices: K0 and M1 are
       cos(√π X/2) and sin(√π X/2), so at X = ±s_a the rounds are i.i.d.
       with P(1) = q_a = sin²(√π s_a/2), and
@@ -356,11 +350,8 @@ def readout_error(pair: GkpStatePair, params: CircuitParams) -> float:
       p_err = ½ Σ_μ Σ_p ‖G(c∘e) ± H(s∘e)‖², e = W_pᵀψ_p, c = cos λs and
       s = sin λs: a few O(N²) products, and no Kraus pair is built.
     - Otherwise, the branch enumeration.
-
-    Every term of both closed forms is non-negative.
     """
     _, w, _, y_s, z_s, _ = x_sectors(pair.spec)
-    states = (pair.state0, pair.state1)
     if params.lam == 0:
         r = params.rounds
         # Each directly, not as 1 minus the other, so neither cancels. Both
@@ -375,7 +366,7 @@ def readout_error(pair: GkpStatePair, params: CircuitParams) -> float:
         c, s = np.cos(params.lam * w), np.sin(params.lam * w)
         total = 0.0
         # Input 0 errs on M1, input 1 on K0.
-        for state, op in zip(states, _kraus_factors(pair.spec)[::-1]):
+        for state, op in zip(pair.sectors, _kraus_factors(pair.spec)[::-1]):
             for p, (g, h, sign) in enumerate(op):
                 e = (y_s, z_s)[p].T @ state[p::2]
                 y = g @ (c * e) + sign * (h @ (s * e))
@@ -387,8 +378,7 @@ def readout_error(pair: GkpStatePair, params: CircuitParams) -> float:
 def homodyne_p_err_numeric(pair: GkpStatePair) -> float:
     """Readout error of an ideal X-quadrature measurement with
     nearest-sqrt(pi)-lattice-point binning, in closed form for the
-    untruncated states of the pair's (delta, kappa, sigma).
-
+    untruncated states of the pair's (delta, kappa, sigma):
     ψ_μ(x) = Σ_s a_s g(x - √π(2s + μ)) over `peak_indices`, with
     a_s = exp(-π(2s + μ)²/(2κ²)) and |g|² of variance δ²/2 (Gottesman,
     Kitaev & Preskill, 2001). So |ψ_μ|², convolved with N(0, σ²) by the
@@ -396,8 +386,7 @@ def homodyne_p_err_numeric(pair: GkpStatePair) -> float:
     δ²/2 + σ², of weight a_s a_t exp(-π(s - t)²/δ²), centred on the lattice
     point √π(s + t + μ). A centred Gaussian puts mass q in the bins at odd
     offsets, so a pair errs with q when s + t is even and 1 - q when it is
-    odd. Every term is positive.
-    """
+    odd. Every term is positive."""
     # The bins at offsets ±j, j odd, hold erfc((2j - 1)h) - erfc((2j + 1)h)
     # between them; past erfc(27) ~ 1e-318 the terms underflow.
     h = np.sqrt(np.pi / (8 * (pair.delta**2 / 2 + pair.sigma**2)))

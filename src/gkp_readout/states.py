@@ -46,12 +46,9 @@ def db_to_delta(db: float) -> float:
 
 @dataclass(frozen=True)
 class GkpSpec:
-    """Parameters of one approximate GKP basis state.
-
-    mu: logical bit. delta: peak width. kappa: envelope width
-    (defaults to 1/delta). sigma: Gaussian displacement channel
-    strength, 0 for a pure state.
-    """
+    """Parameters of one approximate GKP basis state: logical bit mu, peak
+    width delta, envelope width kappa (default 1/delta) and Gaussian
+    displacement channel strength sigma (0 for a pure state)."""
 
     mu: int
     delta: float
@@ -76,31 +73,47 @@ class GkpSpec:
 
 @dataclass(frozen=True)
 class GkpStatePair:
-    """The two basis states of one (delta, kappa, sigma) point.
+    """The two basis states of one (delta, kappa, sigma) point: kets when
+    sigma = 0, else density matrices, as Fock arrays or as X-sector blocks
+    (`gaussian_displacement_channel`), the other form built on first read.
+    `is_pure`, `converged` and `populations` read only kets and blocks."""
 
-    Kets when sigma = 0, density matrices otherwise.
-    """
-
-    state0: np.ndarray
-    state1: np.ndarray
+    given0: object
+    given1: object
     spec: HilbertSpec
     delta: float
     kappa: float
     sigma: float
 
-    @property
-    def is_pure(self) -> bool:
-        return self.state0.ndim == 1
+    state0 = property(lambda self: self._fock[0])
+    state1 = property(lambda self: self._fock[1])
+    is_pure = property(lambda self: np.ndim(self.given0) == 1)
+    converged = property(lambda self: max(self.leakages) < LEAKAGE_TOL)
 
-    @property
-    def converged(self) -> bool:
-        """Whether both states' truncation leakage is below LEAKAGE_TOL."""
-        return all(leakage(state) < LEAKAGE_TOL for state in (self.state0, self.state1))
+    @cached_property
+    def _fock(self) -> tuple:
+        return tuple(assemble_density(self.spec, s) if isinstance(s, dict) else s
+                     for s in (self.given0, self.given1))
+
+    @cached_property
+    def sectors(self) -> tuple:
+        """Each state as a ket, or as its density matrix's X-sector blocks."""
+        return tuple(x_sector_blocks(self.spec, s) if np.ndim(s) == 2 else s
+                     for s in (self.given0, self.given1))
+
+    @cached_property
+    def leakages(self) -> tuple:
+        """Each state's `fock.leakage`, read on blocks as ρ_nn = b ρ_pp bᵀ with
+        b a row of B_p; `converged` when both are below LEAKAGE_TOL."""
+        y, _, z = x_sectors(self.spec)[:3]
+        top = [(n % 2, (y, z)[n % 2][n // 2]) for n in (self.spec.dim - 2, self.spec.dim - 1)]
+        return tuple(sum(float((b @ s[p, p] @ b).real) for p, b in top if (p, p) in s)
+                     if isinstance(s, dict) else leakage(s) for s in self.sectors)
 
     @cached_property
     def populations(self) -> tuple:
         """`x_populations` of state0 and of state1, computed once per pair."""
-        return tuple(x_populations(self.spec, state) for state in (self.state0, self.state1))
+        return tuple(x_populations(self.spec, s) for s in self.sectors)
 
 
 def peak_indices(mu: int, kappa: float) -> np.ndarray:
@@ -114,17 +127,14 @@ def peak_indices(mu: int, kappa: float) -> np.ndarray:
 
 def make_pure_gkp(spec: HilbertSpec, g: GkpSpec, strict: bool = True) -> np.ndarray:
     """Normalized approximate GKP ket: Gaussian-enveloped comb of
-    X-squeezed vacua displaced along the position axis. It is real with
-    exact zeros on odd Fock levels, and read-only (cached per point).
-
-    strict=False skips the truncation-leakage check (callers that flag
-    non-convergence instead of aborting).
-    """
+    X-squeezed vacua displaced along the position axis; real, zero on odd
+    Fock levels, read-only and cached per point. strict=False skips the
+    truncation-leakage check, for callers that flag non-convergence."""
     if g.sigma != 0:
         raise ValueError("make_pure_gkp requires sigma = 0")
     psi = _gkp_ket(spec, g.mu, g.delta, g.kappa)
     if strict:
-        check_leakage(psi)
+        check_leakage(leakage(psi))
     return psi
 
 
@@ -147,16 +157,16 @@ def _gkp_ket(spec: HilbertSpec, mu: int, delta: float, kappa: float) -> np.ndarr
 def make_state_pair(spec: HilbertSpec, delta: float, kappa: Optional[float] = None,
                     sigma: float = 0.0, strict: bool = True) -> GkpStatePair:
     """Build the (|0~>, |1~>) pair, mixed through the displacement
-    channel when sigma > 0. strict checks the leakage of the kets and of
-    the channel's output, which can leak more than its input."""
+    channel (held as its sector blocks) when sigma > 0. strict checks the
+    leakage of the kets and of the channel's output, which can leak more."""
     kappa = GkpSpec(0, delta, kappa, sigma).kappa
-    pair = [make_pure_gkp(spec, GkpSpec(mu, delta, kappa), strict=strict) for mu in (0, 1)]
+    states = [make_pure_gkp(spec, GkpSpec(mu, delta, kappa), strict=strict) for mu in (0, 1)]
     if sigma != 0:
-        pair = [gaussian_displacement_channel(spec, k, sigma) for k in pair]
-        if strict:
-            for state in pair:
-                check_leakage(state)
-    return GkpStatePair(*pair, spec, delta, kappa, float(sigma))
+        states = [gaussian_displacement_channel(spec, k, sigma) for k in states]
+    pair = GkpStatePair(*states, spec, delta, kappa, float(sigma))
+    if strict:
+        check_leakage(max(pair.leakages))
+    return pair
 
 
 def converged_pair(delta: float, kappa: Optional[float] = None, sigma: float = 0.0,
@@ -193,10 +203,10 @@ def auto_cutoff(delta: float, kappa: Optional[float] = None, sigma: float = 0.0,
 _PARITY_PARTS = ((((0, 0), 1), ((1, 1), 1)), (((0, 1), 1), ((1, 0), -1)))
 
 
-def gaussian_displacement_channel(spec: HilbertSpec, state: np.ndarray,
-                                  sigma: float) -> np.ndarray:
+def gaussian_displacement_channel(spec: HilbertSpec, state: np.ndarray, sigma: float) -> dict:
     """Gaussian displacement channel of strength sigma,
-    ρ -> (1/πσ²) ∫ d²α e^{-|α|²/σ²} D(α) ρ D†(α).
+    ρ -> (1/πσ²) ∫ d²α e^{-|α|²/σ²} D(α) ρ D†(α), of a ket or a Fock
+    density matrix, as its nonzero X-sector blocks (`x_sector_blocks`).
 
     Re α shifts X (generated by P), Im α shifts P (generated by X). In the
     generator's eigenbasis, eigenvalues w, averaging the shifts multiplies
@@ -217,60 +227,85 @@ def gaussian_displacement_channel(spec: HilbertSpec, state: np.ndarray,
     # block to the X sectors. Each part is kept to its own blocks, so a part
     # that is zero on input stays exactly zero.
     state = np.asarray(state)
-    if sigma == 0:
-        return state
-    y, s, z, y_s, z_s, c = x_sectors(spec)
-    near, far = (np.exp(-0.5 * sigma**2 * op.outer(s, s) ** 2) for op in (np.subtract, np.add))
-    k_plus, k_minus = near + far, near - far
+    _, _, _, y_s, z_s, c = x_sectors(spec)
+    k_plus, k_minus = _channel_kernel(spec, sigma)
 
     def kernel(a, b):
-        return 0.5 * (k_plus * a + k_minus * b), 0.5 * (k_minus * a + k_plus * b)
+        return k_plus * a + k_minus * b, k_minus * a + k_plus * b
 
+    # Only the blocks that are not zero enter: a GKP ket is even.
     if state.ndim == 1:
         # A ket needs no matrix product to reach the sectors: block (p, q)
         # of ψψ† there is the outer product of its two sector vectors.
         e = [(y_s, z_s)[p].T @ state[p::2] for p in (0, 1)]
-        first = {(p, q): np.outer(e[p], e[q].conj()) for p, q in np.ndindex(2, 2)}
+        first = {(p, q): np.outer(e[p], e[q].conj()) for p, q in np.ndindex(2, 2)
+                 if e[p].any() and e[q].any()}
     else:
         first = {(p, q): (y_s, z_s)[p].T @ state[p::2, q::2] @ (y_s, z_s)[q]
-                 for p, q in np.ndindex(2, 2)}
-    out = np.zeros((spec.dim,) * 2, dtype=np.result_type(state, float))
+                 for p, q in np.ndindex(2, 2) if state[p::2, q::2].any()}
+    out = {}
     for part in _PARITY_PARTS:
-        blocks = [sign * first[pq] for pq, sign in part]
-        if any(b.any() for b in blocks):
-            blocks = kernel(*blocks)
+        if any(pq in first for pq, _ in part):
+            blocks = kernel(*(sign * first.get(pq, 0) for pq, sign in part))
             blocks = kernel(*(sign * (c[p] @ b @ c[q].T)
                               for ((p, q), sign), b in zip(part, blocks)))
-            for ((p, q), _), b in zip(part, blocks):
-                out[p::2, q::2] = (y, z)[p] @ b @ (y, z)[q].T
+            out.update((pq, b) for (pq, _), b in zip(part, blocks))
     return out
 
 
-def x_populations(spec: HilbertSpec, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=8)
+def _channel_kernel(spec: HilbertSpec, sigma: float) -> tuple:
+    """½K₊ and ½K₋ of `gaussian_displacement_channel`, per cutoff and sigma."""
+    s = x_sectors(spec)[1]
+    near, far = (np.exp(-0.5 * sigma**2 * op.outer(s, s) ** 2) for op in (np.subtract, np.add))
+    halves = 0.5 * (near + far), 0.5 * (near - far)
+    for k in halves:
+        k.setflags(write=False)
+    return halves
+
+
+def x_sector_blocks(spec: HilbertSpec, rho: np.ndarray) -> dict:
+    """A Fock density matrix as its nonzero blocks on the X sectors,
+    {(p, q): B_pᵀρ_pqB_q} with B = (Y, Z) of `fock.x_sectors`."""
+    y, _, z = x_sectors(spec)[:3]
+    return {(p, q): (y, z)[p].T @ rho[p::2, q::2] @ (y, z)[q]
+            for p, q in np.ndindex(2, 2) if rho[p::2, q::2].any()}
+
+
+def assemble_density(spec: HilbertSpec, blocks: dict) -> np.ndarray:
+    """The read-only Fock array of X-sector blocks (`x_sector_blocks`)."""
+    y, _, z = x_sectors(spec)[:3]
+    out = np.zeros((spec.dim,) * 2, dtype=np.result_type(float, *blocks.values()))
+    for (p, q), x in blocks.items():
+        out[p::2, q::2] = (y, z)[p] @ x @ (y, z)[q].T
+    out.setflags(write=False)
+    return out
+
+
+def x_populations(spec: HilbertSpec, state) -> tuple[np.ndarray, np.ndarray]:
     """X populations of a ket or density matrix per sector of
     `fock.x_sectors`, as the pair (sym, anti): the eigenvalues ±s_a hold
     ½(sym_a ± anti_a), and the null mode of an odd dim holds sym_a. So
     Σⱼ f(wⱼ)(VᵀρV)ⱼⱼ is sym·f(s) for an even f and anti·f(s) for an odd one.
+    A density matrix is given as its Fock array or its X-sector blocks.
     """
-    # With A = YᵀρY, B = ZᵀρZ and E = Yᵀρ_01Z, the populations of
-    # [y_a; ±z_a]/√2 are ½(A_aa + B_aa) ± Re E_aa; the null mode has z = 0.
-    y, _, z = x_sectors(spec)[:3]
-    state = np.asarray(state)
-    if state.ndim == 1:
+    # The populations of [y_a; ±z_a]/√2 are ½(A_aa + B_aa) ± Re E_aa, with
+    # A, B and E the sector blocks (0, 0), (1, 1) and (0, 1); the null mode
+    # has z = 0.
+    if np.ndim(state) == 2:
+        state = x_sector_blocks(spec, np.asarray(state))
+    if not isinstance(state, dict):
+        y, _, z = x_sectors(spec)[:3]
         e0, e1 = y.T @ state[0::2], z.T @ state[1::2]
         return np.abs(e0) ** 2 + np.abs(e1) ** 2, 2 * (e0 * e1.conj()).real
-    sym = sum(np.einsum("ka,ka->a", b, state[p::2, p::2] @ b).real for p, b in enumerate((y, z)))
-    # A channel output of a GKP ket has no parity coherence: skip its block.
-    coherence = state[0::2, 1::2]
-    return sym, (2 * np.einsum("ka,ka->a", y, coherence @ z).real if coherence.any()
-                 else np.zeros_like(sym))
+    diag = {pq: np.diagonal(x).real for pq, x in state.items()}
+    zero = np.zeros((spec.dim + 1) // 2)
+    return diag.get((0, 0), zero) + diag.get((1, 1), zero), 2 * diag.get((0, 1), zero)
 
 
 def effective_squeezing(spec: HilbertSpec, state: np.ndarray) -> float:
-    """Effective peak width sqrt(ln(1/|<D(i√(2π))>|²) / (2π)).
-
-    Equals delta for the pure states; +inf when the expectation vanishes.
-    """
+    """Effective peak width sqrt(ln(1/|<D(i√(2π))>|²) / (2π)): delta for
+    the pure states, +inf when the expectation vanishes."""
     return effective_squeezing_of(spec, x_populations(spec, state))
 
 
@@ -288,12 +323,14 @@ def effective_squeezing_of(spec: HilbertSpec, populations: tuple) -> float:
     return float(np.sqrt(np.log(1.0 / e**2) / (2 * np.pi)))
 
 
-def purity(state: np.ndarray) -> float:
-    """Tr(ρ²), computed as Σ|ρᵢⱼ|² (equal for Hermitian ρ); 1 for kets."""
+def purity(state) -> float:
+    """Tr(ρ²), computed as Σ|ρᵢⱼ|² (equal for Hermitian ρ); 1 for kets. A
+    density matrix is given as its Fock array or its X-sector blocks,
+    whose sum is the same, as each B_p is orthogonal."""
+    if isinstance(state, dict):
+        return float(sum(np.vdot(x, x).real for x in state.values()))
     state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        return float(np.vdot(state, state).real ** 2)
-    return float(np.vdot(state, state).real)
+    return float(np.vdot(state, state).real ** (2 if state.ndim == 1 else 1))
 
 
 def helstrom_bound(state0: np.ndarray, state1: np.ndarray) -> float:

@@ -30,8 +30,8 @@ DB_GUARD = (4.0, 16.0)
 # is one CircuitParams accepts (|lambda| < 1), and its scan points.
 LAMBDA_SEARCH_MAX = 0.95
 LAMBDA_SCAN_POINTS = 64
-# Width in lambda at which the search stops bisecting: the error is flat
-# at its minimum, so lambda digits below it leave p_err unchanged.
+# Step in lambda at which the search stops: the error is flat at its
+# minimum, so lambda digits below it leave p_err unchanged.
 LAMBDA_XTOL = 1e-10
 # Accepted spellings of a boolean config value, compared case-insensitively.
 BOOL_TEXT = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -146,17 +146,15 @@ class SweepPoint:
 
 
 def sweep_point(config: SweepConfig, delta: float, sigma: float) -> SweepPoint:
-    """The state pair and shared scalars of one grid point, under the
-    config's kappa and cutoff policies: the fixed policy builds the pair
-    at `cutoff_n`, the auto policy takes `converged_pair` from it. A pair
-    that still truncates is flagged by its `converged`, not raised, so no
-    row is ever dropped."""
+    """The state pair and shared scalars of one grid point: the fixed cutoff
+    policy builds the pair at `cutoff_n`, auto takes `converged_pair` from
+    it. A pair that still truncates is flagged, so no row is dropped."""
     kappa = 1.0 / delta if config.kappa_policy == "inverse_delta" else config.kappa_fixed_value
     if config.cutoff_policy == "fixed":
         pair = make_state_pair(HilbertSpec(config.cutoff_n), delta, kappa, sigma, strict=False)
     else:
         pair = converged_pair(delta, kappa, sigma, config.cutoff_n)
-    return SweepPoint(pair, purity(pair.state0),
+    return SweepPoint(pair, purity(pair.sectors[0]),
                       effective_squeezing_of(pair.spec, pair.populations[0]),
                       helstrom_bound(pair.state0, pair.state1) if pair.is_pure else None)
 
@@ -202,14 +200,14 @@ def run_fig1b(config: SweepConfig) -> list[SweepRow]:
 
 def optimize_lambda_simulated(pair, deff: float) -> tuple[float, float]:
     """Minimum of the simulated single-round error over lambda in [0, hi],
-    used where the pure-state formula does not apply (mixed inputs): the
-    first minus-to-plus sign change of the error curve's slope on a scan,
-    bisected to LAMBDA_XTOL, where the error is flat; without one, the
-    scan point of least error. Returns (lambda, p_err)."""
+    for mixed inputs: the first minus-to-plus change of the error curve's
+    slope on a scan, refined by Newton steps with the curve's curvature to
+    a step of LAMBDA_XTOL; without one, the scan point of least error.
+    Returns (lambda, p_err)."""
     curve = error_curve(pair)
     grid = np.linspace(0.0, min(3 * np.sqrt(np.pi) * deff**2, LAMBDA_SEARCH_MAX),
                        LAMBDA_SCAN_POINTS)
-    lam = analytics.first_rising_root(curve.slope, grid, LAMBDA_XTOL)
+    lam = analytics.first_rising_root(curve.slope, curve.curvature, grid, LAMBDA_XTOL)
     if lam is None:
         lam = float(grid[np.argmin(curve(grid))])
     return lam, float(curve(lam))
@@ -281,9 +279,9 @@ def _parse_value(default, text: str):
 
 def parse_config_file(path: str) -> SweepConfig:
     """Flat key = value text config; '#' starts a comment. Each key takes
-    the type of its SweepConfig default."""
+    the type of its SweepConfig default, and may be given once."""
     defaults = {f.name: f.default for f in fields(SweepConfig)}
-    values = {}
+    values, linenos = {}, {}
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -295,6 +293,10 @@ def parse_config_file(path: str) -> SweepConfig:
             key, val = key.strip(), val.strip()
             if key not in defaults:
                 raise ConfigError(f"{path}:{lineno}: unknown field {key!r}")
+            if key in linenos:
+                raise ConfigError(f"{path}:{lineno}: field {key!r} already given on line "
+                                  f"{linenos[key]}")
+            linenos[key] = lineno
             try:
                 values[key] = _parse_value(defaults[key], val)
             except ValueError as exc:

@@ -11,6 +11,7 @@ from gkp_readout import analytics
 from gkp_readout.fock import HilbertSpec
 from gkp_readout.readout import CircuitParams, simulated_p_err
 from gkp_readout.states import (
+    assemble_density,
     auto_cutoff,
     effective_squeezing,
     gaussian_displacement_channel,
@@ -109,7 +110,7 @@ def test_criterion_5_optimal_lambda():
 
 def test_criterion_6_mixed_state_metrics(pair_10db):
     spec = HilbertSpec(150)
-    rho = gaussian_displacement_channel(spec, pair_10db.state0, 0.1)
+    rho = assemble_density(spec, gaussian_displacement_channel(spec, pair_10db.state0, 0.1))
     deff = effective_squeezing(spec, rho)
     trace = np.trace(rho).real
     purities = [purity(gaussian_displacement_channel(spec, pair_10db.state0, s))
@@ -146,9 +147,9 @@ def test_criterion_7_property_suite():
     big = make_state_pair(HilbertSpec(300), DELTA_10DB)
     checks["convergence_in_N"] = abs(
         simulated_p_err(big, CircuitParams(0.0, 1)).p_err - out.p_err) < 1e-8
-    a = gaussian_displacement_channel(spec, pair.state0, 0.06)
-    ab = gaussian_displacement_channel(spec, a, 0.08)
-    direct = gaussian_displacement_channel(spec, pair.state0, 0.1)
+    a, direct = (assemble_density(spec, gaussian_displacement_channel(spec, pair.state0, s))
+                 for s in (0.06, 0.1))
+    ab = assemble_density(spec, gaussian_displacement_channel(spec, a, 0.08))
     checks["channel_semigroup"] = np.max(np.abs(ab - direct)) < 1e-6
     failed = [k for k, v in checks.items() if not v]
     report("criterion 7: property suite", not failed, f"failed={failed}")

@@ -4,6 +4,7 @@ import pytest
 
 from gkp_readout.analytics import (
     LEADING_ORDER_COEFF,
+    _bisect,
     first_rising_root,
     helstrom_formula,
     homodyne_crossover_db,
@@ -187,20 +188,82 @@ def test_bisection_without_sign_change_is_numerical_error():
 
 
 def test_first_rising_root_stops_at_xtol():
-    # One call on the grid, then one per halving: the bracket's signs come
-    # from the scan, so its ends are not evaluated again. A 1/64-wide
-    # bracket reaches 1e-10 in 28 halvings; without xtol it halves until
-    # the midpoint stops moving
+    # One call on the grid, then one per Newton step from the secant point
+    # of the bracket, whose ends the scan already signed. On a cubic the
+    # steps converge quadratically, so a last step of at most 1e-10 leaves
+    # the root within rounding; without xtol the steps go on until one is
+    # zero or no float lies inside the bracket
     calls = []
 
     def f(x):
         calls.append(x)
-        return np.asarray(x) - 0.3
+        return np.asarray(x) ** 3 - 0.027
 
     grid = np.linspace(0.0, 1.0, 65)
-    assert abs(first_rising_root(f, grid, 1e-10) - 0.3) <= 5e-11
-    assert len(calls) == 1 + 28
+    assert abs(first_rising_root(f, lambda x: 3 * x * x, grid, 1e-10) - 0.3) <= 1e-16
+    assert len(calls) <= 1 + 5
     assert not {float(x) for x in calls[1:]} & {grid[19], grid[20]}
     calls.clear()
-    assert abs(first_rising_root(f, grid) - 0.3) <= 1e-16
-    assert len(calls) > 1 + 45
+    assert abs(first_rising_root(f, lambda x: 3 * x * x, grid) - 0.3) <= 1e-16
+
+
+def _counted(f):
+    # f, and the list of the points it is called on (None for the scan)
+    calls = []
+
+    def g(x):
+        calls.append(float(x) if np.ndim(x) == 0 else None)
+        return f(x)
+
+    return g, calls
+
+
+def test_newton_root_matches_machine_precision_bisection():
+    # A rising f whose own curvature takes both signs on the bracket: the
+    # Newton root is the bisection root to 1e-12, in a handful of steps
+    def f(x):
+        return np.exp(x) - 1.5 - 0.3 * np.cos(4 * x)
+
+    grid = np.linspace(0.0, 1.0, 9)
+    f_counted, calls = _counted(f)
+    root = first_rising_root(f_counted, lambda x: np.exp(x) + 1.2 * np.sin(4 * x), grid, 1e-10)
+    exact = _bisect(f, 0.375, 0.5, 0.0, lo_negative=True)
+    assert 0.375 < exact < 0.5
+    assert abs(root - exact) <= 1e-12
+    assert len(calls) <= 1 + 5
+
+
+def test_newton_overshoot_falls_back_to_bisection():
+    # arctan is flat away from its root, so the Newton step from the secant
+    # point of [0.5, 1] lands below the bracket: the safeguard bisects
+    # instead, every point evaluated stays inside, and the root is found
+    def f(x):
+        return np.arctan(20 * (np.asarray(x) - 0.6))
+
+    def fprime(x):
+        return 20 / (1 + 400 * (x - 0.6) ** 2)
+
+    grid = np.linspace(0.0, 1.0, 3)
+    start = 0.5 - f(0.5) * 0.5 / (f(1.0) - f(0.5))
+    assert start - f(start) / fprime(start) < 0.5
+    f_counted, calls = _counted(f)
+    assert abs(first_rising_root(f_counted, fprime, grid, 1e-10) - 0.6) <= 1e-15
+    assert all(0.5 < x < 1.0 for x in calls[1:])
+    assert len(calls) <= 1 + 12
+
+
+@pytest.mark.parametrize("curvature", [0.0, -1.0, np.nan])
+def test_newton_without_positive_curvature_bisects(curvature):
+    # Where the derivative given is not positive, every step is a bisection
+    # step: from the secant point, the bracket halves to a step of 1e-10
+    f_counted, calls = _counted(lambda x: np.asarray(x) ** 3 - 0.027)
+    grid = np.linspace(0.0, 1.0, 5)
+    root = first_rising_root(f_counted, lambda x: curvature, grid, 1e-10)
+    assert abs(root - 0.3) <= 2e-10
+    assert 1 + 25 <= len(calls) <= 1 + 32
+
+
+def test_first_rising_root_without_rising_change_is_none():
+    grid = np.linspace(0.0, 1.0, 11)
+    for f in (lambda x: np.asarray(x) + 1.0, lambda x: 0.55 - np.asarray(x)):
+        assert first_rising_root(f, lambda x: 1.0, grid, 1e-10) is None

@@ -24,6 +24,7 @@ from gkp_readout.readout import (
 from gkp_readout.states import (
     GkpSpec,
     GkpStatePair,
+    assemble_density,
     auto_cutoff,
     db_to_delta,
     gaussian_displacement_channel,
@@ -241,6 +242,17 @@ def test_error_curve_slope_matches_central_difference(curve_case):
     slope = curve.slope(lams)
     assert np.max(np.abs(slope - central)) < 1e-7 * np.max(np.abs(central))
     assert np.allclose([curve.slope(lam) for lam in lams], slope, rtol=1e-12, atol=1e-15)
+
+
+def test_error_curve_curvature_matches_central_difference(curve_case):
+    # The curvature forms are `_derivative` of the slope forms, which are
+    # `_derivative` of the value forms: the same rule twice
+    _, curve, lams = curve_case
+    h = 1e-5
+    central = (curve.slope(lams + h) - curve.slope(lams - h)) / (2 * h)
+    curvature = curve.curvature(lams)
+    assert np.max(np.abs(curvature - central)) < 1e-7 * np.max(np.abs(central))
+    assert np.allclose([curve.curvature(lam) for lam in lams], curvature, rtol=1e-12, atol=1e-15)
 
 
 def test_error_curve_grams_cached_read_only():
@@ -562,7 +574,8 @@ def test_global_phase_invariance(pair_10db):
 def test_input_form_independence():
     # lambda = 0 performance depends only on <D(i sqrt(pi/2))>: a mixed
     # state and a pure state with matched expectation behave identically
-    rho = gaussian_displacement_channel(SPEC, make_pure_gkp(SPEC, GkpSpec(0, DELTA_10DB)), 0.1)
+    rho = assemble_density(
+        SPEC, gaussian_displacement_channel(SPEC, make_pure_gkp(SPEC, GkpSpec(0, DELTA_10DB)), 0.1))
     z = logical_z_displacement(SPEC)
     target = expectation(z, rho).real
     p0m, p1m, _, _ = run_readout_once(SPEC, rho, 0.0)

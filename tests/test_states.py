@@ -14,6 +14,7 @@ from gkp_readout.states import (
     HALF_SPACING,
     GkpSpec,
     UnsupportedStateError,
+    assemble_density,
     auto_cutoff,
     db_to_delta,
     delta_db,
@@ -45,6 +46,11 @@ from hybrid_oracle import (
 
 SPEC = HilbertSpec(150)
 DELTA_10DB = np.sqrt(0.1)
+
+
+def channel_fock(spec, state, sigma):
+    """The displacement channel's output as a Fock density matrix."""
+    return assemble_density(spec, gaussian_displacement_channel(spec, state, sigma))
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +140,7 @@ def test_effective_squeezing_matches_stabilizer_expectation(db, sigma):
     ket = make_pure_gkp(spec, GkpSpec(0, delta))
     stab = stabilizer_displacement(spec)
     for state in (ket, d @ ket):
-        state = gaussian_displacement_channel(spec, state, sigma)
+        state = channel_fock(spec, state, sigma)
         e = abs(expectation(stab, state))
         ref = np.sqrt(np.log(1.0 / min(e, 1.0) ** 2) / (2 * np.pi))
         assert abs(effective_squeezing(spec, state) - ref) < 1e-13
@@ -150,7 +156,7 @@ def test_x_populations_match_dense_eigenbasis(cutoff):
     w, v = x_eigenbasis(spec)
     s = x_sectors(spec)[1]
     ket = displacement(spec, 0.3 + 0.2j) @ make_pure_gkp(spec, GkpSpec(0, DELTA_10DB))
-    rho = gaussian_displacement_channel(spec, ket, 0.1)
+    rho = channel_fock(spec, ket, 0.1)
     for state in (ket, rho):
         ref = np.real(np.diag(v.T @ ket_to_density(state) @ v) if state.ndim == 1
                       else np.diag(v.T @ state @ v))
@@ -169,7 +175,7 @@ def test_x_populations_without_parity_coherence():
     # zero, and sym still matches the dense eigenbasis (odd dim: a null mode)
     spec = HilbertSpec(150)
     w, v = x_eigenbasis(spec)
-    rho = gaussian_displacement_channel(spec, make_pure_gkp(spec, GkpSpec(1, DELTA_10DB)), 0.1)
+    rho = channel_fock(spec, make_pure_gkp(spec, GkpSpec(1, DELTA_10DB)), 0.1)
     assert not rho[0::2, 1::2].any()
     sym, anti = x_populations(spec, rho)
     assert anti.shape == sym.shape and not anti.any()
@@ -282,7 +288,7 @@ def test_strict_pair_checks_channel_output():
     with pytest.raises(TruncationError):
         make_state_pair(SPEC, delta, sigma=0.15)
     loose = make_state_pair(SPEC, delta, sigma=0.15, strict=False)
-    assert leakage(loose.state0) < 1e-10 < leakage(loose.state1)
+    assert loose.leakages[0] < 1e-10 < loose.leakages[1]
 
 
 @pytest.mark.parametrize("db", [7.0, 10.0, 14.0])
@@ -290,7 +296,7 @@ def test_channel_keeps_real_parity_blocks(db):
     # The channel commutes with parity: an even ket stays block-diagonal
     delta = db_to_delta(db)
     spec = auto_cutoff(delta)
-    rho = gaussian_displacement_channel(spec, make_pure_gkp(spec, GkpSpec(1, delta)), 0.1)
+    rho = channel_fock(spec, make_pure_gkp(spec, GkpSpec(1, delta)), 0.1)
     assert np.isrealobj(rho)
     assert np.all(rho[0::2, 1::2] == 0) and np.all(rho[1::2, 0::2] == 0)
     assert np.max(np.abs(rho[1::2, 1::2])) > 1e-3
@@ -299,19 +305,21 @@ def test_channel_keeps_real_parity_blocks(db):
 def test_channel_general_input_matches_quadrature_oracle(pair_10db):
     # A complex ket with both parities and even-odd coherence
     ket = displacement(SPEC, 0.3 + 0.2j) @ pair_10db.state0
-    rho = gaussian_displacement_channel(SPEC, ket, 0.1)
+    rho = channel_fock(SPEC, ket, 0.1)
     assert np.max(np.abs(rho[0::2, 1::2])) > 1e-3
     oracle = gauss_hermite_channel(SPEC, ket_to_density(ket), 0.1, 51)
     assert np.max(np.abs(rho - oracle)) < 1e-12
 
 
 def test_channel_identity_at_zero_sigma(pair_10db):
-    out = gaussian_displacement_channel(SPEC, pair_10db.state0, 0.0)
-    assert out is pair_10db.state0 or np.max(np.abs(out - pair_10db.state0)) == 0
+    # At sigma = 0 the kernel is exactly the identity: the output is the
+    # input's sector blocks, to the rounding of the basis changes
+    out = channel_fock(SPEC, pair_10db.state0, 0.0)
+    assert np.max(np.abs(out - ket_to_density(pair_10db.state0))) < 1e-15
 
 
 def test_channel_trace_hermiticity_and_delta_eff(pair_10db):
-    rho = gaussian_displacement_channel(SPEC, pair_10db.state0, 0.1)
+    rho = channel_fock(SPEC, pair_10db.state0, 0.1)
     assert abs(np.trace(rho).real - 1) < 1e-8
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
     assert np.min(np.linalg.eigvalsh(rho)) > -1e-9
@@ -321,8 +329,8 @@ def test_channel_trace_hermiticity_and_delta_eff(pair_10db):
 def test_channel_monotone_in_sigma(pair_10db):
     prev_purity, prev_deff = 1.0, effective_squeezing(SPEC, pair_10db.state0)
     for sigma in (0.05, 0.1, 0.15):
-        rho = gaussian_displacement_channel(SPEC, pair_10db.state0, sigma)
-        pur, deff = purity(rho), effective_squeezing(SPEC, rho)
+        blocks = gaussian_displacement_channel(SPEC, pair_10db.state0, sigma)
+        pur, deff = purity(blocks), effective_squeezing(SPEC, blocks)
         assert pur < prev_purity
         assert deff > prev_deff
         prev_purity, prev_deff = pur, deff
@@ -330,9 +338,9 @@ def test_channel_monotone_in_sigma(pair_10db):
 
 def test_channel_semigroup(pair_10db):
     # Not exact: truncated displacements do not compose exactly
-    a = gaussian_displacement_channel(SPEC, pair_10db.state0, 0.06)
-    ab = gaussian_displacement_channel(SPEC, a, 0.08)
-    direct = gaussian_displacement_channel(SPEC, pair_10db.state0, 0.1)
+    a = channel_fock(SPEC, pair_10db.state0, 0.06)
+    ab = channel_fock(SPEC, a, 0.08)
+    direct = channel_fock(SPEC, pair_10db.state0, 0.1)
     assert np.max(np.abs(ab - direct)) < 1e-8
 
 
@@ -354,15 +362,15 @@ def gauss_hermite_channel(spec, rho, sigma, nodes):
 
 def test_mixed_purity_regression(pair_10db):
     # Frozen from the first converged quadrature run
-    rho = gaussian_displacement_channel(SPEC, pair_10db.state0, 0.1)
+    rho = channel_fock(SPEC, pair_10db.state0, 0.1)
     assert abs(purity(rho) - 0.8338332682) < 1e-8
     oracle = gauss_hermite_channel(SPEC, ket_to_density(pair_10db.state0), 0.1, 51)
     assert np.max(np.abs(rho - oracle)) < 1e-12
 
 
 def test_channel_density_input_matches_ket_input(pair_10db):
-    from_ket = gaussian_displacement_channel(SPEC, pair_10db.state0, 0.1)
-    from_rho = gaussian_displacement_channel(SPEC, ket_to_density(pair_10db.state0), 0.1)
+    from_ket = channel_fock(SPEC, pair_10db.state0, 0.1)
+    from_rho = channel_fock(SPEC, ket_to_density(pair_10db.state0), 0.1)
     assert np.max(np.abs(from_ket - from_rho)) < 1e-14
 
 
@@ -376,8 +384,8 @@ def test_channel_ket_fast_path_matches_density_input(parity):
     if parity != "both":
         ket[(1 if parity == "even" else 0)::2] = 0
     ket /= np.linalg.norm(ket)
-    from_ket = gaussian_displacement_channel(SPEC, ket, 0.1)
-    from_rho = gaussian_displacement_channel(SPEC, np.outer(ket, ket), 0.1)
+    from_ket = channel_fock(SPEC, ket, 0.1)
+    from_rho = channel_fock(SPEC, np.outer(ket, ket), 0.1)
     assert np.max(np.abs(from_ket - from_rho)) < 1e-13
     assert np.all(from_ket[0::2, 1::2] == 0) == (parity != "both")
 
@@ -405,7 +413,7 @@ def test_channel_matches_dense_reference(cutoff, kind):
         if np.isrealobj(ket):
             state = state.real
         assert np.max(np.abs(state[0::2, 1::2])) > 1e-3
-    out = gaussian_displacement_channel(spec, state, 0.1)
+    out = channel_fock(spec, state, 0.1)
     ref = dense_displacement_channel(spec, state, 0.1)
     assert np.iscomplexobj(out) == np.iscomplexobj(ref)
     assert np.max(np.abs(out - ref)) < 1e-14
@@ -421,8 +429,8 @@ def test_channel_passes_complex_input_through_linearly(pair_10db, kind):
     ket = displacement(SPEC, 0.3 + 0.2j) @ pair_10db.state0
     state = ket if kind == "ket" else ket_to_density(ket)
     rho = ket_to_density(ket)
-    out = gaussian_displacement_channel(SPEC, state, 0.1)
-    parts = [gaussian_displacement_channel(SPEC, x, 0.1) for x in (rho.real, rho.imag)]
+    out = channel_fock(SPEC, state, 0.1)
+    parts = [channel_fock(SPEC, x, 0.1) for x in (rho.real, rho.imag)]
     assert np.iscomplexobj(out) and all(np.isrealobj(x) for x in parts)
     assert np.max(np.abs(out - (parts[0] + 1j * parts[1]))) < 1e-15
 
@@ -430,7 +438,7 @@ def test_channel_passes_complex_input_through_linearly(pair_10db, kind):
 def test_purity_basics(pair_10db):
     assert abs(purity(ket_to_density(pair_10db.state0)) - 1) < 1e-8
     assert abs(purity(np.diag([0.5, 0.5]).astype(complex)) - 0.5) < 1e-14
-    rho = gaussian_displacement_channel(SPEC, pair_10db.state0, 0.1)
+    rho = channel_fock(SPEC, pair_10db.state0, 0.1)
     assert abs(purity(rho) - np.trace(rho @ rho).real) < 1e-12
 
 
@@ -508,3 +516,53 @@ def test_state_export(tmp_path):
     # Plain decimal text that reads back exactly
     rebuilt = np.array([[float(x) for x in row[2:]] for row in rows[1:]])
     assert np.array_equal(rebuilt[:, 0] + 1j * rebuilt[:, 1], ket_to_density(k).ravel())
+
+
+def test_mixed_pair_reads_blocks_and_assembles_fock_on_first_read(monkeypatch):
+    # is_pure, converged, populations and purity read the channel's blocks.
+    # The first read of state0 assembles both states once, read-only, and
+    # state0 equals the dense channel on the full X eigenbasis
+    calls = []
+    assemble = states.assemble_density
+
+    def counted(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(states, "assemble_density", counted)
+    pair = make_state_pair(SPEC, DELTA_10DB, sigma=0.1)
+    assert not pair.is_pure and pair.converged
+    sym, anti = pair.populations[0]
+    pur = purity(pair.sectors[0])
+    assert calls == []
+    rho = pair.state0
+    assert len(calls) == 2 and pair.state0 is rho and not rho.flags.writeable
+    assert pair.state1 is pair.state1 and len(calls) == 2
+    ket = make_pure_gkp(SPEC, GkpSpec(0, DELTA_10DB))
+    assert np.max(np.abs(rho - dense_displacement_channel(SPEC, ket, 0.1))) < 1e-14
+    # The readers give on the blocks what they give on the Fock array
+    ref_sym, ref_anti = x_populations(SPEC, rho)
+    assert np.max(np.abs(sym - ref_sym)) < 1e-15 and not anti.any() and not ref_anti.any()
+    assert abs(pur - purity(rho)) < 1e-14
+    assert all(abs(lk - np.trace(s[-2:, -2:])) < 1e-16
+               for lk, s in zip(pair.leakages, (rho, pair.state1)))
+
+
+@pytest.mark.parametrize("cutoff", [150, 151])
+def test_pair_from_fock_densities_derives_the_channels_blocks(cutoff):
+    # Given Fock densities, a pair takes them to the X sectors on first
+    # read; the blocks match the ones the channel returns, and a pair of
+    # blocks reads the same populations and leakages
+    spec = HilbertSpec(cutoff)
+    kets = [displacement(spec, 0.3 + 0.2j) @ make_pure_gkp(spec, GkpSpec(mu, DELTA_10DB))
+            for mu in (0, 1)]
+    blocks = [gaussian_displacement_channel(spec, k, 0.1) for k in kets]
+    from_fock = states.GkpStatePair(*(assemble_density(spec, b) for b in blocks),
+                                    spec, DELTA_10DB, 1 / DELTA_10DB, 0.1)
+    from_blocks = states.GkpStatePair(*blocks, spec, DELTA_10DB, 1 / DELTA_10DB, 0.1)
+    for got, want in zip(from_fock.sectors, blocks):
+        assert got.keys() == want.keys() == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert max(np.max(np.abs(got[k] - want[k])) for k in want) < 1e-14
+    for a, b in zip(from_fock.populations, from_blocks.populations):
+        assert max(np.max(np.abs(x - y)) for x, y in zip(a, b)) < 1e-14
+    assert np.allclose(from_fock.leakages, from_blocks.leakages, rtol=0, atol=1e-16)

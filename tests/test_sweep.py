@@ -540,3 +540,52 @@ def test_caches_hold_only_half_size_blocks(monkeypatch, cold_caches):
     shapes = {(spec.dim, a.shape) for spec, out in held for a in arrays(out) if a.ndim == 2}
     assert shapes
     assert all(max(shape) <= (dim + 1) // 2 for dim, shape in shapes), shapes
+
+
+def test_config_key_given_twice_is_a_config_error(tmp_path):
+    # A second line for a key would silently shadow the first
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("delta_db_points = 2\n# the same key again\ndelta_db_points = 3\n")
+    with pytest.raises(ConfigError, match="sweep.cfg:3: field 'delta_db_points' already "
+                                          "given on line 1"):
+        parse_config_file(str(cfg))
+    assert main(["fig1c", "--config", str(cfg)]) == EXIT_CONFIG
+
+
+def test_mixed_sweep_points_build_no_fock_density(monkeypatch):
+    # A mixed point is held as the channel's X-sector blocks, and its
+    # purity, leakage, populations and error curve read them: a fig1c table
+    # neither assembles a Fock density nor projects one back onto the sectors
+    from gkp_readout import states
+
+    calls = []
+    for name in ("assemble_density", "x_sector_blocks"):
+        def counted(*args, _name=name, _f=getattr(states, name)):
+            calls.append(_name)
+            return _f(*args)
+
+        monkeypatch.setattr(states, name, counted)
+    assert SweepConfig.sigma_list == (0.0, 0.05, 0.1, 0.15)
+    assert main(["fig1c", "--points", "2"]) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("db, sigma", [(7.0, 0.15), (10.0, 0.1), (14.0, 0.05)])
+def test_lambda_search_takes_few_newton_steps(db, sigma):
+    # One slope scan, then at most four Newton steps, each one slope and one
+    # curvature evaluation; the step that ends the search is below 1e-10, so
+    # lambda is the slope's root to rounding
+    pair, deff = _mixed_point(db, sigma)
+    curve = error_curve(pair)
+    points = []
+
+    def slope(lam):
+        points.append(np.ndim(lam))
+        return curve.slope(lam)
+
+    grid = np.linspace(0.0, min(3 * np.sqrt(np.pi) * deff**2, LAMBDA_SEARCH_MAX),
+                       LAMBDA_SCAN_POINTS)
+    lam = analytics.first_rising_root(slope, curve.curvature, grid, sweep.LAMBDA_XTOL)
+    assert points[0] == 1 and len(points) <= 1 + 4
+    assert abs(curve.slope(lam)) <= 1e-12 * curve.curvature(lam)
+    assert (lam, curve(lam)) == optimize_lambda_simulated(pair, deff)
