@@ -27,11 +27,9 @@ from .states import (
     db_to_delta,
     delta_db,
     effective_squeezing,
-    effective_squeezing_of,
     export_state_csv,
     export_state_json,
     helstrom_bound,
-    purity,
     x_populations,
 )
 
@@ -49,7 +47,7 @@ def _config_from_args(args) -> sweep.SweepConfig:
 
 def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
-    sys.stdout.write(sweep.emit(args.runner(cfg), cfg))
+    sys.stdout.write(sweep.emit(getattr(sweep, args.runner)(cfg), cfg))
     return EXIT_OK
 
 
@@ -68,13 +66,12 @@ def cmd_state_info(args) -> int:
     delta = db_to_delta(args.delta_db)
     pair = converged_pair(delta, args.kappa, args.sigma)
     check_leakage(max(pair.leakages))
-    deff = effective_squeezing_of(pair.spec, pair.populations[0])
+    point = sweep.SweepPoint(pair)
     result = {"delta_db": args.delta_db, "delta": delta, "kappa": pair.kappa,
-              "sigma": args.sigma, "cutoff_N": pair.spec.cutoff,
-              "purity": purity(pair.sectors[0]), "delta_eff": deff,
-              "delta_eff_db": delta_db(deff)}
+              "sigma": args.sigma, "cutoff_N": pair.spec.cutoff, "purity": point.purity,
+              "delta_eff": point.deff, "delta_eff_db": delta_db(point.deff)}
     if pair.is_pure:
-        result["p_err_helstrom"] = helstrom_bound(pair.state0, pair.state1)
+        result["p_err_helstrom"] = point.helstrom
     print(json.dumps(result, indent=2))
     if args.dump:
         export = export_state_csv if args.dump.endswith(".csv") else export_state_json
@@ -131,12 +128,11 @@ def cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # Runners are looked up here, at parse time, not at import time, so a
-    # wrapper installed on the sweep module is the one that runs.
+    # A sweep's runner is named here and looked up in `sweep` when it runs,
+    # so a wrapper installed there after the parser was built still runs.
     parser = argparse.ArgumentParser(prog="gkp-readout")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, runner in (("fig1a", sweep.run_fig1a), ("fig1b", sweep.run_fig1b),
-                         ("fig1c", sweep.run_fig1c)):
+    for name in ("fig1a", "fig1b", "fig1c"):
         p = sub.add_parser(name, help=f"emit the {name} sweep table")
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--delta-db-min", dest="delta_db_min", type=float)
@@ -145,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", dest="output_path",
                        help="write the table here as well as stdout")
         p.add_argument("--format", choices=["csv", "json"])
-        p.set_defaults(run=cmd_sweep, runner=runner)
+        p.set_defaults(run=cmd_sweep, runner=f"run_{name}")
     p = sub.add_parser("optimize-lambda", help="optimal interaction strength at one squeezing")
     p.add_argument("--delta-db", dest="delta_db", type=float, required=True)
     p.set_defaults(run=cmd_optimize_lambda)
@@ -170,10 +166,15 @@ def _warning_record(message, category, filename, lineno, file=None, line=None) -
     _stderr_record("warning", {"type": category.__name__, "message": str(message)})
 
 
+# The parser of `main`, built on its first call, not at import.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    _parser = _parser or build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     with warnings.catch_warnings():

@@ -1,8 +1,8 @@
 """Truncated Fock space |0..N> of a single bosonic mode. Every function
 of X or P the readout needs is a pair of real half-size blocks on Fock
 parity, read off one cached SVD of X's even-odd block per cutoff
-(`x_sectors`); the squeezed vacuum of every δ is read off one of the
-squeeze generator's (`squeeze_sectors`)."""
+(`x_sectors`); the squeezed vacua of a column of δ are read off one of
+the squeeze generator's in one product (`squeeze_sectors`)."""
 
 from __future__ import annotations
 
@@ -94,37 +94,39 @@ def squeeze_sectors(spec: HilbertSpec) -> tuple:
     return y, s, z
 
 
-def squeezed_vacuum(spec: HilbertSpec, delta: float) -> np.ndarray:
+def squeezed_vacuum(spec: HilbertSpec, delta) -> np.ndarray:
     """Squeezed vacuum of X-width delta, Var_X = delta²/2; real, read-only, on
-    the even Fock levels only. Two matrix-vector products on the SVD that
-    `squeeze_sectors` caches per cutoff, for any delta. The generator
-    -½ ln δ (XP + PX) = (i/2) ln δ (a² - a†²) couples only n ↔ n+2, also
-    truncated, so the vacuum stays on the even levels n. With D = diag(iᵏ)
-    along them the generator is D (tJ) D†, t = -½ ln δ, J real symmetric
-    tridiagonal with a zero diagonal and no δ in it. Its sign is fixed by
-    the variance contract (tested), since (XP + PX) sign conventions differ
-    between sources."""
-    if not 0 < delta <= 1:
+    the even Fock levels only; an array of deltas gives one row each, read
+    in one product off the SVD that `squeeze_sectors` caches per cutoff."""
+    delta = np.asarray(delta, dtype=float)
+    if not ((0 < delta) & (delta <= 1)).all():
         raise ValueError(f"delta must be in (0, 1], got {delta}")
-    ket = np.zeros(spec.dim)
-    if delta == 1:
-        ket[0] = 1.0  # exactly, where Y Y[0]ᵀ is e₀ only to rounding
-    else:
-        # This is D exp(itJ) e₀. With the even k first tJ = [[0, tB], [tBᵀ, 0]],
-        # so from B = Y diag(s) Zᵀ, exp(itJ) e₀ is Y cos(ts) y₀ on even k and
-        # i Z sin(ts) y₀ on odd k, y₀ the first row of Y; iᵏ, which takes
-        # the i, is in the row signs. The sign of each pair (y_a, z_a) cancels.
-        y, s, z = squeeze_sectors(spec)
-        ts = -0.5 * np.log(delta) * s
-        ket[0::4] = y @ (np.cos(ts) * y[0])
-        ket[2::4] = z @ (np.sin(ts) * y[0])
+    # The generator -½ ln δ (XP + PX) = (i/2) ln δ (a² - a†²) couples only
+    # n ↔ n+2, also truncated, so the vacuum stays on the even levels n. With
+    # D = diag(iᵏ) along them the generator is D (tJ) D†, t = -½ ln δ, J real
+    # symmetric tridiagonal with a zero diagonal and no δ in it. Its sign is
+    # fixed by the variance contract (tested), since (XP + PX) sign
+    # conventions differ between sources. The vacuum is D exp(itJ) e₀. With
+    # the even k first tJ = [[0, tB], [tBᵀ, 0]], so from B = Y diag(s) Zᵀ,
+    # exp(itJ) e₀ is Y cos(ts) y₀ on even k and i Z sin(ts) y₀ on odd k, y₀
+    # the first row of Y; iᵏ, which takes the i, is in the row signs. The
+    # sign of each pair (y_a, z_a) cancels. Each row of ts is one delta, and
+    # each product a matrix-vector one, so a row rounds as it would alone.
+    y, s, z = squeeze_sectors(spec)
+    ts = -0.5 * np.log(delta)[..., None] * s
+    ket = np.zeros(delta.shape + (spec.dim,))
+    ket[..., 0::4] = (y @ (np.cos(ts) * y[0])[..., None])[..., 0]
+    ket[..., 2::4] = (z @ (np.sin(ts) * y[0])[..., None])[..., 0]
+    # δ = 1 is the vacuum exactly, where Y Y[0]ᵀ is e₀ only to rounding.
+    ket[delta == 1] = np.eye(1, spec.dim)
     ket.setflags(write=False)
     return ket
 
 
 def normalize(ket: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(ket)
-    if n == 0:
+    # ket / ‖ket‖, per ket of a stack, each norm from its own dot product
+    n = np.sqrt((ket.conj()[..., None, :] @ ket[..., None]).real)[..., 0]
+    if not n.all():
         raise NumericalError("cannot normalize zero state")
     return ket / n
 

@@ -7,10 +7,11 @@ afterwards, the circuit is a two-outcome instrument {K0, K1} on the
 oscillator alone, as real blocks on Fock parity over the sectors of
 `fock.x_sectors`. `simulated_p_err` enumerates every branch of a
 multi-round run exactly, with its outcomes, probability and post-state;
-`readout_error` takes a closed form where one exists; `error_curve` is
-the one-round error as a function of lambda, with its slope and
-curvature, for lambda searches. The ideal homodyne readout they are
-compared with is a closed-form peak sum.
+`readout_errors` takes a closed form where one exists: tails cached per
+cutoff and rounds at lambda = 0, a stack of a cutoff's one-round ket
+cells at any lambda. `error_curve` is the one-round error as a function
+of lambda, with its slope and curvature, for lambda searches. The ideal
+homodyne readout they are compared with is a closed-form peak sum.
 """
 
 from __future__ import annotations
@@ -337,42 +338,65 @@ def simulated_p_err(pair: GkpStatePair, params: CircuitParams) -> ReadoutOutcome
 
 
 def readout_error(pair: GkpStatePair, params: CircuitParams) -> float:
-    """`simulated_p_err(pair, params).p_err` by the cheapest exact route;
-    no branch is enumerated where a closed form exists. Every term of both
-    closed forms is non-negative.
-    - At lambda = 0, any rounds, kets or density matrices: K0 and M1 are
-      cos(√π X/2) and sin(√π X/2), so at X = ±s_a the rounds are i.i.d.
-      with P(1) = q_a = sin²(√π s_a/2), and
-      p_err = ½ Σ_a [d⁰_a P(Bin(R, q_a) > R/2) + d¹_a P(Bin(R, q_a) < R/2)],
-      d^μ the populations `sym` of state μ (`x_populations`).
-    - At one round on kets, any lambda: the wrong outcome's factors
-      (G, H, ±) on parity p (`_kraus_factors`) give
-      p_err = ½ Σ_μ Σ_p ‖G(c∘e) ± H(s∘e)‖², e = W_pᵀψ_p, c = cos λs and
-      s = sin λs: a few O(N²) products, and no Kraus pair is built.
-    - Otherwise, the branch enumeration.
-    """
-    _, w, _, y_s, z_s, _ = x_sectors(pair.spec)
-    if params.lam == 0:
-        r = params.rounds
-        # Each directly, not as 1 minus the other, so neither cancels. Both
-        # are even in w, so the sector sums of `x_populations` carry them.
-        half = np.sqrt(np.pi) / 2 * w
-        s, c = np.sin(half) ** 2, np.cos(half) ** 2
-        p_ones = [math.comb(r, m) * s**m * c ** (r - m) for m in range(r + 1)]
-        # Input 0 errs on a majority of ones, input 1 on a majority of zeros.
-        wrong = (sum(p_ones[r // 2 + 1:]), sum(p_ones[:r // 2 + 1]))
-        return float(0.5 * sum(sym @ tail for (sym, _), tail in zip(pair.populations, wrong)))
-    if params.rounds == 1 and pair.is_pure:
-        c, s = np.cos(params.lam * w), np.sin(params.lam * w)
+    """`readout_errors` of one cell."""
+    return readout_errors([(pair, params)])[0]
+
+
+def readout_errors(cells) -> list[float]:
+    """`simulated_p_err(pair, params).p_err` of each (pair, params) cell by
+    the cheapest exact route, in non-negative terms: at lambda = 0 a sum
+    over both states' X populations (`_majority_tails`); at one round on
+    kets ½ Σ_μ Σ_p ‖G(c∘e) ± H(s∘e)‖², a cutoff's cells in one stack; else
+    the branch enumeration."""
+    # At lambda = 0, for any input and rounds, K0 and M1 are cos(√π X/2) and
+    # sin(√π X/2), so at X = ±s_a the rounds are i.i.d. with
+    # P(1) = q_a = sin²(√π s_a/2), and
+    # p_err = ½ Σ_a [d⁰_a P(Bin(R, q_a) > R/2) + d¹_a P(Bin(R, q_a) < R/2)],
+    # d^μ the populations `sym` of state μ (`x_populations`). At one round
+    # on kets, for any lambda, (G, H, ±) are the wrong outcome's factors on
+    # parity p (`_kraus_factors`), e = W_pᵀψ_p, c = cos λs and s = sin λs:
+    # a few products of half-size matrices, and no Kraus pair is built. They
+    # are stacks of matrix-vector products, so each cell rounds as it would
+    # alone.
+    out, stacks = np.empty(len(cells)), {}
+    for k, (pair, params) in enumerate(cells):
+        if params.lam == 0:
+            tails = _majority_tails(pair.spec, params.rounds)
+            out[k] = 0.5 * sum(sym @ t for (sym, _), t in zip(pair.populations, tails))
+        elif params.rounds == 1 and pair.is_pure:
+            stacks.setdefault(pair.spec, []).append(k)
+        else:
+            out[k] = simulated_p_err(pair, params).p_err
+    for spec, ks in stacks.items():
+        _, w, _, y_s, z_s, _ = x_sectors(spec)
+        kets = np.array([cells[k][0].sectors for k in ks])
+        x = np.multiply.outer([cells[k][1].lam for k in ks], w)
+        c, s = np.cos(x), np.sin(x)
         total = 0.0
-        # Input 0 errs on M1, input 1 on K0.
-        for state, op in zip(pair.sectors, _kraus_factors(pair.spec)[::-1]):
+        # Input 0 errs on M1, input 1 on K0; a parity the kets lack adds 0.
+        for mu, op in enumerate(_kraus_factors(spec)[::-1]):
             for p, (g, h, sign) in enumerate(op):
-                e = (y_s, z_s)[p].T @ state[p::2]
-                y = g @ (c * e) + sign * (h @ (s * e))
-                total += float(np.vdot(y, y).real)
-        return 0.5 * total
-    return simulated_p_err(pair, params).p_err
+                e = ((y_s, z_s)[p].T @ kets[:, mu, p::2, None])[..., 0]
+                if e.any():
+                    y = (g @ (c * e)[..., None] + sign * (h @ (s * e)[..., None]))[..., 0]
+                    total = total + (y.conj()[..., None, :] @ y[..., None])[..., 0, 0].real
+        out[ks] = 0.5 * total
+    return out.tolist()
+
+
+@lru_cache(maxsize=8)
+def _majority_tails(spec: HilbertSpec, rounds: int) -> tuple:
+    """`readout_errors`' P(Bin(R, q_a) > R/2) and P(Bin(R, q_a) < R/2), per cutoff and R."""
+    # Each directly, not as 1 minus the other, so neither cancels. Both are
+    # even in s, so the sector sums of `x_populations` carry them.
+    half = np.sqrt(np.pi) / 2 * x_sectors(spec)[1]
+    s, c = np.sin(half) ** 2, np.cos(half) ** 2
+    p_ones = [math.comb(rounds, m) * s**m * c ** (rounds - m) for m in range(rounds + 1)]
+    # Input 0 errs on a majority of ones, input 1 on a majority of zeros.
+    wrong = (sum(p_ones[rounds // 2 + 1:]), sum(p_ones[:rounds // 2 + 1]))
+    for tail in wrong:
+        tail.setflags(write=False)
+    return wrong
 
 
 def homodyne_p_err_numeric(pair: GkpStatePair) -> float:

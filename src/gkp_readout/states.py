@@ -1,5 +1,7 @@
-"""Approximate GKP basis states, the Gaussian displacement channel, and
-state quality metrics (effective squeezing, purity, Helstrom bound)."""
+"""Approximate GKP basis states, built for a column of points a cutoff at a
+time (`gkp_kets`) under one search over cutoffs (`converged_pairs`), the
+Gaussian displacement channel, and state quality metrics (effective
+squeezing, purity, Helstrom bound)."""
 
 from __future__ import annotations
 
@@ -126,66 +128,101 @@ def peak_indices(mu: int, kappa: float) -> np.ndarray:
 
 
 def make_pure_gkp(spec: HilbertSpec, g: GkpSpec, strict: bool = True) -> np.ndarray:
-    """Normalized approximate GKP ket: Gaussian-enveloped comb of
-    X-squeezed vacua displaced along the position axis; real, zero on odd
-    Fock levels, read-only and cached per point. strict=False skips the
-    truncation-leakage check, for callers that flag non-convergence."""
+    """`gkp_kets`' ket, cached per point; strict=False skips the leakage check."""
+    # strict=False serves callers that flag non-convergence instead.
     if g.sigma != 0:
         raise ValueError("make_pure_gkp requires sigma = 0")
-    psi = _gkp_ket(spec, g.mu, g.delta, g.kappa)
+    psi = _gkp_pair(spec, g.delta, g.kappa)[g.mu]
     if strict:
         check_leakage(leakage(psi))
     return psi
 
 
-@lru_cache(maxsize=16)
-def _gkp_ket(spec: HilbertSpec, mu: int, delta: float, kappa: float) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _gkp_pair(spec: HilbertSpec, delta: float, kappa: float) -> tuple:
+    # The one-point case of gkp_kets: 8 points, 16 kets.
+    return tuple(gkp_kets(spec, (delta,), (kappa,))[0])
+
+
+def gkp_kets(spec: HilbertSpec, deltas, kappas) -> np.ndarray:
+    """Read-only kets [i, mu] = |mu~> of the points (deltas[i], kappas[i]) at one
+    cutoff: normalized, real, even Gaussian-enveloped combs of squeezed vacua."""
     # All peaks share the generator P: D(c) for real c is exp(-i sqrt(2) c P),
     # so the weighted comb is one function of P. The peaks sit at ±c, so
     # comb is an even cosine sum, with block Y_s diag(comb(s)) Y_sᵀ on the
-    # even levels of the squeezed vacuum (`fock.x_sectors`).
+    # even levels of the squeezed vacuum (`fock.x_sectors`). Peak j sits at
+    # c = HALF_SPACING·j, j ≡ mu (mod 2): one weight matrix, zero off each
+    # ket's peaks, and one cosine table serve the column; cos is even, so
+    # the rows j < 0 mirror those j > 0. Each comb sums its own peaks
+    # (`peak_indices`) in order, and every product is a stack of
+    # matrix-vector ones, so a ket rounds as it would alone, whatever the
+    # column and the BLAS thread count.
     _, s, _, y_s, _, _ = x_sectors(spec)
-    c = HALF_SPACING * (2 * peak_indices(mu, kappa) + mu)
-    comb = np.exp(-(c**2) / kappa**2) @ np.cos(np.sqrt(2) * np.outer(c, s))
-    psi = np.zeros(spec.dim)
-    psi[0::2] = y_s @ (comb * (y_s.T @ squeezed_vacuum(spec, delta)[0::2]))
-    psi = normalize(psi)
-    psi.setflags(write=False)
-    return psi
+    kappas = np.asarray(kappas, dtype=float)[:, None, None]
+    top = int(np.sqrt(-np.log(PEAK_WEIGHT_FLOOR)) * kappas.max() / HALF_SPACING) + 1
+    j = np.arange(-top, top + 1)
+    weight = np.exp(-((HALF_SPACING * j) ** 2) / kappas**2) * (j % 2 == np.arange(2)[:, None])
+    half = np.cos(np.sqrt(2) * np.outer(HALF_SPACING * j[top:], s))
+    table = np.concatenate((half[:0:-1], half))
+    comb = np.array([[w[k] @ table[k] for w, k in zip(ws, ws >= PEAK_WEIGHT_FLOOR)]
+                     for ws in weight])
+    v = (y_s.T @ squeezed_vacuum(spec, deltas)[..., 0::2, None])[..., 0]
+    kets = np.zeros(comb.shape[:2] + (spec.dim,))
+    kets[..., 0::2] = (y_s @ (comb * v[..., None, :])[..., None])[..., 0]
+    kets = normalize(kets)
+    kets.setflags(write=False)
+    return kets
 
 
 def make_state_pair(spec: HilbertSpec, delta: float, kappa: Optional[float] = None,
                     sigma: float = 0.0, strict: bool = True) -> GkpStatePair:
-    """Build the (|0~>, |1~>) pair, mixed through the displacement
-    channel (held as its sector blocks) when sigma > 0. strict checks the
-    leakage of the kets and of the channel's output, which can leak more."""
-    kappa = GkpSpec(0, delta, kappa, sigma).kappa
-    states = [make_pure_gkp(spec, GkpSpec(mu, delta, kappa), strict=strict) for mu in (0, 1)]
-    if sigma != 0:
-        states = [gaussian_displacement_channel(spec, k, sigma) for k in states]
-    pair = GkpStatePair(*states, spec, delta, kappa, float(sigma))
+    """The (|0~>, |1~>) pair at spec, mixed through the displacement channel
+    (held as its sector blocks) when sigma > 0. strict checks its leakage."""
+    pair = converged_pairs((delta,), (kappa,), (sigma,), spec.cutoff, spec.cutoff)[0][0]
     if strict:
         check_leakage(max(pair.leakages))
     return pair
 
 
+def converged_pairs(deltas, kappas, sigmas=(0.0,), start: int = DEFAULT_CUTOFF,
+                    largest: Optional[int] = None) -> list:
+    """The pairs [j][i] of the points (deltas[i], kappas[i]; None is 1/delta)
+    under sigmas[j], each at the first cutoff from start, doubling up to
+    largest (MAX_CUTOFF), where both states pass the leakage check, else at
+    the last (`converged` false). The channel runs where the kets pass."""
+    # One gkp_kets call per cutoff builds the kets that any sigma still needs
+    # (one point's through the cache of make_pure_gkp), and the channel runs
+    # at the last cutoff whatever the kets' leakage.
+    largest = MAX_CUTOFF if largest is None else largest
+    if start > largest:
+        raise ValueError(f"start cutoff {start} exceeds the largest tried, {largest}")
+    for sigma in sigmas:
+        kappas = [GkpSpec(0, d, k, sigma).kappa for d, k in zip(deltas, kappas)]
+    pairs = [[None] * len(deltas) for _ in sigmas]
+    cutoff, todo = start, range(len(deltas))
+    while todo:
+        spec, last = HilbertSpec(cutoff), 2 * cutoff > largest
+        ds, ks = [deltas[i] for i in todo], [kappas[i] for i in todo]
+        kets = (gkp_kets(spec, ds, ks) if len(todo) > 1 else
+                [[make_pure_gkp(spec, GkpSpec(mu, ds[0], ks[0]), strict=False) for mu in (0, 1)]])
+        for i, pure in zip(todo, kets):
+            pure = GkpStatePair(*pure, spec, deltas[i], kappas[i], 0.0)
+            for sigma, column in zip(sigmas, pairs):
+                if column[i] is None and (pure.converged or last):
+                    pair = pure if sigma == 0 else GkpStatePair(
+                        *(gaussian_displacement_channel(spec, k, sigma) for k in pure.sectors),
+                        spec, pure.delta, pure.kappa, float(sigma))
+                    if pair.converged or last:
+                        column[i] = pair
+        todo = [i for i in todo if any(column[i] is None for column in pairs)]
+        cutoff *= 2
+    return pairs
+
+
 def converged_pair(delta: float, kappa: Optional[float] = None, sigma: float = 0.0,
                    start: int = DEFAULT_CUTOFF) -> GkpStatePair:
-    """The pair at the first cutoff, doubling from start up to MAX_CUTOFF,
-    where both states pass the leakage check, or else the last pair tried
-    (`converged` false). The channel's output can leak more than the kets,
-    so it is built at each cutoff where the kets pass, and at the last."""
-    if start > MAX_CUTOFF:
-        raise ValueError(f"start cutoff {start} exceeds the largest tried, {MAX_CUTOFF}")
-    spec = HilbertSpec(start)
-    while True:
-        last = 2 * spec.cutoff > MAX_CUTOFF
-        pair = make_state_pair(spec, delta, kappa, strict=False)
-        if sigma != 0 and (pair.converged or last):
-            pair = make_state_pair(spec, delta, kappa, sigma, strict=False)
-        if pair.converged or last:
-            return pair
-        spec = HilbertSpec(2 * spec.cutoff)
+    """`converged_pairs` of one point and one sigma."""
+    return converged_pairs((delta,), (kappa,), (sigma,), start)[0][0]
 
 
 def auto_cutoff(delta: float, kappa: Optional[float] = None, sigma: float = 0.0,
@@ -291,14 +328,18 @@ def x_populations(spec: HilbertSpec, state) -> tuple[np.ndarray, np.ndarray]:
     """
     # The populations of [y_a; ±z_a]/√2 are ½(A_aa + B_aa) ± Re E_aa, with
     # A, B and E the sector blocks (0, 0), (1, 1) and (0, 1); the null mode
-    # has z = 0.
-    if np.ndim(state) == 2:
-        state = x_sector_blocks(spec, np.asarray(state))
-    if not isinstance(state, dict):
-        y, _, z = x_sectors(spec)[:3]
+    # has z = 0. Of a Fock array only these diagonals are read: that of
+    # B_pᵀρ_pqB_q, B = (Y, Z), is the column sum of B_p ∘ ρ_pqB_q.
+    y, _, z = x_sectors(spec)[:3]
+    if isinstance(state, dict):
+        diag = {pq: np.diagonal(x).real for pq, x in state.items()}
+    elif np.ndim(state) == 2:
+        rho = np.asarray(state)
+        diag = {(p, q): ((y, z)[p] * (rho[p::2, q::2] @ (y, z)[q])).sum(axis=0).real
+                for p, q in ((0, 0), (1, 1), (0, 1)) if rho[p::2, q::2].any()}
+    else:
         e0, e1 = y.T @ state[0::2], z.T @ state[1::2]
         return np.abs(e0) ** 2 + np.abs(e1) ** 2, 2 * (e0 * e1.conj()).real
-    diag = {pq: np.diagonal(x).real for pq, x in state.items()}
     zero = np.zeros((spec.dim + 1) // 2)
     return diag.get((0, 0), zero) + diag.get((1, 1), zero), 2 * diag.get((0, 1), zero)
 

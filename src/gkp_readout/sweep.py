@@ -1,5 +1,7 @@
 """Configuration-driven parameter sweeps over squeezing, interaction
-strength, rounds, and channel noise, with deterministic CSV/JSON output."""
+strength, rounds, and channel noise, with deterministic CSV/JSON output.
+A table's pairs come from one cutoff search over its column of points,
+and its closed-form cells from one `readout_errors` call."""
 
 from __future__ import annotations
 
@@ -11,17 +13,16 @@ import numpy as np
 
 from . import analytics
 from .fock import HilbertSpec
-from .readout import CircuitParams, error_curve, readout_error
+from .readout import CircuitParams, error_curve, readout_errors
 from .states import (
     MAX_CUTOFF,
     GkpSpec,
     GkpStatePair,
-    converged_pair,
+    converged_pairs,
     db_to_delta,
     delta_db,
     effective_squeezing_of,
     helstrom_bound,
-    make_state_pair,
     purity,
 )
 
@@ -124,48 +125,46 @@ class SweepRow:
 SWEEP_ROW_FIELDS = tuple(f.name for f in fields(SweepRow))[1:]
 
 
-@dataclass(frozen=True)
+# Place of p_err_simulated in a row's values.
+_SIM = SWEEP_ROW_FIELDS.index("p_err_simulated") + 1
+
+
 class SweepPoint:
     """The state pair of one grid point and the scalars all its rows share."""
 
-    pair: GkpStatePair
-    purity: float
-    deff: float
-    helstrom: Optional[float]
+    def __init__(self, pair: GkpStatePair):
+        self.pair, self.purity = pair, purity(pair.sectors[0])
+        self.deff = effective_squeezing_of(pair.spec, pair.populations[0])
+        self.helstrom = helstrom_bound(pair.state0, pair.state1) if pair.is_pure else None
 
-    def simulated(self, lam: float, rounds: int = 1) -> float:
-        return readout_error(self.pair, CircuitParams(lam, rounds))
+    def simulated(self, lam: float, rounds: int = 1) -> tuple:
+        # A readout_error cell, which _sweep reads with the table's others
+        return self.pair, CircuitParams(lam, rounds)
 
-    def row(self, strategy: str, lam: float, rounds: int,
-            p_sim: Optional[float], p_formula: Optional[float]) -> SweepRow:
+    def row(self, strategy: str, lam: float, rounds: int, p_sim, p_formula) -> list:
+        # The row's values, in SweepRow order
         pair = self.pair
-        return SweepRow(strategy, delta_db(pair.delta), pair.delta, pair.kappa, pair.sigma,
-                        self.purity, delta_db(self.deff), lam, rounds, p_sim, p_formula,
-                        analytics.p_err_homodyne_formula(pair.delta), self.helstrom,
-                        pair.spec.cutoff, pair.converged)
-
-
-def sweep_point(config: SweepConfig, delta: float, sigma: float) -> SweepPoint:
-    """The state pair and shared scalars of one grid point: the fixed cutoff
-    policy builds the pair at `cutoff_n`, auto takes `converged_pair` from
-    it. A pair that still truncates is flagged, so no row is dropped."""
-    kappa = 1.0 / delta if config.kappa_policy == "inverse_delta" else config.kappa_fixed_value
-    if config.cutoff_policy == "fixed":
-        pair = make_state_pair(HilbertSpec(config.cutoff_n), delta, kappa, sigma, strict=False)
-    else:
-        pair = converged_pair(delta, kappa, sigma, config.cutoff_n)
-    return SweepPoint(pair, purity(pair.sectors[0]),
-                      effective_squeezing_of(pair.spec, pair.populations[0]),
-                      helstrom_bound(pair.state0, pair.state1) if pair.is_pure else None)
+        return [strategy, delta_db(pair.delta), pair.delta, pair.kappa, pair.sigma,
+                self.purity, delta_db(self.deff), lam, rounds, p_sim, p_formula,
+                analytics.p_err_homodyne_formula(pair.delta), self.helstrom,
+                pair.spec.cutoff, pair.converged]
 
 
 def _sweep(config: SweepConfig, sigmas, point_rows) -> list[SweepRow]:
-    """Rows of every (delta, sigma) grid point, point_rows(point) each."""
-    rows = []
-    for delta in config.delta_grid():
-        for sigma in sigmas:
-            rows.extend(point_rows(sweep_point(config, delta, sigma)))
-    return rows
+    """Rows of every (delta, sigma) grid point, point_rows(point) each, delta
+    major; a pair that still truncates is flagged, so no row is dropped."""
+    # One converged_pairs call builds every sigma's column of pairs, at
+    # cutoff_n under the fixed cutoff policy, or from it under auto.
+    deltas = config.delta_grid()
+    kappa = None if config.kappa_policy == "inverse_delta" else config.kappa_fixed_value
+    columns = converged_pairs(deltas, [kappa] * len(deltas), sigmas, config.cutoff_n,
+                              config.cutoff_n if config.cutoff_policy == "fixed" else None)
+    points = [[SweepPoint(pair) for pair in column] for column in columns]
+    rows = [row for i in range(len(deltas)) for column in points for row in point_rows(column[i])]
+    cells = [row for row in rows if isinstance(row[_SIM], tuple)]
+    for row, p_err in zip(cells, readout_errors([row[_SIM] for row in cells])):
+        row[_SIM] = p_err
+    return [SweepRow(*row) for row in rows]
 
 
 def _improved_optimal(p: SweepPoint) -> SweepRow:

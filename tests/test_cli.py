@@ -326,3 +326,45 @@ def test_import_diet():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_parser_built_once_and_runner_looked_up_when_run(monkeypatch, capsys):
+    # main builds its parser on the first call only, and looks a sweep's
+    # runner up when it runs: a wrapper installed after the first call runs
+    from gkp_readout import cli, sweep
+
+    monkeypatch.setattr(cli, "_parser", None)
+    built, ran = [], []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    argv = ["fig1a", "--delta-db-min", "8", "--delta-db-max", "9", "--points", "2"]
+    assert main(argv) == EXIT_OK
+    first = capsys.readouterr().out
+    run = sweep.run_fig1a
+    monkeypatch.setattr(sweep, "run_fig1a", lambda cfg: ran.append(cfg) or run(cfg))
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == first
+    assert len(built) == 1 and len(ran) == 1
+
+
+def test_sweep_csv_independent_of_blas_threads(tmp_path):
+    # The kets and the closed-form cells are stacks of matrix-vector
+    # products, so a table's CSV is the same under one BLAS thread and two.
+    # The fig1c grid holds the 14 dB, sigma = 0.1 improved cell, whose p_err
+    # lies within 1e-16 relative of a 12-digit rounding boundary
+    src = Path(__file__).resolve().parents[1] / "src"
+    cfg = tmp_path / "fig1c.cfg"
+    cfg.write_text("delta_db_min = 11\ndelta_db_max = 14\ndelta_db_points = 3\n"
+                   "sigma_list = 0.05, 0.1\n")
+
+    def table(argv, threads):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "gkp_readout.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    for argv in (["fig1a", "--delta-db-min", "7", "--delta-db-max", "14", "--points", "8"],
+                 ["fig1c", "--config", str(cfg)]):
+        assert table(argv, "1") == table(argv, "2")

@@ -18,6 +18,7 @@ from gkp_readout.readout import (
     error_curve,
     homodyne_p_err_numeric,
     readout_error,
+    readout_errors,
     readout_kraus,
     simulated_p_err,
 )
@@ -745,3 +746,27 @@ def test_state_path_needs_no_dense_eigh(monkeypatch, cold_caches):
     assert 0 < error_curve(mixed)(0.1) < 0.5
     pure = make_state_pair(spec, DELTA_10DB)
     assert 0 < homodyne_p_err_numeric(pure) < 0.5
+
+
+def test_majority_tails_cached_read_only():
+    # The lambda = 0 tails depend only on the cutoff and R: built once each,
+    # read-only, and summing with the other outcome to one at every sector
+    from gkp_readout.readout import _majority_tails
+
+    for rounds in (1, 3, 5):
+        wrong0, wrong1 = _majority_tails(SPEC, rounds)
+        assert _majority_tails(HilbertSpec(SPEC.cutoff), rounds)[0] is wrong0
+        assert not wrong0.flags.writeable and not wrong1.flags.writeable
+        assert np.max(np.abs(wrong0 + wrong1 - 1)) < 1e-15
+
+
+def test_readout_errors_of_a_stack_equal_each_cell_alone():
+    # Cells of two cutoffs, pure and mixed, at lambda = 0 and not, one
+    # round and three: one call gives each cell exactly what it gives alone
+    pairs = [make_state_pair(HilbertSpec(n), db_to_delta(db), sigma=sigma)
+             for n, db, sigma in ((150, 9.0, 0.0), (300, 12.0, 0.0), (150, 10.0, 0.0),
+                                  (150, 10.0, 0.1))]
+    cells = [(pair, CircuitParams(lam, rounds)) for pair in pairs
+             for lam, rounds in ((0.0, 1), (0.0, 3), (0.08, 1), (0.1, 1), (0.05, 3))]
+    assert readout_errors(cells) == [readout_errors([cell])[0] for cell in cells]
+    assert readout_errors(cells) == [readout_error(*cell) for cell in cells]

@@ -16,12 +16,15 @@ from gkp_readout.states import (
     UnsupportedStateError,
     assemble_density,
     auto_cutoff,
+    converged_pair,
+    converged_pairs,
     db_to_delta,
     delta_db,
     effective_squeezing,
     export_state_csv,
     export_state_json,
     gaussian_displacement_channel,
+    gkp_kets,
     helstrom_bound,
     make_pure_gkp,
     make_state_pair,
@@ -566,3 +569,80 @@ def test_pair_from_fock_densities_derives_the_channels_blocks(cutoff):
     for a, b in zip(from_fock.populations, from_blocks.populations):
         assert max(np.max(np.abs(x - y)) for x, y in zip(a, b)) < 1e-14
     assert np.allclose(from_fock.leakages, from_blocks.leakages, rtol=0, atol=1e-16)
+
+
+@pytest.mark.parametrize("cutoff", [150, 151])
+def test_column_kets_equal_one_point_builds(cutoff):
+    # Each ket of a column (kappa = 1/delta, or fixed) rounds as it would
+    # alone: every product is a stack of matrix-vector ones and each comb
+    # sums only its own peaks, so the column's kets equal the one-point
+    # builds exactly, and a point's ket does not depend on its column
+    spec = HilbertSpec(cutoff)
+    deltas = [db_to_delta(db) for db in (7.0, 9.5, 11.0, 10.0)]
+    kappas = [1 / d for d in deltas[:3]] + [3.0]
+    column = gkp_kets(spec, deltas, kappas)
+    assert column.shape == (4, 2, spec.dim) and not column.flags.writeable
+    for i, (delta, kappa) in enumerate(zip(deltas, kappas)):
+        assert np.array_equal(column[i], gkp_kets(spec, (delta,), (kappa,))[0])
+        for mu in (0, 1):
+            assert np.array_equal(column[i, mu], make_pure_gkp(spec, GkpSpec(mu, delta, kappa)))
+    assert np.array_equal(gkp_kets(spec, deltas[1:3], kappas[1:3]), column[1:3])
+
+
+def test_converged_pairs_gives_each_point_its_own_cutoff():
+    # The column search gives every (delta, sigma) the pair that the
+    # one-point search gives it: 11 dB converges at N = 150, 11.5 dB at
+    # N = 150 for its kets and N = 300 for its sigma = 0.15 channel output,
+    # 12 and 14 dB at N = 300
+    deltas = [db_to_delta(db) for db in (11.0, 11.5, 12.0, 14.0)]
+    sigmas = (0.0, 0.15)
+    columns = converged_pairs(deltas, [None] * 4, sigmas)
+    assert [[p.spec.cutoff for p in c] for c in columns] == [[150, 150, 300, 300],
+                                                          [150, 300, 300, 300]]
+    for sigma, column in zip(sigmas, columns):
+        for delta, pair in zip(deltas, column):
+            alone = converged_pair(delta, sigma=sigma)
+            assert (pair.spec, pair.converged, pair.kappa) == (alone.spec, True, alone.kappa)
+            for got, want in zip(pair.sectors, alone.sectors):
+                if isinstance(want, dict):
+                    assert got.keys() == want.keys()
+                    assert all(np.array_equal(got[k], want[k]) for k in want)
+                else:
+                    assert np.array_equal(got, want)
+
+
+def test_point_query_pattern_builds_each_ket_once(monkeypatch, cold_caches):
+    # auto_cutoff(delta) and then make_state_pair at its cutoff, pure or
+    # mixed: the search builds both kets in one call, and the pair reads
+    # them from the per-point cache
+    calls = []
+    build = states.gkp_kets
+
+    def counted(spec, deltas, kappas):
+        calls.append((spec.cutoff, len(deltas)))
+        return build(spec, deltas, kappas)
+
+    monkeypatch.setattr(states, "gkp_kets", counted)
+    for db, sigma in ((7.3, 0.0), (9.1, 0.05), (11.2, 0.1)):
+        delta = db_to_delta(db)
+        spec = auto_cutoff(delta, None, sigma)
+        pair = make_state_pair(spec, delta, None, sigma)
+        assert pair.converged and pair.sigma == sigma
+    assert calls == [(150, 1)] * 3
+
+
+def test_x_populations_of_a_fock_density_reads_only_diagonals(monkeypatch, pair_10db):
+    # A Fock density's populations come from one product per sector block,
+    # not from the blocks themselves, and equal the blocks' own diagonals;
+    # a displaced ket gives the density even-odd coherence
+    ket = displacement(SPEC, 0.3 + 0.2j) @ pair_10db.state1
+    rho = channel_fock(SPEC, ket, 0.1)
+    want = x_populations(SPEC, states.x_sector_blocks(SPEC, rho))
+    assert want[1].any()
+
+    def forbidden(*args):
+        raise AssertionError("x_sector_blocks called")
+
+    monkeypatch.setattr(states, "x_sector_blocks", forbidden)
+    for got, ref in zip(x_populations(SPEC, rho), want):
+        assert np.max(np.abs(got - ref)) < 1e-15

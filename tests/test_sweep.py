@@ -7,7 +7,13 @@ import pytest
 from gkp_readout import analytics, sweep
 from gkp_readout.cli import EXIT_CONFIG, main
 from gkp_readout.readout import CircuitParams, error_curve, simulated_p_err
-from gkp_readout.states import auto_cutoff, db_to_delta, effective_squeezing, make_state_pair
+from gkp_readout.states import (
+    auto_cutoff,
+    converged_pairs,
+    db_to_delta,
+    effective_squeezing,
+    make_state_pair,
+)
 from gkp_readout.sweep import (
     LAMBDA_SCAN_POINTS,
     LAMBDA_SEARCH_MAX,
@@ -65,8 +71,8 @@ def test_config_validation(monkeypatch, tmp_path):
         SweepConfig(lambda_fixed_values=(0.9,))
     # A bad list entry from a config file exits 2 before any state is built
     calls = []
-    monkeypatch.setattr(sweep, "make_state_pair",
-                        lambda *args, **kwargs: calls.append(args) or make_state_pair(*args, **kwargs))
+    monkeypatch.setattr(sweep, "converged_pairs", lambda *args, **kwargs:
+                        calls.append(args) or converged_pairs(*args, **kwargs))
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("lambda_fixed_values = 0.05, 1.5\n")
     assert main(["fig1b", "--config", str(cfg)]) == EXIT_CONFIG
@@ -496,13 +502,13 @@ def test_one_squeeze_svd_per_cutoff_whatever_the_deltas(monkeypatch, cold_caches
             squeeze.append(len(off))
         return svd(off)
 
-    def recorded(spec, g, strict=True):
-        kets.add((spec.cutoff, g.delta))
-        return make_pure_gkp(spec, g, strict)
+    def recorded(spec, deltas, kappas):
+        kets.update((spec.cutoff, delta) for delta in deltas)
+        return gkp_kets(spec, deltas, kappas)
 
-    make_pure_gkp = states.make_pure_gkp
+    gkp_kets = states.gkp_kets
     monkeypatch.setattr(fock, "_even_odd_svd", counted)
-    monkeypatch.setattr(states, "make_pure_gkp", recorded)
+    monkeypatch.setattr(states, "gkp_kets", recorded)
     assert main(["fig1c", "--points", "3"]) == 0
     cutoffs = {n for n, _ in kets}
     assert len(kets) > len(cutoffs)  # some cutoff serves several deltas
@@ -589,3 +595,27 @@ def test_lambda_search_takes_few_newton_steps(db, sigma):
     assert points[0] == 1 and len(points) <= 1 + 4
     assert abs(curve.slope(lam)) <= 1e-12 * curve.curvature(lam)
     assert (lam, curve(lam)) == optimize_lambda_simulated(pair, deff)
+
+
+def test_one_ket_build_per_cutoff_per_column(monkeypatch):
+    # The benchmark's fig1a grid (7-14 dB, 8 points) builds its kets in one
+    # call at N = 150 and one, for the 12-14 dB points that leak there, at
+    # N = 300. A fig1c table shares each cutoff's call between its sigmas:
+    # at N = 300 it builds 11.5 dB for sigma = 0.15 and 12 dB for both
+    from gkp_readout import states
+
+    calls = []
+    build = states.gkp_kets
+
+    def counted(spec, deltas, kappas):
+        calls.append((spec.cutoff, len(deltas)))
+        return build(spec, deltas, kappas)
+
+    monkeypatch.setattr(states, "gkp_kets", counted)
+    rows = run_fig1a(SweepConfig(delta_db_min=7.0, delta_db_max=14.0, delta_db_points=8))
+    assert calls == [(150, 8), (300, 3)]
+    assert [r.cutoff_N for r in rows if r.strategy == "helstrom"] == [150] * 5 + [300] * 3
+    calls.clear()
+    run_fig1c(SweepConfig(delta_db_min=11.0, delta_db_max=12.0, delta_db_points=3,
+                          sigma_list=(0.0, 0.15)))
+    assert calls == [(150, 3), (300, 2)]
