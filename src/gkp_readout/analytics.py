@@ -49,15 +49,13 @@ def lambda_seed(delta: float) -> float:
     return SQRT_PI * delta**2 / 2
 
 
-def _bisect(f, lo: float, hi: float, xtol: float, lo_negative: Optional[bool] = None) -> float:
+def _bisect(f, lo: float, hi: float, xtol: float) -> float:
     """Root of f between lo and hi, where f changes sign, by bisection to
     an interval of xtol or until the midpoint stops moving. No sign change
-    is a failure of the numerics (NumericalError), not bad input. A caller
-    that knows f(lo) < 0 < f(hi) passes lo_negative instead."""
-    if lo_negative is None:
-        lo_negative = f(lo) < 0
-        if lo_negative == (f(hi) < 0):
-            raise NumericalError(f"no sign change of f between {lo} and {hi}")
+    is a failure of the numerics (NumericalError), not bad input."""
+    lo_negative = f(lo) < 0
+    if lo_negative == (f(hi) < 0):
+        raise NumericalError(f"no sign change of f between {lo} and {hi}")
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -114,7 +112,7 @@ def optimal_lambda(delta: float) -> float:
     def f(lam):
         return (2 * lam / d2) * math.exp(-lam * lam / d2) - SQRT_PI * math.cos(SQRT_PI * lam)
 
-    return _bisect(f, 0.0, math.sqrt(d2 / 2), 0.0, lo_negative=True)
+    return _bisect(f, 0.0, math.sqrt(d2 / 2), 0.0)
 
 
 def p_err_leading_order(delta: float) -> float:

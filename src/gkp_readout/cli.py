@@ -26,10 +26,8 @@ from .states import (
     converged_pair,
     db_to_delta,
     delta_db,
-    effective_squeezing,
     export_state_csv,
     export_state_json,
-    helstrom_bound,
     x_populations,
 )
 
@@ -66,12 +64,11 @@ def cmd_state_info(args) -> int:
     delta = db_to_delta(args.delta_db)
     pair = converged_pair(delta, args.kappa, args.sigma)
     check_leakage(max(pair.leakages))
-    point = sweep.SweepPoint(pair)
     result = {"delta_db": args.delta_db, "delta": delta, "kappa": pair.kappa,
-              "sigma": args.sigma, "cutoff_N": pair.spec.cutoff, "purity": point.purity,
-              "delta_eff": point.deff, "delta_eff_db": delta_db(point.deff)}
+              "sigma": args.sigma, "cutoff_N": pair.spec.cutoff, "purity": pair.purity,
+              "delta_eff": pair.delta_eff, "delta_eff_db": delta_db(pair.delta_eff)}
     if pair.is_pure:
-        result["p_err_helstrom"] = point.helstrom
+        result["p_err_helstrom"] = pair.helstrom
     print(json.dumps(result, indent=2))
     if args.dump:
         export = export_state_csv if args.dump.endswith(".csv") else export_state_json
@@ -100,15 +97,15 @@ def cmd_validate(args) -> int:
     var = sym @ s**2 - (anti @ s) ** 2
     checks.append(("squeezed-vacuum X variance", abs(var - 0.125) < 1e-9))
     checks.append(("effective squeezing of the 10 dB ket",
-                   abs(effective_squeezing(pair.spec, pair.state0) - delta) < 1e-9))
+                   abs(pair.delta_eff - delta) < 1e-9))
     # At lambda = 0 the branches run on the X sectors, so the optimal
     # lambda is what puts the Kraus pair itself to this test.
     outs = [readout.simulated_p_err(pair, readout.CircuitParams(x, 1)) for x in (0.0, lam)]
     checks.append(("probability conservation", all(
         abs(sum(branch.probability for branch in tree) - 1) < 1e-10
         for out in outs for tree in (out.branches_0, out.branches_1))))
-    bound = helstrom_bound(pair.state0, pair.state1)
-    checks.append(("Helstrom dominance", all(out.p_err >= bound - 1e-10 for out in outs)))
+    checks.append(("Helstrom dominance",
+                   all(out.p_err >= pair.helstrom - 1e-10 for out in outs)))
     # The sweeps' closed forms (R = 3 at lambda = 0, R = 1 at the optimum)
     # against the branch enumeration, which outs[1] already holds at the
     # optimum.

@@ -1,7 +1,8 @@
 """Approximate GKP basis states, built for a column of points a cutoff at a
 time (`gkp_kets`) under one search over cutoffs (`converged_pairs`), the
 Gaussian displacement channel, and state quality metrics (effective
-squeezing, purity, Helstrom bound)."""
+squeezing, purity, Helstrom bound). A grid point is its `GkpStatePair`,
+which computes each metric of its states once."""
 
 from __future__ import annotations
 
@@ -75,10 +76,14 @@ class GkpSpec:
 
 @dataclass(frozen=True)
 class GkpStatePair:
-    """The two basis states of one (delta, kappa, sigma) point: kets when
-    sigma = 0, else density matrices, as Fock arrays or as X-sector blocks
-    (`gaussian_displacement_channel`), the other form built on first read.
-    `is_pure`, `converged` and `populations` read only kets and blocks."""
+    """One (delta, kappa, sigma) grid point. Its two basis states are held
+    as `converged_pairs` builds them: kets when sigma = 0, else the X-sector
+    blocks of the displacement channel's output. Each quantity derived
+    from them is computed on its first read: `purity` and `delta_eff` are
+    state0's (`purity`, `effective_squeezing`), and `helstrom` is the kets'
+    `helstrom_bound`, None for a mixed pair. `state0` and `state1` each
+    assemble their Fock array on their own first read; every other reader
+    uses only the kets and blocks."""
 
     given0: object
     given1: object
@@ -87,21 +92,20 @@ class GkpStatePair:
     kappa: float
     sigma: float
 
-    state0 = property(lambda self: self._fock[0])
-    state1 = property(lambda self: self._fock[1])
+    state0 = cached_property(lambda self: self._fock(self.given0))
+    state1 = cached_property(lambda self: self._fock(self.given1))
     is_pure = property(lambda self: np.ndim(self.given0) == 1)
     converged = property(lambda self: max(self.leakages) < LEAKAGE_TOL)
+    sectors = property(lambda self: (self.given0, self.given1))
+    # A lambda reads names from the module, so this calls the function purity.
+    purity = cached_property(lambda self: purity(self.given0))
+    delta_eff = cached_property(lambda self: _effective_squeezing_of(self.spec,
+                                                                     self.populations[0]))
+    helstrom = cached_property(lambda self: helstrom_bound(self.given0, self.given1)
+                               if self.is_pure else None)
 
-    @cached_property
-    def _fock(self) -> tuple:
-        return tuple(assemble_density(self.spec, s) if isinstance(s, dict) else s
-                     for s in (self.given0, self.given1))
-
-    @cached_property
-    def sectors(self) -> tuple:
-        """Each state as a ket, or as its density matrix's X-sector blocks."""
-        return tuple(x_sector_blocks(self.spec, s) if np.ndim(s) == 2 else s
-                     for s in (self.given0, self.given1))
+    def _fock(self, state):
+        return assemble_density(self.spec, state) if isinstance(state, dict) else state
 
     @cached_property
     def leakages(self) -> tuple:
@@ -243,7 +247,8 @@ _PARITY_PARTS = ((((0, 0), 1), ((1, 1), 1)), (((0, 1), 1), ((1, 0), -1)))
 def gaussian_displacement_channel(spec: HilbertSpec, state: np.ndarray, sigma: float) -> dict:
     """Gaussian displacement channel of strength sigma,
     ρ -> (1/πσ²) ∫ d²α e^{-|α|²/σ²} D(α) ρ D†(α), of a ket or a Fock
-    density matrix, as its nonzero X-sector blocks (`x_sector_blocks`).
+    density matrix, as its nonzero X-sector blocks {(p, q): B_pᵀρ′_pqB_q},
+    B = (Y, Z) of `fock.x_sectors`.
 
     Re α shifts X (generated by P), Im α shifts P (generated by X). In the
     generator's eigenbasis, eigenvalues w, averaging the shifts multiplies
@@ -301,16 +306,8 @@ def _channel_kernel(spec: HilbertSpec, sigma: float) -> tuple:
     return halves
 
 
-def x_sector_blocks(spec: HilbertSpec, rho: np.ndarray) -> dict:
-    """A Fock density matrix as its nonzero blocks on the X sectors,
-    {(p, q): B_pᵀρ_pqB_q} with B = (Y, Z) of `fock.x_sectors`."""
-    y, _, z = x_sectors(spec)[:3]
-    return {(p, q): (y, z)[p].T @ rho[p::2, q::2] @ (y, z)[q]
-            for p, q in np.ndindex(2, 2) if rho[p::2, q::2].any()}
-
-
 def assemble_density(spec: HilbertSpec, blocks: dict) -> np.ndarray:
-    """The read-only Fock array of X-sector blocks (`x_sector_blocks`)."""
+    """The read-only Fock array of X-sector blocks (`gaussian_displacement_channel`)."""
     y, _, z = x_sectors(spec)[:3]
     out = np.zeros((spec.dim,) * 2, dtype=np.result_type(float, *blocks.values()))
     for (p, q), x in blocks.items():
@@ -347,10 +344,10 @@ def x_populations(spec: HilbertSpec, state) -> tuple[np.ndarray, np.ndarray]:
 def effective_squeezing(spec: HilbertSpec, state: np.ndarray) -> float:
     """Effective peak width sqrt(ln(1/|<D(i√(2π))>|²) / (2π)): delta for
     the pure states, +inf when the expectation vanishes."""
-    return effective_squeezing_of(spec, x_populations(spec, state))
+    return _effective_squeezing_of(spec, x_populations(spec, state))
 
 
-def effective_squeezing_of(spec: HilbertSpec, populations: tuple) -> float:
+def _effective_squeezing_of(spec: HilbertSpec, populations: tuple) -> float:
     """`effective_squeezing` of the state whose `x_populations` are given."""
     # D(i√(2π)) = exp(2i√π X) is diagonal on the X eigenbasis; cos is even
     # and sin odd, so <D> = sym·cos(2√π s) + i anti·sin(2√π s).

@@ -1,7 +1,8 @@
 """Configuration-driven parameter sweeps over squeezing, interaction
 strength, rounds, and channel noise, with deterministic CSV/JSON output.
 A table's pairs come from one cutoff search over its column of points,
-and its closed-form cells from one `readout_errors` call."""
+each row is read off its point's `GkpStatePair` (`_row`), and the table's
+closed-form cells come from one `readout_errors` call."""
 
 from __future__ import annotations
 
@@ -14,17 +15,7 @@ import numpy as np
 from . import analytics
 from .fock import HilbertSpec
 from .readout import CircuitParams, error_curve, readout_errors
-from .states import (
-    MAX_CUTOFF,
-    GkpSpec,
-    GkpStatePair,
-    converged_pairs,
-    db_to_delta,
-    delta_db,
-    effective_squeezing_of,
-    helstrom_bound,
-    purity,
-)
+from .states import MAX_CUTOFF, GkpSpec, GkpStatePair, converged_pairs, db_to_delta, delta_db
 
 DB_GUARD = (4.0, 16.0)
 # Upper end of the simulated-lambda search, so that the lambda it returns
@@ -129,29 +120,17 @@ SWEEP_ROW_FIELDS = tuple(f.name for f in fields(SweepRow))[1:]
 _SIM = SWEEP_ROW_FIELDS.index("p_err_simulated") + 1
 
 
-class SweepPoint:
-    """The state pair of one grid point and the scalars all its rows share."""
-
-    def __init__(self, pair: GkpStatePair):
-        self.pair, self.purity = pair, purity(pair.sectors[0])
-        self.deff = effective_squeezing_of(pair.spec, pair.populations[0])
-        self.helstrom = helstrom_bound(pair.state0, pair.state1) if pair.is_pure else None
-
-    def simulated(self, lam: float, rounds: int = 1) -> tuple:
-        # A readout_error cell, which _sweep reads with the table's others
-        return self.pair, CircuitParams(lam, rounds)
-
-    def row(self, strategy: str, lam: float, rounds: int, p_sim, p_formula) -> list:
-        # The row's values, in SweepRow order
-        pair = self.pair
-        return [strategy, delta_db(pair.delta), pair.delta, pair.kappa, pair.sigma,
-                self.purity, delta_db(self.deff), lam, rounds, p_sim, p_formula,
-                analytics.p_err_homodyne_formula(pair.delta), self.helstrom,
-                pair.spec.cutoff, pair.converged]
+def _row(pair: GkpStatePair, strategy: str, lam: float, rounds: int, p_sim, p_formula) -> list:
+    """A row's values, in SweepRow order. p_sim may be a (pair, CircuitParams)
+    cell, which `_sweep` reads with the table's others."""
+    return [strategy, delta_db(pair.delta), pair.delta, pair.kappa, pair.sigma,
+            pair.purity, delta_db(pair.delta_eff), lam, rounds, p_sim, p_formula,
+            analytics.p_err_homodyne_formula(pair.delta), pair.helstrom,
+            pair.spec.cutoff, pair.converged]
 
 
 def _sweep(config: SweepConfig, sigmas, point_rows) -> list[SweepRow]:
-    """Rows of every (delta, sigma) grid point, point_rows(point) each, delta
+    """Rows of every (delta, sigma) grid point, point_rows(pair) each, delta
     major; a pair that still truncates is flagged, so no row is dropped."""
     # One converged_pairs call builds every sigma's column of pairs, at
     # cutoff_n under the fixed cutoff policy, or from it under auto.
@@ -159,41 +138,41 @@ def _sweep(config: SweepConfig, sigmas, point_rows) -> list[SweepRow]:
     kappa = None if config.kappa_policy == "inverse_delta" else config.kappa_fixed_value
     columns = converged_pairs(deltas, [kappa] * len(deltas), sigmas, config.cutoff_n,
                               config.cutoff_n if config.cutoff_policy == "fixed" else None)
-    points = [[SweepPoint(pair) for pair in column] for column in columns]
-    rows = [row for i in range(len(deltas)) for column in points for row in point_rows(column[i])]
+    rows = [row for i in range(len(deltas)) for column in columns for row in point_rows(column[i])]
     cells = [row for row in rows if isinstance(row[_SIM], tuple)]
     for row, p_err in zip(cells, readout_errors([row[_SIM] for row in cells])):
         row[_SIM] = p_err
     return [SweepRow(*row) for row in rows]
 
 
-def _improved_optimal(p: SweepPoint) -> SweepRow:
-    lam = analytics.optimal_lambda(p.pair.delta)
-    return p.row("improved_optimal", lam, 1, p.simulated(lam),
-                 analytics.p_err_improved_formula(p.pair.delta, lam))
+def _improved_optimal(pair: GkpStatePair) -> list:
+    lam = analytics.optimal_lambda(pair.delta)
+    return _row(pair, "improved_optimal", lam, 1, (pair, CircuitParams(lam)),
+                analytics.p_err_improved_formula(pair.delta, lam))
 
 
 def run_fig1a(config: SweepConfig) -> list[SweepRow]:
     """Error probability vs squeezing: simple circuit for each rounds
     value, the optimized improved circuit, homodyne, and Helstrom."""
-    def point_rows(p):
-        delta = p.pair.delta
-        return [*(p.row(f"simple_R{r}", 0.0, r, p.simulated(0.0, r),
-                        analytics.p_err_simple_formula(delta) if r == 1 else None)
+    def point_rows(pair):
+        delta = pair.delta
+        return [*(_row(pair, f"simple_R{r}", 0.0, r, (pair, CircuitParams(0.0, r)),
+                       analytics.p_err_simple_formula(delta) if r == 1 else None)
                   for r in config.rounds_list),
-                _improved_optimal(p),
-                p.row("homodyne_formula", 0.0, 1, None, analytics.p_err_homodyne_formula(delta)),
-                p.row("helstrom", 0.0, 1, None, p.helstrom)]
+                _improved_optimal(pair),
+                _row(pair, "homodyne_formula", 0.0, 1, None,
+                     analytics.p_err_homodyne_formula(delta)),
+                _row(pair, "helstrom", 0.0, 1, None, pair.helstrom)]
     return _sweep(config, (0.0,), point_rows)
 
 
 def run_fig1b(config: SweepConfig) -> list[SweepRow]:
     """Fixed-lambda curves vs squeezing, plus the optimized envelope."""
-    def point_rows(p):
-        return [*(p.row(f"fixed_lambda_{float(lam)!r}", lam, 1, p.simulated(lam),
-                        analytics.p_err_improved_formula(p.pair.delta, lam))
+    def point_rows(pair):
+        return [*(_row(pair, f"fixed_lambda_{float(lam)!r}", lam, 1, (pair, CircuitParams(lam)),
+                       analytics.p_err_improved_formula(pair.delta, lam))
                   for lam in config.lambda_fixed_values),
-                _improved_optimal(p)]
+                _improved_optimal(pair)]
     return _sweep(config, (0.0,), point_rows)
 
 
@@ -215,15 +194,15 @@ def optimize_lambda_simulated(pair, deff: float) -> tuple[float, float]:
 def run_fig1c(config: SweepConfig) -> list[SweepRow]:
     """Mixed-state performance: for each (delta, sigma) the simple circuit
     and the improved circuit with lambda tuned on the simulated error."""
-    def point_rows(p):
-        simple = p.row("simple_R1", 0.0, 1, p.simulated(0.0),
-                       analytics.p_err_simple_formula(p.deff))
-        if p.pair.sigma == 0:
-            lam = analytics.optimal_lambda(p.pair.delta)
-            p_sim = p.simulated(lam)
+    def point_rows(pair):
+        simple = _row(pair, "simple_R1", 0.0, 1, (pair, CircuitParams(0.0)),
+                      analytics.p_err_simple_formula(pair.delta_eff))
+        if pair.sigma == 0:
+            lam = analytics.optimal_lambda(pair.delta)
+            p_sim = pair, CircuitParams(lam)
         else:
-            lam, p_sim = optimize_lambda_simulated(p.pair, p.deff)
-        return [simple, p.row("improved_optimal", lam, 1, p_sim, None)]
+            lam, p_sim = optimize_lambda_simulated(pair, pair.delta_eff)
+        return [simple, _row(pair, "improved_optimal", lam, 1, p_sim, None)]
     return _sweep(config, config.sigma_list, point_rows)
 
 

@@ -227,7 +227,7 @@ def test_newton_root_matches_machine_precision_bisection():
     grid = np.linspace(0.0, 1.0, 9)
     f_counted, calls = _counted(f)
     root = first_rising_root(f_counted, lambda x: np.exp(x) + 1.2 * np.sin(4 * x), grid, 1e-10)
-    exact = _bisect(f, 0.375, 0.5, 0.0, lo_negative=True)
+    exact = _bisect(f, 0.375, 0.5, 0.0)
     assert 0.375 < exact < 0.5
     assert abs(root - exact) <= 1e-12
     assert len(calls) <= 1 + 5

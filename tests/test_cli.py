@@ -28,11 +28,26 @@ def test_state_info_command(capsys, tmp_path):
     assert json.loads(dump.read_text())["kind"] == "ket"
 
 
-def test_state_info_mixed(capsys):
-    assert main(["state-info", "--delta-db", "10", "--sigma", "0.1"]) == EXIT_OK
+def test_state_info_mixed(capsys, tmp_path, monkeypatch):
+    # A mixed pair assembles each Fock array on its own first read: the
+    # dump reads state0, so only its array is built
+    from gkp_readout import states
+
+    calls = []
+    assemble = states.assemble_density
+
+    def counted(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(states, "assemble_density", counted)
+    dump = tmp_path / "rho.json"
+    assert main(["state-info", "--delta-db", "10", "--sigma", "0.1",
+                 "--dump", str(dump)]) == EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert abs(out["purity"] - 0.8338) < 1e-3
     assert "p_err_helstrom" not in out
+    assert len(calls) == 1 and json.loads(dump.read_text())["kind"] == "density"
 
 
 def test_fig1a_csv_contract(capsys):
@@ -157,8 +172,10 @@ def test_state_info_channel_leakage_exit_code(capsys, monkeypatch):
 def test_state_info_takes_the_sweeps_cutoff(capsys):
     # The kets at 11.5 dB converge at N = 150 but their sigma = 0.15
     # channel output does not: state-info doubles N as fig1c does, and
-    # reports that point's cutoff and purity
-    from gkp_readout.sweep import SweepConfig, run_fig1c
+    # reports that point's cutoff, purity and delta_eff. At sigma = 0 its
+    # Helstrom bound is fig1a's. Both read these off a pair that the same
+    # search builds, so the values are equal
+    from gkp_readout.sweep import SweepConfig, run_fig1a, run_fig1c
 
     assert main(["state-info", "--delta-db", "11.5", "--sigma", "0.15"]) == EXIT_OK
     out = json.loads(capsys.readouterr().out)
@@ -167,6 +184,12 @@ def test_state_info_takes_the_sweeps_cutoff(capsys):
     assert (row.delta_db, row.sigma, row.converged_flag) == (11.5, 0.15, True)
     assert out["cutoff_N"] == row.cutoff_N == 300
     assert out["purity"] == row.purity
+    assert out["delta_eff_db"] == row.delta_eff_db
+    assert main(["state-info", "--delta-db", "12"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    row = run_fig1a(SweepConfig(delta_db_min=11.0, delta_db_max=12.0, delta_db_points=2))[-1]
+    assert (row.strategy, row.delta_db, row.cutoff_N) == ("helstrom", 12.0, out["cutoff_N"])
+    assert out["p_err_helstrom"] == row.p_err_helstrom
 
 
 def test_state_info_rejects_zero_kappa(capsys):

@@ -522,9 +522,10 @@ def test_state_export(tmp_path):
 
 
 def test_mixed_pair_reads_blocks_and_assembles_fock_on_first_read(monkeypatch):
-    # is_pure, converged, populations and purity read the channel's blocks.
-    # The first read of state0 assembles both states once, read-only, and
-    # state0 equals the dense channel on the full X eigenbasis
+    # is_pure, converged, populations, purity and delta_eff read the
+    # channel's blocks. The first read of state0 assembles its array alone,
+    # read-only, and the first read of state1 the other; state0 equals the
+    # dense channel on the full X eigenbasis
     calls = []
     assemble = states.assemble_density
 
@@ -534,41 +535,52 @@ def test_mixed_pair_reads_blocks_and_assembles_fock_on_first_read(monkeypatch):
 
     monkeypatch.setattr(states, "assemble_density", counted)
     pair = make_state_pair(SPEC, DELTA_10DB, sigma=0.1)
-    assert not pair.is_pure and pair.converged
+    assert not pair.is_pure and pair.converged and pair.helstrom is None
     sym, anti = pair.populations[0]
-    pur = purity(pair.sectors[0])
+    pur, deff = pair.purity, pair.delta_eff
     assert calls == []
     rho = pair.state0
-    assert len(calls) == 2 and pair.state0 is rho and not rho.flags.writeable
-    assert pair.state1 is pair.state1 and len(calls) == 2
+    assert len(calls) == 1 and pair.state0 is rho and not rho.flags.writeable
+    assert calls[0][1] is pair.sectors[0]
+    assert pair.state1 is pair.state1 and len(calls) == 2 and calls[1][1] is pair.sectors[1]
     ket = make_pure_gkp(SPEC, GkpSpec(0, DELTA_10DB))
     assert np.max(np.abs(rho - dense_displacement_channel(SPEC, ket, 0.1))) < 1e-14
     # The readers give on the blocks what they give on the Fock array
     ref_sym, ref_anti = x_populations(SPEC, rho)
     assert np.max(np.abs(sym - ref_sym)) < 1e-15 and not anti.any() and not ref_anti.any()
     assert abs(pur - purity(rho)) < 1e-14
+    assert abs(deff - effective_squeezing(SPEC, rho)) < 1e-14
     assert all(abs(lk - np.trace(s[-2:, -2:])) < 1e-16
                for lk, s in zip(pair.leakages, (rho, pair.state1)))
 
 
+def test_pure_pair_derives_its_quantities_once_from_its_kets():
+    # A pure pair's Fock arrays are its kets, and its purity, delta_eff and
+    # Helstrom bound are the module functions' values on them, cached
+    pair = make_state_pair(SPEC, DELTA_10DB)
+    assert pair.is_pure and pair.state0 is pair.sectors[0] and pair.state1 is pair.sectors[1]
+    assert pair.purity == purity(pair.state0)
+    assert pair.delta_eff == effective_squeezing(SPEC, pair.state0)
+    assert pair.helstrom == helstrom_bound(pair.state0, pair.state1)
+    assert all(vars(pair)[name] is getattr(pair, name)
+               for name in ("purity", "delta_eff", "helstrom"))
+
+
 @pytest.mark.parametrize("cutoff", [150, 151])
-def test_pair_from_fock_densities_derives_the_channels_blocks(cutoff):
-    # Given Fock densities, a pair takes them to the X sectors on first
-    # read; the blocks match the ones the channel returns, and a pair of
-    # blocks reads the same populations and leakages
+def test_block_pair_reads_what_its_fock_arrays_give(cutoff):
+    # A pair of blocks with all four parity blocks (a displaced ket's
+    # channel output) reads the populations and leakages of its Fock
+    # arrays, at an even and an odd dim
     spec = HilbertSpec(cutoff)
     kets = [displacement(spec, 0.3 + 0.2j) @ make_pure_gkp(spec, GkpSpec(mu, DELTA_10DB))
             for mu in (0, 1)]
     blocks = [gaussian_displacement_channel(spec, k, 0.1) for k in kets]
-    from_fock = states.GkpStatePair(*(assemble_density(spec, b) for b in blocks),
-                                    spec, DELTA_10DB, 1 / DELTA_10DB, 0.1)
-    from_blocks = states.GkpStatePair(*blocks, spec, DELTA_10DB, 1 / DELTA_10DB, 0.1)
-    for got, want in zip(from_fock.sectors, blocks):
-        assert got.keys() == want.keys() == {(0, 0), (0, 1), (1, 0), (1, 1)}
-        assert max(np.max(np.abs(got[k] - want[k])) for k in want) < 1e-14
-    for a, b in zip(from_fock.populations, from_blocks.populations):
-        assert max(np.max(np.abs(x - y)) for x, y in zip(a, b)) < 1e-14
-    assert np.allclose(from_fock.leakages, from_blocks.leakages, rtol=0, atol=1e-16)
+    pair = states.GkpStatePair(*blocks, spec, DELTA_10DB, 1 / DELTA_10DB, 0.1)
+    assert all(b.keys() == {(0, 0), (0, 1), (1, 0), (1, 1)} for b in blocks)
+    for got, rho in zip(pair.populations, (pair.state0, pair.state1)):
+        assert max(np.max(np.abs(x - y)) for x, y in zip(got, x_populations(spec, rho))) < 1e-14
+    fock = [np.trace(rho[-2:, -2:]).real for rho in (pair.state0, pair.state1)]
+    assert np.allclose(pair.leakages, fock, rtol=0, atol=1e-16)
 
 
 @pytest.mark.parametrize("cutoff", [150, 151])
@@ -631,18 +643,13 @@ def test_point_query_pattern_builds_each_ket_once(monkeypatch, cold_caches):
     assert calls == [(150, 1)] * 3
 
 
-def test_x_populations_of_a_fock_density_reads_only_diagonals(monkeypatch, pair_10db):
-    # A Fock density's populations come from one product per sector block,
-    # not from the blocks themselves, and equal the blocks' own diagonals;
-    # a displaced ket gives the density even-odd coherence
+def test_x_populations_of_a_fock_density_reads_only_diagonals(pair_10db):
+    # A Fock density's populations, read off one product per sector block,
+    # equal the diagonals of the channel's own blocks; a displaced ket gives
+    # the density even-odd coherence
     ket = displacement(SPEC, 0.3 + 0.2j) @ pair_10db.state1
-    rho = channel_fock(SPEC, ket, 0.1)
-    want = x_populations(SPEC, states.x_sector_blocks(SPEC, rho))
+    blocks = gaussian_displacement_channel(SPEC, ket, 0.1)
+    want = x_populations(SPEC, blocks)
     assert want[1].any()
-
-    def forbidden(*args):
-        raise AssertionError("x_sector_blocks called")
-
-    monkeypatch.setattr(states, "x_sector_blocks", forbidden)
-    for got, ref in zip(x_populations(SPEC, rho), want):
+    for got, ref in zip(x_populations(SPEC, assemble_density(SPEC, blocks)), want):
         assert np.max(np.abs(got - ref)) < 1e-15

@@ -560,17 +560,18 @@ def test_config_key_given_twice_is_a_config_error(tmp_path):
 
 def test_mixed_sweep_points_build_no_fock_density(monkeypatch):
     # A mixed point is held as the channel's X-sector blocks, and its
-    # purity, leakage, populations and error curve read them: a fig1c table
-    # neither assembles a Fock density nor projects one back onto the sectors
+    # purity, delta_eff, leakage, populations and error curve read them: a
+    # fig1c table assembles no Fock density
     from gkp_readout import states
 
     calls = []
-    for name in ("assemble_density", "x_sector_blocks"):
-        def counted(*args, _name=name, _f=getattr(states, name)):
-            calls.append(_name)
-            return _f(*args)
+    assemble = states.assemble_density
 
-        monkeypatch.setattr(states, name, counted)
+    def counted(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(states, "assemble_density", counted)
     assert SweepConfig.sigma_list == (0.0, 0.05, 0.1, 0.15)
     assert main(["fig1c", "--points", "2"]) == 0
     assert calls == []
