@@ -85,11 +85,13 @@ def cmd_validate(args) -> int:
     # K0†K0 + K1†K1 = I on each parity: K0 keeps parity p with block A[p],
     # K1 = i M1 takes it to 1 - p with block B[p]. It holds on the whole
     # truncated space, since C and S are functions of one X and cos λP and
-    # sin λP of one P.
-    a, b = readout.readout_kraus(pair.spec, lam)
+    # sin λP of one P. On the X sectors the identity of parity p is B_pᵀB_p,
+    # B = (Y, Z): an odd dim's null sector lies outside parity 1, where it
+    # is 0.
+    a, b = readout.sector_kraus(pair.spec, lam)
     checks.append(("Kraus completeness", all(
-        np.max(np.abs(a[p].T @ a[p] + b[p].T @ b[p] - np.eye(len(a[p])))) < 1e-12
-        for p in (0, 1))))
+        np.max(np.abs(a[p].T @ a[p] + b[p].T @ b[p] - basis.T @ basis)) < 1e-12
+        for p, basis in enumerate(x_sectors(pair.spec)[:3:2]))))
     small = HilbertSpec(80)
     # Σ w² over the populations is even in w and Σ w odd (`x_populations`).
     sym, anti = x_populations(small, squeezed_vacuum(small, 0.5))

@@ -4,14 +4,16 @@ The simple circuit applies the conditional displacement U_x(i sqrt(pi)/2)
 to (|0>_qubit ⊗ state) and measures the qubit; the improved circuit
 prepends U_y(-lambda). With the qubit prepared in |0> and measured
 afterwards, the circuit is a two-outcome instrument {K0, K1} on the
-oscillator alone, as real blocks on Fock parity over the sectors of
-`fock.x_sectors`. `simulated_p_err` enumerates every branch of a
-multi-round run exactly, with its outcomes, probability and post-state;
-`readout_errors` takes a closed form where one exists: tails cached per
-cutoff and rounds at lambda = 0, a stack of a cutoff's one-round ket
-cells at any lambda. `error_curve` is the one-round error as a function
-of lambda, with its slope and curvature, for lambda searches. The ideal
-homodyne readout they are compared with is a closed-form peak sum.
+oscillator alone, as real blocks on the X sectors of `fock.x_sectors`
+(`sector_kraus`). `simulated_p_err` enumerates every branch of a
+multi-round run exactly on a pair's sector form, advancing both states'
+live branches a round at a time, with their outcomes, probabilities and
+post-states, lifted to Fock on first read; `readout_errors` takes a
+closed form where one exists: tails cached per cutoff and rounds at
+lambda = 0, a stack of a cutoff's one-round ket cells at any lambda.
+`error_curve` is the one-round error as a function of lambda, with its
+slope and curvature, for lambda searches. The ideal homodyne readout
+they are compared with is a closed-form peak sum.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .fock import HilbertSpec, x_sectors
-from .states import GkpStatePair, peak_indices
+from .states import GkpStatePair, assemble_density, peak_indices
 
 PROB_PRUNE = 1e-15
 MAX_ROUNDS = 9
@@ -110,18 +112,21 @@ def _kraus_factors(spec: HilbertSpec):
             tuple((su[p], cu[1 - p], 2 * p - 1) for p in (0, 1)))
 
 
-def readout_kraus(spec: HilbertSpec, lam: float):
-    """Kraus pair of U_x(i sqrt(pi)/2) · U_y(-lambda) on |0>_qubit ⊗ ·, as
-    real Fock-parity blocks (A, B): A[p] is K0 on parity p and B[p] is M1
-    from parity p to 1 - p, where K1 = i M1."""
+def sector_kraus(spec: HilbertSpec, lam: float) -> tuple:
+    """Kraus pair of U_x(i sqrt(pi)/2) · U_y(-lambda) on |0>_qubit ⊗ · as real
+    X-sector blocks (`fock.x_sectors`): K̃[f][p], K0 (f = 0) or M1 (f = 1;
+    K1 = i M1) from parity p to p ^ f, is (G diag(cos λs) ± H diag(sin λs)) C_pᵀ
+    on `_kraus_factors`, and B_{p^f} K̃[f][p] B_pᵀ is its Fock block."""
     # In the number basis X is real symmetric and P imaginary antisymmetric,
     # so C, S, cos(λP) and i sin(λP) are real; parity flips X and P, so the
-    # even functions keep parity and the odd ones flip it.
-    y, s, z, y_s, z_s, _ = x_sectors(spec)
+    # even functions keep parity and the odd ones flip it. An odd dim's null
+    # sector lies outside parity 1: its row and column there are 0. Each
+    # block is built as its transpose, which the forward rounds multiply by
+    # on the right, where BLAS wants it contiguous.
+    _, s, _, _, _, c_p = x_sectors(spec)
     c, sn = np.cos(lam * s), np.sin(lam * s)
-    return tuple(tuple((y, z)[p ^ flip] @ (g * c + h * (sign * sn)) @ (y_s, z_s)[p].T
-                       for p, (g, h, sign) in enumerate(op))
-                 for flip, op in enumerate(_kraus_factors(spec)))
+    return tuple(tuple((c_p[p] @ (g * c + h * (sign * sn)).T).T
+                       for p, (g, h, sign) in enumerate(op)) for op in _kraus_factors(spec))
 
 
 @lru_cache(maxsize=4)
@@ -198,66 +203,87 @@ def error_curve(pair: GkpStatePair) -> ErrorCurve:
     return ErrorCurve(w, (tuple(forms), slope, _derivative(slope, w)))
 
 
-# A state on the enumeration's path is a dict of its Fock-parity blocks:
-# {p: ψ_p} for a ket, {(p, q): ρ_pq} for a density matrix. Blocks that are
-# exactly zero are left out, so their products are never formed. Blocks
-# are carried unnormalized: their squared norm (ket) or trace (density
-# matrix) is the probability of the outcomes that led to them.
-def _split(state: np.ndarray) -> dict:
-    blocks = ({p: state[p::2] for p in (0, 1)} if state.ndim == 1 else
-              {(p, q): state[p::2, q::2] for p in (0, 1) for q in (0, 1)})
-    return {k: b for k, b in blocks.items() if b.any()}
+# The enumeration advances the live nodes of a round together, on X-sector
+# blocks (`sector_kraus`) keyed by their parities: (p,) for a ket's sector
+# vector B_pᵀψ_p, (p, q) for a density matrix's block B_pᵀρ_pqB_q. `pieces`
+# maps each key to a stack whose row i is node i's block, zero where the
+# node has none. The keys are those of the roots and their flips, which the
+# Kraus pair leads to; any other key would stay zero, and is left out, so its
+# products are never formed. Blocks are carried unnormalized: a node's
+# squared norm (ket) or trace (density matrix) is the probability of the
+# outcomes that led to it.
+def _apply_kraus(ops, key: tuple, x: np.ndarray, out=None) -> np.ndarray:
+    # K0 or M1, given as `ops`, on the block `key`, or on a stack of them.
+    if len(key) == 1:
+        return np.matmul(x, ops[key[0]].T, out=out)
+    return np.matmul(ops[key[0]], x @ ops[key[1]].T, out=out)
 
 
-def _apply(ops, flip: int, blocks: dict, ket: bool) -> dict:
-    # K0 (flip 0) or M1 (flip 1), given as its blocks per input parity.
-    if ket:
-        return {p ^ flip: ops[p] @ x for p, x in blocks.items()}
-    return {(p ^ flip, q ^ flip): ops[p] @ x @ ops[q].T for (p, q), x in blocks.items()}
+def _roots(spec: HilbertSpec, states) -> dict:
+    # Nodes 0 and 1, the pair's two states: a ket's sector vectors, or the
+    # X-sector blocks a mixed pair holds.
+    y, _, z = x_sectors(spec)[:3]
+    held = [state if isinstance(state, dict) else {
+        (p,): (y, z)[p].T @ state[p::2] for p in (0, 1) if state[p::2].any()} for state in states]
+    keys = {tuple(k ^ f for k in key): x for b in held for key, x in b.items() for f in (0, 1)}
+    return {key: np.array([b.get(key, np.zeros_like(x)) for b in held]) for key, x in keys.items()}
 
 
-def _weight(blocks: dict, ket: bool) -> float:
-    if ket:
-        return sum(float(np.vdot(x, x).real) for x in blocks.values())
-    return sum(float(np.trace(x).real) for (p, q), x in blocks.items() if p == q)
+def _forward_round(kraus, pieces: dict, hist: np.ndarray) -> tuple:
+    # One round of the n live nodes, whose histories `hist` holds: one
+    # batched product per (outcome, key), as K_f takes key k to k ^ f. Child
+    # f·n + i is node i under K_f, and it lives if its probability exceeds
+    # PROB_PRUNE. Returns the live children's pieces, histories and
+    # probabilities.
+    n, first = len(hist), next(iter(pieces.values()))
+    children, probs = {}, np.zeros(2 * n)
+    for c in pieces:
+        y = np.empty((2, *first.shape), dtype=np.result_type(*pieces.values()))
+        for f, ops in enumerate(kraus):
+            key = tuple(k ^ f for k in c)
+            _apply_kraus(ops, key, pieces[key], out=y[f])
+        children[c] = y = y.reshape(2 * n, *first.shape[1:])
+        if len(c) == 1:
+            probs += (abs(y) ** 2).sum(axis=-1)
+        elif c[0] == c[1]:
+            probs += np.trace(y, axis1=1, axis2=2).real
+    keep = probs > PROB_PRUNE
+    if not keep.all():
+        children = {c: y[keep] for c, y in children.items()}
+    return children, np.concatenate((2 * hist, 2 * hist + 1))[keep], probs[keep]
 
 
-def _join(blocks: dict, dim: int, ket: bool, ones: int, prob: float) -> np.ndarray:
-    # The full array divided by its norm; a ket takes the phase iᵒⁿᵉˢ that
-    # K1 = i M1 leaves out.
-    phase = 1j**ones if ket and ones else 1
-    out = np.zeros((dim,) * (1 if ket else 2), dtype=np.result_type(*blocks.values(), phase))
-    for k, x in blocks.items():
-        out[tuple(slice(p, None, 2) for p in np.atleast_1d(k))] = x
-    out *= phase / (np.sqrt(prob) if ket else prob)
-    return out
-
-
-def _suffix_effects(kraus, rounds: int) -> tuple:
-    """The effects E_w = K_wᵀK_w of every outcome string w of the last
-    m = rounds - ⌊rounds/2⌋ rounds, K_w = K_{w_j}…K_{w_1} on the real Kraus
-    blocks of `readout_kraus`, stacked per input parity p: row
-    (2ʲ - 2) + int(w, 2) holds E_w on parity p, flattened, for w of length
-    j = 1…m. The first level is the Grams KᵀK; the rest are built as
-    E_{bw} = K_bᵀ E_w K_b, with E_w on the parity K_b leads to."""
+def _suffix_table(kraus, rounds: int, pieces: dict) -> np.ndarray:
+    # table[r, i] = ⟨E_w, ρ_i⟩ over the prefix nodes' density blocks: the
+    # probability of node i's history followed by outcome string w of the
+    # last m = rounds - ⌊rounds/2⌋ rounds, at row r = (2ʲ - 2) + int(w, 2)
+    # for w of length j = 1…m. The effects E_w = K_wᵀK_w, K_w = K_{w_j}…K_{w_1}
+    # on the blocks of `sector_kraus`, are read a level at a time as they are
+    # built: the Grams KᵀK first, then E_{bw} = K_bᵀ E_w K_b, with E_w on the
+    # parity K_b leads to. Only the level the next is built from is held.
     m = rounds - rounds // 2
-    stacks = [np.empty((2 ** (m + 1) - 2, d, d)) for d in (ops.shape[1] for ops in kraus[0])]
-    for p, stack in enumerate(stacks):
-        for b, ops in enumerate(kraus):
-            np.matmul(ops[p].T, ops[p], out=stack[b])
-    for j in range(1, m):
-        # Level j holds rows lo…lo + n - 1; level j + 1 follows it, b major.
-        lo, n = 2**j - 2, 2**j
-        for p, stack in enumerate(stacks):
+    # Here K multiplies on the right, so it is made contiguous (see
+    # `sector_kraus`).
+    kraus = [[np.ascontiguousarray(k) for k in ops] for ops in kraus]
+    nodes = {p: x.real.reshape(len(x), -1).T for (p, q), x in pieces.items() if p == q}
+    table, level = np.zeros((2 ** (m + 1) - 2, len(next(iter(pieces.values()))))), None
+    for j in range(m):
+        # Level j + 1 follows level j, b major.
+        lo, size = (2 << j) - 2, 1 << j
+        held = [np.empty((2 * size, *ops.shape)) for ops in kraus[0]] if j < m - 1 else None
+        for p in (0, 1):
             for b, ops in enumerate(kraus):
-                np.matmul(ops[p].T, stacks[p ^ b][lo:lo + n] @ ops[p],
-                          out=stack[lo + n * (b + 1):lo + n * (b + 2)])
-    return tuple(stack.reshape(len(stack), -1) for stack in stacks)
+                e = np.matmul(ops[p].T, level[p ^ b] @ ops[p] if j else ops[p][None],
+                              out=None if held is None else held[p][b * size:(b + 1) * size])
+                if p in nodes:
+                    table[lo + b * size:lo + (b + 1) * size] += e.reshape(size, -1) @ nodes[p]
+        level = held
+    return table
 
 
 def _sector_effects(spec: HilbertSpec, rounds: int) -> np.ndarray:
     """The effects E_w of every outcome string of all `rounds` rounds at
-    lambda = 0, in the row layout of `_suffix_effects`. There K0 = cos(√π X/2)
+    lambda = 0, in the row layout of `_suffix_table`. There K0 = cos(√π X/2)
     and M1 = sin(√π X/2) are diagonal on the sectors of `fock.x_sectors`, so
     E_w is too: row (2ʲ - 2) + int(w, 2) holds (c²)^zeros (σ²)^ones at s, and
     ⟨E_w, ρ⟩ = E_w · sym, `sym` from `x_populations`."""
@@ -270,71 +296,67 @@ def _sector_effects(spec: HilbertSpec, rounds: int) -> np.ndarray:
     return np.concatenate(levels)
 
 
-class _KrausTree:
-    """Branches on the parity blocks of a ket or density matrix, under the
-    Kraus blocks of `readout_kraus` that `kraus()` builds once. The first
-    `forward` rounds run forward, a node holding its blocks ρ_u; then
-    `suffix(ρ_u)` gives the probability ⟨E_w, ρ_u⟩ of every later history
-    uw at once, and a node is (ρ_u, w, those probabilities). A leaf's
-    suffix operators are applied only when its post-state is read."""
-
-    def __init__(self, spec: HilbertSpec, state: np.ndarray, kraus, forward: int, suffix):
-        self.dim, self.ket, self.kraus = spec.dim, state.ndim == 1, kraus
-        self.forward, self.suffix = forward, suffix
-        self.root = (_split(state), "", None)
-
-    def children(self, node: tuple, k: int):
-        blocks, w, probs = node
-        if k < self.forward:
-            for flip, ops in enumerate(self.kraus()):
-                child = _apply(ops, flip, blocks, self.ket)
-                yield _weight(child, self.ket), (child, "", None)
-            return
-        if probs is None:
-            probs = self.suffix(blocks)
-        for bit in "01":
-            yield float(probs[(2 << len(w)) - 2 + int(w + bit, 2)]), (blocks, w + bit, probs)
-
-    def post_state(self, leaf: tuple, prob: float, ones: int) -> np.ndarray:
-        blocks, w, _ = leaf
-        for flip in map(int, w):
-            blocks = _apply(self.kraus()[flip], flip, blocks, self.ket)
-        return _join(blocks, self.dim, self.ket, ones, prob)
-
-
-def _enumerate_branches(tree, rounds: int) -> tuple:
-    # Every outcome string, 0 before 1, whose probability stays above
-    # PROB_PRUNE in every round; the post-states are built on first read.
-    nodes = [("", 1.0, tree.root)]
-    for k in range(rounds):
-        nodes = [(outcomes + bit, prob, child)
-                 for outcomes, _, node in nodes
-                 for bit, (prob, child) in zip("01", tree.children(node, k))
-                 if prob > PROB_PRUNE]
-    return tuple(Branch(outcomes, prob, partial(tree.post_state, leaf, prob, outcomes.count("1")))
-                 for outcomes, prob, leaf in nodes)
+def _lift(spec: HilbertSpec, kraus, prefixes, node: int, outcomes: str,
+          forward: int, prob: float) -> np.ndarray:
+    # A leaf's post-state: the blocks of node `node` of the pieces that
+    # `prefixes()` gives, under the Kraus operators of the outcomes after
+    # the first `forward`, as a normalized Fock array. A ket takes the phase
+    # iᵒⁿᵉˢ that K1 = i M1 leaves out.
+    blocks = {key: x[node] for key, x in prefixes().items()}
+    for f in map(int, outcomes[forward:]):
+        blocks = {tuple(k ^ f for k in key): _apply_kraus(kraus()[f], key, x)
+                  for key, x in blocks.items()}
+    if len(next(iter(blocks))) == 2:
+        return assemble_density(spec, blocks) / prob
+    y, _, z = x_sectors(spec)[:3]
+    phase = 1j ** outcomes.count("1") if "1" in outcomes else 1
+    out = np.zeros(spec.dim, dtype=np.result_type(*blocks.values(), phase))
+    for (p,), x in blocks.items():
+        out[p::2] = (y, z)[p] @ x
+    return out * (phase / np.sqrt(prob))
 
 
 def simulated_p_err(pair: GkpStatePair, params: CircuitParams) -> ReadoutOutcome:
     """Exact readout error probability by full branch enumeration and
-    majority vote over params.rounds repetitions. At lambda = 0 every
-    round reads its probabilities off the X populations, and no Kraus pair
-    is built unless a post-state is read."""
-    kraus = cache(partial(readout_kraus, pair.spec, params.lam))
+    majority vote over params.rounds repetitions, both states' trees a round
+    at a time on the pair's sector form. At lambda = 0 every round reads its
+    probabilities off the X populations, and no Kraus pair is built unless a
+    post-state is read."""
+    # A ket runs every round forward; a density matrix its first ⌊R/2⌋, and
+    # its later rounds read `_suffix_table`.
+    rounds = params.rounds
+    kraus = cache(partial(sector_kraus, pair.spec, params.lam))
+    prefixes = partial(_roots, pair.spec, pair.sectors)
+    hist = np.arange(2)
     if params.lam == 0:
-        forward, effects = 0, _sector_effects(pair.spec, params.rounds)
-        suffixes = [lambda _, sym=sym: effects @ sym for sym, _ in pair.populations]
+        forward = 0
+        table = _sector_effects(pair.spec, rounds) @ np.transpose([s for s, _ in pair.populations])
     else:
-        forward = params.rounds if pair.is_pure else params.rounds // 2
-        effects = None if pair.is_pure else _suffix_effects(kraus(), params.rounds)
-        suffixes = [lambda blocks: sum(effects[p] @ x.real.ravel()
-                                       for (p, q), x in blocks.items() if p == q)] * 2
-    trees = [_KrausTree(pair.spec, state, kraus, forward, suffix)
-             for state, suffix in zip((pair.state0, pair.state1), suffixes)]
-    trees = [_enumerate_branches(tree, params.rounds) for tree in trees]
+        forward, pieces = rounds if pair.is_pure else rounds // 2, prefixes()
+        for _ in range(forward):
+            pieces, hist, probs = _forward_round(kraus(), pieces, hist)
+        # Post-states read the last forward round's pieces.
+        prefixes = partial(dict, pieces)
+        if forward < rounds:
+            table = _suffix_table(kraus(), rounds, pieces)
+    # The later rounds extend node i's history by suffix w, row by row of
+    # the table, and the leaves are then put in the order of their histories.
+    nodes, w = np.arange(len(hist)), np.zeros(len(hist), dtype=int)
+    for j in range(rounds - forward):
+        nodes, w = np.concatenate((nodes, nodes)), np.concatenate((2 * w, 2 * w + 1))
+        probs = table[(2 << j) - 2 + w, nodes]
+        keep = probs > PROB_PRUNE
+        nodes, w, probs = nodes[keep], w[keep], probs[keep]
+    hist = hist[nodes] << (rounds - forward) | w
+    trees = ([], [])
+    for h, node, prob in sorted(zip(hist.tolist(), nodes.tolist(), probs.tolist())):
+        mu, outcomes = divmod(h, 1 << rounds)
+        outcomes = format(outcomes, f"0{rounds}b")
+        trees[mu].append(Branch(outcomes, prob, partial(
+            _lift, pair.spec, kraus, prefixes, node, outcomes, forward, prob)))
     wrong = [sum(b.probability for b in tree if b.majority != mu) for mu, tree in enumerate(trees)]
     return ReadoutOutcome(p_1_given_0=wrong[0], p_0_given_1=wrong[1],
-                          branches_0=trees[0], branches_1=trees[1])
+                          branches_0=tuple(trees[0]), branches_1=tuple(trees[1]))
 
 
 def readout_error(pair: GkpStatePair, params: CircuitParams) -> float:

@@ -367,8 +367,7 @@ def purity(state) -> float:
     whose sum is the same, as each B_p is orthogonal."""
     if isinstance(state, dict):
         return float(sum(np.vdot(x, x).real for x in state.values()))
-    state = np.asarray(state, dtype=complex)
-    return float(np.vdot(state, state).real ** (2 if state.ndim == 1 else 1))
+    return float(np.vdot(state, state).real ** (2 if np.ndim(state) == 1 else 1))
 
 
 def helstrom_bound(state0: np.ndarray, state1: np.ndarray) -> float:

@@ -105,13 +105,13 @@ def test_validate_reports_failure(capsys, monkeypatch):
     # conservation: validate says FAIL and exits as a convergence failure
     from gkp_readout import readout
 
-    kraus = readout.readout_kraus
+    kraus = readout.sector_kraus
 
     def scaled(spec, lam):
         (a0, a1), b = kraus(spec, lam)
         return (1.01 * a0, a1), b
 
-    monkeypatch.setattr(readout, "readout_kraus", scaled)
+    monkeypatch.setattr(readout, "sector_kraus", scaled)
     assert main(["validate"]) == EXIT_CONVERGENCE
     out = capsys.readouterr().out
     assert "FAIL  Kraus completeness" in out

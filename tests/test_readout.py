@@ -10,7 +10,7 @@ from gkp_readout.analytics import (
     p_err_improved_formula,
     p_err_simple_formula,
 )
-from gkp_readout.fock import HilbertSpec
+from gkp_readout.fock import HilbertSpec, x_sectors
 from gkp_readout.readout import (
     Branch,
     CircuitParams,
@@ -19,7 +19,7 @@ from gkp_readout.readout import (
     homodyne_p_err_numeric,
     readout_error,
     readout_errors,
-    readout_kraus,
+    sector_kraus,
     simulated_p_err,
 )
 from gkp_readout.states import (
@@ -51,7 +51,7 @@ from hybrid_oracle import (
     readout_unitary,
     run_readout_hybrid,
 )
-from readout_once import run_readout_once
+from readout_once import fock_kraus, run_readout_once, sector_blocks
 
 SPEC = HilbertSpec(150)
 DELTA_10DB = np.sqrt(0.1)
@@ -137,7 +137,7 @@ def _rel(a, b):
 def test_kraus_pair_matches_hybrid_oracle(oracle_case, db):
     spec, pure, mixed, unitaries = oracle_case(db)
     for lam, unitary in unitaries.items():
-        kraus = readout_kraus(spec, lam)
+        kraus = fock_kraus(spec, lam)
         for state in (pure.state0, pure.state1, mixed.state0, mixed.state1):
             got = run_readout_once(spec, state, lam, kraus=kraus)
             want = run_readout_hybrid(spec, state, unitary)
@@ -145,26 +145,24 @@ def test_kraus_pair_matches_hybrid_oracle(oracle_case, db):
                 assert _rel(g, w) < 1e-10
 
 
-def assemble_kraus(spec, kraus):
-    """Full K0 and K1 = i M1 from the parity blocks of `readout_kraus`."""
-    a, b = kraus
-    k0 = np.zeros((spec.dim, spec.dim))
-    m1 = np.zeros((spec.dim, spec.dim))
-    for p in (0, 1):
-        k0[p::2, p::2] = a[p]
-        m1[1 - p::2, p::2] = b[p]
-    return k0, 1j * m1
-
-
 @pytest.mark.parametrize("db", [7, 10, 14])
 def test_kraus_pair_completeness(oracle_case, db):
-    # K0†K0 + K1†K1 = I on the lower block, as unitarity_defect checks U†U
+    # K0†K0 + K1†K1 = I on the lower block, as unitarity_defect checks U†U;
+    # on the X sectors of parity p it is B_pᵀB_p, which is 0 on the null
+    # sector of an odd dim's parity 1 (the auto cutoffs give odd dims)
     spec, _, _, unitaries = oracle_case(db)
+    assert spec.dim % 2 == 1
     m = spec.cutoff - 5
+    y, _, z = x_sectors(spec)[:3]
     for lam in unitaries:
-        k0, k1 = assemble_kraus(spec, readout_kraus(spec, lam))
+        k0, k1 = fock_kraus(spec, lam)
         e = k0.conj().T @ k0 + k1.conj().T @ k1 - np.eye(spec.dim)
         assert np.max(np.abs(e[:m, :m])) < 1e-12
+        a, b = sector_kraus(spec, lam)
+        for p, basis in enumerate((y, z)):
+            e = a[p].T @ a[p] + b[p].T @ b[p] - basis.T @ basis
+            assert np.max(np.abs(e)) < 1e-12
+        assert not (a[1][:, -1].any() or b[1][:, -1].any() or a[1][-1].any() or b[0][-1].any())
 
 
 @pytest.mark.parametrize("db", [7, 10, 14])
@@ -188,9 +186,9 @@ def test_kraus_blocks_are_real_and_parity_exact(db):
         even[0::2] = 1.0
         assert np.max(np.abs(dense0 @ even * (1 - even))) < 1e-13
         assert np.max(np.abs(dense1 @ even * even)) < 1e-13
-        a, b = readout_kraus(spec, lam)
+        a, b = sector_kraus(spec, lam)
         assert all(np.isrealobj(blk) for blk in (*a, *b))
-        k0, k1 = assemble_kraus(spec, (a, b))
+        k0, k1 = fock_kraus(spec, lam)
         assert np.max(np.abs(k0 - dense0)) < 1e-12
         assert np.max(np.abs(k1 - dense1)) < 1e-12
 
@@ -297,11 +295,23 @@ def test_general_input_run_once_matches_hybrid_oracle(general_case):
 
 def _assert_tree_matches_hybrid_oracle(pair, lam, unitary, rounds):
     # Outcome strings in the same order, then probabilities, post-states
-    # and p_err within 1e-10 relative
-    out = simulated_p_err(pair, CircuitParams(lam, rounds))
+    # and p_err within 1e-10 relative. The oracle reads Fock arrays, so a
+    # mixed pair is also enumerated on the blocks of its Fock arrays: their
+    # lift rounds at a few 1e-17, which at R = 7 moves the 3.3e-7 branch of
+    # the 10 dB pair by 2e-10 relative. The blocks the pair holds give the
+    # same branches to that floor.
+    params = CircuitParams(lam, rounds)
+    out = simulated_p_err(pair, params)
+    states = pair.state0, pair.state1
+    if not pair.is_pure:
+        held = out.branches_0 + out.branches_1
+        out = simulated_p_err(GkpStatePair(*(sector_blocks(pair.spec, s) for s in states),
+                                           pair.spec, pair.delta, pair.kappa, pair.sigma), params)
+        assert [b.outcomes for b in held] == [b.outcomes for b in out.branches_0 + out.branches_1]
+        for a, b in zip(held, out.branches_0 + out.branches_1):
+            assert abs(a.probability - b.probability) <= 1e-10 * b.probability + 1e-14
     wrong = []
-    for mu, state, tree in ((0, pair.state0, out.branches_0),
-                            (1, pair.state1, out.branches_1)):
+    for mu, state, tree in ((0, states[0], out.branches_0), (1, states[1], out.branches_1)):
         want = enumerate_branches_hybrid(pair.spec, state, unitary, rounds)
         assert [b.outcomes for b in tree] == [w[0] for w in want]
         for b, (_, prob, post) in zip(tree, want):
@@ -338,14 +348,16 @@ def test_multi_round_branches_match_hybrid_oracle(oracle_case, general_case, cas
 def test_pruning_inside_the_suffix_rounds(monkeypatch, oracle_case):
     # With a coarse PROB_PRUNE, R = 5 histories of a density matrix die in
     # rounds 3-5, which read their probabilities off the suffix effects (at
-    # lambda = 0 every round does); each must go in the round where the
-    # oracle's cumulative probability falls.
+    # lambda = 0 every round does), and those of a ket at the optimal lambda
+    # in its forward rounds, where a mask drops them from the stacks; each
+    # must go in the round where the oracle's cumulative probability falls.
     from gkp_readout import readout
 
     prune = 1e-4
     monkeypatch.setattr(readout, "PROB_PRUNE", prune)
-    _, _, pair, unitaries = oracle_case(10)
-    for lam in (0.0, max(unitaries)):
+    _, pure, mixed, unitaries = oracle_case(10)
+    lam = max(unitaries)
+    for pair, lam in ((mixed, 0.0), (mixed, lam), (pure, lam)):
         out = simulated_p_err(pair, CircuitParams(lam, 5))
         for state, tree in ((pair.state0, out.branches_0), (pair.state1, out.branches_1)):
             want = enumerate_branches_hybrid(pair.spec, state, unitaries[lam], 5, prune=prune)
@@ -359,39 +371,43 @@ def test_pruning_inside_the_suffix_rounds(monkeypatch, oracle_case):
 
 @pytest.mark.parametrize("rounds, applies", [(1, 0), (3, 4), (5, 12), (7, 28)])
 def test_density_tree_work_is_pinned(monkeypatch, rounds, applies):
-    # A density pair at lambda != 0 builds the suffix effects once per call,
-    # and both trees read them, and runs only rounds//2 rounds forward: at
-    # R = 5, 2 + 4 conjugations per tree, against 2 + 4 + 8 + 16 with every
-    # round before the last run forward.
+    # A density pair at lambda != 0 runs only rounds//2 rounds forward, both
+    # trees in one stack: at R = 5, 2 + 4 children formed per tree, against
+    # 2 + 4 + 8 + 16 with every round before the last run forward. A forward
+    # round is one batched product per (outcome, block key), and the suffix
+    # effects are built once per call and read against every prefix node of
+    # both trees.
     from gkp_readout import readout
 
-    calls = {"_apply": 0, "effects": 0, "reads": 0}
-    apply, effects = readout._apply, readout._suffix_effects
+    calls = {"rounds": 0, "children": 0, "products": 0, "tables": []}
+    forward_round, apply_kraus, suffix_table = (readout._forward_round, readout._apply_kraus,
+                                                readout._suffix_table)
 
-    class Counted(np.ndarray):
-        def __matmul__(self, other):
-            calls["reads"] += 1
-            return np.asarray(self) @ other
+    def counted_round(kraus, pieces, hist):
+        calls["rounds"] += 1
+        calls["children"] += 2 * len(hist)
+        return forward_round(kraus, pieces, hist)
 
-    def counted_apply(*args):
-        calls["_apply"] += 1
-        return apply(*args)
+    def counted_apply(*args, **kwargs):
+        calls["products"] += 1
+        return apply_kraus(*args, **kwargs)
 
-    def counted_effects(*args):
-        calls["effects"] += 1
-        stacks = effects(*args)
-        assert [len(stack) for stack in stacks] == [2 ** (rounds - rounds // 2 + 1) - 2] * 2
-        return tuple(stack.view(Counted) for stack in stacks)
+    def counted_table(kraus, r, pieces):
+        table = suffix_table(kraus, r, pieces)
+        calls["tables"].append((r, table.shape))
+        return table
 
-    monkeypatch.setattr(readout, "_apply", counted_apply)
-    monkeypatch.setattr(readout, "_suffix_effects", counted_effects)
+    monkeypatch.setattr(readout, "_forward_round", counted_round)
+    monkeypatch.setattr(readout, "_apply_kraus", counted_apply)
+    monkeypatch.setattr(readout, "_suffix_table", counted_table)
     pair = make_state_pair(SPEC, DELTA_10DB, sigma=0.1)
+    assert set(pair.sectors[0]) == set(pair.sectors[1]) == {(0, 0), (1, 1)}
     out = simulated_p_err(pair, CircuitParams(optimal_lambda(DELTA_10DB), rounds))
     assert len(out.branches_0) == len(out.branches_1) == 2**rounds
-    assert calls["effects"] == 1
-    # Each tree's 2^(R//2) forward leaves read both parity stacks once.
-    assert calls["reads"] == 2 * 2 ** (rounds // 2) * 2
-    assert calls["_apply"] == applies
+    prefixes, m = 2 * 2 ** (rounds // 2), rounds - rounds // 2
+    assert calls["tables"] == [(rounds, (2 ** (m + 1) - 2, prefixes))]
+    assert calls["rounds"] == rounds // 2 and calls["products"] == 4 * (rounds // 2)
+    assert calls["children"] == applies
 
 
 def test_lambda_zero_builds_no_kraus_pair(monkeypatch, pair_10db):
@@ -400,7 +416,7 @@ def test_lambda_zero_builds_no_kraus_pair(monkeypatch, pair_10db):
     from gkp_readout import readout
 
     built = Counter()
-    for name in ("readout_kraus", "_kraus_factors"):
+    for name in ("sector_kraus", "_kraus_factors"):
         def counted(*args, _name=name, _f=getattr(readout, name)):
             built[_name] += 1
             return _f(*args)
@@ -414,27 +430,27 @@ def test_lambda_zero_builds_no_kraus_pair(monkeypatch, pair_10db):
             assert 0 < out.p_err < 0.5
             assert not built
             assert out.branches_0[-1].post_state is not None
-            assert built["readout_kraus"] == 1
+            assert built["sector_kraus"] == 1
             for b in out.branches_0 + out.branches_1:
                 assert b.post_state is not None
-            assert built["readout_kraus"] == 1
+            assert built["sector_kraus"] == 1
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.1])
 @pytest.mark.parametrize("sigma", [0.0, 0.1])
 def test_post_states_built_on_first_read(monkeypatch, lam, sigma):
     # No full post-state is assembled while the tree is enumerated; each is
-    # built on its first read, once, read-only, one per branch.
+    # lifted to Fock on its first read, once, read-only, one per branch.
     from gkp_readout import readout
 
     built = []
-    join = readout._join
+    lift = readout._lift
 
     def counted(*args, **kwargs):
         built.append(args)
-        return join(*args, **kwargs)
+        return lift(*args, **kwargs)
 
-    monkeypatch.setattr(readout, "_join", counted)
+    monkeypatch.setattr(readout, "_lift", counted)
     pair = make_state_pair(SPEC, DELTA_10DB, sigma=sigma)
     tree = simulated_p_err(pair, CircuitParams(lam, 3)).branches_0
     assert len(tree) == 8 and built == []
@@ -447,6 +463,37 @@ def test_post_states_built_on_first_read(monkeypatch, lam, sigma):
     assert all(not post.flags.writeable for post in posts)
     assert len(built) == len(tree)
     assert len({id(post) for post in posts}) == len(tree)
+
+
+def test_mixed_enumeration_builds_no_fock_density(monkeypatch):
+    # A mixed pair's branches run on its X-sector blocks: enumerating
+    # assembles no Fock density and reads neither state0 nor state1, at
+    # lambda = 0 and at the optimal lambda; a post-state read lifts that
+    # post-state alone.
+    from gkp_readout import readout, states
+
+    assembled, reads = [], Counter()
+    assemble = states.assemble_density
+
+    def counted(*args):
+        assembled.append(args)
+        return assemble(*args)
+
+    pair = make_state_pair(SPEC, DELTA_10DB, sigma=0.1)
+    for name in ("state0", "state1"):
+        fock = getattr(GkpStatePair, name)
+        monkeypatch.setattr(GkpStatePair, name, property(
+            lambda self, _name=name, _fock=fock: reads.update([_name]) or _fock.func(self)))
+    for module in (states, readout):
+        monkeypatch.setattr(module, "assemble_density", counted)
+    for lam in (0.0, optimal_lambda(DELTA_10DB)):
+        for rounds in (1, 3, 5):
+            out = simulated_p_err(pair, CircuitParams(lam, rounds))
+            assert 0 < out.p_err < 0.5 and not assembled and not reads
+            rho = out.branches_1[0].post_state
+            assert len(assembled) == 1 and not reads
+            assert rho.shape == (SPEC.dim,) * 2 and abs(np.trace(rho) - 1) < 1e-12
+            assembled.clear()
 
 
 @pytest.fixture(scope="module")
@@ -563,13 +610,15 @@ def test_back_action_consistency(pair_10db):
 
 
 def test_global_phase_invariance(pair_10db):
-    rotated = GkpStatePair(np.exp(0.7j) * pair_10db.state0,
-                           np.exp(0.7j) * pair_10db.state1,
-                           SPEC, pair_10db.delta, pair_10db.kappa, 0.0)
+    # Both kets rotated, or only one: a real and a complex ket in one pair
+    rotated = [GkpStatePair(phase * pair_10db.state0, np.exp(0.7j) * pair_10db.state1,
+                            SPEC, pair_10db.delta, pair_10db.kappa, 0.0)
+               for phase in (np.exp(0.7j), 1.0)]
     for params in (CircuitParams(0.0, 1), CircuitParams(0.05, 3)):
         a = simulated_p_err(pair_10db, params)
-        b = simulated_p_err(rotated, params)
-        assert abs(a.p_err - b.p_err) < 1e-12
+        for pair in rotated:
+            b = simulated_p_err(pair, params)
+            assert abs(a.p_err - b.p_err) < 1e-12
 
 
 def test_input_form_independence():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -443,6 +445,9 @@ def test_purity_basics(pair_10db):
     assert abs(purity(np.diag([0.5, 0.5]).astype(complex)) - 0.5) < 1e-14
     rho = channel_fock(SPEC, pair_10db.state0, 0.1)
     assert abs(purity(rho) - np.trace(rho @ rho).real) < 1e-12
+    # A real array is summed in real arithmetic, within a few ulps of the
+    # correctly rounded sum of squares
+    assert np.isrealobj(rho) and abs(purity(rho) - math.fsum((rho * rho).ravel())) < 1e-15
 
 
 def test_helstrom_edges():

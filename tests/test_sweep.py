@@ -452,7 +452,7 @@ def test_sweeps_enumerate_no_branches(monkeypatch):
     from gkp_readout import readout
 
     calls = []
-    for name in ("simulated_p_err", "readout_kraus", "_enumerate_branches"):
+    for name in ("simulated_p_err", "sector_kraus", "_forward_round", "_suffix_table"):
         def counted(*args, _name=name, _f=getattr(readout, name), **kwargs):
             calls.append(_name)
             return _f(*args, **kwargs)
