@@ -74,8 +74,7 @@ class Branch:
 
     @property
     def majority(self) -> int:
-        ones = self.outcomes.count("1")
-        return 1 if 2 * ones > len(self.outcomes) else 0
+        return 1 if 2 * self.outcomes.count("1") > len(self.outcomes) else 0
 
 
 @dataclass(frozen=True)
@@ -326,8 +325,9 @@ def simulated_p_err(pair: GkpStatePair, params: CircuitParams) -> ReadoutOutcome
     # its later rounds read `_suffix_table`.
     rounds = params.rounds
     kraus = cache(partial(sector_kraus, pair.spec, params.lam))
-    prefixes = partial(_roots, pair.spec, pair.sectors)
-    hist = np.arange(2)
+    # The roots are stacked on first use: at lambda = 0 only post-states
+    # read them.
+    prefixes, hist = cache(partial(_roots, pair.spec, pair.sectors)), np.arange(2)
     if params.lam == 0:
         forward = 0
         table = _sector_effects(pair.spec, rounds) @ np.transpose([s for s, _ in pair.populations])
@@ -350,9 +350,8 @@ def simulated_p_err(pair: GkpStatePair, params: CircuitParams) -> ReadoutOutcome
     hist = hist[nodes] << (rounds - forward) | w
     trees = ([], [])
     for h, node, prob in sorted(zip(hist.tolist(), nodes.tolist(), probs.tolist())):
-        mu, outcomes = divmod(h, 1 << rounds)
-        outcomes = format(outcomes, f"0{rounds}b")
-        trees[mu].append(Branch(outcomes, prob, partial(
+        outcomes = format(h % (1 << rounds), f"0{rounds}b")
+        trees[h >> rounds].append(Branch(outcomes, prob, partial(
             _lift, pair.spec, kraus, prefixes, node, outcomes, forward, prob)))
     wrong = [sum(b.probability for b in tree if b.majority != mu) for mu, tree in enumerate(trees)]
     return ReadoutOutcome(p_1_given_0=wrong[0], p_0_given_1=wrong[1],

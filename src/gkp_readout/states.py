@@ -306,12 +306,22 @@ def _channel_kernel(spec: HilbertSpec, sigma: float) -> tuple:
     return halves
 
 
+@lru_cache(maxsize=4)
+def _lift_bases(spec: HilbertSpec) -> tuple:
+    # B(2 - BᵀB) for B = (Y, Z) of `fock.x_sectors`: B⁻ᵀ to second order in
+    # B's orthogonality defect, which is about 1e-15.
+    return tuple(b @ (2 * np.eye(b.shape[1]) - b.T @ b) for b in x_sectors(spec)[:3:2])
+
+
 def assemble_density(spec: HilbertSpec, blocks: dict) -> np.ndarray:
-    """The read-only Fock array of X-sector blocks (`gaussian_displacement_channel`)."""
-    y, _, z = x_sectors(spec)[:3]
+    """The read-only Fock array ρ of X-sector blocks x_pq: B_pᵀρ_pqB_q = x_pq to rounding."""
+    # It is lifted by `_lift_bases`, not by B: a lift by B is off by B's
+    # orthogonality defect once read back on the sectors, several eps of
+    # max |x|, which moves a readout branch of 1e-7 by about 1e-10 relative.
+    bases = _lift_bases(spec)
     out = np.zeros((spec.dim,) * 2, dtype=np.result_type(float, *blocks.values()))
     for (p, q), x in blocks.items():
-        out[p::2, q::2] = (y, z)[p] @ x @ (y, z)[q].T
+        out[p::2, q::2] = bases[p] @ x @ bases[q].T
     out.setflags(write=False)
     return out
 

@@ -44,10 +44,3 @@ def run_readout_once(spec, state, lam, kraus=None):
     (p0, post0), (p1, post1) = out
     return p0, p1, post0, post1
 
-
-def sector_blocks(spec, rho):
-    """The nonzero X-sector blocks {(p, q): B_pᵀρ_pqB_q} of a Fock density
-    matrix: the form a mixed `GkpStatePair` holds."""
-    y, _, z = x_sectors(spec)[:3]
-    return {(p, q): (y, z)[p].T @ rho[p::2, q::2] @ (y, z)[q]
-            for p in (0, 1) for q in (0, 1) if rho[p::2, q::2].any()}

@@ -51,7 +51,7 @@ from hybrid_oracle import (
     readout_unitary,
     run_readout_hybrid,
 )
-from readout_once import fock_kraus, run_readout_once, sector_blocks
+from readout_once import fock_kraus, run_readout_once
 
 SPEC = HilbertSpec(150)
 DELTA_10DB = np.sqrt(0.1)
@@ -295,23 +295,11 @@ def test_general_input_run_once_matches_hybrid_oracle(general_case):
 
 def _assert_tree_matches_hybrid_oracle(pair, lam, unitary, rounds):
     # Outcome strings in the same order, then probabilities, post-states
-    # and p_err within 1e-10 relative. The oracle reads Fock arrays, so a
-    # mixed pair is also enumerated on the blocks of its Fock arrays: their
-    # lift rounds at a few 1e-17, which at R = 7 moves the 3.3e-7 branch of
-    # the 10 dB pair by 2e-10 relative. The blocks the pair holds give the
-    # same branches to that floor.
-    params = CircuitParams(lam, rounds)
-    out = simulated_p_err(pair, params)
-    states = pair.state0, pair.state1
-    if not pair.is_pure:
-        held = out.branches_0 + out.branches_1
-        out = simulated_p_err(GkpStatePair(*(sector_blocks(pair.spec, s) for s in states),
-                                           pair.spec, pair.delta, pair.kappa, pair.sigma), params)
-        assert [b.outcomes for b in held] == [b.outcomes for b in out.branches_0 + out.branches_1]
-        for a, b in zip(held, out.branches_0 + out.branches_1):
-            assert abs(a.probability - b.probability) <= 1e-10 * b.probability + 1e-14
+    # and p_err within 1e-10 relative
+    out = simulated_p_err(pair, CircuitParams(lam, rounds))
     wrong = []
-    for mu, state, tree in ((0, states[0], out.branches_0), (1, states[1], out.branches_1)):
+    for mu, state, tree in ((0, pair.state0, out.branches_0),
+                            (1, pair.state1, out.branches_1)):
         want = enumerate_branches_hybrid(pair.spec, state, unitary, rounds)
         assert [b.outcomes for b in tree] == [w[0] for w in want]
         for b, (_, prob, post) in zip(tree, want):
@@ -440,20 +428,26 @@ def test_lambda_zero_builds_no_kraus_pair(monkeypatch, pair_10db):
 @pytest.mark.parametrize("sigma", [0.0, 0.1])
 def test_post_states_built_on_first_read(monkeypatch, lam, sigma):
     # No full post-state is assembled while the tree is enumerated; each is
-    # lifted to Fock on its first read, once, read-only, one per branch.
+    # lifted to Fock on its first read, once, read-only, one per branch. The
+    # roots are stacked once per call, at lambda = 0 on the first read.
     from gkp_readout import readout
 
-    built = []
-    lift = readout._lift
+    built, roots = [], []
+    lift, stack = readout._lift, readout._roots
 
     def counted(*args, **kwargs):
         built.append(args)
         return lift(*args, **kwargs)
 
+    def counted_roots(*args):
+        roots.append(args)
+        return stack(*args)
+
     monkeypatch.setattr(readout, "_lift", counted)
+    monkeypatch.setattr(readout, "_roots", counted_roots)
     pair = make_state_pair(SPEC, DELTA_10DB, sigma=sigma)
     tree = simulated_p_err(pair, CircuitParams(lam, 3)).branches_0
-    assert len(tree) == 8 and built == []
+    assert len(tree) == 8 and built == [] and len(roots) == (lam != 0)
     first = tree[0].post_state
     assert len(built) == 1 and tree[0].post_state is first
     assert not first.flags.writeable
@@ -461,7 +455,7 @@ def test_post_states_built_on_first_read(monkeypatch, lam, sigma):
         first[0] = 0
     posts = [b.post_state for b in tree]
     assert all(not post.flags.writeable for post in posts)
-    assert len(built) == len(tree)
+    assert len(built) == len(tree) and len(roots) == 1
     assert len({id(post) for post in posts}) == len(tree)
 
 

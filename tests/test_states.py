@@ -445,9 +445,10 @@ def test_purity_basics(pair_10db):
     assert abs(purity(np.diag([0.5, 0.5]).astype(complex)) - 0.5) < 1e-14
     rho = channel_fock(SPEC, pair_10db.state0, 0.1)
     assert abs(purity(rho) - np.trace(rho @ rho).real) < 1e-12
-    # A real array is summed in real arithmetic, within a few ulps of the
-    # correctly rounded sum of squares
-    assert np.isrealobj(rho) and abs(purity(rho) - math.fsum((rho * rho).ravel())) < 1e-15
+    # A real array is summed as it is, within the error bound n·eps·Σρᵢⱼ² of
+    # a sum of n squares, against the correctly rounded sum
+    exact = math.fsum((rho * rho).ravel())
+    assert np.isrealobj(rho) and abs(purity(rho) - exact) < rho.size * np.finfo(float).eps * exact
 
 
 def test_helstrom_edges():
@@ -586,6 +587,14 @@ def test_block_pair_reads_what_its_fock_arrays_give(cutoff):
         assert max(np.max(np.abs(x - y)) for x, y in zip(got, x_populations(spec, rho))) < 1e-14
     fock = [np.trace(rho[-2:, -2:]).real for rho in (pair.state0, pair.state1)]
     assert np.allclose(pair.leakages, fock, rtol=0, atol=1e-16)
+    # And the Fock arrays' own blocks B_pᵀρ_pqB_q, taken in long double, give
+    # back the pair's: a lift by B itself is 2.5e-15 to 5e-15 of max |x| off,
+    # as B is orthogonal only to about 1e-15
+    y, _, z = (b.astype(np.longdouble) for b in x_sectors(spec)[:3])
+    for given, rho in zip(blocks, (pair.state0, pair.state1)):
+        for (p, q), x in given.items():
+            back = (y, z)[p].T @ rho[p::2, q::2] @ (y, z)[q]
+            assert np.max(np.abs(back - x)) < 2e-15 * np.max(np.abs(x))
 
 
 @pytest.mark.parametrize("cutoff", [150, 151])
