@@ -8,12 +8,10 @@ import numpy as np
 
 from gkp_readout.fock import HilbertSpec
 from gkp_readout.states import (
-    GkpSpec,
     delta_db,
     effective_squeezing,
     gaussian_displacement_channel,
     helstrom_bound,
-    make_pure_gkp,
     make_state_pair,
     purity,
 )
@@ -30,7 +28,7 @@ print(f"effective squeezing of |0>: "
 
 # Asymmetric envelopes: kappa controls the Gaussian weight over peaks
 # independently of the per-peak squeezing delta.
-wide = make_pure_gkp(spec, GkpSpec(mu=0, delta=delta, kappa=2.0))
+wide = make_state_pair(spec, delta, kappa=2.0).state0
 print(f"\nkappa = 2.0 envelope: delta_eff = {effective_squeezing(spec, wide):.4f}")
 
 # Gaussian displacement noise of strength sigma degrades the state to a

@@ -2,9 +2,7 @@
 
 from .fock import HilbertSpec
 from .states import (
-    GkpSpec,
     GkpStatePair,
-    make_pure_gkp,
     make_state_pair,
     gaussian_displacement_channel,
     assemble_density,

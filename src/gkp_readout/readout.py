@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .fock import HilbertSpec, x_sectors
-from .states import GkpStatePair, assemble_density, peak_indices
+from .states import GkpStatePair, assemble_density, peak_weights
 
 PROB_PRUNE = 1e-15
 MAX_ROUNDS = 9
@@ -424,23 +424,23 @@ def homodyne_p_err_numeric(pair: GkpStatePair) -> float:
     """Readout error of an ideal X-quadrature measurement with
     nearest-sqrt(pi)-lattice-point binning, in closed form for the
     untruncated states of the pair's (delta, kappa, sigma):
-    ψ_μ(x) = Σ_s a_s g(x - √π(2s + μ)) over `peak_indices`, with
-    a_s = exp(-π(2s + μ)²/(2κ²)) and |g|² of variance δ²/2 (Gottesman,
-    Kitaev & Preskill, 2001). So |ψ_μ|², convolved with N(0, σ²) by the
-    channel, is a sum over peak pairs (s, t) of Gaussians of one variance
-    δ²/2 + σ², of weight a_s a_t exp(-π(s - t)²/δ²), centred on the lattice
-    point √π(s + t + μ). A centred Gaussian puts mass q in the bins at odd
-    offsets, so a pair errs with q when s + t is even and 1 - q when it is
-    odd. Every term is positive."""
+    ψ_μ(x) = Σ_s a_s g(x - √π(2s + μ)), with a_s = exp(-π(2s + μ)²/(2κ²))
+    over the peaks that `peak_weights` keeps and |g|² of variance δ²/2
+    (Gottesman, Kitaev & Preskill, 2001). So |ψ_μ|², convolved with
+    N(0, σ²) by the channel, is a sum over peak pairs (s, t) of Gaussians
+    of one variance δ²/2 + σ², of weight a_s a_t exp(-π(s - t)²/δ²),
+    centred on the lattice point √π(s + t + μ). A centred Gaussian puts
+    mass q in the bins at odd offsets, so a pair errs with q when s + t is
+    even and 1 - q when it is odd. Every term is positive."""
     # The bins at offsets ±j, j odd, hold erfc((2j - 1)h) - erfc((2j + 1)h)
     # between them; past erfc(27) ~ 1e-318 the terms underflow.
     h = np.sqrt(np.pi / (8 * (pair.delta**2 / 2 + pair.sigma**2)))
     q = sum(math.erfc((2 * j - 1) * h) - math.erfc((2 * j + 1) * h)
             for j in range(1, int(13.5 / h) + 2, 2))
     total = 0.0
-    for mu in (0, 1):
-        s = peak_indices(mu, pair.kappa)
-        a = np.exp(-np.pi * (2 * s + mu) ** 2 / (2 * pair.kappa**2))
+    peaks, weights = peak_weights((pair.kappa,))
+    for mu, a in enumerate(weights[0]):
+        s, a = (peaks[a > 0] - mu) // 2, a[a > 0]
         w = np.outer(a, a) * np.exp(-np.pi * np.subtract.outer(s, s) ** 2 / pair.delta**2)
         odd = np.add.outer(s, s) % 2 == 1
         total += (q * w[~odd].sum() + (1 - q) * w[odd].sum()) / w.sum()

@@ -47,31 +47,20 @@ def db_to_delta(db: float) -> float:
     return 10.0 ** (-db / 20.0)
 
 
-@dataclass(frozen=True)
-class GkpSpec:
-    """Parameters of one approximate GKP basis state: logical bit mu, peak
-    width delta, envelope width kappa (default 1/delta) and Gaussian
-    displacement channel strength sigma (0 for a pure state)."""
-
-    mu: int
-    delta: float
-    kappa: Optional[float] = None
-    sigma: float = 0.0
-
-    def __post_init__(self):
-        if self.mu not in (0, 1):
-            raise ValueError(f"mu must be 0 or 1, got {self.mu}")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.kappa is None:
-            object.__setattr__(self, "kappa", 1.0 / self.delta)
-        # Written so that NaN fails too; an infinite kappa would leave
-        # peak_indices no finite range, and an infinite sigma would prune
-        # every branch.
-        if not 1 <= self.kappa < np.inf:
-            raise ValueError(f"kappa must be finite and >= 1, got {self.kappa}")
-        if not 0 <= self.sigma < np.inf:
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+def check_point(delta: float, kappa: Optional[float] = None, sigma: float = 0.0) -> float:
+    """Check a grid point: delta in (0, 1), kappa finite and >= 1, sigma
+    finite and >= 0. Returns its kappa, 1/delta for None."""
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    kappa = 1.0 / delta if kappa is None else kappa
+    # Written so that NaN fails too; an infinite kappa would leave
+    # peak_weights no finite range, and an infinite sigma would prune
+    # every branch.
+    if not 1 <= kappa < np.inf:
+        raise ValueError(f"kappa must be finite and >= 1, got {kappa}")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    return kappa
 
 
 @dataclass(frozen=True)
@@ -122,24 +111,16 @@ class GkpStatePair:
         return tuple(x_populations(self.spec, s) for s in self.sectors)
 
 
-def peak_indices(mu: int, kappa: float) -> np.ndarray:
-    """Integers s whose peak envelope weight clears the retention floor."""
-    # At s = ±n, |c| > 8 kappa: a weight below exp(-64), far under the floor.
-    n = int(4 * kappa / HALF_SPACING) + 2
-    s = np.arange(-n, n + 1)
-    c = HALF_SPACING * (2 * s + mu)
-    return s[np.exp(-(c**2) / kappa**2) >= PEAK_WEIGHT_FLOOR]
-
-
-def make_pure_gkp(spec: HilbertSpec, g: GkpSpec, strict: bool = True) -> np.ndarray:
-    """`gkp_kets`' ket, cached per point; strict=False skips the leakage check."""
-    # strict=False serves callers that flag non-convergence instead.
-    if g.sigma != 0:
-        raise ValueError("make_pure_gkp requires sigma = 0")
-    psi = _gkp_pair(spec, g.delta, g.kappa)[g.mu]
-    if strict:
-        check_leakage(leakage(psi))
-    return psi
+def peak_weights(kappas) -> tuple:
+    """The GKP peak combs of the envelope widths kappas (Gottesman, Kitaev &
+    Preskill, 2001), as (j, W): peak j sits at X = √π j, and W[i, mu, j] is
+    its weight exp(-π j²/(2 kappas[i]²)) where j ≡ mu (mod 2) and the weight
+    clears PEAK_WEIGHT_FLOOR, else 0."""
+    kappas = np.asarray(kappas, dtype=float)[:, None, None]
+    top = int(np.sqrt(-np.log(PEAK_WEIGHT_FLOOR)) * kappas.max() / HALF_SPACING) + 1
+    j = np.arange(-top, top + 1)
+    weight = np.exp(-((HALF_SPACING * j) ** 2) / kappas**2) * (j % 2 == np.arange(2)[:, None])
+    return j, np.where(weight >= PEAK_WEIGHT_FLOOR, weight, 0.0)
 
 
 @lru_cache(maxsize=8)
@@ -155,21 +136,17 @@ def gkp_kets(spec: HilbertSpec, deltas, kappas) -> np.ndarray:
     # so the weighted comb is one function of P. The peaks sit at ±c, so
     # comb is an even cosine sum, with block Y_s diag(comb(s)) Y_sᵀ on the
     # even levels of the squeezed vacuum (`fock.x_sectors`). Peak j sits at
-    # c = HALF_SPACING·j, j ≡ mu (mod 2): one weight matrix, zero off each
+    # c = HALF_SPACING·j: one weight matrix (`peak_weights`), zero off each
     # ket's peaks, and one cosine table serve the column; cos is even, so
-    # the rows j < 0 mirror those j > 0. Each comb sums its own peaks
-    # (`peak_indices`) in order, and every product is a stack of
-    # matrix-vector ones, so a ket rounds as it would alone, whatever the
-    # column and the BLAS thread count.
+    # the rows j < 0 mirror those j > 0. Each comb sums its own peaks in
+    # order, and every product is a stack of matrix-vector ones, so a ket
+    # rounds as it would alone, whatever the column and the BLAS thread
+    # count.
     _, s, _, y_s, _, _ = x_sectors(spec)
-    kappas = np.asarray(kappas, dtype=float)[:, None, None]
-    top = int(np.sqrt(-np.log(PEAK_WEIGHT_FLOOR)) * kappas.max() / HALF_SPACING) + 1
-    j = np.arange(-top, top + 1)
-    weight = np.exp(-((HALF_SPACING * j) ** 2) / kappas**2) * (j % 2 == np.arange(2)[:, None])
-    half = np.cos(np.sqrt(2) * np.outer(HALF_SPACING * j[top:], s))
+    j, weight = peak_weights(kappas)
+    half = np.cos(np.sqrt(2) * np.outer(HALF_SPACING * j[j >= 0], s))
     table = np.concatenate((half[:0:-1], half))
-    comb = np.array([[w[k] @ table[k] for w, k in zip(ws, ws >= PEAK_WEIGHT_FLOOR)]
-                     for ws in weight])
+    comb = np.array([[w[k] @ table[k] for w, k in zip(ws, ws > 0)] for ws in weight])
     v = (y_s.T @ squeezed_vacuum(spec, deltas)[..., 0::2, None])[..., 0]
     kets = np.zeros(comb.shape[:2] + (spec.dim,))
     kets[..., 0::2] = (y_s @ (comb * v[..., None, :])[..., None])[..., 0]
@@ -195,20 +172,20 @@ def converged_pairs(deltas, kappas, sigmas=(0.0,), start: int = DEFAULT_CUTOFF,
     largest (MAX_CUTOFF), where both states pass the leakage check, else at
     the last (`converged` false). The channel runs where the kets pass."""
     # One gkp_kets call per cutoff builds the kets that any sigma still needs
-    # (one point's through the cache of make_pure_gkp), and the channel runs
+    # (one point's through the cache `_gkp_pair`), and the channel runs
     # at the last cutoff whatever the kets' leakage.
     largest = MAX_CUTOFF if largest is None else largest
     if start > largest:
         raise ValueError(f"start cutoff {start} exceeds the largest tried, {largest}")
+    kappas = [check_point(d, k) for d, k in zip(deltas, kappas)]
     for sigma in sigmas:
-        kappas = [GkpSpec(0, d, k, sigma).kappa for d, k in zip(deltas, kappas)]
+        check_point(0.5, sigma=sigma)
     pairs = [[None] * len(deltas) for _ in sigmas]
     cutoff, todo = start, range(len(deltas))
     while todo:
         spec, last = HilbertSpec(cutoff), 2 * cutoff > largest
         ds, ks = [deltas[i] for i in todo], [kappas[i] for i in todo]
-        kets = (gkp_kets(spec, ds, ks) if len(todo) > 1 else
-                [[make_pure_gkp(spec, GkpSpec(mu, ds[0], ks[0]), strict=False) for mu in (0, 1)]])
+        kets = gkp_kets(spec, ds, ks) if len(todo) > 1 else [_gkp_pair(spec, ds[0], ks[0])]
         for i, pure in zip(todo, kets):
             pure = GkpStatePair(*pure, spec, deltas[i], kappas[i], 0.0)
             for sigma, column in zip(sigmas, pairs):
@@ -310,7 +287,10 @@ def _channel_kernel(spec: HilbertSpec, sigma: float) -> tuple:
 def _lift_bases(spec: HilbertSpec) -> tuple:
     # B(2 - BᵀB) for B = (Y, Z) of `fock.x_sectors`: B⁻ᵀ to second order in
     # B's orthogonality defect, which is about 1e-15.
-    return tuple(b @ (2 * np.eye(b.shape[1]) - b.T @ b) for b in x_sectors(spec)[:3:2])
+    bases = tuple(b @ (2 * np.eye(b.shape[1]) - b.T @ b) for b in x_sectors(spec)[:3:2])
+    for b in bases:
+        b.setflags(write=False)
+    return bases
 
 
 def assemble_density(spec: HilbertSpec, blocks: dict) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 from . import analytics
 from .fock import HilbertSpec
 from .readout import CircuitParams, error_curve, readout_errors
-from .states import MAX_CUTOFF, GkpSpec, GkpStatePair, converged_pairs, db_to_delta, delta_db
+from .states import MAX_CUTOFF, GkpStatePair, check_point, converged_pairs, db_to_delta, delta_db
 
 DB_GUARD = (4.0, 16.0)
 # Upper end of the simulated-lambda search, so that the lambda it returns
@@ -78,10 +78,10 @@ class SweepConfig:
         kappas = (self.kappa_fixed_value,) if self.kappa_policy == "fixed" else ()
         for name, values, check in (
                 ("cutoff_n", (self.cutoff_n,), HilbertSpec),
-                ("kappa_fixed_value", kappas, lambda x: GkpSpec(0, 0.5, kappa=x)),
+                ("kappa_fixed_value", kappas, lambda x: check_point(0.5, kappa=x)),
                 ("rounds_list", self.rounds_list, lambda x: CircuitParams(rounds=x)),
                 ("lambda_fixed_values", self.lambda_fixed_values, lambda x: CircuitParams(lam=x)),
-                ("sigma_list", self.sigma_list, lambda x: GkpSpec(0, 0.5, sigma=x))):
+                ("sigma_list", self.sigma_list, lambda x: check_point(0.5, sigma=x))):
             for value in values:
                 try:
                     check(value)

@@ -133,7 +133,7 @@ def test_optimal_lambda_values():
 
 def test_optimal_lambda_domain():
     # The stationarity root exists for every delta in (0, 1), the domain
-    # GkpSpec accepts; 5 dB and 4 dB are inside it.
+    # check_point accepts; 5 dB and 4 dB are inside it.
     lam = optimal_lambda(0.6)
     assert 0 < lam < np.sqrt(np.pi) / 2
     assert abs(lam - optimal_lambda_by_minimization(0.6)) < 1e-6

@@ -23,16 +23,14 @@ from gkp_readout.readout import (
     simulated_p_err,
 )
 from gkp_readout.states import (
-    GkpSpec,
     GkpStatePair,
     assemble_density,
     auto_cutoff,
     db_to_delta,
     gaussian_displacement_channel,
     helstrom_bound,
-    make_pure_gkp,
     make_state_pair,
-    peak_indices,
+    peak_weights,
 )
 from hybrid_oracle import (
     apply,
@@ -93,7 +91,7 @@ def test_simple_circuit_matches_expectation_value(pair_10db):
 def test_outcome_calibration_small_delta():
     # Near-ideal |0~> gives outcome 0 almost surely
     spec = auto_cutoff(0.15)
-    k0 = make_pure_gkp(spec, GkpSpec(0, 0.15))
+    k0 = make_state_pair(spec, 0.15).state0
     p0, p1, _, _ = run_readout_once(spec, k0, 0.0)
     assert p1 < 1e-2
     assert p0 > 0.99
@@ -619,12 +617,12 @@ def test_input_form_independence():
     # lambda = 0 performance depends only on <D(i sqrt(pi/2))>: a mixed
     # state and a pure state with matched expectation behave identically
     rho = assemble_density(
-        SPEC, gaussian_displacement_channel(SPEC, make_pure_gkp(SPEC, GkpSpec(0, DELTA_10DB)), 0.1))
+        SPEC, gaussian_displacement_channel(SPEC, make_state_pair(SPEC, DELTA_10DB).state0, 0.1))
     z = logical_z_displacement(SPEC)
     target = expectation(z, rho).real
     p0m, p1m, _, _ = run_readout_once(SPEC, rho, 0.0)
     delta_eff = np.sqrt(0.1 + 2 * 0.01)
-    pure = make_pure_gkp(SPEC, GkpSpec(0, delta_eff))
+    pure = make_state_pair(SPEC, delta_eff).state0
     p0p, p1p, _, _ = run_readout_once(SPEC, pure, 0.0)
     # identity p0 = (1 + Re<D>)/2 holds for both representations
     assert abs(p0m - 0.5 * (1 + target)) < 1e-8
@@ -696,8 +694,9 @@ def mpmath_homodyne_p_err(delta, kappa, sigma):
             return 1 - (mpmath.erfc(-lo / scale) + mpmath.erfc(hi / scale)) / 2
 
         total = 0
+        j, weights = peak_weights((kappa,))
         for mu in (0, 1):
-            peaks = [int(s) for s in peak_indices(mu, kappa)]
+            peaks = [int(s) for s in (j[weights[0, mu] > 0] - mu) // 2]
             amp = {s: mpmath.exp(-mpmath.pi * (2 * s + mu) ** 2 / (2 * mpmath.mpf(kappa) ** 2))
                    for s in peaks}
             weight = err = 0

@@ -14,10 +14,10 @@ from gkp_readout.fock import (
 )
 from gkp_readout.states import (
     HALF_SPACING,
-    GkpSpec,
     UnsupportedStateError,
     assemble_density,
     auto_cutoff,
+    check_point,
     converged_pair,
     converged_pairs,
     db_to_delta,
@@ -28,9 +28,8 @@ from gkp_readout.states import (
     gaussian_displacement_channel,
     gkp_kets,
     helstrom_bound,
-    make_pure_gkp,
     make_state_pair,
-    peak_indices,
+    peak_weights,
     purity,
     x_populations,
 )
@@ -69,23 +68,29 @@ def test_delta_db_roundtrip():
     assert abs(db_to_delta(10.0) - 0.31622776601683794) < 1e-15
 
 
-def test_gkp_spec_validation():
-    with pytest.raises(ValueError):
-        GkpSpec(2, 0.3)
-    with pytest.raises(ValueError):
-        GkpSpec(0, 1.2)
-    with pytest.raises(ValueError):
-        GkpSpec(0, 0.3, kappa=0.5)
-    with pytest.raises(ValueError):
-        GkpSpec(0, 0.3, sigma=-0.1)
+def test_gkp_spec_validation(monkeypatch):
+    # A point's delta, kappa and sigma are checked where it enters the
+    # cutoff search, before any ket is built; a point is checked whatever
+    # the sigmas, so with none it resolves kappa = None and gives no pair
+    assert converged_pairs((0.3,), (None,), ()) == []
+    calls = []
+    monkeypatch.setattr(states, "gkp_kets", lambda *args: calls.append(args))
+    monkeypatch.setattr(states, "_gkp_pair", lambda *args: calls.append(args))
+    cases = [((1.2, None, 0.0), "delta must be in"),
+             ((0.3, 0.5, 0.0), "kappa must be finite and >= 1"),
+             ((0.3, None, -0.1), "sigma must be finite and >= 0")]
     for bad in (np.nan, np.inf, -np.inf):
-        for kwargs in ({"kappa": bad}, {"sigma": bad}):
-            with pytest.raises(ValueError, match="finite"):
-                GkpSpec(0, 0.3, **kwargs)
-        with pytest.raises(ValueError):
-            GkpSpec(0, bad)
-    g = GkpSpec(0, 0.25)
-    assert abs(g.kappa - 4.0) < 1e-12
+        cases += [((bad, None, 0.0), "delta must be in"), ((0.3, bad, 0.0), "kappa must be finite"),
+                  ((0.3, None, bad), "sigma must be finite")]
+    for (delta, kappa, sigma), message in cases:
+        with pytest.raises(ValueError, match=message):
+            check_point(delta, kappa, sigma)
+        with pytest.raises(ValueError, match=message):
+            make_state_pair(SPEC, delta, kappa, sigma)
+        with pytest.raises(ValueError, match=message):
+            converged_pairs([0.3, delta], [None, kappa], (0.0, sigma))
+    assert calls == []
+    assert abs(check_point(0.25) - 4.0) < 1e-12 and check_point(0.25, 3.0, 0.1) == 3.0
 
 
 def test_pure_gkp_normalized_and_converged(pair_10db):
@@ -110,8 +115,8 @@ def test_logical_z_magnitude_band(delta):
     spec = auto_cutoff(delta)
     z = logical_z_displacement(spec)
     ref = np.exp(-np.pi * delta**2 / 4)
-    for mu in (0, 1):
-        k = make_pure_gkp(spec, GkpSpec(mu, delta))
+    pair = make_state_pair(spec, delta)
+    for mu, k in enumerate((pair.state0, pair.state1)):
         e = expectation(z, k)
         assert (-1) ** mu * e.real > 0
         assert ref * 0.95 < abs(e) < ref * 1.05
@@ -122,7 +127,7 @@ def test_ideal_limit_monotone():
     vals = []
     for delta in (0.5, 0.4, 0.3):
         spec = auto_cutoff(delta)
-        k = make_pure_gkp(spec, GkpSpec(0, delta))
+        k = make_state_pair(spec, delta).state0
         vals.append(abs(expectation(stabilizer_displacement(spec), k)))
     assert vals[0] < vals[1] < vals[2] < 1.0
 
@@ -130,7 +135,7 @@ def test_ideal_limit_monotone():
 def test_effective_squeezing_of_pure_states():
     for delta in (0.2, DELTA_10DB):
         spec = auto_cutoff(delta, kappa=1 / delta if delta > 0.25 else 5.0)
-        k = make_pure_gkp(spec, GkpSpec(0, delta, kappa=None if delta > 0.25 else 5.0))
+        k = make_state_pair(spec, delta, None if delta > 0.25 else 5.0).state0
         assert abs(effective_squeezing(spec, k) - delta) < 2e-3
 
 
@@ -142,7 +147,7 @@ def test_effective_squeezing_matches_stabilizer_expectation(db, sigma):
     delta = db_to_delta(db)
     spec = auto_cutoff(delta)
     d = displacement(spec, 0.3 + 0.2j)
-    ket = make_pure_gkp(spec, GkpSpec(0, delta))
+    ket = make_state_pair(spec, delta).state0
     stab = stabilizer_displacement(spec)
     for state in (ket, d @ ket):
         state = channel_fock(spec, state, sigma)
@@ -160,7 +165,7 @@ def test_x_populations_match_dense_eigenbasis(cutoff):
     spec = HilbertSpec(cutoff)
     w, v = x_eigenbasis(spec)
     s = x_sectors(spec)[1]
-    ket = displacement(spec, 0.3 + 0.2j) @ make_pure_gkp(spec, GkpSpec(0, DELTA_10DB))
+    ket = displacement(spec, 0.3 + 0.2j) @ make_state_pair(spec, DELTA_10DB).state0
     rho = channel_fock(spec, ket, 0.1)
     for state in (ket, rho):
         ref = np.real(np.diag(v.T @ ket_to_density(state) @ v) if state.ndim == 1
@@ -180,7 +185,7 @@ def test_x_populations_without_parity_coherence():
     # zero, and sym still matches the dense eigenbasis (odd dim: a null mode)
     spec = HilbertSpec(150)
     w, v = x_eigenbasis(spec)
-    rho = channel_fock(spec, make_pure_gkp(spec, GkpSpec(1, DELTA_10DB)), 0.1)
+    rho = channel_fock(spec, make_state_pair(spec, DELTA_10DB).state1, 0.1)
     assert not rho[0::2, 1::2].any()
     sym, anti = x_populations(spec, rho)
     assert anti.shape == sym.shape and not anti.any()
@@ -200,7 +205,7 @@ def test_mu1_node_at_origin():
     # Oracle: direct Gaussian-sum evaluation puts a node at x=0
     for delta in (0.25, 0.35):
         spec = auto_cutoff(delta)
-        k1 = make_pure_gkp(spec, GkpSpec(1, delta))
+        k1 = make_state_pair(spec, delta).state1
         x = np.linspace(-8, 8, 2001)
         dens = position_density(spec, k1, x)
         at0 = position_density(spec, k1, np.array([0.0]))[0]
@@ -209,28 +214,30 @@ def test_mu1_node_at_origin():
 
 def test_peak_count_stability():
     # Adding two more peaks per side changes the state negligibly
-    g = GkpSpec(0, DELTA_10DB)
-    base = make_pure_gkp(SPEC, g)
+    pair = make_state_pair(SPEC, DELTA_10DB)
+    base = pair.state0
     from scipy.linalg import eigh
 
-    sq = squeezed_vacuum(SPEC, g.delta)
+    sq = squeezed_vacuum(SPEC, pair.delta)
     _, p = make_quadratures(SPEC)
     w, v = eigh(p)
     sq_p = v.conj().T @ sq
-    s_vals = peak_indices(0, g.kappa)
+    j, weights = peak_weights((pair.kappa,))
+    s_vals = j[weights[0, 0] > 0] // 2
     extended = np.concatenate([s_vals, [s_vals.min() - 1, s_vals.min() - 2,
                                         s_vals.max() + 1, s_vals.max() + 2]])
     psi = np.zeros(SPEC.dim, dtype=complex)
     for s in extended:
         c = HALF_SPACING * 2 * s
-        psi += np.exp(-(c**2) / g.kappa**2) * (v @ (np.exp(-1j * np.sqrt(2) * c * w) * sq_p))
+        psi += np.exp(-(c**2) / pair.kappa**2) * (v @ (np.exp(-1j * np.sqrt(2) * c * w) * sq_p))
     psi = normalize(psi)
     assert abs(1 - abs(np.vdot(base, psi)) ** 2) < 1e-10
 
 
 def test_peak_indices_match_the_outward_walk():
     # Reference: walk out from s = 0 on each side until a peak's weight
-    # falls below the floor. The mask must keep exactly those integers
+    # falls below the floor. The weights of one column of kappas must keep
+    # exactly those peaks j = 2s + mu, each at its envelope weight
     def walk(mu, kappa):
         kept = [0]
         for step in (1, -1):
@@ -244,9 +251,12 @@ def test_peak_indices_match_the_outward_walk():
 
     kappas = [*np.linspace(1.0, 60.0, 237),
               *(1 / db_to_delta(db) for db in np.linspace(0.01, 30.0, 301))]
-    for kappa in kappas:
+    j, weights = peak_weights(kappas)
+    for kappa, w in zip(kappas, weights):
         for mu in (0, 1):
-            assert peak_indices(mu, kappa).tolist() == walk(mu, kappa)
+            kept = w[mu] > 0
+            assert ((j[kept] - mu) // 2).tolist() == walk(mu, kappa)
+            assert np.array_equal(w[mu][kept], np.exp(-((HALF_SPACING * j[kept]) ** 2) / kappa**2))
 
 
 @pytest.mark.parametrize("db", [7.0, 10.0, 14.0])
@@ -256,33 +266,50 @@ def test_pure_gkp_comb_matches_per_peak_sum(db):
     spec = auto_cutoff(delta)
     w, v = p_eigenbasis(spec)
     base_p = v.conj().T @ squeezed_vacuum(spec, delta)
-    for mu in (0, 1):
-        g = GkpSpec(mu, delta)
+    pair = make_state_pair(spec, delta)
+    j, weights = peak_weights((pair.kappa,))
+    for mu, ket in enumerate((pair.state0, pair.state1)):
         psi = np.zeros(spec.dim, dtype=complex)
-        for s in peak_indices(mu, g.kappa):
+        for s in (j[weights[0, mu] > 0] - mu) // 2:
             c = HALF_SPACING * (2 * s + mu)
-            psi += np.exp(-(c**2) / g.kappa**2) * (v @ (np.exp(-1j * np.sqrt(2) * c * w) * base_p))
+            phase = np.exp(-1j * np.sqrt(2) * c * w)
+            psi += np.exp(-(c**2) / pair.kappa**2) * (v @ (phase * base_p))
         psi = normalize(psi)
-        assert np.max(np.abs(make_pure_gkp(spec, g) - psi)) < 1e-13
+        assert np.max(np.abs(ket - psi)) < 1e-13
 
 
 @pytest.mark.parametrize("db", [7.0, 10.0, 14.0])
-def test_pure_gkp_is_real_even_and_cached(db):
+def test_pure_gkp_is_real_even_and_cached(db, monkeypatch, cold_caches):
+    # auto_cutoff and then pairs at its cutoff, mixed and pure: the kets at
+    # that cutoff are built in one gkp_kets call, in the search, and the
+    # pairs read them from the per-point cache
+    cutoffs = []
+    build = states.gkp_kets
+    monkeypatch.setattr(states, "gkp_kets", lambda spec, *args:
+                        cutoffs.append(spec.cutoff) or build(spec, *args))
     delta = db_to_delta(db)
     spec = auto_cutoff(delta)
-    for mu in (0, 1):
-        ket = make_pure_gkp(spec, GkpSpec(mu, delta))
+    assert cutoffs.count(spec.cutoff) == 1
+    searched = len(cutoffs)
+    mixed = make_state_pair(spec, delta, sigma=0.1)
+    pure = make_state_pair(spec, delta)
+    assert mixed.spec == spec and not mixed.is_pure
+    for mu, ket in enumerate((pure.state0, pure.state1)):
         assert np.isrealobj(ket)
         assert np.all(ket[1::2] == 0)
         assert not ket.flags.writeable
-        assert make_pure_gkp(spec, GkpSpec(mu, delta)) is ket
+        assert make_state_pair(spec, delta).sectors[mu] is ket
+    assert len(cutoffs) == searched
 
 
 def test_cached_ket_still_checks_leakage():
-    spec, g = HilbertSpec(20), GkpSpec(0, 0.5, 2.0)
-    make_pure_gkp(spec, g, strict=False)
+    # At a fixed cutoff the search returns a leaking pair flagged, not
+    # raised; a strict pair of the same cached kets still raises
+    spec = HilbertSpec(20)
+    loose = converged_pairs((0.5,), (2.0,), start=20, largest=20)[0][0]
+    assert loose.spec == spec and not loose.converged
     with pytest.raises(TruncationError):
-        make_pure_gkp(spec, g)
+        make_state_pair(spec, 0.5, 2.0)
 
 
 def test_strict_pair_checks_channel_output():
@@ -301,7 +328,7 @@ def test_channel_keeps_real_parity_blocks(db):
     # The channel commutes with parity: an even ket stays block-diagonal
     delta = db_to_delta(db)
     spec = auto_cutoff(delta)
-    rho = channel_fock(spec, make_pure_gkp(spec, GkpSpec(1, delta)), 0.1)
+    rho = channel_fock(spec, make_state_pair(spec, delta).state1, 0.1)
     assert np.isrealobj(rho)
     assert np.all(rho[0::2, 1::2] == 0) and np.all(rho[1::2, 0::2] == 0)
     assert np.max(np.abs(rho[1::2, 1::2])) > 1e-3
@@ -409,7 +436,7 @@ def test_channel_matches_dense_reference(cutoff, kind):
     if kind.startswith("complex"):
         ket = ket + 1j * rng.normal(size=spec.dim)
     if kind == "gkp":
-        ket = make_pure_gkp(spec, GkpSpec(1, DELTA_10DB))
+        ket = make_state_pair(spec, DELTA_10DB).state1
     state = ket / np.linalg.norm(ket)
     if kind.endswith("density"):
         # A mixture of two kets, with even-odd coherence
@@ -465,8 +492,8 @@ def test_helstrom_edges():
 
 def test_helstrom_dual_method():
     # Overlap from Fock inner product vs X-grid wavefunction integral
-    k0 = make_pure_gkp(SPEC, GkpSpec(0, 0.5, 2.0))
-    k1 = make_pure_gkp(SPEC, GkpSpec(1, 0.5, 2.0))
+    pair = make_state_pair(SPEC, 0.5, 2.0)
+    k0, k1 = pair.state0, pair.state1
     ov_fock = abs(np.vdot(k0, k1))
     x = np.linspace(-12, 12, 100001)
     phi = position_wavefunctions(SPEC, x).astype(complex)
@@ -491,7 +518,7 @@ def test_auto_cutoff_does_not_mask_bugs(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("broken state builder")
 
-    monkeypatch.setattr(states, "make_pure_gkp", broken)
+    monkeypatch.setattr(states, "_gkp_pair", broken)
     with pytest.raises(TypeError):
         auto_cutoff(DELTA_10DB)
 
@@ -499,7 +526,7 @@ def test_auto_cutoff_does_not_mask_bugs(monkeypatch):
 def test_convergence_in_cutoff(pair_10db):
     # Doubling N leaves the stabilizer expectation unchanged
     big = HilbertSpec(300)
-    k_big = make_pure_gkp(big, GkpSpec(0, DELTA_10DB))
+    k_big = make_state_pair(big, DELTA_10DB).state0
     e_small = abs(expectation(stabilizer_displacement(SPEC), pair_10db.state0))
     e_big = abs(expectation(stabilizer_displacement(big), k_big))
     assert abs(e_small - e_big) < 1e-8
@@ -509,7 +536,7 @@ def test_state_export(tmp_path):
     import csv
     import json
 
-    k = make_pure_gkp(HilbertSpec(20), GkpSpec(0, 0.5, 2.0), strict=False)
+    k = make_state_pair(HilbertSpec(20), 0.5, 2.0, strict=False).state0
     jpath = tmp_path / "state.json"
     export_state_json(k, str(jpath))
     payload = json.loads(jpath.read_text())
@@ -549,7 +576,7 @@ def test_mixed_pair_reads_blocks_and_assembles_fock_on_first_read(monkeypatch):
     assert len(calls) == 1 and pair.state0 is rho and not rho.flags.writeable
     assert calls[0][1] is pair.sectors[0]
     assert pair.state1 is pair.state1 and len(calls) == 2 and calls[1][1] is pair.sectors[1]
-    ket = make_pure_gkp(SPEC, GkpSpec(0, DELTA_10DB))
+    ket = make_state_pair(SPEC, DELTA_10DB).state0
     assert np.max(np.abs(rho - dense_displacement_channel(SPEC, ket, 0.1))) < 1e-14
     # The readers give on the blocks what they give on the Fock array
     ref_sym, ref_anti = x_populations(SPEC, rho)
@@ -578,8 +605,8 @@ def test_block_pair_reads_what_its_fock_arrays_give(cutoff):
     # channel output) reads the populations and leakages of its Fock
     # arrays, at an even and an odd dim
     spec = HilbertSpec(cutoff)
-    kets = [displacement(spec, 0.3 + 0.2j) @ make_pure_gkp(spec, GkpSpec(mu, DELTA_10DB))
-            for mu in (0, 1)]
+    pure = make_state_pair(spec, DELTA_10DB)
+    kets = [displacement(spec, 0.3 + 0.2j) @ k for k in (pure.state0, pure.state1)]
     blocks = [gaussian_displacement_channel(spec, k, 0.1) for k in kets]
     pair = states.GkpStatePair(*blocks, spec, DELTA_10DB, 1 / DELTA_10DB, 0.1)
     assert all(b.keys() == {(0, 0), (0, 1), (1, 0), (1, 1)} for b in blocks)
@@ -610,8 +637,8 @@ def test_column_kets_equal_one_point_builds(cutoff):
     assert column.shape == (4, 2, spec.dim) and not column.flags.writeable
     for i, (delta, kappa) in enumerate(zip(deltas, kappas)):
         assert np.array_equal(column[i], gkp_kets(spec, (delta,), (kappa,))[0])
-        for mu in (0, 1):
-            assert np.array_equal(column[i, mu], make_pure_gkp(spec, GkpSpec(mu, delta, kappa)))
+        alone = make_state_pair(spec, delta, kappa)
+        assert np.array_equal(column[i], (alone.state0, alone.state1))
     assert np.array_equal(gkp_kets(spec, deltas[1:3], kappas[1:3]), column[1:3])
 
 

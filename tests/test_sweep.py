@@ -47,7 +47,7 @@ def test_config_validation(monkeypatch, tmp_path):
     with pytest.raises(ConfigError):
         SweepConfig(delta_db_min=1.0)  # outside the guard
     SweepConfig(delta_db_min=1.0, delta_db_max=20.0, allow_extreme_range=True)
-    # delta_db_min = 0 would put delta at 1, outside GkpSpec's domain
+    # delta_db_min = 0 would put delta at 1, outside check_point's domain
     with pytest.raises(ConfigError, match="delta_db_min = 0.0"):
         SweepConfig(delta_db_min=0.0, allow_extreme_range=True)
     with pytest.raises(ConfigError):
@@ -59,7 +59,7 @@ def test_config_validation(monkeypatch, tmp_path):
             SweepConfig(rounds_list=(rounds,))
     SweepConfig(rounds_list=(1, 9))
     # lambda_fixed_values and sigma_list entries take CircuitParams' and
-    # GkpSpec's rules: finite, |lambda| < 1 and sigma >= 0
+    # check_point's rules: finite, |lambda| < 1 and sigma >= 0
     for lam in (1.0, -1.5, np.nan, np.inf):
         with pytest.raises(ConfigError, match="lambda_fixed_values"):
             SweepConfig(lambda_fixed_values=(0.05, lam))
@@ -83,7 +83,7 @@ def test_config_validation(monkeypatch, tmp_path):
         SweepConfig(cutoff_n=5000)
     SweepConfig(cutoff_n=5000, cutoff_policy="fixed")
     # cutoff_n takes HilbertSpec's rule under either policy, and a fixed
-    # kappa GkpSpec's, named by their keys and before any state is built
+    # kappa check_point's, named by their keys and before any state is built
     for policy in ("auto", "fixed"):
         with pytest.raises(ConfigError, match="cutoff_n: cutoff must be >= 1"):
             SweepConfig(cutoff_n=0, cutoff_policy=policy)
@@ -517,11 +517,13 @@ def test_one_squeeze_svd_per_cutoff_whatever_the_deltas(monkeypatch, cold_caches
     assert sorted(squeeze) == sorted(n // 2 for n in cutoffs)
 
 
-def test_caches_hold_only_half_size_blocks(monkeypatch, cold_caches):
+def test_caches_hold_only_half_size_blocks(monkeypatch, cold_caches, tmp_path):
     # X's eigenbasis is kept only as its half-size parity sectors: after
-    # cold fig1a and fig1c runs, every 2-D array a package cache holds is at
-    # most ⌈dim/2⌉ along each axis. A cache holds what it returns, so every
-    # binding of each cache is wrapped to record its returns.
+    # cold fig1a and fig1c runs, and a state dump that assembles a Fock
+    # density, every 2-D array a package cache holds is at most ⌈dim/2⌉
+    # along each axis, and every array it holds is read-only, as each
+    # caller shares it. A cache holds what it returns, so every binding of
+    # each cache is wrapped to record its returns.
     held = []
 
     def recording(cached):
@@ -535,6 +537,9 @@ def test_caches_hold_only_half_size_blocks(monkeypatch, cold_caches):
         monkeypatch.setattr(module, name, recording(cached))
     for command in ("fig1a", "fig1c"):
         assert main([command, "--points", "2"]) == 0
+    dump = tmp_path / "state.json"
+    assert main(["state-info", "--delta-db", "10", "--sigma", "0.1", "--dump", str(dump)]) == 0
+    assert json.loads(dump.read_text())["kind"] == "density"
 
     def arrays(x):
         if isinstance(x, np.ndarray):
@@ -546,6 +551,9 @@ def test_caches_hold_only_half_size_blocks(monkeypatch, cold_caches):
     shapes = {(spec.dim, a.shape) for spec, out in held for a in arrays(out) if a.ndim == 2}
     assert shapes
     assert all(max(shape) <= (dim + 1) // 2 for dim, shape in shapes), shapes
+    assert {a.shape for spec, out in held for a in arrays(out) if a.flags.writeable} == set()
+    assert any(cached.__name__ == "_lift_bases" and cached.cache_info().currsize
+               for _, _, cached in cold_caches)
 
 
 def test_config_key_given_twice_is_a_config_error(tmp_path):
