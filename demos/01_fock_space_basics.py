@@ -15,7 +15,7 @@ import numpy as np
 from gkp_readout.analytics import optimal_lambda
 from gkp_readout.fock import LEAKAGE_TOL, HilbertSpec, leakage, squeezed_vacuum, x_sectors
 from gkp_readout.readout import CircuitParams, simulated_p_err
-from gkp_readout.states import auto_cutoff, db_to_delta, make_state_pair, x_populations
+from gkp_readout.states import auto_cutoff, converged_pairs, db_to_delta, x_populations
 
 
 def variance_x(spec, ket):
@@ -46,7 +46,7 @@ lam = optimal_lambda(delta)
 print(f"\n14 dB GKP pair (delta = {delta:.4f}, optimal lambda = {lam:.5f}):")
 print(f"  {'N':>4} {'leakage':>10} {'p_err simple':>13} {'p_err improved':>15}")
 for n in (75, 150, 300):
-    pair = make_state_pair(HilbertSpec(n), delta, strict=False)
+    pair = converged_pairs((delta,), (None,), (0.0,), n, n)[0][0]
     lk = max(leakage(pair.state0), leakage(pair.state1))
     simple = simulated_p_err(pair, CircuitParams(0.0, 1)).p_err
     improved = simulated_p_err(pair, CircuitParams(lam, 1)).p_err

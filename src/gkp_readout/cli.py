@@ -18,7 +18,6 @@ from .fock import (
     HilbertSpec,
     NumericalError,
     TruncationError,
-    check_leakage,
     squeezed_vacuum,
     x_sectors,
 )
@@ -63,7 +62,6 @@ def cmd_optimize_lambda(args) -> int:
 def cmd_state_info(args) -> int:
     delta = db_to_delta(args.delta_db)
     pair = converged_pair(delta, args.kappa, args.sigma)
-    check_leakage(max(pair.leakages))
     result = {"delta_db": args.delta_db, "delta": delta, "kappa": pair.kappa,
               "sigma": args.sigma, "cutoff_N": pair.spec.cutoff, "purity": pair.purity,
               "delta_eff": pair.delta_eff, "delta_eff_db": delta_db(pair.delta_eff)}

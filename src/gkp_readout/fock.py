@@ -29,8 +29,8 @@ class HilbertSpec:
     cutoff: int
 
     def __post_init__(self):
-        if self.cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
+        if not isinstance(self.cutoff, (int, np.integer)) or self.cutoff < 1:
+            raise ValueError(f"cutoff must be >= 1 and an integer, got {self.cutoff!r}")
 
     @property
     def dim(self) -> int:

@@ -7,8 +7,9 @@ afterwards, the circuit is a two-outcome instrument {K0, K1} on the
 oscillator alone, as real blocks on the X sectors of `fock.x_sectors`
 (`sector_kraus`). `simulated_p_err` enumerates every branch of a
 multi-round run exactly on a pair's sector form, advancing both states'
-live branches a round at a time, with their outcomes, probabilities and
-post-states, lifted to Fock on first read; `readout_errors` takes a
+live branches a round at a time, and returns each branch as plain data,
+its outcomes and probability; `post_state` replays one branch on the
+same form and lifts its state to Fock. `readout_errors` takes a
 closed form where one exists: tails cached per cutoff and rounds at
 lambda = 0, a stack of a cutoff's one-round ket cells at any lambda.
 `error_curve` is the one-round error as a function of lambda, with its
@@ -19,9 +20,9 @@ they are compared with is a closed-form peak sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cache, lru_cache, partial, partialmethod
-from typing import Optional
+from dataclasses import dataclass
+from functools import lru_cache, partialmethod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,10 +42,10 @@ class CircuitParams:
     rounds: int = 1
 
     def __post_init__(self):
-        if self.rounds < 1 or self.rounds % 2 == 0:
-            raise ValueError(f"rounds must be odd and >= 1, got {self.rounds}")
-        if self.rounds > MAX_ROUNDS:
-            raise ValueError(f"rounds capped at {MAX_ROUNDS}, got {self.rounds}")
+        if not isinstance(self.rounds, (int, np.integer)) or self.rounds % 2 == 0:
+            raise ValueError(f"rounds must be an odd integer, got {self.rounds!r}")
+        if not 1 <= self.rounds <= MAX_ROUNDS:
+            raise ValueError(f"rounds must be in [1, {MAX_ROUNDS}], got {self.rounds}")
         if not abs(self.lam) < 1:  # NaN fails too
             raise ValueError(f"|lambda| must be < 1, got {self.lam}")
         if abs(self.lam) > 0.5:
@@ -53,24 +54,12 @@ class CircuitParams:
             warnings.warn(f"lambda = {self.lam} is far outside the small-lambda regime")
 
 
-class Branch:
+class Branch(NamedTuple):
     """One measurement-outcome history of a multi-round run: its outcome
-    string, probability and normalized post-measurement oscillator state.
-    The post-state may be given as a function that builds it; it is then
-    built on the first read of `post_state` and kept, read-only."""
+    string and probability. `post_state` gives its post-measurement state."""
 
-    __slots__ = ("outcomes", "probability", "_post")
-
-    def __init__(self, outcomes: str, probability: float, post_state):
-        self.outcomes, self.probability, self._post = outcomes, probability, post_state
-
-    @property
-    def post_state(self) -> Optional[np.ndarray]:
-        if callable(self._post):
-            post = self._post()
-            post.setflags(write=False)
-            self._post = post
-        return self._post
+    outcomes: str
+    probability: float
 
     @property
     def majority(self) -> int:
@@ -83,8 +72,8 @@ class ReadoutOutcome:
 
     p_1_given_0: float
     p_0_given_1: float
-    branches_0: tuple = field(default=())
-    branches_1: tuple = field(default=())
+    branches_0: tuple = ()
+    branches_1: tuple = ()
 
     @property
     def p_err(self) -> float:
@@ -295,50 +284,26 @@ def _sector_effects(spec: HilbertSpec, rounds: int) -> np.ndarray:
     return np.concatenate(levels)
 
 
-def _lift(spec: HilbertSpec, kraus, prefixes, node: int, outcomes: str,
-          forward: int, prob: float) -> np.ndarray:
-    # A leaf's post-state: the blocks of node `node` of the pieces that
-    # `prefixes()` gives, under the Kraus operators of the outcomes after
-    # the first `forward`, as a normalized Fock array. A ket takes the phase
-    # iᵒⁿᵉˢ that K1 = i M1 leaves out.
-    blocks = {key: x[node] for key, x in prefixes().items()}
-    for f in map(int, outcomes[forward:]):
-        blocks = {tuple(k ^ f for k in key): _apply_kraus(kraus()[f], key, x)
-                  for key, x in blocks.items()}
-    if len(next(iter(blocks))) == 2:
-        return assemble_density(spec, blocks) / prob
-    y, _, z = x_sectors(spec)[:3]
-    phase = 1j ** outcomes.count("1") if "1" in outcomes else 1
-    out = np.zeros(spec.dim, dtype=np.result_type(*blocks.values(), phase))
-    for (p,), x in blocks.items():
-        out[p::2] = (y, z)[p] @ x
-    return out * (phase / np.sqrt(prob))
-
-
 def simulated_p_err(pair: GkpStatePair, params: CircuitParams) -> ReadoutOutcome:
     """Exact readout error probability by full branch enumeration and
     majority vote over params.rounds repetitions, both states' trees a round
-    at a time on the pair's sector form. At lambda = 0 every round reads its
-    probabilities off the X populations, and no Kraus pair is built unless a
-    post-state is read."""
+    at a time on the pair's sector form. Each branch is its outcome string
+    and probability; `post_state` gives a branch's state. At lambda = 0
+    every round reads its probabilities off the X populations, and no
+    Kraus pair is built."""
     # A ket runs every round forward; a density matrix its first ⌊R/2⌋, and
     # its later rounds read `_suffix_table`.
-    rounds = params.rounds
-    kraus = cache(partial(sector_kraus, pair.spec, params.lam))
-    # The roots are stacked on first use: at lambda = 0 only post-states
-    # read them.
-    prefixes, hist = cache(partial(_roots, pair.spec, pair.sectors)), np.arange(2)
+    rounds, hist = params.rounds, np.arange(2)
     if params.lam == 0:
         forward = 0
         table = _sector_effects(pair.spec, rounds) @ np.transpose([s for s, _ in pair.populations])
     else:
-        forward, pieces = rounds if pair.is_pure else rounds // 2, prefixes()
+        kraus = sector_kraus(pair.spec, params.lam)
+        forward, pieces = rounds if pair.is_pure else rounds // 2, _roots(pair.spec, pair.sectors)
         for _ in range(forward):
-            pieces, hist, probs = _forward_round(kraus(), pieces, hist)
-        # Post-states read the last forward round's pieces.
-        prefixes = partial(dict, pieces)
+            pieces, hist, probs = _forward_round(kraus, pieces, hist)
         if forward < rounds:
-            table = _suffix_table(kraus(), rounds, pieces)
+            table = _suffix_table(kraus, rounds, pieces)
     # The later rounds extend node i's history by suffix w, row by row of
     # the table, and the leaves are then put in the order of their histories.
     nodes, w = np.arange(len(hist)), np.zeros(len(hist), dtype=int)
@@ -349,13 +314,41 @@ def simulated_p_err(pair: GkpStatePair, params: CircuitParams) -> ReadoutOutcome
         nodes, w, probs = nodes[keep], w[keep], probs[keep]
     hist = hist[nodes] << (rounds - forward) | w
     trees = ([], [])
-    for h, node, prob in sorted(zip(hist.tolist(), nodes.tolist(), probs.tolist())):
-        outcomes = format(h % (1 << rounds), f"0{rounds}b")
-        trees[h >> rounds].append(Branch(outcomes, prob, partial(
-            _lift, pair.spec, kraus, prefixes, node, outcomes, forward, prob)))
+    for h, prob in sorted(zip(hist.tolist(), probs.tolist())):
+        trees[h >> rounds].append(Branch(format(h % (1 << rounds), f"0{rounds:d}b"), prob))
     wrong = [sum(b.probability for b in tree if b.majority != mu) for mu, tree in enumerate(trees)]
     return ReadoutOutcome(p_1_given_0=wrong[0], p_0_given_1=wrong[1],
                           branches_0=tuple(trees[0]), branches_1=tuple(trees[1]))
+
+
+def post_state(pair: GkpStatePair, lam: float, mu: int, outcomes: str) -> np.ndarray:
+    """The normalized state of input mu after the rounds of `outcomes` at
+    lambda, as a read-only Fock ket or density matrix: the branch of
+    `simulated_p_err` replayed on the pair's sector form, one outcome at a
+    time. A ket takes the phase iᵒⁿᵉˢ that K1 = i M1 leaves out."""
+    # Blocks are carried unnormalized, as in the enumeration, so the
+    # replayed probability is a ket's squared norm or a density's trace.
+    if mu not in (0, 1) or set(outcomes) - {"0", "1"}:
+        raise ValueError(f"need mu in (0, 1) and outcomes of 0 and 1, got {mu}, {outcomes!r}")
+    kraus = sector_kraus(pair.spec, lam)
+    blocks = {key: x[mu] for key, x in _roots(pair.spec, pair.sectors).items()}
+    for f in map(int, outcomes):
+        blocks = {tuple(k ^ f for k in key): _apply_kraus(kraus[f], key, x)
+                  for key, x in blocks.items()}
+    prob = sum(np.vdot(x, x).real if len(key) == 1 else np.trace(x).real
+               for key, x in blocks.items() if key[0] == key[-1])
+    if not prob > 0:
+        raise ValueError(f"outcomes {outcomes!r} of input {mu} have probability {prob}")
+    if len(next(iter(blocks))) == 2:
+        out = assemble_density(pair.spec, blocks) / prob
+    else:
+        # Parity p lifts by B_p, B = (Y, Z) of `fock.x_sectors`.
+        phase = 1j ** outcomes.count("1") if "1" in outcomes else 1
+        out = np.zeros(pair.spec.dim, dtype=np.result_type(*blocks.values(), phase))
+        for (p,), x in blocks.items():
+            out[p::2] = x_sectors(pair.spec)[2 * p] @ x * (phase / np.sqrt(prob))
+    out.setflags(write=False)
+    return out
 
 
 def readout_error(pair: GkpStatePair, params: CircuitParams) -> float:

@@ -156,12 +156,12 @@ def gkp_kets(spec: HilbertSpec, deltas, kappas) -> np.ndarray:
 
 
 def make_state_pair(spec: HilbertSpec, delta: float, kappa: Optional[float] = None,
-                    sigma: float = 0.0, strict: bool = True) -> GkpStatePair:
+                    sigma: float = 0.0) -> GkpStatePair:
     """The (|0~>, |1~>) pair at spec, mixed through the displacement channel
-    (held as its sector blocks) when sigma > 0. strict checks its leakage."""
+    (held as its sector blocks) when sigma > 0. Raises `TruncationError`
+    where it leaks."""
     pair = converged_pairs((delta,), (kappa,), (sigma,), spec.cutoff, spec.cutoff)[0][0]
-    if strict:
-        check_leakage(max(pair.leakages))
+    check_leakage(max(pair.leakages))
     return pair
 
 
@@ -200,20 +200,19 @@ def converged_pairs(deltas, kappas, sigmas=(0.0,), start: int = DEFAULT_CUTOFF,
     return pairs
 
 
-def converged_pair(delta: float, kappa: Optional[float] = None, sigma: float = 0.0,
-                   start: int = DEFAULT_CUTOFF) -> GkpStatePair:
-    """`converged_pairs` of one point and one sigma."""
-    return converged_pairs((delta,), (kappa,), (sigma,), start)[0][0]
+def converged_pair(delta: float, kappa: Optional[float] = None,
+                   sigma: float = 0.0) -> GkpStatePair:
+    """`converged_pairs` of one point and one sigma, from DEFAULT_CUTOFF.
+    Raises `TruncationError` where no cutoff up to MAX_CUTOFF converges."""
+    pair = converged_pairs((delta,), (kappa,), (sigma,))[0][0]
+    check_leakage(max(pair.leakages))
+    return pair
 
 
-def auto_cutoff(delta: float, kappa: Optional[float] = None, sigma: float = 0.0,
-                start: int = DEFAULT_CUTOFF) -> HilbertSpec:
+def auto_cutoff(delta: float, kappa: Optional[float] = None, sigma: float = 0.0) -> HilbertSpec:
     """The kets' cutoff under `converged_pair`. sigma is unused, so that a
     caller who builds the mixed pair itself builds its channel once."""
-    pair = converged_pair(delta, kappa, start=start)
-    if not pair.converged:
-        raise RuntimeError(f"no converged cutoff <= {MAX_CUTOFF} for delta={delta}")
-    return pair.spec
+    return converged_pair(delta, kappa).spec
 
 
 # The two parts of ρ that the displacement channel keeps apart, as the

@@ -50,8 +50,8 @@ class SweepConfig:
     allow_extreme_range: bool = False
 
     def __post_init__(self):
-        if self.delta_db_points < 2:
-            raise ConfigError(f"delta_db_points must be >= 2, got {self.delta_db_points}")
+        if not isinstance(self.delta_db_points, (int, np.integer)) or self.delta_db_points < 2:
+            raise ConfigError(f"delta_db_points must be an int >= 2, got {self.delta_db_points!r}")
         # Finite, ordered bounds (NaN fails every comparison), and
         # delta_db_min > 0 so that every delta < 1.
         if not 0 < self.delta_db_min < self.delta_db_max < np.inf:
@@ -176,14 +176,14 @@ def run_fig1b(config: SweepConfig) -> list[SweepRow]:
     return _sweep(config, (0.0,), point_rows)
 
 
-def optimize_lambda_simulated(pair, deff: float) -> tuple[float, float]:
-    """Minimum of the simulated single-round error over lambda in [0, hi],
-    for mixed inputs: the first minus-to-plus change of the error curve's
-    slope on a scan, refined by Newton steps with the curve's curvature to
-    a step of LAMBDA_XTOL; without one, the scan point of least error.
-    Returns (lambda, p_err)."""
+def optimize_lambda_simulated(pair: GkpStatePair) -> tuple[float, float]:
+    """Minimum of a mixed pair's simulated single-round error over lambda in
+    [0, min(3√π δ_eff², LAMBDA_SEARCH_MAX)], δ_eff the pair's: the first
+    minus-to-plus change of the error curve's slope on a scan, refined by
+    Newton steps with its curvature to a step of LAMBDA_XTOL; without one,
+    the scan point of least error. Returns (lambda, p_err)."""
     curve = error_curve(pair)
-    grid = np.linspace(0.0, min(3 * np.sqrt(np.pi) * deff**2, LAMBDA_SEARCH_MAX),
+    grid = np.linspace(0.0, min(3 * np.sqrt(np.pi) * pair.delta_eff**2, LAMBDA_SEARCH_MAX),
                        LAMBDA_SCAN_POINTS)
     lam = analytics.first_rising_root(curve.slope, curve.curvature, grid, LAMBDA_XTOL)
     if lam is None:
@@ -201,7 +201,7 @@ def run_fig1c(config: SweepConfig) -> list[SweepRow]:
             lam = analytics.optimal_lambda(pair.delta)
             p_sim = pair, CircuitParams(lam)
         else:
-            lam, p_sim = optimize_lambda_simulated(pair, pair.delta_eff)
+            lam, p_sim = optimize_lambda_simulated(pair)
         return [simple, _row(pair, "improved_optimal", lam, 1, p_sim, None)]
     return _sweep(config, config.sigma_list, point_rows)
 

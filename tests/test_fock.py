@@ -39,7 +39,10 @@ def variance(op, state):
 def test_cutoff_validation():
     with pytest.raises(ValueError):
         HilbertSpec(0)
-    assert HilbertSpec(5).dim == 6
+    for bad in (150.0, 150.5, np.float64(150.0), "150"):
+        with pytest.raises(ValueError, match="integer"):
+            HilbertSpec(bad)
+    assert HilbertSpec(5).dim == 6 and HilbertSpec(np.int64(5)).dim == 6
     assert hybrid_dim(HilbertSpec(5)) == 12
 
 

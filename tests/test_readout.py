@@ -17,6 +17,7 @@ from gkp_readout.readout import (
     ReadoutOutcome,
     error_curve,
     homodyne_p_err_numeric,
+    post_state,
     readout_error,
     readout_errors,
     sector_kraus,
@@ -72,6 +73,13 @@ def test_circuit_params_validation():
             CircuitParams(bad, 1)
     with pytest.warns(UserWarning):
         CircuitParams(0.7, 1)
+    # rounds is an integer where it enters, not later in the enumeration
+    for bad in (3.5, 3.0, np.float64(3.0), "3", None):
+        with pytest.raises(ValueError, match="rounds must be an odd integer"):
+            CircuitParams(0.0, bad)
+    for good in (True, np.int64(3), np.int32(5)):
+        params = CircuitParams(0.1, good)
+        assert readout_error(make_state_pair(SPEC, DELTA_10DB), params) > 0
 
 
 def test_outcome_probability_identity():
@@ -302,9 +310,9 @@ def _assert_tree_matches_hybrid_oracle(pair, lam, unitary, rounds):
         assert [b.outcomes for b in tree] == [w[0] for w in want]
         for b, (_, prob, post) in zip(tree, want):
             assert abs(b.probability - prob) < 1e-10 * prob
-            assert _rel(b.post_state, post) < 1e-10
+            assert _rel(post_state(pair, lam, mu, b.outcomes), post) < 1e-10
         wrong.append(sum(prob for outcomes, prob, _ in want
-                         if Branch(outcomes, prob, None).majority != mu))
+                         if Branch(outcomes, prob).majority != mu))
     assert abs(out.p_err - 0.5 * sum(wrong)) < 1e-10 * out.p_err
 
 
@@ -397,8 +405,8 @@ def test_density_tree_work_is_pinned(monkeypatch, rounds, applies):
 
 
 def test_lambda_zero_builds_no_kraus_pair(monkeypatch, pair_10db):
-    # Enumerating builds no Kraus pair at lambda = 0; the first post-state
-    # read builds one per call, which every later read of either tree shares.
+    # Enumerating builds no Kraus pair at lambda = 0; a post-state replays
+    # its branch on the Kraus pair, which it builds once per call.
     from gkp_readout import readout
 
     built = Counter()
@@ -415,52 +423,88 @@ def test_lambda_zero_builds_no_kraus_pair(monkeypatch, pair_10db):
             out = simulated_p_err(pair, CircuitParams(0.0, rounds))
             assert 0 < out.p_err < 0.5
             assert not built
-            assert out.branches_0[-1].post_state is not None
-            assert built["sector_kraus"] == 1
-            for b in out.branches_0 + out.branches_1:
-                assert b.post_state is not None
+            assert post_state(pair, 0.0, 0, out.branches_0[-1].outcomes) is not None
             assert built["sector_kraus"] == 1
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.1])
 @pytest.mark.parametrize("sigma", [0.0, 0.1])
 def test_post_states_built_on_first_read(monkeypatch, lam, sigma):
-    # No full post-state is assembled while the tree is enumerated; each is
-    # lifted to Fock on its first read, once, read-only, one per branch. The
-    # roots are stacked once per call, at lambda = 0 on the first read.
+    # No post-state is assembled while the tree is enumerated, and the
+    # result keeps none; each post_state call replays its branch from the
+    # roots, stacked once per call, and builds one new read-only array.
     from gkp_readout import readout
 
-    built, roots = [], []
-    lift, stack = readout._lift, readout._roots
+    assembled, roots = [], []
+    assemble, stack = readout.assemble_density, readout._roots
 
-    def counted(*args, **kwargs):
-        built.append(args)
-        return lift(*args, **kwargs)
+    def counted(*args):
+        assembled.append(args)
+        return assemble(*args)
 
     def counted_roots(*args):
         roots.append(args)
         return stack(*args)
 
-    monkeypatch.setattr(readout, "_lift", counted)
+    monkeypatch.setattr(readout, "assemble_density", counted)
     monkeypatch.setattr(readout, "_roots", counted_roots)
     pair = make_state_pair(SPEC, DELTA_10DB, sigma=sigma)
     tree = simulated_p_err(pair, CircuitParams(lam, 3)).branches_0
-    assert len(tree) == 8 and built == [] and len(roots) == (lam != 0)
-    first = tree[0].post_state
-    assert len(built) == 1 and tree[0].post_state is first
-    assert not first.flags.writeable
-    with pytest.raises(ValueError):
-        first[0] = 0
-    posts = [b.post_state for b in tree]
+    assert len(tree) == 8 and assembled == [] and len(roots) == (lam != 0)
+    roots.clear()
+    posts = [post_state(pair, lam, 0, b.outcomes) for b in tree]
+    assert len(roots) == len(tree) and len(assembled) == (sigma != 0) * len(tree)
+    assert all(post.shape == (SPEC.dim,) * post.ndim for post in posts)
+    assert {post.ndim for post in posts} == {1 if sigma == 0 else 2}
     assert all(not post.flags.writeable for post in posts)
-    assert len(built) == len(tree) and len(roots) == 1
+    with pytest.raises(ValueError):
+        posts[0][0] = 0
+    again = post_state(pair, lam, 0, tree[0].outcomes)
+    assert again is not posts[0] and np.array_equal(again, posts[0])
     assert len({id(post) for post in posts}) == len(tree)
+
+
+def test_readout_outcome_holds_plain_data(pair_10db):
+    # A kept result holds its outcome strings and probabilities only: no
+    # callable and no array, at any lambda, for kets and densities
+    from dataclasses import fields
+
+    def leaves(x):
+        if isinstance(x, tuple):  # a branch tree, or a Branch itself
+            for item in x:
+                yield from leaves(item)
+        else:
+            yield x
+
+    mixed = make_state_pair(SPEC, DELTA_10DB, sigma=0.1)
+    for pair in (pair_10db, mixed):
+        for lam in (0.0, 0.1):
+            out = simulated_p_err(pair, CircuitParams(lam, 3))
+            assert all(isinstance(b, Branch) for b in out.branches_0 + out.branches_1)
+            values = list(leaves(tuple(getattr(out, f.name) for f in fields(out))))
+            assert len(values) == 2 + 2 * (len(out.branches_0) + len(out.branches_1))
+            assert all(type(v) in (str, float) for v in values)
+            assert not any(callable(v) or isinstance(v, np.ndarray) for v in values)
+
+
+def test_post_state_rejects_bad_outcomes(pair_10db):
+    # A character other than 0 or 1, an input other than 0 or 1, and an
+    # outcome string of zero probability (here from a zero |1~>) are errors
+    for mu, outcomes in ((0, "012"), (0, "0 1"), (0, "1O"), (2, "0"), (-1, "0")):
+        with pytest.raises(ValueError, match="outcomes of 0 and 1"):
+            post_state(pair_10db, 0.1, mu, outcomes)
+    zero = GkpStatePair(pair_10db.state0, np.zeros(SPEC.dim), SPEC, pair_10db.delta,
+                        pair_10db.kappa, 0.0)
+    for lam in (0.0, 0.1):
+        with pytest.raises(ValueError, match="probability"):
+            post_state(zero, lam, 1, "010")
+        assert abs(np.linalg.norm(post_state(zero, lam, 0, "010")) - 1) < 1e-12
 
 
 def test_mixed_enumeration_builds_no_fock_density(monkeypatch):
     # A mixed pair's branches run on its X-sector blocks: enumerating
     # assembles no Fock density and reads neither state0 nor state1, at
-    # lambda = 0 and at the optimal lambda; a post-state read lifts that
+    # lambda = 0 and at the optimal lambda; a post_state call lifts that
     # post-state alone.
     from gkp_readout import readout, states
 
@@ -482,7 +526,7 @@ def test_mixed_enumeration_builds_no_fock_density(monkeypatch):
         for rounds in (1, 3, 5):
             out = simulated_p_err(pair, CircuitParams(lam, rounds))
             assert 0 < out.p_err < 0.5 and not assembled and not reads
-            rho = out.branches_1[0].post_state
+            rho = post_state(pair, lam, 1, out.branches_1[0].outcomes)
             assert len(assembled) == 1 and not reads
             assert rho.shape == (SPEC.dim,) * 2 and abs(np.trace(rho) - 1) < 1e-12
             assembled.clear()
@@ -526,7 +570,7 @@ def test_readout_error_lambda_zero_matches_hybrid_oracle(oracle_case):
     for mu, state in enumerate((pair.state0, pair.state1)):
         wrong += sum(prob for outcomes, prob, _ in
                      enumerate_branches_hybrid(spec, state, unitaries[0.0], 5)
-                     if Branch(outcomes, prob, None).majority != mu)
+                     if Branch(outcomes, prob).majority != mu)
     want = 0.5 * wrong
     assert abs(readout_error(pair, CircuitParams(0.0, 5)) - want) < 1e-10 * want
 
@@ -636,9 +680,9 @@ def test_mixed_state_density_propagation(pair_10db):
     for tree in (out.branches_0, out.branches_1):
         assert abs(sum(b.probability for b in tree) - 1) < 1e-10
     # posts are density matrices with unit trace
-    b = out.branches_0[0]
-    assert b.post_state.ndim == 2
-    assert abs(np.trace(b.post_state).real - 1) < 1e-10
+    rho = post_state(mixed, 0.0, 0, out.branches_0[0].outcomes)
+    assert rho.ndim == 2
+    assert abs(np.trace(rho).real - 1) < 1e-10
 
 
 def test_helstrom_dominance(pair_10db):
@@ -659,8 +703,8 @@ def test_convergence_in_cutoff():
 
 
 def test_branch_majority():
-    assert Branch("001", 0.1, None).majority == 0
-    assert Branch("011", 0.1, None).majority == 1
+    assert Branch("001", 0.1).majority == 0
+    assert Branch("011", 0.1).majority == 1
 
 
 def test_homodyne_matches_closed_form(pair_10db):

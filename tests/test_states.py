@@ -89,6 +89,10 @@ def test_gkp_spec_validation(monkeypatch):
             make_state_pair(SPEC, delta, kappa, sigma)
         with pytest.raises(ValueError, match=message):
             converged_pairs([0.3, delta], [None, kappa], (0.0, sigma))
+    # A cutoff is an integer where the search enters it
+    for start in (150.5, 150.0):
+        with pytest.raises(ValueError, match="integer"):
+            converged_pairs([0.3], [None], (0.0,), start)
     assert calls == []
     assert abs(check_point(0.25) - 4.0) < 1e-12 and check_point(0.25, 3.0, 0.1) == 3.0
 
@@ -304,7 +308,7 @@ def test_pure_gkp_is_real_even_and_cached(db, monkeypatch, cold_caches):
 
 def test_cached_ket_still_checks_leakage():
     # At a fixed cutoff the search returns a leaking pair flagged, not
-    # raised; a strict pair of the same cached kets still raises
+    # raised; make_state_pair of the same cached kets still raises
     spec = HilbertSpec(20)
     loose = converged_pairs((0.5,), (2.0,), start=20, largest=20)[0][0]
     assert loose.spec == spec and not loose.converged
@@ -319,7 +323,7 @@ def test_strict_pair_checks_channel_output():
     make_state_pair(SPEC, delta)
     with pytest.raises(TruncationError):
         make_state_pair(SPEC, delta, sigma=0.15)
-    loose = make_state_pair(SPEC, delta, sigma=0.15, strict=False)
+    loose = converged_pairs((delta,), (None,), (0.15,), SPEC.cutoff, SPEC.cutoff)[0][0]
     assert loose.leakages[0] < 1e-10 < loose.leakages[1]
 
 
@@ -510,7 +514,22 @@ def test_auto_cutoff_rejects_start_above_largest_cutoff():
     # A start above MAX_CUTOFF tries no cutoff: a bad argument, not a
     # convergence failure
     with pytest.raises(ValueError, match="start cutoff"):
-        auto_cutoff(DELTA_10DB, start=states.MAX_CUTOFF + 1)
+        converged_pairs((DELTA_10DB,), (None,), start=states.MAX_CUTOFF + 1)
+
+
+def test_converged_pair_raises_where_no_cutoff_converges(monkeypatch):
+    # With N = 300 the largest cutoff tried, the 10 dB kets converge but
+    # their sigma = 5 channel output still leaks 5.9e-6 (it converges at
+    # N = 1200), and the kets of delta = 0.2 need N = 300 against a largest
+    # 150: each is a truncation failure, not a flagged pair
+    monkeypatch.setattr(states, "MAX_CUTOFF", 300)
+    with pytest.raises(TruncationError, match="leakage"):
+        converged_pair(DELTA_10DB, sigma=5.0)
+    assert converged_pairs((DELTA_10DB,), (None,), (5.0,))[0][0].converged is False
+    assert converged_pair(DELTA_10DB).converged and auto_cutoff(0.2).cutoff == 300
+    monkeypatch.setattr(states, "MAX_CUTOFF", 150)
+    with pytest.raises(TruncationError, match="leakage"):
+        auto_cutoff(0.2)
 
 
 def test_auto_cutoff_does_not_mask_bugs(monkeypatch):
@@ -536,7 +555,7 @@ def test_state_export(tmp_path):
     import csv
     import json
 
-    k = make_state_pair(HilbertSpec(20), 0.5, 2.0, strict=False).state0
+    k = converged_pairs((0.5,), (2.0,), (0.0,), 20, 20)[0][0].state0
     jpath = tmp_path / "state.json"
     export_state_json(k, str(jpath))
     payload = json.loads(jpath.read_text())

@@ -11,7 +11,6 @@ from gkp_readout.states import (
     auto_cutoff,
     converged_pairs,
     db_to_delta,
-    effective_squeezing,
     make_state_pair,
 )
 from gkp_readout.sweep import (
@@ -42,6 +41,16 @@ def fig1a_rows():
 def test_config_validation(monkeypatch, tmp_path):
     with pytest.raises(ConfigError):
         SweepConfig(delta_db_points=1)
+    # Integer fields take integers only, named where they enter, not as a
+    # TypeError from delta_grid or the enumeration later
+    for points in (2.5, 3.0, "3"):
+        with pytest.raises(ConfigError, match="delta_db_points"):
+            SweepConfig(delta_db_points=points)
+    with pytest.raises(ConfigError, match="cutoff_n: cutoff must be >= 1 and an integer"):
+        SweepConfig(cutoff_n=150.0)
+    with pytest.raises(ConfigError, match="rounds_list: rounds must be an odd integer"):
+        SweepConfig(rounds_list=(1, 3.0))
+    assert SweepConfig(delta_db_points=np.int64(3)).delta_grid().size == 3
     with pytest.raises(ConfigError):
         SweepConfig(delta_db_min=10, delta_db_max=8)
     with pytest.raises(ConfigError):
@@ -211,7 +220,7 @@ def _mixed_point(db, sigma):
     delta = db_to_delta(db)
     spec = auto_cutoff(delta)
     pair = make_state_pair(spec, delta, sigma=sigma)
-    return pair, effective_squeezing(spec, pair.state0)
+    return pair, pair.delta_eff
 
 
 @pytest.mark.parametrize("db, sigma", [(9.0, 0.05), (11.0, 0.15)])
@@ -221,7 +230,7 @@ def test_lambda_search_matches_bounded_minimization(db, sigma):
     from scipy.optimize import minimize_scalar
 
     pair, deff = _mixed_point(db, sigma)
-    lam, p_err = optimize_lambda_simulated(pair, deff)
+    lam, p_err = optimize_lambda_simulated(pair)
     res = minimize_scalar(lambda x: simulated_p_err(pair, CircuitParams(x, 1)).p_err,
                           bounds=(0.0, min(3 * np.sqrt(np.pi) * deff**2, LAMBDA_SEARCH_MAX)),
                           method="bounded", options={"xatol": 1e-10})
@@ -230,17 +239,19 @@ def test_lambda_search_matches_bounded_minimization(db, sigma):
     assert p_err == error_curve(pair)(lam)
 
 
-def test_lambda_search_without_minimum_returns_least_scan_point():
+def test_lambda_search_without_minimum_returns_least_scan_point(monkeypatch):
     # Without a minus-to-plus change of the slope on [0, hi], the search
-    # returns the scan point of least error: here hi lies below the
-    # minimum, so the slope stays negative and that point is hi itself
+    # returns the scan point of least error: here hi, capped by
+    # LAMBDA_SEARCH_MAX, lies below the minimum, so the slope stays
+    # negative and that point is hi itself
     pair, _ = _mixed_point(10.0, 0.1)
-    small = 0.02
-    grid = np.linspace(0.0, 3 * np.sqrt(np.pi) * small**2, LAMBDA_SCAN_POINTS)
+    hi = 3 * np.sqrt(np.pi) * 0.02**2
+    monkeypatch.setattr(sweep, "LAMBDA_SEARCH_MAX", hi)
+    grid = np.linspace(0.0, hi, LAMBDA_SCAN_POINTS)
     curve = error_curve(pair)
     assert np.all(curve.slope(grid) < 0)
     assert np.argmin(curve(grid)) == grid.size - 1
-    lam, p_err = optimize_lambda_simulated(pair, small)
+    lam, p_err = optimize_lambda_simulated(pair)
     assert lam == grid[-1]
     assert p_err == curve(lam)
 
@@ -603,7 +614,7 @@ def test_lambda_search_takes_few_newton_steps(db, sigma):
     lam = analytics.first_rising_root(slope, curve.curvature, grid, sweep.LAMBDA_XTOL)
     assert points[0] == 1 and len(points) <= 1 + 4
     assert abs(curve.slope(lam)) <= 1e-12 * curve.curvature(lam)
-    assert (lam, curve(lam)) == optimize_lambda_simulated(pair, deff)
+    assert (lam, curve(lam)) == optimize_lambda_simulated(pair)
 
 
 def test_one_ket_build_per_cutoff_per_column(monkeypatch):
