@@ -5,7 +5,9 @@ even-odd block per cutoff N: X's eigenbasis as half-size parity
 sectors. A strongly squeezed vacuum needs many Fock levels: at
 delta = 0.5 its variances are exact at N = 40, at delta = 0.2 they are
 off until N nears 150. A 14 dB GKP pair shows the cutoff as population
-leaking into the top Fock levels, and in the readout error built on it.
+leaking into the top Fock levels, and in the readout error that the
+sweeps read off its Fock states, next to the exact error of the untruncated
+states (`simulated_p_err`, which has no cutoff).
 
 Run: python3 demos/01_fock_space_basics.py
 """
@@ -14,7 +16,7 @@ import numpy as np
 
 from gkp_readout.analytics import optimal_lambda
 from gkp_readout.fock import LEAKAGE_TOL, HilbertSpec, leakage, squeezed_vacuum, x_sectors
-from gkp_readout.readout import CircuitParams, simulated_p_err
+from gkp_readout.readout import CircuitParams, readout_error, simulated_p_err
 from gkp_readout.states import auto_cutoff, converged_pairs, db_to_delta, x_populations
 
 
@@ -40,16 +42,20 @@ for n in (40, 80, 150):
 
 # A GKP state at 14 dB spreads over hundreds of Fock levels. Too small a
 # cutoff shows as leakage into the top two levels, and the readout error
-# of the truncated pair is wrong by orders of magnitude.
+# of the truncated pair (the sweeps' `readout_error`) is wrong by orders of
+# magnitude. The exact error reads only the pair's (delta, kappa, sigma),
+# so it is the same at every N.
 delta = db_to_delta(14.0)
 lam = optimal_lambda(delta)
+simple, improved = CircuitParams(0.0, 1), CircuitParams(lam, 1)
 print(f"\n14 dB GKP pair (delta = {delta:.4f}, optimal lambda = {lam:.5f}):")
-print(f"  {'N':>4} {'leakage':>10} {'p_err simple':>13} {'p_err improved':>15}")
+print(f"  {'N':>5} {'leakage':>10} {'p_err simple':>13} {'p_err improved':>15}")
 for n in (75, 150, 300):
     pair = converged_pairs((delta,), (None,), (0.0,), n, n)[0][0]
     lk = max(leakage(pair.state0), leakage(pair.state1))
-    simple = simulated_p_err(pair, CircuitParams(0.0, 1)).p_err
-    improved = simulated_p_err(pair, CircuitParams(lam, 1)).p_err
-    print(f"  {n:4d} {lk:10.2e} {simple:13.6e} {improved:15.6e}")
+    print(f"  {n:5d} {lk:10.2e} {readout_error(pair, simple):13.6e} "
+          f"{readout_error(pair, improved):15.6e}")
+print(f"  {'exact':>5} {'':>10} {simulated_p_err(pair, simple).p_err:13.6e} "
+      f"{simulated_p_err(pair, improved).p_err:15.6e}")
 print(f"auto_cutoff doubles N from 150 until leakage < {LEAKAGE_TOL:.0e}: "
       f"N = {auto_cutoff(delta).cutoff}")

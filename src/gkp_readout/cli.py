@@ -98,21 +98,21 @@ def cmd_validate(args) -> int:
     checks.append(("squeezed-vacuum X variance", abs(var - 0.125) < 1e-9))
     checks.append(("effective squeezing of the 10 dB ket",
                    abs(pair.delta_eff - delta) < 1e-9))
-    # At lambda = 0 the branches run on the X sectors, so the optimal
-    # lambda is what puts the Kraus pair itself to this test.
+    # The exact enumeration's branches, at lambda = 0 and at the optimum.
     outs = [readout.simulated_p_err(pair, readout.CircuitParams(x, 1)) for x in (0.0, lam)]
     checks.append(("probability conservation", all(
         abs(sum(branch.probability for branch in tree) - 1) < 1e-10
         for out in outs for tree in (out.branches_0, out.branches_1))))
     checks.append(("Helstrom dominance",
                    all(out.p_err >= pair.helstrom - 1e-10 for out in outs)))
-    # The sweeps' closed forms (R = 3 at lambda = 0, R = 1 at the optimum)
-    # against the branch enumeration, which outs[1] already holds at the
-    # optimum.
+    # The sweeps' closed forms (R = 3 at lambda = 0, R = 1 at the optimum),
+    # read off the Fock states at the pair's cutoff, against the exact
+    # enumeration, which outs[1] already holds at the optimum. They differ by
+    # the cutoff's truncation: 7.3e-11 and 8.9e-10 relative at N = 150.
     params = (readout.CircuitParams(0.0, 3), readout.CircuitParams(lam, 1))
     closed = [readout.readout_error(pair, prm) for prm in params]
-    checks.append(("closed-form p_err equals branch enumeration at 10 dB", all(
-        abs(c - out.p_err) <= 1e-12 * c + 1e-16
+    checks.append(("sweep closed forms within 1e-9 of the exact enumeration at 10 dB", all(
+        abs(c - out.p_err) <= 1e-9 * out.p_err
         for c, out in zip(closed, (readout.simulated_p_err(pair, params[0]), outs[1])))))
     formula = analytics.p_err_improved_formula(delta, lam)
     checks.append(("formula agreement at 10 dB",

@@ -6,15 +6,15 @@ prepends U_y(-lambda). With the qubit prepared in |0> and measured
 afterwards, the circuit is a two-outcome instrument {K0, K1} on the
 oscillator alone, as real blocks on the X sectors of `fock.x_sectors`
 (`sector_kraus`). `simulated_p_err` enumerates every branch of a
-multi-round run exactly on a pair's sector form, advancing both states'
-live branches a round at a time, and returns each branch as plain data,
-its outcomes and probability; `post_state` replays one branch on the
-same form and lifts its state to Fock. `readout_errors` takes a
-closed form where one exists: tails cached per cutoff and rounds at
+multi-round run exactly, as sums of Gaussian terms in the pair's
+(delta, kappa, sigma) with no Fock cutoff, and returns each branch as plain
+data, its outcomes and probability; `post_state` replays one branch on the
+Fock states the pair holds. `readout_errors` takes a closed form on those
+Fock states where one exists: tails cached per cutoff and rounds at
 lambda = 0, a stack of a cutoff's one-round ket cells at any lambda.
-`error_curve` is the one-round error as a function of lambda, with its
-slope and curvature, for lambda searches. The ideal homodyne readout
-they are compared with is a closed-form peak sum.
+`error_curve` is the one-round error of the Fock states as a function of
+lambda, with its slope and curvature, for lambda searches. The ideal
+homodyne readout they are compared with is a closed-form peak sum.
 """
 
 from __future__ import annotations
@@ -162,8 +162,8 @@ class ErrorCurve:
 
 
 def error_curve(pair: GkpStatePair) -> ErrorCurve:
-    """The R = 1 error curve of a state pair: `simulated_p_err` at one
-    round as a function of λ, O(N²) per λ after an O(N³) build.
+    """The R = 1 error curve of the Fock states a pair holds: their
+    one-round p_err as a function of λ, O(N²) per λ after an O(N³) build.
 
     The error is ½ Σ_mu Σ_p Tr(K ρ_pp Kᵀ) over the wrong outcome's real
     Kraus blocks K = B_out[G diag(c) ± H diag(s)] W_pᵀ, c = cos λs and
@@ -191,15 +191,11 @@ def error_curve(pair: GkpStatePair) -> ErrorCurve:
     return ErrorCurve(w, (tuple(forms), slope, _derivative(slope, w)))
 
 
-# The enumeration advances the live nodes of a round together, on X-sector
-# blocks (`sector_kraus`) keyed by their parities: (p,) for a ket's sector
-# vector B_pᵀψ_p, (p, q) for a density matrix's block B_pᵀρ_pqB_q. `pieces`
-# maps each key to a stack whose row i is node i's block, zero where the
-# node has none. The keys are those of the roots and their flips, which the
-# Kraus pair leads to; any other key would stay zero, and is left out, so its
-# products are never formed. Blocks are carried unnormalized: a node's
-# squared norm (ket) or trace (density matrix) is the probability of the
-# outcomes that led to it.
+# `post_state` replays a branch on X-sector blocks (`sector_kraus`) keyed
+# by their parities: (p,) for a ket's sector vector B_pᵀψ_p, (p, q) for a
+# density matrix's block B_pᵀρ_pqB_q. Blocks are carried unnormalized: a
+# node's squared norm (ket) or trace (density matrix) is the probability of
+# the outcomes that led to it.
 def _apply_kraus(ops, key: tuple, x: np.ndarray, out=None) -> np.ndarray:
     # K0 or M1, given as `ops`, on the block `key`, or on a stack of them.
     if len(key) == 1:
@@ -217,117 +213,93 @@ def _roots(spec: HilbertSpec, states) -> dict:
     return {key: np.array([b.get(key, np.zeros_like(x)) for b in held]) for key, x in keys.items()}
 
 
-def _forward_round(kraus, pieces: dict, hist: np.ndarray) -> tuple:
-    # One round of the n live nodes, whose histories `hist` holds: one
-    # batched product per (outcome, key), as K_f takes key k to k ^ f. Child
-    # f·n + i is node i under K_f, and it lives if its probability exceeds
-    # PROB_PRUNE. Returns the live children's pieces, histories and
-    # probabilities.
-    n, first = len(hist), next(iter(pieces.values()))
-    children, probs = {}, np.zeros(2 * n)
-    for c in pieces:
-        y = np.empty((2, *first.shape), dtype=np.result_type(*pieces.values()))
-        for f, ops in enumerate(kraus):
-            key = tuple(k ^ f for k in c)
-            _apply_kraus(ops, key, pieces[key], out=y[f])
-        children[c] = y = y.reshape(2 * n, *first.shape[1:])
-        if len(c) == 1:
-            probs += (abs(y) ** 2).sum(axis=-1)
-        elif c[0] == c[1]:
-            probs += np.trace(y, axis1=1, axis2=2).real
-    keep = probs > PROB_PRUNE
-    if not keep.all():
-        children = {c: y[keep] for c, y in children.items()}
-    return children, np.concatenate((2 * hist, 2 * hist + 1))[keep], probs[keep]
-
-
-def _suffix_table(kraus, rounds: int, pieces: dict) -> np.ndarray:
-    # table[r, i] = ⟨E_w, ρ_i⟩ over the prefix nodes' density blocks: the
-    # probability of node i's history followed by outcome string w of the
-    # last m = rounds - ⌊rounds/2⌋ rounds, at row r = (2ʲ - 2) + int(w, 2)
-    # for w of length j = 1…m. The effects E_w = K_wᵀK_w, K_w = K_{w_j}…K_{w_1}
-    # on the blocks of `sector_kraus`, are read a level at a time as they are
-    # built: the Grams KᵀK first, then E_{bw} = K_bᵀ E_w K_b, with E_w on the
-    # parity K_b leads to. Only the level the next is built from is held.
-    m = rounds - rounds // 2
-    # Here K multiplies on the right, so it is made contiguous (see
-    # `sector_kraus`).
-    kraus = [[np.ascontiguousarray(k) for k in ops] for ops in kraus]
-    nodes = {p: x.real.reshape(len(x), -1).T for (p, q), x in pieces.items() if p == q}
-    table, level = np.zeros((2 ** (m + 1) - 2, len(next(iter(pieces.values()))))), None
-    for j in range(m):
-        # Level j + 1 follows level j, b major.
-        lo, size = (2 << j) - 2, 1 << j
-        held = [np.empty((2 * size, *ops.shape)) for ops in kraus[0]] if j < m - 1 else None
-        for p in (0, 1):
-            for b, ops in enumerate(kraus):
-                e = np.matmul(ops[p].T, level[p ^ b] @ ops[p] if j else ops[p][None],
-                              out=None if held is None else held[p][b * size:(b + 1) * size])
-                if p in nodes:
-                    table[lo + b * size:lo + (b + 1) * size] += e.reshape(size, -1) @ nodes[p]
-        level = held
-    return table
-
-
-def _sector_effects(spec: HilbertSpec, rounds: int) -> np.ndarray:
-    """The effects E_w of every outcome string of all `rounds` rounds at
-    lambda = 0, in the row layout of `_suffix_table`. There K0 = cos(√π X/2)
-    and M1 = sin(√π X/2) are diagonal on the sectors of `fock.x_sectors`, so
-    E_w is too: row (2ʲ - 2) + int(w, 2) holds (c²)^zeros (σ²)^ones at s, and
-    ⟨E_w, ρ⟩ = E_w · sym, `sym` from `x_populations`."""
-    half = np.sqrt(np.pi) / 2 * x_sectors(spec)[1]
-    first = np.stack((np.cos(half) ** 2, np.sin(half) ** 2))
-    levels = [first]
-    for _ in range(1, rounds):
-        # E_{bw} = E_b E_w, b major
-        levels.append((first[:, None] * levels[-1]).reshape(-1, half.size))
-    return np.concatenate(levels)
+@lru_cache(maxsize=8)
+def _branch_tree(rounds: int, lam: float) -> tuple:
+    """The coefficients h_w(n, l) of every outcome string w of `rounds`
+    rounds at lambda, row int(w, 2), on the terms t_nl(x) =
+    g(x - x_s - nλ) e^{iq_l x}, q_l = l√π/2, that the rounds leave of a
+    peak g(x - x_s); the flat index of (m, d) and the phase of
+    `simulated_p_err`'s M^μ; and the outcome strings. All depend on (R, λ)
+    alone: cached, read-only."""
+    # cos λP and i sin λP move n by -1 with ½e^{iq_lλ} and by +1 with
+    # ±½e^{-iq_lλ}; C = cos(√π X/2) and S = sin(√π X/2) move l by ±1. So
+    # K0 = ½[D ⊗ (C - S)E₊ + U ⊗ (C + S)E₋] and
+    # M1 = ½[D ⊗ (C + S)E₊ - U ⊗ (C - S)E₋], D and U moving n by -1 and +1,
+    # E± = diag(e^{±iq_lλ}) and C ∓ S = ½[(1 ± i)(l → l + 1) + (1 ∓ i)(l → l - 1)].
+    # After r rounds n ≡ l ≡ r (mod 2), so h holds n = 2a - r and l = 2b - r
+    # at [a, b]: a round applies the four l-axis factors, (r + 1) × (r + 2),
+    # as products, and D keeps a where U raises it by one.
+    h = np.ones((1, 1, 1), dtype=complex)
+    for r in range(rounds):
+        e = np.exp(0.5j * np.sqrt(np.pi) * lam * np.arange(-r, r + 1, 2))[:, None]
+        up, down = np.eye(r + 1, r + 2, 1) / 4, np.eye(r + 1, r + 2) / 4
+        c_minus_s, c_plus_s = (1 + 1j) * up + (1 - 1j) * down, (1 - 1j) * up + (1 + 1j) * down
+        y = h[:, None] @ np.array([e * c_minus_s, e.conj() * c_plus_s, e * c_plus_s,
+                                   -e.conj() * c_minus_s])
+        h = np.zeros((len(h), 2, r + 2, r + 2), dtype=complex)
+        h[:, :, :-1] = y[:, 0::2]
+        h[:, :, 1:] += y[:, 1::2]
+        h = h.reshape(-1, r + 2, r + 2)
+    a, b = np.divmod(np.arange((rounds + 1) ** 2), rounds + 1)
+    m, d = np.subtract.outer(a, a), np.subtract.outer(b, b).T
+    out = (h.reshape(len(h), -1), (m + rounds) * (2 * rounds + 1) + d + rounds,
+           np.exp(1j * np.sqrt(np.pi) * lam * d * (np.add.outer(a, a) - rounds)))
+    for x in out:
+        x.setflags(write=False)
+    return (*out, tuple(format(w, f"0{rounds:d}b") for w in range(len(h))))
 
 
 def simulated_p_err(pair: GkpStatePair, params: CircuitParams) -> ReadoutOutcome:
     """Exact readout error probability by full branch enumeration and
-    majority vote over params.rounds repetitions, both states' trees a round
-    at a time on the pair's sector form. Each branch is its outcome string
-    and probability; `post_state` gives a branch's state. At lambda = 0
-    every round reads its probabilities off the X populations, and no
-    Kraus pair is built."""
-    # A ket runs every round forward; a density matrix its first ⌊R/2⌋, and
-    # its later rounds read `_suffix_table`.
-    rounds, hist = params.rounds, np.arange(2)
-    if params.lam == 0:
-        forward = 0
-        table = _sector_effects(pair.spec, rounds) @ np.transpose([s for s, _ in pair.populations])
-    else:
-        kraus = sector_kraus(pair.spec, params.lam)
-        forward, pieces = rounds if pair.is_pure else rounds // 2, _roots(pair.spec, pair.sectors)
-        for _ in range(forward):
-            pieces, hist, probs = _forward_round(kraus, pieces, hist)
-        if forward < rounds:
-            table = _suffix_table(kraus, rounds, pieces)
-    # The later rounds extend node i's history by suffix w, row by row of
-    # the table, and the leaves are then put in the order of their histories.
-    nodes, w = np.arange(len(hist)), np.zeros(len(hist), dtype=int)
-    for j in range(rounds - forward):
-        nodes, w = np.concatenate((nodes, nodes)), np.concatenate((2 * w, 2 * w + 1))
-        probs = table[(2 << j) - 2 + w, nodes]
-        keep = probs > PROB_PRUNE
-        nodes, w, probs = nodes[keep], w[keep], probs[keep]
-    hist = hist[nodes] << (rounds - forward) | w
-    trees = ([], [])
-    for h, prob in sorted(zip(hist.tolist(), probs.tolist())):
-        trees[h >> rounds].append(Branch(format(h % (1 << rounds), f"0{rounds:d}b"), prob))
+    majority vote over params.rounds repetitions, for the untruncated states
+    of the pair's (delta, kappa, sigma): no Fock cutoff, and no read of the
+    states the pair holds. Each branch is its outcome string and
+    probability, pruned at PROB_PRUNE.
+
+    ψ_μ(x) = Σ_s a_s g(x - √π j_s) over the peaks j_s ≡ μ (mod 2) that
+    `peak_weights` keeps, |g|² of variance δ²/2. A round acts on every peak
+    alike, so branch w leaves Σ_s a_s Σ_nl h_w(n, l) t_nl (`_branch_tree`),
+    and p_w^μ = h_wᴴ M^μ h_w is a sum of Gaussian integrals (after Bourassa
+    et al., PRX Quantum 2, 040315, 2021). In the half differences
+    m = (n - n')/2, d = (l' - l)/2 and L = (j_s - j_t)/2,
+    M^μ = Σ_L G_L(m)[W⁰_L + (-1)^d W¹_L] exp(-πd²(δ²/4 + σ²/2) - 2σ²λ²m²)
+    exp(i√π dλ(n + n')/2), G_L(m) = exp(-(√π L + λm)²/δ²), and W^π_L sums
+    a_s a_t over the peak pairs with (j_s + j_t)/2 ≡ π (mod 2). The
+    channel's N(0, σ²) shifts of X and P enter only as the damping. M^μ is
+    divided by its value at n = n', l = l', which normalizes the state."""
+    rounds, lam = params.rounds, params.lam
+    h, index, phase, strings = _branch_tree(rounds, lam)
+    j, weights = peak_weights((pair.kappa,))
+    # lags[μ, L, π] by one bincount over the peak pairs of both states
+    key = np.subtract.outer(j, j) // 2 + j[-1] + len(j) * np.arange(2)[:, None, None]
+    lags = np.bincount((2 * key + np.add.outer(j, j) // 2 % 2).ravel(),
+                       (weights[0][:, :, None] * weights[0][:, None, :]).ravel(), 4 * len(j))
+    # Σ_L G_L(m) W^π_L and the damping at m, d = -R…R, normalized, then
+    # M^μ by a gather
+    half = np.arange(-rounds, rounds + 1)
+    t = np.exp(-((np.sqrt(np.pi) * j + lam * half[:, None]) / pair.delta) ** 2) @ lags.reshape(
+        2, len(j), 2)
+    damp = np.exp(-np.pi * (pair.delta**2 / 4 + pair.sigma**2 / 2) * half**2
+                  - 2 * np.square(pair.sigma * lam * half)[:, None])
+    forms = (t[..., :1] + (1 - 2 * (half % 2)) * t[..., 1:]) * damp
+    forms = (forms / t[:, rounds].sum(axis=-1)[:, None, None]).reshape(2, -1).take(index, axis=1)
+    probs = (h.conj() * (h @ (forms * phase).transpose(0, 2, 1))).sum(axis=-1).real
+    trees = tuple(tuple(Branch(*b) for b in zip(strings, row.tolist()) if b[1] > PROB_PRUNE)
+                  for row in probs)
     wrong = [sum(b.probability for b in tree if b.majority != mu) for mu, tree in enumerate(trees)]
     return ReadoutOutcome(p_1_given_0=wrong[0], p_0_given_1=wrong[1],
-                          branches_0=tuple(trees[0]), branches_1=tuple(trees[1]))
+                          branches_0=trees[0], branches_1=trees[1])
 
 
 def post_state(pair: GkpStatePair, lam: float, mu: int, outcomes: str) -> np.ndarray:
     """The normalized state of input mu after the rounds of `outcomes` at
-    lambda, as a read-only Fock ket or density matrix: the branch of
-    `simulated_p_err` replayed on the pair's sector form, one outcome at a
-    time. A ket takes the phase iᵒⁿᵉˢ that K1 = i M1 leaves out."""
-    # Blocks are carried unnormalized, as in the enumeration, so the
-    # replayed probability is a ket's squared norm or a density's trace.
+    lambda, as a read-only Fock ket or density matrix: the branch replayed
+    on the Fock states the pair holds (its sector form), one outcome at a
+    time, and normalized by the probability it replays there, which is
+    the branch's probability in `simulated_p_err` up to the cutoff's
+    truncation. A ket takes the phase iᵒⁿᵉˢ that K1 = i M1 leaves out."""
+    # Blocks are carried unnormalized, so the replayed probability is a
+    # ket's squared norm or a density's trace.
     if mu not in (0, 1) or set(outcomes) - {"0", "1"}:
         raise ValueError(f"need mu in (0, 1) and outcomes of 0 and 1, got {mu}, {outcomes!r}")
     kraus = sector_kraus(pair.spec, lam)
@@ -357,11 +329,13 @@ def readout_error(pair: GkpStatePair, params: CircuitParams) -> float:
 
 
 def readout_errors(cells) -> list[float]:
-    """`simulated_p_err(pair, params).p_err` of each (pair, params) cell by
-    the cheapest exact route, in non-negative terms: at lambda = 0 a sum
-    over both states' X populations (`_majority_tails`); at one round on
-    kets ½ Σ_μ Σ_p ‖G(c∘e) ± H(s∘e)‖², a cutoff's cells in one stack; else
-    the branch enumeration."""
+    """The p_err of each (pair, params) cell. Where a closed form exists it
+    is read, in non-negative terms, off the Fock states the pair holds, so
+    it carries their cutoff's truncation: at lambda = 0 a sum over both
+    states' X populations (`_majority_tails`); at one round on kets
+    ½ Σ_μ Σ_p ‖G(c∘e) ± H(s∘e)‖², a cutoff's cells in one stack. Any other
+    cell is `simulated_p_err(pair, params).p_err`, exact for the pair's
+    grid point."""
     # At lambda = 0, for any input and rounds, K0 and M1 are cos(√π X/2) and
     # sin(√π X/2), so at X = ±s_a the rounds are i.i.d. with
     # P(1) = q_a = sin²(√π s_a/2), and
@@ -371,7 +345,9 @@ def readout_errors(cells) -> list[float]:
     # parity p (`_kraus_factors`), e = W_pᵀψ_p, c = cos λs and s = sin λs:
     # a few products of half-size matrices, and no Kraus pair is built. They
     # are stacks of matrix-vector products, so each cell rounds as it would
-    # alone.
+    # alone under the same BLAS. A multithreaded BLAS may split a product
+    # at N = 300 across threads, so the last bits can change with the
+    # thread count.
     out, stacks = np.empty(len(cells)), {}
     for k, (pair, params) in enumerate(cells):
         if params.lam == 0:

@@ -72,7 +72,8 @@ class GkpStatePair:
     state0's (`purity`, `effective_squeezing`), and `helstrom` is the kets'
     `helstrom_bound`, None for a mixed pair. `state0` and `state1` each
     assemble their Fock array on their own first read; every other reader
-    uses only the kets and blocks."""
+    uses only the kets and blocks. `readout.simulated_p_err` reads only the
+    grid point (delta, kappa, sigma), never the states held."""
 
     given0: object
     given1: object
@@ -140,8 +141,9 @@ def gkp_kets(spec: HilbertSpec, deltas, kappas) -> np.ndarray:
     # ket's peaks, and one cosine table serve the column; cos is even, so
     # the rows j < 0 mirror those j > 0. Each comb sums its own peaks in
     # order, and every product is a stack of matrix-vector ones, so a ket
-    # rounds as it would alone, whatever the column and the BLAS thread
-    # count.
+    # rounds as it would alone, whatever the column. A multithreaded BLAS
+    # may split those products, so from N = 600 the last bits can change
+    # with the thread count.
     _, s, _, y_s, _, _ = x_sectors(spec)
     j, weight = peak_weights(kappas)
     half = np.cos(np.sqrt(2) * np.outer(HALF_SPACING * j[j >= 0], s))

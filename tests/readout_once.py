@@ -1,6 +1,6 @@
 """One round of the readout circuit on the full Fock space, with both
-outcomes' probabilities and post-states: the single round that
-`simulated_p_err`'s branch trees repeat, kept eager, on the Fock lift of
+outcomes' probabilities and post-states: the single round that the Fock
+twin's branch trees (`fock_twin`) repeat, kept eager, on the Fock lift of
 the package's X-sector Kraus pair, for the tests that check it against the
 hybrid oracle and against identities.
 """

@@ -97,21 +97,27 @@ def test_validate_command(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 7
-    assert "PASS  closed-form p_err equals branch enumeration at 10 dB" in out
+    assert "PASS  sweep closed forms within 1e-9 of the exact enumeration at 10 dB" in out
 
 
 def test_validate_reports_failure(capsys, monkeypatch):
-    # A Kraus block scaled by 1.01 breaks completeness and probability
-    # conservation: validate says FAIL and exits as a convergence failure
+    # A Kraus block scaled by 1.01 breaks completeness, and branch
+    # coefficients scaled by 1.01 break probability conservation: validate
+    # says FAIL and exits as a convergence failure
     from gkp_readout import readout
 
-    kraus = readout.sector_kraus
+    kraus, tree = readout.sector_kraus, readout._branch_tree
 
     def scaled(spec, lam):
         (a0, a1), b = kraus(spec, lam)
         return (1.01 * a0, a1), b
 
+    def scaled_tree(rounds, lam):
+        h, *rest = tree(rounds, lam)
+        return (1.01 * h, *rest)
+
     monkeypatch.setattr(readout, "sector_kraus", scaled)
+    monkeypatch.setattr(readout, "_branch_tree", scaled_tree)
     assert main(["validate"]) == EXIT_CONVERGENCE
     out = capsys.readouterr().out
     assert "FAIL  Kraus completeness" in out
@@ -371,10 +377,11 @@ def test_parser_built_once_and_runner_looked_up_when_run(monkeypatch, capsys):
 
 
 def test_sweep_csv_independent_of_blas_threads(tmp_path):
-    # The kets and the closed-form cells are stacks of matrix-vector
-    # products, so a table's CSV is the same under one BLAS thread and two.
-    # The fig1c grid holds the 14 dB, sigma = 0.1 improved cell, whose p_err
-    # lies within 1e-16 relative of a 12-digit rounding boundary
+    # A table's CSV is the same under one BLAS thread and two: a second
+    # thread can move a cell's last bits (the JSON of default fig1a, fig1b
+    # and fig1c differs), and the CSV's 12 digits hide them. The fig1c grid
+    # holds the 14 dB, sigma = 0.1 improved cell, whose p_err lies within
+    # 1e-16 relative of a 12-digit rounding boundary
     src = Path(__file__).resolve().parents[1] / "src"
     cfg = tmp_path / "fig1c.cfg"
     cfg.write_text("delta_db_min = 11\ndelta_db_max = 14\ndelta_db_points = 3\n"

@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -27,6 +28,7 @@ from gkp_readout.states import (
     GkpStatePair,
     assemble_density,
     auto_cutoff,
+    converged_pairs,
     db_to_delta,
     gaussian_displacement_channel,
     helstrom_bound,
@@ -50,6 +52,7 @@ from hybrid_oracle import (
     readout_unitary,
     run_readout_hybrid,
 )
+from fock_twin import fock_p_err
 from readout_once import fock_kraus, run_readout_once
 
 SPEC = HilbertSpec(150)
@@ -230,12 +233,14 @@ def curve_case(request):
 
 
 def test_error_curve_matches_simulated_p_err(curve_case):
-    # The curve's quadratic forms cancel down to p_err, so they carry an
-    # absolute rounding error of a few 1e-16; the branch enumeration's sums
-    # of squares do not. 2e-16 is 2e-11 relative at the 14 dB optimum of
-    # the ket pair, p_err = 1.09e-5.
+    # The curve reads the Fock states the pair holds, so it is checked
+    # against the Fock twin of simulated_p_err on the same states. The
+    # curve's quadratic forms cancel down to p_err, so they carry an
+    # absolute rounding error of a few 1e-16; the twin's sums of squares do
+    # not. 2e-16 is 2e-11 relative at the 14 dB optimum of the ket pair,
+    # p_err = 1.09e-5.
     pair, curve, lams = curve_case
-    ref = np.array([simulated_p_err(pair, CircuitParams(lam, 1)).p_err for lam in lams])
+    ref = np.array([fock_p_err(pair, CircuitParams(lam, 1)).p_err for lam in lams])
     for got in (curve(lams), [curve(lam) for lam in lams]):
         assert np.all(np.abs(got - ref) <= 1e-12 * ref + 2e-16)
 
@@ -300,9 +305,11 @@ def test_general_input_run_once_matches_hybrid_oracle(general_case):
 
 
 def _assert_tree_matches_hybrid_oracle(pair, lam, unitary, rounds):
-    # Outcome strings in the same order, then probabilities, post-states
-    # and p_err within 1e-10 relative
-    out = simulated_p_err(pair, CircuitParams(lam, rounds))
+    # The Fock twin of simulated_p_err and post_state, both on the Fock
+    # states the pair holds, against the oracle on the same states: outcome
+    # strings in the same order, then probabilities, post-states and p_err
+    # within 1e-10 relative
+    out = fock_p_err(pair, CircuitParams(lam, rounds))
     wrong = []
     for mu, state, tree in ((0, pair.state0, out.branches_0),
                             (1, pair.state1, out.branches_1)):
@@ -341,10 +348,12 @@ def test_multi_round_branches_match_hybrid_oracle(oracle_case, general_case, cas
 
 def test_pruning_inside_the_suffix_rounds(monkeypatch, oracle_case):
     # With a coarse PROB_PRUNE, R = 5 histories of a density matrix die in
-    # rounds 3-5, which read their probabilities off the suffix effects (at
-    # lambda = 0 every round does), and those of a ket at the optimal lambda
-    # in its forward rounds, where a mask drops them from the stacks; each
-    # must go in the round where the oracle's cumulative probability falls.
+    # the Fock twin's rounds 3-5, which read their probabilities off the
+    # suffix effects (at lambda = 0 every round does), and those of a ket at
+    # the optimal lambda in its forward rounds, where a mask drops them from
+    # the stacks; each must go in the round where the oracle's cumulative
+    # probability falls. The exact enumeration prunes only its leaves, and
+    # keeps the same outcome strings, as no leaf outweighs its prefix.
     from gkp_readout import readout
 
     prune = 1e-4
@@ -352,7 +361,11 @@ def test_pruning_inside_the_suffix_rounds(monkeypatch, oracle_case):
     _, pure, mixed, unitaries = oracle_case(10)
     lam = max(unitaries)
     for pair, lam in ((mixed, 0.0), (mixed, lam), (pure, lam)):
-        out = simulated_p_err(pair, CircuitParams(lam, 5))
+        out = fock_p_err(pair, CircuitParams(lam, 5))
+        exact = simulated_p_err(pair, CircuitParams(lam, 5))
+        for tree, exact_tree in zip((out.branches_0, out.branches_1),
+                                    (exact.branches_0, exact.branches_1)):
+            assert [b.outcomes for b in exact_tree] == [b.outcomes for b in tree]
         for state, tree in ((pair.state0, out.branches_0), (pair.state1, out.branches_1)):
             want = enumerate_branches_hybrid(pair.spec, state, unitaries[lam], 5, prune=prune)
             assert [b.outcomes for b in tree] == [w[0] for w in want]
@@ -365,17 +378,17 @@ def test_pruning_inside_the_suffix_rounds(monkeypatch, oracle_case):
 
 @pytest.mark.parametrize("rounds, applies", [(1, 0), (3, 4), (5, 12), (7, 28)])
 def test_density_tree_work_is_pinned(monkeypatch, rounds, applies):
-    # A density pair at lambda != 0 runs only rounds//2 rounds forward, both
-    # trees in one stack: at R = 5, 2 + 4 children formed per tree, against
-    # 2 + 4 + 8 + 16 with every round before the last run forward. A forward
-    # round is one batched product per (outcome, block key), and the suffix
-    # effects are built once per call and read against every prefix node of
-    # both trees.
-    from gkp_readout import readout
+    # The Fock twin's density pair at lambda != 0 runs only rounds//2 rounds
+    # forward, both trees in one stack: at R = 5, 2 + 4 children formed per
+    # tree, against 2 + 4 + 8 + 16 with every round before the last run
+    # forward. A forward round is one batched product per (outcome, block
+    # key), and the suffix effects are built once per call and read against
+    # every prefix node of both trees.
+    import fock_twin
 
     calls = {"rounds": 0, "children": 0, "products": 0, "tables": []}
-    forward_round, apply_kraus, suffix_table = (readout._forward_round, readout._apply_kraus,
-                                                readout._suffix_table)
+    forward_round, apply_kraus, suffix_table = (fock_twin._forward_round, fock_twin._apply_kraus,
+                                                fock_twin._suffix_table)
 
     def counted_round(kraus, pieces, hist):
         calls["rounds"] += 1
@@ -391,12 +404,12 @@ def test_density_tree_work_is_pinned(monkeypatch, rounds, applies):
         calls["tables"].append((r, table.shape))
         return table
 
-    monkeypatch.setattr(readout, "_forward_round", counted_round)
-    monkeypatch.setattr(readout, "_apply_kraus", counted_apply)
-    monkeypatch.setattr(readout, "_suffix_table", counted_table)
+    monkeypatch.setattr(fock_twin, "_forward_round", counted_round)
+    monkeypatch.setattr(fock_twin, "_apply_kraus", counted_apply)
+    monkeypatch.setattr(fock_twin, "_suffix_table", counted_table)
     pair = make_state_pair(SPEC, DELTA_10DB, sigma=0.1)
     assert set(pair.sectors[0]) == set(pair.sectors[1]) == {(0, 0), (1, 1)}
-    out = simulated_p_err(pair, CircuitParams(optimal_lambda(DELTA_10DB), rounds))
+    out = fock_p_err(pair, CircuitParams(optimal_lambda(DELTA_10DB), rounds))
     assert len(out.branches_0) == len(out.branches_1) == 2**rounds
     prefixes, m = 2 * 2 ** (rounds // 2), rounds - rounds // 2
     assert calls["tables"] == [(rounds, (2 ** (m + 1) - 2, prefixes))]
@@ -430,9 +443,10 @@ def test_lambda_zero_builds_no_kraus_pair(monkeypatch, pair_10db):
 @pytest.mark.parametrize("lam", [0.0, 0.1])
 @pytest.mark.parametrize("sigma", [0.0, 0.1])
 def test_post_states_built_on_first_read(monkeypatch, lam, sigma):
-    # No post-state is assembled while the tree is enumerated, and the
-    # result keeps none; each post_state call replays its branch from the
-    # roots, stacked once per call, and builds one new read-only array.
+    # No post-state is assembled while the tree is enumerated, no root is
+    # stacked at any lambda, and the result keeps none; each post_state
+    # call replays its branch from the roots, stacked once per call, and
+    # builds one new read-only array.
     from gkp_readout import readout
 
     assembled, roots = [], []
@@ -450,8 +464,7 @@ def test_post_states_built_on_first_read(monkeypatch, lam, sigma):
     monkeypatch.setattr(readout, "_roots", counted_roots)
     pair = make_state_pair(SPEC, DELTA_10DB, sigma=sigma)
     tree = simulated_p_err(pair, CircuitParams(lam, 3)).branches_0
-    assert len(tree) == 8 and assembled == [] and len(roots) == (lam != 0)
-    roots.clear()
+    assert len(tree) == 8 and assembled == [] and roots == []
     posts = [post_state(pair, lam, 0, b.outcomes) for b in tree]
     assert len(roots) == len(tree) and len(assembled) == (sigma != 0) * len(tree)
     assert all(post.shape == (SPEC.dim,) * post.ndim for post in posts)
@@ -547,19 +560,29 @@ def sweep_pairs():
     return build
 
 
+def _assert_closed_forms_equal_fock_twin(pair, params):
+    # A closed form (lambda = 0; one round on kets) reads the Fock states
+    # the pair holds, as the Fock twin of the enumeration does; any other
+    # cell falls back to the exact enumeration itself.
+    got = readout_error(pair, params)
+    if params.lam == 0 or (params.rounds == 1 and pair.is_pure):
+        want = fock_p_err(pair, params).p_err
+        assert abs(got - want) <= 1e-12 * want + 1e-16
+    else:
+        assert got == simulated_p_err(pair, params).p_err
+
+
 @pytest.mark.parametrize("db", [7.0, 10.0, 12.0])
 @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.1])
 def test_readout_error_equals_branch_enumeration(sweep_pairs, db, sigma):
-    # The closed forms (lambda = 0; one round on kets) and the fallback
-    # against the enumeration they replace in the sweeps
+    # The closed forms and the fallback against the enumeration they
+    # replace in the sweeps
     pair = sweep_pairs(db, sigma)
     assert pair.spec.cutoff == (300 if db == 12.0 else 150)
     for lam in (0.0, optimal_lambda(pair.delta), 0.3):
-        # R = 9 at lambda = 0 reads the deepest sector effects, 1022 rows
+        # R = 9 at lambda = 0 reads the twin's deepest sector effects, 1022 rows
         for rounds in (1, 3, 5, 9) if lam == 0 else (1, 3, 5):
-            params = CircuitParams(lam, rounds)
-            want = simulated_p_err(pair, params).p_err
-            assert abs(readout_error(pair, params) - want) <= 1e-12 * want + 1e-16
+            _assert_closed_forms_equal_fock_twin(pair, CircuitParams(lam, rounds))
 
 
 def test_readout_error_lambda_zero_matches_hybrid_oracle(oracle_case):
@@ -581,9 +604,7 @@ def test_readout_error_general_input(general_case):
     for lam in unitaries:
         for pair in pairs:
             for rounds in (1, 3):
-                params = CircuitParams(lam, rounds)
-                want = simulated_p_err(pair, params).p_err
-                assert abs(readout_error(pair, params) - want) <= 1e-12 * want + 1e-16
+                _assert_closed_forms_equal_fock_twin(pair, CircuitParams(lam, rounds))
 
 
 def test_simple_p_err_matches_formula(pair_10db):
@@ -606,11 +627,167 @@ def test_formula_agreement_simple_and_improved(delta):
 
 
 def test_improved_10db_regression(pair_10db):
-    # Frozen from the formula-minimization oracle; headline improvement
+    # Frozen from the formula-minimization oracle; headline improvement.
+    # It also pins the sign in K0 = C cos λP - S i sin λP and
+    # M1 = S cos λP + C i sin λP: with the other sign of i sin λP the tree
+    # gives 0.156 here.
     lam = optimal_lambda(DELTA_10DB)
     out = simulated_p_err(pair_10db, CircuitParams(lam, 1))
     assert out.p_err <= 3e-4
     assert abs(out.p_err - 1.8997e-4) < 2e-8
+
+
+@pytest.mark.parametrize("db", [7.0, 10.0, 12.0])
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_exact_enumeration_matches_converged_fock_twin(db, sigma):
+    # At N = 600 the Fock twin has converged on these cells: at N = 1200 it
+    # moves p_err by up to 3e-13 relative. So the exact enumeration and the
+    # twin agree on the outcome strings and their order, and on p_err and
+    # every branch above 1e-6 to 1e-12 relative, down to an absolute
+    # rounding floor: h_wᴴ M h_w cancels to about 7e-17 at most, and so do
+    # the twin's density branches.
+    delta = db_to_delta(db)
+    pair = converged_pairs((delta,), (None,), (sigma,), 600, 600)[0][0]
+    for lam in (0.0, optimal_lambda(delta), 0.3):
+        for rounds in (1, 3, 5):
+            params = CircuitParams(lam, rounds)
+            got, want = simulated_p_err(pair, params), fock_p_err(pair, params)
+            assert abs(got.p_err - want.p_err) <= 1e-12 * want.p_err + 1e-16
+            for tree, ref in ((got.branches_0, want.branches_0), (got.branches_1, want.branches_1)):
+                assert [b.outcomes for b in tree] == [b.outcomes for b in ref]
+                for b, w in zip(tree, ref):
+                    if w.probability > 1e-6:
+                        assert abs(b.probability - w.probability) <= 1e-12 * w.probability + 1e-16
+
+
+def _mp_peaks(kappa, mu):
+    # The peaks j ≡ mu (mod 2) that peak_weights keeps, with 40-digit weights
+    j, weights = peak_weights((kappa,))
+    kappa = mpmath.mpf(kappa)
+    return {int(x): mpmath.exp(-mpmath.pi * int(x) ** 2 / (2 * kappa**2))
+            for x in j[weights[0, mu] > 0]}
+
+
+def mpmath_lambda_zero_branch(delta, sigma, mu, zeros, ones):
+    """40-digit probability of one outcome string with `zeros` zeros and
+    `ones` ones of input mu at lambda = 0, where every round is a function
+    of X: ∫ρ_μ(x) cos^{2 zeros}(√πx/2) sin^{2 ones}(√πx/2) dx, ρ_μ the
+    σ-smeared |ψ_μ|². That is a mixture of Gaussians N(√π(j_s + j_t)/2,
+    δ²/2 + σ²) of weight a_s a_t exp(-π(j_s - j_t)²/(4δ²)), and in u = e^{i√πx}
+    the integrand is a Laurent polynomial with rational coefficients, whose
+    powers u^k average to cos(k√πm) exp(-πk²v/2) over N(m, v)."""
+    coeffs = [Fraction(1)]
+    for factor in [(1, 2, 1)] * zeros + [(-1, 2, -1)] * ones:
+        # cos²(θ/2) = (u + 2 + 1/u)/4 and sin²(θ/2) = (-u + 2 - 1/u)/4
+        coeffs = [sum(coeffs[i - k] * Fraction(f, 4) for k, f in enumerate(factor)
+                      if 0 <= i - k < len(coeffs)) for i in range(len(coeffs) + 2)]
+    with mpmath.workdps(40):
+        root_pi, delta = mpmath.sqrt(mpmath.pi), mpmath.mpf(delta)
+        v = delta**2 / 2 + mpmath.mpf(sigma) ** 2
+        amp = _mp_peaks(1 / delta, mu)
+        num = den = 0
+        for s, a_s in amp.items():
+            for t, a_t in amp.items():
+                w = a_s * a_t * mpmath.exp(-mpmath.pi * (s - t) ** 2 / (4 * delta**2))
+                den += w
+                num += w * sum(mpmath.mpf(c.numerator) / c.denominator
+                               * mpmath.cos((i - zeros - ones) * root_pi * root_pi * (s + t) / 2)
+                               * mpmath.exp(-mpmath.pi * (i - zeros - ones) ** 2 * v / 2)
+                               for i, c in enumerate(coeffs) if c)
+        return num / den
+
+
+@pytest.mark.parametrize("rounds", [1, 3, 5])
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_lambda_zero_branches_match_mpmath(rounds, sigma):
+    # Every branch and p_err at 10 dB and lambda = 0 against a reference
+    # the tree does not enter
+    pair = GkpStatePair(None, None, SPEC, DELTA_10DB, 1 / DELTA_10DB, sigma)
+    out = simulated_p_err(pair, CircuitParams(0.0, rounds))
+    refs, wrong = {}, 0
+    for mu, tree in enumerate((out.branches_0, out.branches_1)):
+        assert len(tree) == 2**rounds
+        for b in tree:
+            ones = b.outcomes.count("1")
+            if (mu, ones) not in refs:
+                refs[mu, ones] = mpmath_lambda_zero_branch(DELTA_10DB, sigma, mu,
+                                                           rounds - ones, ones)
+            ref = refs[mu, ones]
+            assert abs(b.probability - ref) <= 1e-12 * ref
+            wrong += ref if b.majority != mu else 0
+    assert abs(out.p_err - wrong / 2) <= 1e-12 * wrong / 2
+
+
+def mpmath_one_round_p_err(delta, sigma, lam):
+    """40-digit R = 1 p_err at any lambda:
+    ½[1 - ½D(sin(√πλ)A + exp(-2σ²λ²)B(λ))] with D = exp(-πδ²/4 - πσ²/2),
+    A = Σ_μ aᵀ(S∘E)a over each state's peaks j = 2s + μ, S_st = (-1)^(s+t),
+    E_st = exp(-(x_s - x_t)²/(4δ²)) and aᵀEa = 1, and B(λ) the same sum with
+    exp(-(x_s - x_t + 2λ)²/(4δ²)) in place of E_st."""
+    with mpmath.workdps(40):
+        root_pi, delta, sigma, lam = (mpmath.sqrt(mpmath.pi), mpmath.mpf(delta),
+                                      mpmath.mpf(sigma), mpmath.mpf(lam))
+        a_sum = b_sum = 0
+        for mu in (0, 1):
+            amp = _mp_peaks(1 / delta, mu)
+            terms = [(a_s * a_t, (-1) ** ((s + t - 2 * mu) // 2), root_pi * (s - t))
+                     for s, a_s in amp.items() for t, a_t in amp.items()]
+            norm = sum(w * mpmath.exp(-x**2 / (4 * delta**2)) for w, _, x in terms)
+            a_sum += sum(w * sign * mpmath.exp(-x**2 / (4 * delta**2))
+                         for w, sign, x in terms) / norm
+            b_sum += sum(w * sign * mpmath.exp(-(x + 2 * lam) ** 2 / (4 * delta**2))
+                         for w, sign, x in terms) / norm
+        d = mpmath.exp(-mpmath.pi * delta**2 / 4 - mpmath.pi * sigma**2 / 2)
+        return (1 - d * (mpmath.sin(root_pi * lam) * a_sum
+                         + mpmath.exp(-2 * sigma**2 * lam**2) * b_sum) / 2) / 2
+
+
+@pytest.mark.parametrize("db, sigma, lam", [(10.0, 0.0, None), (10.0, 0.1, None),
+                                            (14.0, 0.0, None), (7.0, 0.15, 0.3),
+                                            (12.0, 0.05, 0.2)])
+def test_one_round_matches_mpmath_closed_form(db, sigma, lam):
+    delta = db_to_delta(db)
+    lam = optimal_lambda(delta) if lam is None else lam
+    pair = GkpStatePair(None, None, SPEC, delta, 1 / delta, sigma)
+    ref = mpmath_one_round_p_err(delta, sigma, lam)
+    assert abs(simulated_p_err(pair, CircuitParams(lam, 1)).p_err - ref) <= 1e-12 * ref
+
+
+def test_enumeration_reads_only_the_grid_point(monkeypatch):
+    # No X sectors, Kraus pair, root stack or Fock density, and neither the
+    # states nor their sector form: a pair is its (delta, kappa, sigma)
+    from gkp_readout import fock, readout, states
+
+    pairs = [make_state_pair(SPEC, DELTA_10DB, sigma=sigma) for sigma in (0.0, 0.1)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the enumeration read a Fock form")
+
+    for module, name in ((fock, "x_sectors"), (states, "x_sectors"), (readout, "x_sectors"),
+                         (readout, "sector_kraus"), (readout, "_roots"),
+                         (states, "assemble_density"), (readout, "assemble_density")):
+        monkeypatch.setattr(module, name, forbidden)
+    for name in ("state0", "state1", "sectors"):
+        monkeypatch.setattr(GkpStatePair, name, property(forbidden))
+    for pair in pairs:
+        for lam in (0.0, optimal_lambda(DELTA_10DB), 0.3):
+            for rounds in (1, 3, 5):
+                out = simulated_p_err(pair, CircuitParams(lam, rounds))
+                assert 0 < out.p_err < 0.5
+                for tree in (out.branches_0, out.branches_1):
+                    assert abs(sum(b.probability for b in tree) - 1) < 1e-13
+
+
+def test_branch_tree_cached_read_only():
+    # The coefficients depend on (R, lambda) alone, and are shared
+    from gkp_readout.readout import _branch_tree
+
+    first = _branch_tree(5, 0.1)
+    assert _branch_tree(5, 0.1) is first and _branch_tree(5, 0.2) is not first
+    h, index, phase, strings = first
+    assert h.shape == (32, 36) and index.shape == phase.shape == (36, 36)
+    assert strings == tuple(format(w, "05b") for w in range(32))
+    assert not any(a.flags.writeable for a in (h, index, phase))
 
 
 def test_branch_probabilities_sum_to_one(pair_10db):
@@ -646,15 +823,20 @@ def test_back_action_consistency(pair_10db):
 
 
 def test_global_phase_invariance(pair_10db):
-    # Both kets rotated, or only one: a real and a complex ket in one pair
+    # Both kets rotated, or only one: a real and a complex ket in one pair.
+    # The readout of the kets the pair holds: readout_error's closed form at
+    # one round, the Fock twin at three (simulated_p_err reads only the
+    # grid point, which a phase leaves alone).
+    def p_err(pair, params):
+        return readout_error(pair, params) if params.rounds == 1 else fock_p_err(pair, params).p_err
+
     rotated = [GkpStatePair(phase * pair_10db.state0, np.exp(0.7j) * pair_10db.state1,
                             SPEC, pair_10db.delta, pair_10db.kappa, 0.0)
                for phase in (np.exp(0.7j), 1.0)]
     for params in (CircuitParams(0.0, 1), CircuitParams(0.05, 3)):
-        a = simulated_p_err(pair_10db, params)
+        a = p_err(pair_10db, params)
         for pair in rotated:
-            b = simulated_p_err(pair, params)
-            assert abs(a.p_err - b.p_err) < 1e-12
+            assert abs(a - p_err(pair, params)) < 1e-12
 
 
 def test_input_form_independence():
@@ -693,13 +875,12 @@ def test_helstrom_dominance(pair_10db):
 
 
 def test_convergence_in_cutoff():
+    # The closed forms on the Fock states at N = 150 and 300
     small = make_state_pair(HilbertSpec(150), DELTA_10DB)
     big = make_state_pair(HilbertSpec(300), DELTA_10DB)
     lam = optimal_lambda(DELTA_10DB)
     for params in (CircuitParams(0.0, 1), CircuitParams(lam, 1)):
-        a = simulated_p_err(small, params).p_err
-        b = simulated_p_err(big, params).p_err
-        assert abs(a - b) < 1e-8
+        assert abs(readout_error(small, params) - readout_error(big, params)) < 1e-8
 
 
 def test_branch_majority():

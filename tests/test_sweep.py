@@ -6,7 +6,7 @@ import pytest
 
 from gkp_readout import analytics, sweep
 from gkp_readout.cli import EXIT_CONFIG, main
-from gkp_readout.readout import CircuitParams, error_curve, simulated_p_err
+from gkp_readout.readout import CircuitParams, error_curve
 from gkp_readout.states import (
     auto_cutoff,
     converged_pairs,
@@ -28,6 +28,7 @@ from gkp_readout.sweep import (
     run_fig1b,
     run_fig1c,
 )
+from fock_twin import fock_p_err
 
 SMALL = SweepConfig(delta_db_min=8.0, delta_db_max=10.0, delta_db_points=2,
                     rounds_list=(1, 3))
@@ -225,13 +226,14 @@ def _mixed_point(db, sigma):
 
 @pytest.mark.parametrize("db, sigma", [(9.0, 0.05), (11.0, 0.15)])
 def test_lambda_search_matches_bounded_minimization(db, sigma):
-    # A bounded Brent run at xatol 1e-10 on the branch enumeration finds
-    # the same minimum; the search's p_err is the curve at its lambda
+    # A bounded Brent run at xatol 1e-10 on the branch enumeration of the
+    # same Fock states (the Fock twin) finds the same minimum; the search's
+    # p_err is the curve at its lambda
     from scipy.optimize import minimize_scalar
 
     pair, deff = _mixed_point(db, sigma)
     lam, p_err = optimize_lambda_simulated(pair)
-    res = minimize_scalar(lambda x: simulated_p_err(pair, CircuitParams(x, 1)).p_err,
+    res = minimize_scalar(lambda x: fock_p_err(pair, CircuitParams(x, 1)).p_err,
                           bounds=(0.0, min(3 * np.sqrt(np.pi) * deff**2, LAMBDA_SEARCH_MAX)),
                           method="bounded", options={"xatol": 1e-10})
     assert abs(lam - res.x) < 1e-7
@@ -463,7 +465,7 @@ def test_sweeps_enumerate_no_branches(monkeypatch):
     from gkp_readout import readout
 
     calls = []
-    for name in ("simulated_p_err", "sector_kraus", "_forward_round", "_suffix_table"):
+    for name in ("simulated_p_err", "sector_kraus", "_branch_tree"):
         def counted(*args, _name=name, _f=getattr(readout, name), **kwargs):
             calls.append(_name)
             return _f(*args, **kwargs)
