@@ -109,8 +109,8 @@ def sector_kraus(spec: HilbertSpec, lam: float) -> tuple:
     # so C, S, cos(λP) and i sin(λP) are real; parity flips X and P, so the
     # even functions keep parity and the odd ones flip it. An odd dim's null
     # sector lies outside parity 1: its row and column there are 0. Each
-    # block is built as its transpose, which the forward rounds multiply by
-    # on the right, where BLAS wants it contiguous.
+    # block is built as its transpose, which `post_state`'s replay
+    # multiplies by on the right, where BLAS wants it contiguous.
     _, s, _, _, _, c_p = x_sectors(spec)
     c, sn = np.cos(lam * s), np.sin(lam * s)
     return tuple(tuple((c_p[p] @ (g * c + h * (sign * sn)).T).T
@@ -193,24 +193,18 @@ def error_curve(pair: GkpStatePair) -> ErrorCurve:
 
 # `post_state` replays a branch on X-sector blocks (`sector_kraus`) keyed
 # by their parities: (p,) for a ket's sector vector B_pᵀψ_p, (p, q) for a
-# density matrix's block B_pᵀρ_pqB_q. Blocks are carried unnormalized: a
-# node's squared norm (ket) or trace (density matrix) is the probability of
-# the outcomes that led to it.
-def _apply_kraus(ops, key: tuple, x: np.ndarray, out=None) -> np.ndarray:
-    # K0 or M1, given as `ops`, on the block `key`, or on a stack of them.
-    if len(key) == 1:
-        return np.matmul(x, ops[key[0]].T, out=out)
-    return np.matmul(ops[key[0]], x @ ops[key[1]].T, out=out)
+# density matrix's block B_pᵀρ_pqB_q. They are carried unnormalized, so the
+# replayed probability is a ket's squared norm or a density's trace.
+def _apply_kraus(ops, key: tuple, x: np.ndarray) -> np.ndarray:
+    # K0 or M1, given as `ops`, on the block `key` (or a stack of them).
+    return x @ ops[key[0]].T if len(key) == 1 else ops[key[0]] @ (x @ ops[key[1]].T)
 
 
-def _roots(spec: HilbertSpec, states) -> dict:
-    # Nodes 0 and 1, the pair's two states: a ket's sector vectors, or the
-    # X-sector blocks a mixed pair holds.
-    y, _, z = x_sectors(spec)[:3]
-    held = [state if isinstance(state, dict) else {
-        (p,): (y, z)[p].T @ state[p::2] for p in (0, 1) if state[p::2].any()} for state in states]
-    keys = {tuple(k ^ f for k in key): x for b in held for key, x in b.items() for f in (0, 1)}
-    return {key: np.array([b.get(key, np.zeros_like(x)) for b in held]) for key, x in keys.items()}
+def _root(spec: HilbertSpec, state) -> dict:
+    # One state's blocks: a ket's sector vectors, or a mixed state's
+    # X-sector blocks themselves.
+    return state if isinstance(state, dict) else {
+        (p,): x_sectors(spec)[2 * p].T @ state[p::2] for p in (0, 1) if state[p::2].any()}
 
 
 @lru_cache(maxsize=8)
@@ -298,12 +292,9 @@ def post_state(pair: GkpStatePair, lam: float, mu: int, outcomes: str) -> np.nda
     time, and normalized by the probability it replays there, which is
     the branch's probability in `simulated_p_err` up to the cutoff's
     truncation. A ket takes the phase iᵒⁿᵉˢ that K1 = i M1 leaves out."""
-    # Blocks are carried unnormalized, so the replayed probability is a
-    # ket's squared norm or a density's trace.
     if mu not in (0, 1) or set(outcomes) - {"0", "1"}:
         raise ValueError(f"need mu in (0, 1) and outcomes of 0 and 1, got {mu}, {outcomes!r}")
-    kraus = sector_kraus(pair.spec, lam)
-    blocks = {key: x[mu] for key, x in _roots(pair.spec, pair.sectors).items()}
+    kraus, blocks = sector_kraus(pair.spec, lam), _root(pair.spec, pair.sectors[mu])
     for f in map(int, outcomes):
         blocks = {tuple(k ^ f for k in key): _apply_kraus(kraus[f], key, x)
                   for key, x in blocks.items()}
@@ -334,8 +325,8 @@ def readout_errors(cells) -> list[float]:
     it carries their cutoff's truncation: at lambda = 0 a sum over both
     states' X populations (`_majority_tails`); at one round on kets
     ½ Σ_μ Σ_p ‖G(c∘e) ± H(s∘e)‖², a cutoff's cells in one stack. Any other
-    cell is `simulated_p_err(pair, params).p_err`, exact for the pair's
-    grid point."""
+    cell is `simulated_p_err(pair, params).p_err`, exact for the grid
+    point, whose states the pair holds."""
     # At lambda = 0, for any input and rounds, K0 and M1 are cos(√π X/2) and
     # sin(√π X/2), so at X = ±s_a the rounds are i.i.d. with
     # P(1) = q_a = sin²(√π s_a/2), and

@@ -65,34 +65,39 @@ def check_point(delta: float, kappa: Optional[float] = None, sigma: float = 0.0)
 
 @dataclass(frozen=True)
 class GkpStatePair:
-    """One (delta, kappa, sigma) grid point. Its two basis states are held
-    as `converged_pairs` builds them: kets when sigma = 0, else the X-sector
-    blocks of the displacement channel's output. Each quantity derived
-    from them is computed on its first read: `purity` and `delta_eff` are
-    state0's (`purity`, `effective_squeezing`), and `helstrom` is the kets'
-    `helstrom_bound`, None for a mixed pair. `state0` and `state1` each
-    assemble their Fock array on their own first read; every other reader
-    uses only the kets and blocks. `readout.simulated_p_err` reads only the
-    grid point (delta, kappa, sigma), never the states held."""
+    """One (delta, kappa, sigma) grid point at a cutoff and its two basis
+    states, which it builds from the grid point on first read (`sectors`):
+    kets when sigma = 0, else the X-sector blocks of their displacement
+    channel's output. It takes no states, so `readout.simulated_p_err`,
+    which reads only the grid point, and the readers of the Fock states
+    answer for the same two states. `purity` and `delta_eff` are state0's
+    (`effective_squeezing`), `helstrom` the kets' `helstrom_bound` (None
+    for a mixed pair), each computed once; `state0` and `state1` assemble
+    their Fock arrays on first read, and every other reader uses `sectors`."""
 
-    given0: object
-    given1: object
     spec: HilbertSpec
     delta: float
     kappa: float
-    sigma: float
+    sigma: float = 0.0
 
-    state0 = cached_property(lambda self: self._fock(self.given0))
-    state1 = cached_property(lambda self: self._fock(self.given1))
-    is_pure = property(lambda self: np.ndim(self.given0) == 1)
+    def __post_init__(self):
+        check_point(self.delta, self.kappa, self.sigma)
+
+    @cached_property
+    def sectors(self) -> tuple:
+        kets = _gkp_pair(self.spec, self.delta, self.kappa)
+        return kets if self.sigma == 0 else tuple(
+            gaussian_displacement_channel(self.spec, k, self.sigma) for k in kets)
+
+    state0 = cached_property(lambda self: self._fock(self.sectors[0]))
+    state1 = cached_property(lambda self: self._fock(self.sectors[1]))
+    is_pure = property(lambda self: self.sigma == 0)
     converged = property(lambda self: max(self.leakages) < LEAKAGE_TOL)
-    sectors = property(lambda self: (self.given0, self.given1))
     # A lambda reads names from the module, so this calls the function purity.
-    purity = cached_property(lambda self: purity(self.given0))
+    purity = cached_property(lambda self: purity(self.sectors[0]))
     delta_eff = cached_property(lambda self: _effective_squeezing_of(self.spec,
                                                                      self.populations[0]))
-    helstrom = cached_property(lambda self: helstrom_bound(self.given0, self.given1)
-                               if self.is_pure else None)
+    helstrom = cached_property(lambda self: helstrom_bound(*self.sectors) if self.is_pure else None)
 
     def _fock(self, state):
         return assemble_density(self.spec, state) if isinstance(state, dict) else state
@@ -189,17 +194,25 @@ def converged_pairs(deltas, kappas, sigmas=(0.0,), start: int = DEFAULT_CUTOFF,
         ds, ks = [deltas[i] for i in todo], [kappas[i] for i in todo]
         kets = gkp_kets(spec, ds, ks) if len(todo) > 1 else [_gkp_pair(spec, ds[0], ks[0])]
         for i, pure in zip(todo, kets):
-            pure = GkpStatePair(*pure, spec, deltas[i], kappas[i], 0.0)
+            pure = _holding(GkpStatePair(spec, deltas[i], kappas[i]), tuple(pure))
             for sigma, column in zip(sigmas, pairs):
                 if column[i] is None and (pure.converged or last):
-                    pair = pure if sigma == 0 else GkpStatePair(
-                        *(gaussian_displacement_channel(spec, k, sigma) for k in pure.sectors),
-                        spec, pure.delta, pure.kappa, float(sigma))
+                    pair = pure if sigma == 0 else _holding(
+                        GkpStatePair(spec, pure.delta, pure.kappa, float(sigma)),
+                        tuple(gaussian_displacement_channel(spec, k, sigma) for k in pure.sectors))
                     if pair.converged or last:
                         column[i] = pair
         todo = [i for i in todo if any(column[i] is None for column in pairs)]
         cutoff *= 2
     return pairs
+
+
+def _holding(pair: GkpStatePair, sectors: tuple) -> GkpStatePair:
+    # The pair with the states `converged_pairs` built for it, from a
+    # column's kets: those its `sectors` would build, to the last bit under
+    # one BLAS thread (`gkp_kets`).
+    vars(pair)["sectors"] = sectors
+    return pair
 
 
 def converged_pair(delta: float, kappa: Optional[float] = None,

@@ -20,11 +20,35 @@ reads `_sector_effects`.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from gkp_readout import readout
 from gkp_readout.fock import HilbertSpec, x_sectors
-from gkp_readout.readout import Branch, ReadoutOutcome, _apply_kraus, _roots, sector_kraus
+from gkp_readout.readout import Branch, ReadoutOutcome, _apply_kraus, _root, sector_kraus
+from gkp_readout.states import assemble_density, x_populations
+
+
+class HeldStates(NamedTuple):
+    """Two states at a cutoff, kets or X-sector blocks, that no
+    `GkpStatePair` holds (a pair builds its own from its grid point), with
+    what the readers of a pair's Fock states read: `readout.post_state`,
+    the closed forms of `readout.readout_errors`, this twin and the hybrid
+    oracle. They have no grid point, so `readout.simulated_p_err`, and with
+    it any cell without a closed form, has nothing to read."""
+
+    spec: HilbertSpec
+    sectors: tuple
+
+    is_pure = property(lambda self: np.ndim(self.sectors[0]) == 1)
+    populations = property(lambda self: tuple(x_populations(self.spec, s) for s in self.sectors))
+    state0 = property(lambda self: self._fock(0))
+    state1 = property(lambda self: self._fock(1))
+
+    def _fock(self, mu):
+        state = self.sectors[mu]
+        return assemble_density(self.spec, state) if isinstance(state, dict) else state
 
 
 def _forward_round(kraus, pieces: dict, hist: np.ndarray) -> tuple:
@@ -39,7 +63,7 @@ def _forward_round(kraus, pieces: dict, hist: np.ndarray) -> tuple:
         y = np.empty((2, *first.shape), dtype=np.result_type(*pieces.values()))
         for f, ops in enumerate(kraus):
             key = tuple(k ^ f for k in c)
-            _apply_kraus(ops, key, pieces[key], out=y[f])
+            y[f] = _apply_kraus(ops, key, pieces[key])
         children[c] = y = y.reshape(2 * n, *first.shape[1:])
         if len(c) == 1:
             probs += (abs(y) ** 2).sum(axis=-1)
@@ -49,6 +73,14 @@ def _forward_round(kraus, pieces: dict, hist: np.ndarray) -> tuple:
     if not keep.all():
         children = {c: y[keep] for c, y in children.items()}
     return children, np.concatenate((2 * hist, 2 * hist + 1))[keep], probs[keep]
+
+
+def _roots(spec: HilbertSpec, states) -> dict:
+    # Nodes 0 and 1, the pair's two states as `readout._root`'s blocks,
+    # stacked under the keys of both and their flips.
+    held = [_root(spec, state) for state in states]
+    keys = {tuple(k ^ f for k in key): x for b in held for key, x in b.items() for f in (0, 1)}
+    return {key: np.array([b.get(key, np.zeros_like(x)) for b in held]) for key, x in keys.items()}
 
 
 def _suffix_table(kraus, rounds: int, pieces: dict) -> np.ndarray:

@@ -19,6 +19,7 @@ from gkp_readout.states import (
     make_state_pair,
     purity,
 )
+from fock_twin import HeldStates
 from hybrid_oracle import (
     displacement,
     make_quadratures,
@@ -137,13 +138,12 @@ def test_criterion_7_property_suite():
     checks["prob_conservation"] = abs(p0 + p1 - 1) < 1e-10
     out = simulated_p_err(pair, CircuitParams(0.0, 1))
     checks["helstrom_dominance"] = out.p_err >= helstrom_bound(pair.state0, pair.state1) - 1e-10
-    # The global phase and the cutoff act on the Fock states the pair
-    # holds, which readout_error reads and simulated_p_err does not.
+    # The global phase and the cutoff act on the Fock states, which
+    # readout_error's closed form reads and simulated_p_err does not; the
+    # rotated kets are states no pair holds.
     fock = readout_error(pair, CircuitParams(0.0, 1))
-    rot = readout_error(
-        type(pair)(np.exp(0.7j) * pair.state0, np.exp(0.7j) * pair.state1,
-                   spec, pair.delta, pair.kappa, 0.0),
-        CircuitParams(0.0, 1))
+    rot = readout_error(HeldStates(spec, (np.exp(0.7j) * pair.state0, np.exp(0.7j) * pair.state1)),
+                        CircuitParams(0.0, 1))
     checks["global_phase"] = abs(rot - fock) < 1e-12
     checks["lambda0_reduction"] = (
         analytics.p_err_improved_formula(0.3, 0.0) == analytics.p_err_simple_formula(0.3))

@@ -52,7 +52,7 @@ from hybrid_oracle import (
     readout_unitary,
     run_readout_hybrid,
 )
-from fock_twin import fock_p_err
+from fock_twin import HeldStates, fock_p_err
 from readout_once import fock_kraus, run_readout_once
 
 SPEC = HilbertSpec(150)
@@ -275,16 +275,16 @@ def test_error_curve_grams_cached_read_only():
 
 @pytest.fixture(scope="module")
 def general_case():
-    """Complex states with both parities and even-odd coherence: the 10 dB
-    pair displaced by D(0.3 + 0.2i), as kets and through the sigma = 0.1
-    channel, with the hybrid unitaries at lambda = 0 and optimal lambda."""
+    """Complex states with both parities and even-odd coherence, which no
+    GkpStatePair holds: the 10 dB pair displaced by D(0.3 + 0.2i), as kets
+    and through the sigma = 0.1 channel, with the hybrid unitaries at
+    lambda = 0 and optimal lambda."""
     d = displacement(SPEC, 0.3 + 0.2j)
     pure = make_state_pair(SPEC, DELTA_10DB)
     kets = [d @ pure.state0, d @ pure.state1]
     rhos = [gaussian_displacement_channel(SPEC, k, 0.1) for k in kets]
     lams = (0.0, optimal_lambda(DELTA_10DB))
-    return ([GkpStatePair(*kets, SPEC, pure.delta, pure.kappa, 0.0),
-             GkpStatePair(*rhos, SPEC, pure.delta, pure.kappa, 0.1)],
+    return ([HeldStates(SPEC, tuple(kets)), HeldStates(SPEC, tuple(rhos))],
             {lam: readout_unitary(SPEC, lam) for lam in lams})
 
 
@@ -444,24 +444,24 @@ def test_lambda_zero_builds_no_kraus_pair(monkeypatch, pair_10db):
 @pytest.mark.parametrize("sigma", [0.0, 0.1])
 def test_post_states_built_on_first_read(monkeypatch, lam, sigma):
     # No post-state is assembled while the tree is enumerated, no root is
-    # stacked at any lambda, and the result keeps none; each post_state
-    # call replays its branch from the roots, stacked once per call, and
+    # formed at any lambda, and the result keeps none; each post_state call
+    # replays its branch from its input's root, formed once per call, and
     # builds one new read-only array.
     from gkp_readout import readout
 
     assembled, roots = [], []
-    assemble, stack = readout.assemble_density, readout._roots
+    assemble, root = readout.assemble_density, readout._root
 
     def counted(*args):
         assembled.append(args)
         return assemble(*args)
 
-    def counted_roots(*args):
+    def counted_root(*args):
         roots.append(args)
-        return stack(*args)
+        return root(*args)
 
     monkeypatch.setattr(readout, "assemble_density", counted)
-    monkeypatch.setattr(readout, "_roots", counted_roots)
+    monkeypatch.setattr(readout, "_root", counted_root)
     pair = make_state_pair(SPEC, DELTA_10DB, sigma=sigma)
     tree = simulated_p_err(pair, CircuitParams(lam, 3)).branches_0
     assert len(tree) == 8 and assembled == [] and roots == []
@@ -506,8 +506,7 @@ def test_post_state_rejects_bad_outcomes(pair_10db):
     for mu, outcomes in ((0, "012"), (0, "0 1"), (0, "1O"), (2, "0"), (-1, "0")):
         with pytest.raises(ValueError, match="outcomes of 0 and 1"):
             post_state(pair_10db, 0.1, mu, outcomes)
-    zero = GkpStatePair(pair_10db.state0, np.zeros(SPEC.dim), SPEC, pair_10db.delta,
-                        pair_10db.kappa, 0.0)
+    zero = HeldStates(SPEC, (pair_10db.state0, np.zeros(SPEC.dim)))
     for lam in (0.0, 0.1):
         with pytest.raises(ValueError, match="probability"):
             post_state(zero, lam, 1, "010")
@@ -560,29 +559,28 @@ def sweep_pairs():
     return build
 
 
-def _assert_closed_forms_equal_fock_twin(pair, params):
-    # A closed form (lambda = 0; one round on kets) reads the Fock states
-    # the pair holds, as the Fock twin of the enumeration does; any other
-    # cell falls back to the exact enumeration itself.
-    got = readout_error(pair, params)
-    if params.lam == 0 or (params.rounds == 1 and pair.is_pure):
-        want = fock_p_err(pair, params).p_err
-        assert abs(got - want) <= 1e-12 * want + 1e-16
-    else:
-        assert got == simulated_p_err(pair, params).p_err
+def _is_closed_form(pair, params):
+    # The cells readout_errors reads off the Fock states the pair holds
+    return params.lam == 0 or (params.rounds == 1 and pair.is_pure)
 
 
 @pytest.mark.parametrize("db", [7.0, 10.0, 12.0])
 @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.1])
 def test_readout_error_equals_branch_enumeration(sweep_pairs, db, sigma):
-    # The closed forms and the fallback against the enumeration they
-    # replace in the sweeps
+    # A closed form reads the Fock states at the pair's cutoff, and equals
+    # the Fock twin of the enumeration on them. Any other cell is the exact
+    # p_err of the grid point, whose states the pair holds, and equals the
+    # twin at N = 600, where it has converged on these points
+    # (test_exact_enumeration_matches_converged_fock_twin).
     pair = sweep_pairs(db, sigma)
     assert pair.spec.cutoff == (300 if db == 12.0 else 150)
+    converged = make_state_pair(HilbertSpec(600), pair.delta, sigma=sigma)
     for lam in (0.0, optimal_lambda(pair.delta), 0.3):
         # R = 9 at lambda = 0 reads the twin's deepest sector effects, 1022 rows
         for rounds in (1, 3, 5, 9) if lam == 0 else (1, 3, 5):
-            _assert_closed_forms_equal_fock_twin(pair, CircuitParams(lam, rounds))
+            params = CircuitParams(lam, rounds)
+            want = fock_p_err(pair if _is_closed_form(pair, params) else converged, params).p_err
+            assert abs(readout_error(pair, params) - want) <= 1e-12 * want + 1e-16
 
 
 def test_readout_error_lambda_zero_matches_hybrid_oracle(oracle_case):
@@ -599,12 +597,39 @@ def test_readout_error_lambda_zero_matches_hybrid_oracle(oracle_case):
 
 
 def test_readout_error_general_input(general_case):
-    # Complex kets on both parities and densities with even-odd coherence
+    # Complex kets on both parities and densities with even-odd coherence:
+    # each closed form against the Fock twin on the same states. These
+    # states have no grid point, so no cell without a closed form reads them.
     pairs, unitaries = general_case
-    for lam in unitaries:
-        for pair in pairs:
-            for rounds in (1, 3):
-                _assert_closed_forms_equal_fock_twin(pair, CircuitParams(lam, rounds))
+    cells = [(held, CircuitParams(lam, rounds))
+             for lam in unitaries for held in pairs for rounds in (1, 3)]
+    closed = [(held, params) for held, params in cells if _is_closed_form(held, params)]
+    assert len(closed) == 5
+    for held, params in closed:
+        want = fock_p_err(held, params).p_err
+        assert abs(readout_error(held, params) - want) <= 1e-12 * want + 1e-16
+
+
+def test_pair_is_its_grid_point(pair_10db):
+    # A pair takes no states: it builds them from its (delta, kappa, sigma),
+    # those that make_state_pair and a sweep's column hold, so every cell of
+    # readout_errors, and post_state, answer for the states simulated_p_err
+    # reads off the grid point
+    with pytest.raises(TypeError):
+        GkpStatePair(*pair_10db.sectors, SPEC, DELTA_10DB, 1 / DELTA_10DB, 0.0)
+    with pytest.raises(ValueError, match="sigma"):
+        GkpStatePair(SPEC, DELTA_10DB, 1 / DELTA_10DB, -0.1)
+    deltas = [db_to_delta(db) for db in (9.0, 10.0, 11.0)]
+    for sigma in (0.0, 0.1):
+        column = converged_pairs(deltas, [None] * 3, (sigma,), 150, 150)[0]
+        for built in (make_state_pair(SPEC, DELTA_10DB, sigma=sigma), column[1]):
+            own = GkpStatePair(SPEC, built.delta, built.kappa, sigma)
+            assert own == built and own.is_pure == (sigma == 0)
+            for a, b in zip(own.sectors, built.sectors):
+                if sigma:
+                    assert a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+                else:
+                    assert np.array_equal(a, b)
 
 
 def test_simple_p_err_matches_formula(pair_10db):
@@ -702,7 +727,7 @@ def mpmath_lambda_zero_branch(delta, sigma, mu, zeros, ones):
 def test_lambda_zero_branches_match_mpmath(rounds, sigma):
     # Every branch and p_err at 10 dB and lambda = 0 against a reference
     # the tree does not enter
-    pair = GkpStatePair(None, None, SPEC, DELTA_10DB, 1 / DELTA_10DB, sigma)
+    pair = GkpStatePair(SPEC, DELTA_10DB, 1 / DELTA_10DB, sigma)
     out = simulated_p_err(pair, CircuitParams(0.0, rounds))
     refs, wrong = {}, 0
     for mu, tree in enumerate((out.branches_0, out.branches_1)):
@@ -748,7 +773,7 @@ def mpmath_one_round_p_err(delta, sigma, lam):
 def test_one_round_matches_mpmath_closed_form(db, sigma, lam):
     delta = db_to_delta(db)
     lam = optimal_lambda(delta) if lam is None else lam
-    pair = GkpStatePair(None, None, SPEC, delta, 1 / delta, sigma)
+    pair = GkpStatePair(SPEC, delta, 1 / delta, sigma)
     ref = mpmath_one_round_p_err(delta, sigma, lam)
     assert abs(simulated_p_err(pair, CircuitParams(lam, 1)).p_err - ref) <= 1e-12 * ref
 
@@ -764,7 +789,7 @@ def test_enumeration_reads_only_the_grid_point(monkeypatch):
         raise AssertionError("the enumeration read a Fock form")
 
     for module, name in ((fock, "x_sectors"), (states, "x_sectors"), (readout, "x_sectors"),
-                         (readout, "sector_kraus"), (readout, "_roots"),
+                         (readout, "sector_kraus"), (readout, "_root"),
                          (states, "assemble_density"), (readout, "assemble_density")):
         monkeypatch.setattr(module, name, forbidden)
     for name in ("state0", "state1", "sectors"):
@@ -830,8 +855,7 @@ def test_global_phase_invariance(pair_10db):
     def p_err(pair, params):
         return readout_error(pair, params) if params.rounds == 1 else fock_p_err(pair, params).p_err
 
-    rotated = [GkpStatePair(phase * pair_10db.state0, np.exp(0.7j) * pair_10db.state1,
-                            SPEC, pair_10db.delta, pair_10db.kappa, 0.0)
+    rotated = [HeldStates(SPEC, (phase * pair_10db.state0, np.exp(0.7j) * pair_10db.state1))
                for phase in (np.exp(0.7j), 1.0)]
     for params in (CircuitParams(0.0, 1), CircuitParams(0.05, 3)):
         a = p_err(pair_10db, params)
@@ -943,7 +967,7 @@ def test_homodyne_matches_mpmath_peak_sum(db, sigma):
     # The closed form reads only delta, kappa and sigma. At 7 dB the
     # cross terms of odd s + t carry weight; at 14 dB p_err is ~3.4e-10.
     delta = db_to_delta(db)
-    pair = GkpStatePair(None, None, SPEC, delta, 1.0 / delta, sigma)
+    pair = GkpStatePair(SPEC, delta, 1.0 / delta, sigma)
     ref = mpmath_homodyne_p_err(delta, 1.0 / delta, sigma)
     assert abs(homodyne_p_err_numeric(pair) - ref) <= 1e-13 * ref
 

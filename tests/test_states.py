@@ -620,24 +620,26 @@ def test_pure_pair_derives_its_quantities_once_from_its_kets():
 
 @pytest.mark.parametrize("cutoff", [150, 151])
 def test_block_pair_reads_what_its_fock_arrays_give(cutoff):
-    # A pair of blocks with all four parity blocks (a displaced ket's
-    # channel output) reads the populations and leakages of its Fock
-    # arrays, at an even and an odd dim
+    # Blocks with all four parity blocks (a displaced ket's channel output)
+    # give the populations of their Fock arrays, and a mixed pair's blocks
+    # the leakages of its Fock arrays, at an even and an odd dim
     spec = HilbertSpec(cutoff)
     pure = make_state_pair(spec, DELTA_10DB)
     kets = [displacement(spec, 0.3 + 0.2j) @ k for k in (pure.state0, pure.state1)]
     blocks = [gaussian_displacement_channel(spec, k, 0.1) for k in kets]
-    pair = states.GkpStatePair(*blocks, spec, DELTA_10DB, 1 / DELTA_10DB, 0.1)
+    rhos = [assemble_density(spec, b) for b in blocks]
     assert all(b.keys() == {(0, 0), (0, 1), (1, 0), (1, 1)} for b in blocks)
-    for got, rho in zip(pair.populations, (pair.state0, pair.state1)):
-        assert max(np.max(np.abs(x - y)) for x, y in zip(got, x_populations(spec, rho))) < 1e-14
+    for b, rho in zip(blocks, rhos):
+        got, want = x_populations(spec, b), x_populations(spec, rho)
+        assert max(np.max(np.abs(x - y)) for x, y in zip(got, want)) < 1e-14
+    pair = make_state_pair(spec, DELTA_10DB, sigma=0.1)
     fock = [np.trace(rho[-2:, -2:]).real for rho in (pair.state0, pair.state1)]
     assert np.allclose(pair.leakages, fock, rtol=0, atol=1e-16)
     # And the Fock arrays' own blocks B_pᵀρ_pqB_q, taken in long double, give
-    # back the pair's: a lift by B itself is 2.5e-15 to 5e-15 of max |x| off,
+    # back the blocks: a lift by B itself is 2.5e-15 to 5e-15 of max |x| off,
     # as B is orthogonal only to about 1e-15
     y, _, z = (b.astype(np.longdouble) for b in x_sectors(spec)[:3])
-    for given, rho in zip(blocks, (pair.state0, pair.state1)):
+    for given, rho in zip(blocks, rhos):
         for (p, q), x in given.items():
             back = (y, z)[p].T @ rho[p::2, q::2] @ (y, z)[q]
             assert np.max(np.abs(back - x)) < 2e-15 * np.max(np.abs(x))
