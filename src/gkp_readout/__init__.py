@@ -17,8 +17,8 @@ from .states import (
 from .readout import (
     CircuitParams,
     ReadoutOutcome,
-    error_curve,
     homodyne_p_err_numeric,
+    one_round_curve,
     readout_error,
     simulated_p_err,
 )

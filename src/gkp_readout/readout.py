@@ -9,19 +9,20 @@ oscillator alone, as real blocks on the X sectors of `fock.x_sectors`
 multi-round run exactly, as sums of Gaussian terms in the pair's
 (delta, kappa, sigma) with no Fock cutoff, and returns each branch as plain
 data, its outcomes and probability; `post_state` replays one branch on the
-Fock states the pair holds. `readout_errors` takes a closed form on those
-Fock states where one exists: tails cached per cutoff and rounds at
-lambda = 0, a stack of a cutoff's one-round ket cells at any lambda.
-`error_curve` is the one-round error of the Fock states as a function of
-lambda, with its slope and curvature, for lambda searches. The ideal
-homodyne readout they are compared with is a closed-form peak sum.
+Fock states the pair holds. `one_round_curve` is the same exact error at
+one round as a closed function of lambda, with its slope and curvature,
+for lambda searches. `readout_errors` takes a closed form on the Fock
+states where one exists: tails cached per cutoff and rounds at
+lambda = 0, a stack of a cutoff's one-round cells, kets or X-sector
+blocks, at any lambda. The ideal homodyne readout they are compared with
+is a closed-form peak sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partialmethod
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -117,80 +118,6 @@ def sector_kraus(spec: HilbertSpec, lam: float) -> tuple:
                        for p, (g, h, sign) in enumerate(op)) for op in _kraus_factors(spec))
 
 
-@lru_cache(maxsize=4)
-def _wrong_outcome_grams(spec: HilbertSpec):
-    """(GᵀG, HᵀH, ±2HᵀG), stacked, of the wrong outcome's Kraus factors
-    (G, H, ±) for input mu and parity p, indexed [mu][p]: input 0 errs on
-    M1, input 1 on K0. Cached per cutoff apart from the factors, which
-    fig1a needs without the curve."""
-    k0, m1 = _kraus_factors(spec)
-    grams = tuple(tuple(np.stack((g.T @ g, h.T @ h, 2 * sign * (h.T @ g))) for g, h, sign in op)
-                  for op in (m1, k0))
-    for m in (m for per_mu in grams for m in per_mu):
-        m.setflags(write=False)
-    return grams
-
-
-def _derivative(forms: tuple, w: np.ndarray) -> tuple:
-    """ErrorCurve's forms (M_cc, M_ss, M_sc) of a λ-derivative: as
-    d/dλ c = -Ωs and d/dλ s = Ωc, Ω = diag(w), they become
-    (ΩM_sc, -M_scΩ, (M_ss + M_ssᵀ)Ω - Ω(M_cc + M_ccᵀ))."""
-    m_cc, m_ss, m_sc = forms
-    wc = w[:, None]
-    return wc * m_sc, -m_sc * w, (m_ss + m_ss.T) * w - wc * (m_cc + m_cc.T)
-
-
-@dataclass(frozen=True)
-class ErrorCurve:
-    """Single-round p_err(λ) of one state pair (order 0), its slope (1)
-    and its curvature (2) in λ, each as quadratic forms
-    ½(cᵀ M_cc c + sᵀ M_ss s + sᵀ M_sc c) in c = cos λw and s = sin λw, w
-    the s_a of `fock.x_sectors`. All take λ or an array."""
-
-    w: np.ndarray
-    forms: tuple
-
-    def __call__(self, lam, order: int = 0):
-        x = np.multiply.outer(lam, self.w)
-        c, s = np.cos(x), np.sin(x)
-        m_cc, m_ss, m_sc = self.forms[order]
-        return 0.5 * (np.sum((c @ m_cc) * c, axis=-1) + np.sum((s @ m_ss) * s, axis=-1)
-                      + np.sum((s @ m_sc) * c, axis=-1))
-
-    slope = partialmethod(__call__, order=1)
-    curvature = partialmethod(__call__, order=2)
-
-
-def error_curve(pair: GkpStatePair) -> ErrorCurve:
-    """The R = 1 error curve of the Fock states a pair holds: their
-    one-round p_err as a function of λ, O(N²) per λ after an O(N³) build.
-
-    The error is ½ Σ_mu Σ_p Tr(K ρ_pp Kᵀ) over the wrong outcome's real
-    Kraus blocks K = B_out[G diag(c) ± H diag(s)] W_pᵀ, c = cos λs and
-    s = sin λs (`_kraus_factors`). As ‖B_out y‖ = ‖y‖ that is
-    cᵀ(GᵀG ∘ M)c + sᵀ(HᵀH ∘ M)s ± 2 sᵀ(HᵀG ∘ M)c, on the grams of
-    `_wrong_outcome_grams`, with M = W_pᵀ ρ_pp W_p: (W_pᵀψ_p)(W_pᵀψ_p)ᵀ for
-    a ket, C_pᵀ A_pp C_p on X-sector blocks A. Only Re ρ_pp enters. The
-    sums of products cancel down to p_err, with an absolute rounding error
-    of a few 1e-16. The slope and curvature forms follow by `_derivative`.
-    """
-    _, w, _, y_s, z_s, c = x_sectors(pair.spec)
-    grams = _wrong_outcome_grams(pair.spec)
-    forms = 0.0
-    for mu, state in enumerate(pair.sectors):
-        for p in (0, 1):
-            if not isinstance(state, dict):
-                e = (y_s, z_s)[p].T @ state[p::2]
-                m = np.outer(e, e.conj()).real
-            elif (p, p) in state:
-                m = c[p].T @ state[p, p].real @ c[p]
-            else:
-                continue
-            forms = forms + grams[mu][p] * m
-    slope = _derivative(forms, w)
-    return ErrorCurve(w, (tuple(forms), slope, _derivative(slope, w)))
-
-
 # `post_state` replays a branch on X-sector blocks (`sector_kraus`) keyed
 # by their parities: (p,) for a ket's sector vector B_pᵀψ_p, (p, q) for a
 # density matrix's block B_pᵀρ_pqB_q. They are carried unnormalized, so the
@@ -243,6 +170,56 @@ def _branch_tree(rounds: int, lam: float) -> tuple:
     return (*out, tuple(format(w, f"0{rounds:d}b") for w in range(len(h))))
 
 
+@lru_cache(maxsize=16)
+def _lag_table(kappa: float) -> tuple:
+    """The peak-pair lags of the combs of envelope width kappa
+    (`peak_weights`): the lags L, and W[μ, L, π], the sum of a_s a_t over the
+    pairs of input μ's peaks with (j_s - j_t)/2 = L and
+    (j_s + j_t)/2 ≡ π (mod 2). A function of kappa alone: cached, read-only."""
+    j, weights = peak_weights((kappa,))
+    # One bincount over the peak pairs of both states
+    key = np.subtract.outer(j, j) // 2 + j[-1] + len(j) * np.arange(2)[:, None, None]
+    lags = np.bincount((2 * key + np.add.outer(j, j) // 2 % 2).ravel(),
+                       (weights[0][:, :, None] * weights[0][:, None, :]).ravel(),
+                       4 * len(j)).reshape(2, len(j), 2)
+    for x in (j, lags):
+        x.setflags(write=False)
+    return j, lags
+
+
+def one_round_curve(pair: GkpStatePair):
+    """The exact one-round p_err of the pair's grid point (delta, kappa,
+    sigma) as a function curve(lam, order) of lambda (a float or an array):
+    its value (order 0), slope (1) or curvature (2). With the lag table
+    W^π_L (`_lag_table`), n_μ = Σ_L e^{-πL²/δ²}(W⁰_μL + W¹_μL) and
+    β_L = Σ_μ (-1)^μ (W⁰_μL - W¹_μL)/n_μ,
+    p(λ) = ½ - ¼e^{-πδ²/4 - πσ²/2}[sin(√πλ) Σ_L β_L e^{-πL²/δ²}
+    + Σ_L β_L e^{-φ_L(λ)}], φ_L(λ) = 2σ²λ² + (√πL + λ)²/δ²: `simulated_p_err`
+    at one round, summed in closed form, and its derivatives term by term."""
+    j, lags = _lag_table(pair.kappa)
+    root_pi, d2, s2 = np.sqrt(np.pi), pair.delta**2, pair.sigma**2
+    x = root_pi * j
+    g0 = np.exp(-(x**2) / d2)
+    beta = (lags[..., 0] - lags[..., 1]) / (lags.sum(axis=-1) @ g0)[:, None]
+    beta = beta[0] - beta[1]
+    a, damp = beta @ g0, 0.25 * np.exp(-np.pi * d2 / 4 - np.pi * s2 / 2)
+
+    def curve(lam, order: int = 0):
+        lam = np.asarray(lam, dtype=float)
+        u = x + lam[..., None]
+        terms = beta * np.exp(-2 * s2 * lam[..., None] ** 2 - u**2 / d2)
+        # d/dλ e^{-φ} = -φ′e^{-φ} and d²/dλ² e^{-φ} = (φ′² - φ″)e^{-φ}
+        dphi = 4 * s2 * lam[..., None] + 2 * u / d2
+        if order == 0:
+            return 0.5 - damp * (np.sin(root_pi * lam) * a + terms.sum(axis=-1))
+        if order == 1:
+            return -damp * (root_pi * np.cos(root_pi * lam) * a - (dphi * terms).sum(axis=-1))
+        return -damp * (-np.pi * np.sin(root_pi * lam) * a
+                        + ((dphi**2 - 4 * s2 - 2 / d2) * terms).sum(axis=-1))
+
+    return curve
+
+
 def simulated_p_err(pair: GkpStatePair, params: CircuitParams) -> ReadoutOutcome:
     """Exact readout error probability by full branch enumeration and
     majority vote over params.rounds repetitions, for the untruncated states
@@ -257,22 +234,17 @@ def simulated_p_err(pair: GkpStatePair, params: CircuitParams) -> ReadoutOutcome
     et al., PRX Quantum 2, 040315, 2021). In the half differences
     m = (n - n')/2, d = (l' - l)/2 and L = (j_s - j_t)/2,
     M^μ = Σ_L G_L(m)[W⁰_L + (-1)^d W¹_L] exp(-πd²(δ²/4 + σ²/2) - 2σ²λ²m²)
-    exp(i√π dλ(n + n')/2), G_L(m) = exp(-(√π L + λm)²/δ²), and W^π_L sums
-    a_s a_t over the peak pairs with (j_s + j_t)/2 ≡ π (mod 2). The
+    exp(i√π dλ(n + n')/2), G_L(m) = exp(-(√π L + λm)²/δ²), and W^π_L the
+    lag table of state μ (`_lag_table`). The
     channel's N(0, σ²) shifts of X and P enter only as the damping. M^μ is
     divided by its value at n = n', l = l', which normalizes the state."""
     rounds, lam = params.rounds, params.lam
     h, index, phase, strings = _branch_tree(rounds, lam)
-    j, weights = peak_weights((pair.kappa,))
-    # lags[μ, L, π] by one bincount over the peak pairs of both states
-    key = np.subtract.outer(j, j) // 2 + j[-1] + len(j) * np.arange(2)[:, None, None]
-    lags = np.bincount((2 * key + np.add.outer(j, j) // 2 % 2).ravel(),
-                       (weights[0][:, :, None] * weights[0][:, None, :]).ravel(), 4 * len(j))
+    j, lags = _lag_table(pair.kappa)
     # Σ_L G_L(m) W^π_L and the damping at m, d = -R…R, normalized, then
     # M^μ by a gather
     half = np.arange(-rounds, rounds + 1)
-    t = np.exp(-((np.sqrt(np.pi) * j + lam * half[:, None]) / pair.delta) ** 2) @ lags.reshape(
-        2, len(j), 2)
+    t = np.exp(-((np.sqrt(np.pi) * j + lam * half[:, None]) / pair.delta) ** 2) @ lags
     damp = np.exp(-np.pi * (pair.delta**2 / 4 + pair.sigma**2 / 2) * half**2
                   - 2 * np.square(pair.sigma * lam * half)[:, None])
     forms = (t[..., :1] + (1 - 2 * (half % 2)) * t[..., 1:]) * damp
@@ -323,44 +295,54 @@ def readout_errors(cells) -> list[float]:
     """The p_err of each (pair, params) cell. Where a closed form exists it
     is read, in non-negative terms, off the Fock states the pair holds, so
     it carries their cutoff's truncation: at lambda = 0 a sum over both
-    states' X populations (`_majority_tails`); at one round on kets
-    ½ Σ_μ Σ_p ‖G(c∘e) ± H(s∘e)‖², a cutoff's cells in one stack. Any other
-    cell is `simulated_p_err(pair, params).p_err`, exact for the grid
-    point, whose states the pair holds."""
+    states' X populations (`_majority_tails`); at one round
+    ½ Σ_μ Σ_p Tr(Z X_pp Zᵀ), Z = (G diag c ± H diag s) C_pᵀ the wrong
+    outcome's block, on kets as ½ Σ_μ Σ_p ‖G(c∘e) ± H(s∘e)‖², e = C_pᵀx_p,
+    a cutoff's ket cells in one stack. Any other cell is
+    `simulated_p_err(pair, params).p_err`, exact for the grid point, whose
+    states the pair holds."""
     # At lambda = 0, for any input and rounds, K0 and M1 are cos(√π X/2) and
     # sin(√π X/2), so at X = ±s_a the rounds are i.i.d. with
     # P(1) = q_a = sin²(√π s_a/2), and
     # p_err = ½ Σ_a [d⁰_a P(Bin(R, q_a) > R/2) + d¹_a P(Bin(R, q_a) < R/2)],
-    # d^μ the populations `sym` of state μ (`x_populations`). At one round
-    # on kets, for any lambda, (G, H, ±) are the wrong outcome's factors on
-    # parity p (`_kraus_factors`), e = W_pᵀψ_p, c = cos λs and s = sin λs:
-    # a few products of half-size matrices, and no Kraus pair is built. They
-    # are stacks of matrix-vector products, so each cell rounds as it would
-    # alone under the same BLAS. A multithreaded BLAS may split a product
-    # at N = 300 across threads, so the last bits can change with the
-    # thread count.
+    # d^μ the populations `sym` of state μ (`x_populations`). At one round,
+    # for any lambda, (G, H, ±) are the wrong outcome's factors on parity p
+    # (`_kraus_factors`), c = cos λs and s = sin λs, and x_p the state's
+    # X-sector vector B_pᵀψ_p (e = W_pᵀψ_p) or block X_pp = B_pᵀρ_ppB_p, of
+    # which only the real part enters: a few products of half-size
+    # matrices, and no Kraus pair is built. Kets are stacks of matrix-vector
+    # products, so each cell rounds as it would alone under the same BLAS. A
+    # multithreaded BLAS may split a product at N = 300 across threads, so
+    # the last bits can change with the thread count.
     out, stacks = np.empty(len(cells)), {}
     for k, (pair, params) in enumerate(cells):
         if params.lam == 0:
             tails = _majority_tails(pair.spec, params.rounds)
             out[k] = 0.5 * sum(sym @ t for (sym, _), t in zip(pair.populations, tails))
-        elif params.rounds == 1 and pair.is_pure:
-            stacks.setdefault(pair.spec, []).append(k)
+        elif params.rounds == 1:
+            stacks.setdefault((pair.spec, pair.is_pure), []).append(k)
         else:
             out[k] = simulated_p_err(pair, params).p_err
-    for spec, ks in stacks.items():
-        _, w, _, y_s, z_s, _ = x_sectors(spec)
-        kets = np.array([cells[k][0].sectors for k in ks])
+    for (spec, pure), ks in stacks.items():
+        _, w, _, y_s, z_s, c_p = x_sectors(spec)
         x = np.multiply.outer([cells[k][1].lam for k in ks], w)
         c, s = np.cos(x), np.sin(x)
-        total = 0.0
-        # Input 0 errs on M1, input 1 on K0; a parity the kets lack adds 0.
+        total = np.zeros(len(ks))
+        # Input 0 errs on M1, input 1 on K0; a parity the states lack adds 0.
         for mu, op in enumerate(_kraus_factors(spec)[::-1]):
+            held = [cells[k][0].sectors[mu] for k in ks]
             for p, (g, h, sign) in enumerate(op):
-                e = ((y_s, z_s)[p].T @ kets[:, mu, p::2, None])[..., 0]
-                if e.any():
-                    y = (g @ (c * e)[..., None] + sign * (h @ (s * e)[..., None]))[..., 0]
-                    total = total + (y.conj()[..., None, :] @ y[..., None])[..., 0, 0].real
+                if pure:
+                    e = ((y_s, z_s)[p].T @ np.array(held)[:, p::2, None])[..., 0]
+                    if e.any():
+                        y = (g @ (c * e)[..., None] + sign * (h @ (s * e)[..., None]))[..., 0]
+                        total += (y.conj()[..., None, :] @ y[..., None])[..., 0, 0].real
+                else:
+                    # Blocks a cell at a time, two half-size products each
+                    for i, blocks in enumerate(held):
+                        if (p, p) in blocks:
+                            z = (g * c[i] + sign * (h * s[i])) @ c_p[p].T
+                            total[i] += ((z @ blocks[p, p].real) * z).sum()
         out[ks] = 0.5 * total
     return out.tolist()
 
@@ -391,17 +373,15 @@ def homodyne_p_err_numeric(pair: GkpStatePair) -> float:
     of one variance δ²/2 + σ², of weight a_s a_t exp(-π(s - t)²/δ²),
     centred on the lattice point √π(s + t + μ). A centred Gaussian puts
     mass q in the bins at odd offsets, so a pair errs with q when s + t is
-    even and 1 - q when it is odd. Every term is positive."""
+    even and 1 - q when it is odd. Every term is positive. The pairs sum by
+    lag L = s - t on the lag table (`_lag_table`): their (j_s + j_t)/2 is
+    s + t + μ, so s + t is even where π = μ."""
     # The bins at offsets ±j, j odd, hold erfc((2j - 1)h) - erfc((2j + 1)h)
     # between them; past erfc(27) ~ 1e-318 the terms underflow.
     h = np.sqrt(np.pi / (8 * (pair.delta**2 / 2 + pair.sigma**2)))
     q = sum(math.erfc((2 * j - 1) * h) - math.erfc((2 * j + 1) * h)
             for j in range(1, int(13.5 / h) + 2, 2))
-    total = 0.0
-    peaks, weights = peak_weights((pair.kappa,))
-    for mu, a in enumerate(weights[0]):
-        s, a = (peaks[a > 0] - mu) // 2, a[a > 0]
-        w = np.outer(a, a) * np.exp(-np.pi * np.subtract.outer(s, s) ** 2 / pair.delta**2)
-        odd = np.add.outer(s, s) % 2 == 1
-        total += (q * w[~odd].sum() + (1 - q) * w[odd].sum()) / w.sum()
-    return float(0.5 * total)
+    lag, lags = _lag_table(pair.kappa)
+    sums = np.exp(-np.pi * lag**2 / pair.delta**2) @ lags
+    even, odd = np.diagonal(sums), np.diagonal(sums[:, ::-1])
+    return float(0.5 * np.sum((q * even + (1 - q) * odd) / (even + odd)))

@@ -264,7 +264,15 @@ def gaussian_displacement_channel(spec: HilbertSpec, state: np.ndarray, sigma: f
     k_plus, k_minus = _channel_kernel(spec, sigma)
 
     def kernel(a, b):
+        # A block the part lacks (None) takes no pass.
+        if b is None:
+            return k_plus * a, k_minus * a
+        if a is None:
+            return k_minus * b, k_plus * b
         return k_plus * a + k_minus * b, k_minus * a + k_plus * b
+
+    def signed(sign, x):
+        return -x if sign < 0 and x is not None else x
 
     # Only the blocks that are not zero enter: a GKP ket is even.
     if state.ndim == 1:
@@ -279,8 +287,8 @@ def gaussian_displacement_channel(spec: HilbertSpec, state: np.ndarray, sigma: f
     out = {}
     for part in _PARITY_PARTS:
         if any(pq in first for pq, _ in part):
-            blocks = kernel(*(sign * first.get(pq, 0) for pq, sign in part))
-            blocks = kernel(*(sign * (c[p] @ b @ c[q].T)
+            blocks = kernel(*(signed(sign, first.get(pq)) for pq, sign in part))
+            blocks = kernel(*(signed(sign, c[p] @ b @ c[q].T)
                               for ((p, q), sign), b in zip(part, blocks)))
             out.update((pq, b) for (pq, _), b in zip(part, blocks))
     return out

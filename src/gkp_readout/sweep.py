@@ -2,7 +2,9 @@
 strength, rounds, and channel noise, with deterministic CSV/JSON output.
 A table's pairs come from one cutoff search over its column of points,
 each row is read off its point's `GkpStatePair` (`_row`), and the table's
-closed-form cells come from one `readout_errors` call."""
+closed-form cells come from one `readout_errors` call. fig1c tunes a
+mixed point's lambda on the exact one-round curve of its grid point, and
+reads its cell there."""
 
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from . import analytics
 from .fock import HilbertSpec
-from .readout import CircuitParams, error_curve, readout_errors
+from .readout import CircuitParams, one_round_curve, readout_errors
 from .states import MAX_CUTOFF, GkpStatePair, check_point, converged_pairs, db_to_delta, delta_db
 
 DB_GUARD = (4.0, 16.0)
@@ -176,33 +178,30 @@ def run_fig1b(config: SweepConfig) -> list[SweepRow]:
     return _sweep(config, (0.0,), point_rows)
 
 
-def optimize_lambda_simulated(pair: GkpStatePair) -> tuple[float, float]:
-    """Minimum of a mixed pair's simulated single-round error over lambda in
+def optimize_lambda_simulated(pair: GkpStatePair) -> float:
+    """The lambda of least one-round error of a mixed pair's grid point, in
     [0, min(3√π δ_eff², LAMBDA_SEARCH_MAX)], δ_eff the pair's: the first
-    minus-to-plus change of the error curve's slope on a scan, refined by
-    Newton steps with its curvature to a step of LAMBDA_XTOL; without one,
-    the scan point of least error. Returns (lambda, p_err)."""
-    curve = error_curve(pair)
+    minus-to-plus change of the slope of the exact curve (`one_round_curve`)
+    on a scan, refined by Newton steps with its curvature to a step of
+    LAMBDA_XTOL; without one, the scan point of least error."""
+    curve = one_round_curve(pair)
     grid = np.linspace(0.0, min(3 * np.sqrt(np.pi) * pair.delta_eff**2, LAMBDA_SEARCH_MAX),
                        LAMBDA_SCAN_POINTS)
-    lam = analytics.first_rising_root(curve.slope, curve.curvature, grid, LAMBDA_XTOL)
-    if lam is None:
-        lam = float(grid[np.argmin(curve(grid))])
-    return lam, float(curve(lam))
+    lam = analytics.first_rising_root(lambda x: curve(x, 1), lambda x: curve(x, 2), grid,
+                                      LAMBDA_XTOL)
+    return float(grid[np.argmin(curve(grid))]) if lam is None else lam
 
 
 def run_fig1c(config: SweepConfig) -> list[SweepRow]:
     """Mixed-state performance: for each (delta, sigma) the simple circuit
-    and the improved circuit with lambda tuned on the simulated error."""
+    and the improved circuit with lambda tuned on the exact one-round error;
+    both read the pair's Fock states."""
     def point_rows(pair):
         simple = _row(pair, "simple_R1", 0.0, 1, (pair, CircuitParams(0.0)),
                       analytics.p_err_simple_formula(pair.delta_eff))
-        if pair.sigma == 0:
-            lam = analytics.optimal_lambda(pair.delta)
-            p_sim = pair, CircuitParams(lam)
-        else:
-            lam, p_sim = optimize_lambda_simulated(pair)
-        return [simple, _row(pair, "improved_optimal", lam, 1, p_sim, None)]
+        lam = (analytics.optimal_lambda(pair.delta) if pair.sigma == 0
+               else optimize_lambda_simulated(pair))
+        return [simple, _row(pair, "improved_optimal", lam, 1, (pair, CircuitParams(lam)), None)]
     return _sweep(config, config.sigma_list, point_rows)
 
 

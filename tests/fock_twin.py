@@ -2,9 +2,10 @@
 in the same outcome order and under the same `readout.PROB_PRUNE` rule, on
 the Fock states a pair holds at its cutoff, so it carries the cutoff's
 truncation. The tests check it against the qubit ⊗ oscillator oracle, the
-closed forms of `readout.readout_errors` and `readout.error_curve` (which
-run on the same Fock states) against it, and the exact enumeration against
-it at a cutoff where it has converged.
+closed forms of `readout.readout_errors` (which run on the same Fock
+states: λ = 0 at any rounds, and one round on kets and on X-sector blocks)
+against it, the Fock cell of fig1c's λ search against its minimum, and the
+exact enumeration against it at a cutoff where it has converged.
 
 Both states' trees advance together, a round at a time, on X-sector
 blocks (`readout.sector_kraus`) keyed by their parities: (p,) for a ket's

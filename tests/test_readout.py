@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -16,8 +17,8 @@ from gkp_readout.readout import (
     Branch,
     CircuitParams,
     ReadoutOutcome,
-    error_curve,
     homodyne_p_err_numeric,
+    one_round_curve,
     post_state,
     readout_error,
     readout_errors,
@@ -219,58 +220,52 @@ def test_kraus_factors_cached_read_only():
 
 @pytest.fixture(scope="module", params=[(db, sigma, None) for db in (7.0, 10.0, 14.0)
                                         for sigma in (0.0, 0.1)]
-                + [(db, sigma, 151) for db in (7.0, 10.0) for sigma in (0.0, 0.1)])
+                + [(db, sigma, 3.0) for db in (7.0, 10.0) for sigma in (0.0, 0.1)])
 def curve_case(request):
-    """A ket pair or a sigma = 0.1 density pair, its error curve, and a
-    lambda grid from 0 through the optimum to 0.3. The auto cutoffs give
-    odd dimensions, with a null mode; N = 151 gives an even one."""
-    db, sigma, cutoff = request.param
+    """A grid point, ket (sigma = 0) or mixed (sigma = 0.1), its exact
+    one-round curve, and a lambda grid from 0 through the optimum to 0.3.
+    Kappa is 1/delta, or fixed at 3."""
+    db, sigma, kappa = request.param
     delta = db_to_delta(db)
-    spec = auto_cutoff(delta) if cutoff is None else HilbertSpec(cutoff)
-    pair = make_state_pair(spec, delta, sigma=sigma)
+    pair = GkpStatePair(SPEC, delta, 1 / delta if kappa is None else kappa, sigma)
     lam = optimal_lambda(delta)
-    return pair, error_curve(pair), np.array([0.0, 0.5 * lam, lam, 0.1, 0.2, 0.3])
+    return pair, one_round_curve(pair), np.array([0.0, 0.5 * lam, lam, 0.1, 0.2, 0.3])
 
 
 def test_error_curve_matches_simulated_p_err(curve_case):
-    # The curve reads the Fock states the pair holds, so it is checked
-    # against the Fock twin of simulated_p_err on the same states. The
-    # curve's quadratic forms cancel down to p_err, so they carry an
-    # absolute rounding error of a few 1e-16; the twin's sums of squares do
-    # not. 2e-16 is 2e-11 relative at the 14 dB optimum of the ket pair,
-    # p_err = 1.09e-5.
+    # The curve is the branch enumeration at one round, summed in closed
+    # form, and for kappa = 1/delta it is checked against the 40-digit form
+    # too. Its value cancels from 1/2 down to p_err, so it carries an
+    # absolute rounding error of order 1e-16; 2e-16 is 2e-11 relative at the
+    # 14 dB optimum of the ket pair, p_err = 1.09e-5.
     pair, curve, lams = curve_case
-    ref = np.array([fock_p_err(pair, CircuitParams(lam, 1)).p_err for lam in lams])
-    for got in (curve(lams), [curve(lam) for lam in lams]):
-        assert np.all(np.abs(got - ref) <= 1e-12 * ref + 2e-16)
+    refs = [np.array([simulated_p_err(pair, CircuitParams(lam, 1)).p_err for lam in lams])]
+    if pair.kappa == 1 / pair.delta:
+        refs.append(np.array([float(mpmath_one_round_p_err(pair.delta, pair.sigma, lam))
+                              for lam in lams]))
+    for ref in refs:
+        for got in (curve(lams), [curve(lam) for lam in lams]):
+            assert np.all(np.abs(got - ref) <= 1e-12 * ref + 2e-16)
 
 
 def test_error_curve_slope_matches_central_difference(curve_case):
     _, curve, lams = curve_case
     h = 1e-5
     central = (curve(lams + h) - curve(lams - h)) / (2 * h)
-    slope = curve.slope(lams)
+    slope = curve(lams, 1)
     assert np.max(np.abs(slope - central)) < 1e-7 * np.max(np.abs(central))
-    assert np.allclose([curve.slope(lam) for lam in lams], slope, rtol=1e-12, atol=1e-15)
+    assert np.allclose([curve(lam, 1) for lam in lams], slope, rtol=1e-12, atol=1e-15)
 
 
 def test_error_curve_curvature_matches_central_difference(curve_case):
-    # The curvature forms are `_derivative` of the slope forms, which are
-    # `_derivative` of the value forms: the same rule twice
+    # The slope and the curvature differentiate the curve's Gaussian terms
+    # each on its own, so the curvature is checked against the slope
     _, curve, lams = curve_case
     h = 1e-5
-    central = (curve.slope(lams + h) - curve.slope(lams - h)) / (2 * h)
-    curvature = curve.curvature(lams)
+    central = (curve(lams + h, 1) - curve(lams - h, 1)) / (2 * h)
+    curvature = curve(lams, 2)
     assert np.max(np.abs(curvature - central)) < 1e-7 * np.max(np.abs(central))
-    assert np.allclose([curve.curvature(lam) for lam in lams], curvature, rtol=1e-12, atol=1e-15)
-
-
-def test_error_curve_grams_cached_read_only():
-    from gkp_readout.readout import _wrong_outcome_grams
-
-    first = _wrong_outcome_grams(SPEC)
-    assert first is _wrong_outcome_grams(SPEC)
-    assert not any(m.flags.writeable for per_mu in first for per_p in per_mu for m in per_p)
+    assert np.allclose([curve(lam, 2) for lam in lams], curvature, rtol=1e-12, atol=1e-15)
 
 
 @pytest.fixture(scope="module")
@@ -559,9 +554,9 @@ def sweep_pairs():
     return build
 
 
-def _is_closed_form(pair, params):
+def _is_closed_form(params):
     # The cells readout_errors reads off the Fock states the pair holds
-    return params.lam == 0 or (params.rounds == 1 and pair.is_pure)
+    return params.lam == 0 or params.rounds == 1
 
 
 @pytest.mark.parametrize("db", [7.0, 10.0, 12.0])
@@ -579,8 +574,21 @@ def test_readout_error_equals_branch_enumeration(sweep_pairs, db, sigma):
         # R = 9 at lambda = 0 reads the twin's deepest sector effects, 1022 rows
         for rounds in (1, 3, 5, 9) if lam == 0 else (1, 3, 5):
             params = CircuitParams(lam, rounds)
-            want = fock_p_err(pair if _is_closed_form(pair, params) else converged, params).p_err
+            want = fock_p_err(pair if _is_closed_form(params) else converged, params).p_err
             assert abs(readout_error(pair, params) - want) <= 1e-12 * want + 1e-16
+
+
+@pytest.mark.parametrize("db", [7.0, 10.0])
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_one_round_cells_match_fock_twin_at_even_dim(db, sigma):
+    # N = 151 gives an even dimension, with no null mode: the one-round
+    # cells of kets and of X-sector blocks against the twin on the same states
+    delta = db_to_delta(db)
+    pair = converged_pairs((delta,), (None,), (sigma,), 151, 151)[0][0]
+    assert pair.spec.dim % 2 == 0
+    for lam in (optimal_lambda(delta), 0.1, 0.3):
+        want = fock_p_err(pair, CircuitParams(lam)).p_err
+        assert abs(readout_error(pair, CircuitParams(lam)) - want) <= 1e-12 * want + 1e-16
 
 
 def test_readout_error_lambda_zero_matches_hybrid_oracle(oracle_case):
@@ -603,8 +611,8 @@ def test_readout_error_general_input(general_case):
     pairs, unitaries = general_case
     cells = [(held, CircuitParams(lam, rounds))
              for lam in unitaries for held in pairs for rounds in (1, 3)]
-    closed = [(held, params) for held, params in cells if _is_closed_form(held, params)]
-    assert len(closed) == 5
+    closed = [(held, params) for held, params in cells if _is_closed_form(params)]
+    assert len(closed) == 6
     for held, params in closed:
         want = fock_p_err(held, params).p_err
         assert abs(readout_error(held, params) - want) <= 1e-12 * want + 1e-16
@@ -803,6 +811,20 @@ def test_enumeration_reads_only_the_grid_point(monkeypatch):
                     assert abs(sum(b.probability for b in tree) - 1) < 1e-13
 
 
+def test_lag_table_cached_read_only():
+    # The lag table depends on kappa alone, and the enumeration, the
+    # one-round curve and the homodyne share it: W[mu, L, pi] sums the
+    # peak-pair weights, each pair once
+    from gkp_readout.readout import _lag_table
+
+    lag, table = _lag_table(3.0)
+    assert _lag_table(3.0)[1] is table
+    assert not lag.flags.writeable and not table.flags.writeable
+    j, weights = peak_weights((3.0,))
+    assert np.array_equal(lag, j) and table.shape == (2, len(j), 2)
+    assert np.allclose(table.sum(axis=(1, 2)), weights[0].sum(axis=1) ** 2, rtol=1e-14)
+
+
 def test_branch_tree_cached_read_only():
     # The coefficients depend on (R, lambda) alone, and are shared
     from gkp_readout.readout import _branch_tree
@@ -972,6 +994,34 @@ def test_homodyne_matches_mpmath_peak_sum(db, sigma):
     assert abs(homodyne_p_err_numeric(pair) - ref) <= 1e-13 * ref
 
 
+def homodyne_peak_pair_sum(pair):
+    """`homodyne_p_err_numeric` as a double sum over each state's peak
+    pairs (s, t), peak j = 2s + mu, each of weight a_s a_t exp(-π(s - t)²/δ²),
+    erring with q where s + t is even and 1 - q where it is odd."""
+    h = np.sqrt(np.pi / (8 * (pair.delta**2 / 2 + pair.sigma**2)))
+    q = sum(math.erfc((2 * j - 1) * h) - math.erfc((2 * j + 1) * h)
+            for j in range(1, int(13.5 / h) + 2, 2))
+    total = 0.0
+    peaks, weights = peak_weights((pair.kappa,))
+    for mu, a in enumerate(weights[0]):
+        s, a = (peaks[a > 0] - mu) // 2, a[a > 0]
+        w = np.outer(a, a) * np.exp(-np.pi * np.subtract.outer(s, s) ** 2 / pair.delta**2)
+        odd = np.add.outer(s, s) % 2 == 1
+        total += (q * w[~odd].sum() + (1 - q) * w[odd].sum()) / w.sum()
+    return float(0.5 * total)
+
+
+@pytest.mark.parametrize("db", [7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0])
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+@pytest.mark.parametrize("kappa", [None, 3.0])
+def test_homodyne_lag_sum_matches_peak_pair_sum(db, sigma, kappa):
+    # Summed by lag on the lag table, the peak pairs give their double sum
+    delta = db_to_delta(db)
+    pair = GkpStatePair(SPEC, delta, 1 / delta if kappa is None else kappa, sigma)
+    ref = homodyne_peak_pair_sum(pair)
+    assert abs(homodyne_p_err_numeric(pair) - ref) <= 1e-14 * ref
+
+
 def test_homodyne_relabeling_symmetry(pair_10db):
     # Swapping inputs and relabeling the bins swaps the two conditional
     # errors, leaving their average untouched
@@ -1034,7 +1084,7 @@ def test_state_path_needs_no_dense_eigh(monkeypatch, cold_caches):
     mixed = make_state_pair(spec, DELTA_10DB, sigma=0.1)
     out = simulated_p_err(mixed, CircuitParams(optimal_lambda(DELTA_10DB), 3))
     assert 0 < out.p_err < 0.5
-    assert 0 < error_curve(mixed)(0.1) < 0.5
+    assert 0 < readout_error(mixed, CircuitParams(0.1)) < 0.5
     pure = make_state_pair(spec, DELTA_10DB)
     assert 0 < homodyne_p_err_numeric(pure) < 0.5
 

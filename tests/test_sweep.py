@@ -6,7 +6,7 @@ import pytest
 
 from gkp_readout import analytics, sweep
 from gkp_readout.cli import EXIT_CONFIG, main
-from gkp_readout.readout import CircuitParams, error_curve
+from gkp_readout.readout import CircuitParams, one_round_curve, readout_error, simulated_p_err
 from gkp_readout.states import (
     auto_cutoff,
     converged_pairs,
@@ -227,18 +227,19 @@ def _mixed_point(db, sigma):
 @pytest.mark.parametrize("db, sigma", [(9.0, 0.05), (11.0, 0.15)])
 def test_lambda_search_matches_bounded_minimization(db, sigma):
     # A bounded Brent run at xatol 1e-10 on the branch enumeration of the
-    # same Fock states (the Fock twin) finds the same minimum; the search's
-    # p_err is the curve at its lambda
+    # grid point finds the search's lambda. The row reads its Fock cell
+    # there, whose minimum is flat: a Brent run on the Fock twin of the same
+    # Fock states finds the same p_err
     from scipy.optimize import minimize_scalar
 
     pair, deff = _mixed_point(db, sigma)
-    lam, p_err = optimize_lambda_simulated(pair)
-    res = minimize_scalar(lambda x: fock_p_err(pair, CircuitParams(x, 1)).p_err,
-                          bounds=(0.0, min(3 * np.sqrt(np.pi) * deff**2, LAMBDA_SEARCH_MAX)),
-                          method="bounded", options={"xatol": 1e-10})
-    assert abs(lam - res.x) < 1e-7
-    assert abs(p_err - res.fun) < 1e-12 * res.fun
-    assert p_err == error_curve(pair)(lam)
+    lam = optimize_lambda_simulated(pair)
+    bounds = (0.0, min(3 * np.sqrt(np.pi) * deff**2, LAMBDA_SEARCH_MAX))
+    exact, fock = (minimize_scalar(lambda x, f=f: f(pair, CircuitParams(x, 1)).p_err,
+                                   bounds=bounds, method="bounded", options={"xatol": 1e-10})
+                   for f in (simulated_p_err, fock_p_err))
+    assert abs(lam - exact.x) < 1e-7
+    assert abs(readout_error(pair, CircuitParams(lam)) - fock.fun) < 1e-12 * fock.fun
 
 
 def test_lambda_search_without_minimum_returns_least_scan_point(monkeypatch):
@@ -250,12 +251,10 @@ def test_lambda_search_without_minimum_returns_least_scan_point(monkeypatch):
     hi = 3 * np.sqrt(np.pi) * 0.02**2
     monkeypatch.setattr(sweep, "LAMBDA_SEARCH_MAX", hi)
     grid = np.linspace(0.0, hi, LAMBDA_SCAN_POINTS)
-    curve = error_curve(pair)
-    assert np.all(curve.slope(grid) < 0)
+    curve = one_round_curve(pair)
+    assert np.all(curve(grid, 1) < 0)
     assert np.argmin(curve(grid)) == grid.size - 1
-    lam, p_err = optimize_lambda_simulated(pair)
-    assert lam == grid[-1]
-    assert p_err == curve(lam)
+    assert optimize_lambda_simulated(pair) == grid[-1]
 
 
 def test_csv_and_json_shapes(fig1a_rows):
@@ -604,19 +603,19 @@ def test_lambda_search_takes_few_newton_steps(db, sigma):
     # curvature evaluation; the step that ends the search is below 1e-10, so
     # lambda is the slope's root to rounding
     pair, deff = _mixed_point(db, sigma)
-    curve = error_curve(pair)
+    curve = one_round_curve(pair)
     points = []
 
     def slope(lam):
         points.append(np.ndim(lam))
-        return curve.slope(lam)
+        return curve(lam, 1)
 
     grid = np.linspace(0.0, min(3 * np.sqrt(np.pi) * deff**2, LAMBDA_SEARCH_MAX),
                        LAMBDA_SCAN_POINTS)
-    lam = analytics.first_rising_root(slope, curve.curvature, grid, sweep.LAMBDA_XTOL)
+    lam = analytics.first_rising_root(slope, lambda x: curve(x, 2), grid, sweep.LAMBDA_XTOL)
     assert points[0] == 1 and len(points) <= 1 + 4
-    assert abs(curve.slope(lam)) <= 1e-12 * curve.curvature(lam)
-    assert (lam, curve(lam)) == optimize_lambda_simulated(pair)
+    assert abs(curve(lam, 1)) <= 1e-12 * curve(lam, 2)
+    assert lam == optimize_lambda_simulated(pair)
 
 
 def test_one_ket_build_per_cutoff_per_column(monkeypatch):
