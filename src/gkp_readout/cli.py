@@ -98,8 +98,10 @@ def cmd_validate(args) -> int:
     checks.append(("squeezed-vacuum X variance", abs(var - 0.125) < 1e-9))
     checks.append(("effective squeezing of the 10 dB ket",
                    abs(pair.delta_eff - delta) < 1e-9))
-    # The exact enumeration's branches, at lambda = 0 and at the optimum.
-    outs = [readout.simulated_p_err(pair, readout.CircuitParams(x, 1)) for x in (0.0, lam)]
+    # The exact enumeration's branches, at lambda = 0 and at the optimum,
+    # and of five rounds at the optimum.
+    outs = [readout.simulated_p_err(pair, readout.CircuitParams(x, r))
+            for x, r in ((0.0, 1), (lam, 1), (lam, 5))]
     checks.append(("probability conservation", all(
         abs(sum(branch.probability for branch in tree) - 1) < 1e-10
         for out in outs for tree in (out.branches_0, out.branches_1))))

@@ -7,15 +7,15 @@ afterwards, the circuit is a two-outcome instrument {K0, K1} on the
 oscillator alone, as real blocks on the X sectors of `fock.x_sectors`
 (`sector_kraus`). `simulated_p_err` enumerates every branch of a
 multi-round run exactly, as sums of Gaussian terms in the pair's
-(delta, kappa, sigma) with no Fock cutoff, and returns each branch as plain
-data, its outcomes and probability; `post_state` replays one branch on the
-Fock states the pair holds. `one_round_curve` is the same exact error at
-one round as a closed function of lambda, with its slope and curvature,
-for lambda searches. `readout_errors` takes a closed form on the Fock
-states where one exists: tails cached per cutoff and rounds at
+(delta, kappa, sigma) with no Fock cutoff, on round maps cached per number
+of rounds, where lambda enters only as powers of z = e^{i√πλ/2}; each
+branch is plain data, its outcomes and probability. `post_state` replays
+one on the Fock states the pair holds. `one_round_curve` is the exact
+error at one round as a closed function of lambda, with its slope and
+curvature, for lambda searches. `readout_errors` takes a closed form on
+the Fock states where one exists: tails cached per cutoff and rounds at
 lambda = 0, a stack of a cutoff's one-round cells, kets or X-sector
-blocks, at any lambda. The ideal homodyne readout they are compared with
-is a closed-form peak sum.
+blocks, at any lambda. Ideal homodyne readout is a closed-form peak sum.
 """
 
 from __future__ import annotations
@@ -134,40 +134,53 @@ def _root(spec: HilbertSpec, state) -> dict:
         (p,): x_sectors(spec)[2 * p].T @ state[p::2] for p in (0, 1) if state[p::2].any()}
 
 
+@lru_cache(maxsize=(MAX_ROUNDS + 1) // 2)
+def _round_maps(rounds: int) -> tuple:
+    """What `_branch_tree` reads at any lambda: each round's K0 | M1 map on
+    the flat index of (a, b), as indices into the entries c z^k it is made
+    of, and the flat index of (m, d) and the powers k of `simulated_p_err`'s
+    phase; the outcome strings' majority mask, and the strings. Cached, read-only."""
+    # cos λP and i sin λP move n by -1 with ½z^l and by +1 with ±½z^{-l},
+    # z = e^{i√πλ/2}; C = cos(√π X/2) and S = sin(√π X/2) move l by ±1. So
+    # K0 = ½[D ⊗ (C - S)E₊ + U ⊗ (C + S)E₋] and
+    # M1 = ½[D ⊗ (C + S)E₊ - U ⊗ (C - S)E₋], D and U moving n by -1 and +1,
+    # E± = diag(z^{±l}) and C ∓ S = ½[(1 ± i)(l → l + 1) + (1 ∓ i)(l → l - 1)].
+    # After r rounds n ≡ l ≡ r (mod 2), so h holds n = 2a - r and l = 2b - r
+    # at [a, b]: outcome f's D keeps a where its U (s = 1) raises it, and b
+    # rises by db. An entry's index is v(4R² + 1) + 2R² + k, with c the v-th
+    # of ¼(1 - i, 1 + i, -1 + i, -1 - i), v = (f + s + db) % 2 + 2(f & s);
+    # 4(4R² + 1) indexes a 0.
+    (f, s, db), width, maps = np.indices((2, 2, 2)).reshape(3, -1), 4 * rounds**2 + 1, []
+    for r in range(rounds):
+        a, b = (x[:, None] for x in np.divmod(np.arange((r + 1) ** 2), r + 1))
+        maps.append(np.full((len(a), 2 * (r + 2) ** 2), 4 * width))
+        maps[-1][np.arange(len(a))[:, None], f * (r + 2) ** 2 + (a + s) * (r + 2) + b + db] = (
+            ((f + s + db) % 2 + 2 * (f & s)) * width + width // 2 + (1 - 2 * s) * (2 * b - r))
+    a, b = np.divmod(np.arange((rounds + 1) ** 2), rounds + 1)
+    d = np.subtract.outer(b, b).T
+    out = ((np.subtract.outer(a, a) + rounds) * (2 * rounds + 1) + d + rounds,
+           width // 2 + 2 * d * (np.add.outer(a, a) - rounds),
+           np.array([2 * w.bit_count() > rounds for w in range(1 << rounds)]))
+    for x in (*maps, *out):
+        x.setflags(write=False)
+    return (tuple(maps), *out, tuple(format(w, f"0{rounds:d}b") for w in range(1 << rounds)))
+
+
 @lru_cache(maxsize=8)
 def _branch_tree(rounds: int, lam: float) -> tuple:
     """The coefficients h_w(n, l) of every outcome string w of `rounds`
-    rounds at lambda, row int(w, 2), on the terms t_nl(x) =
-    g(x - x_s - nλ) e^{iq_l x}, q_l = l√π/2, that the rounds leave of a
-    peak g(x - x_s); the flat index of (m, d) and the phase of
-    `simulated_p_err`'s M^μ; and the outcome strings. All depend on (R, λ)
-    alone: cached, read-only."""
-    # cos λP and i sin λP move n by -1 with ½e^{iq_lλ} and by +1 with
-    # ±½e^{-iq_lλ}; C = cos(√π X/2) and S = sin(√π X/2) move l by ±1. So
-    # K0 = ½[D ⊗ (C - S)E₊ + U ⊗ (C + S)E₋] and
-    # M1 = ½[D ⊗ (C + S)E₊ - U ⊗ (C - S)E₋], D and U moving n by -1 and +1,
-    # E± = diag(e^{±iq_lλ}) and C ∓ S = ½[(1 ± i)(l → l + 1) + (1 ∓ i)(l → l - 1)].
-    # After r rounds n ≡ l ≡ r (mod 2), so h holds n = 2a - r and l = 2b - r
-    # at [a, b]: a round applies the four l-axis factors, (r + 1) × (r + 2),
-    # as products, and D keeps a where U raises it by one.
-    h = np.ones((1, 1, 1), dtype=complex)
-    for r in range(rounds):
-        e = np.exp(0.5j * np.sqrt(np.pi) * lam * np.arange(-r, r + 1, 2))[:, None]
-        up, down = np.eye(r + 1, r + 2, 1) / 4, np.eye(r + 1, r + 2) / 4
-        c_minus_s, c_plus_s = (1 + 1j) * up + (1 - 1j) * down, (1 - 1j) * up + (1 + 1j) * down
-        y = h[:, None] @ np.array([e * c_minus_s, e.conj() * c_plus_s, e * c_plus_s,
-                                   -e.conj() * c_minus_s])
-        h = np.zeros((len(h), 2, r + 2, r + 2), dtype=complex)
-        h[:, :, :-1] = y[:, 0::2]
-        h[:, :, 1:] += y[:, 1::2]
-        h = h.reshape(-1, r + 2, r + 2)
-    a, b = np.divmod(np.arange((rounds + 1) ** 2), rounds + 1)
-    m, d = np.subtract.outer(a, a), np.subtract.outer(b, b).T
-    out = (h.reshape(len(h), -1), (m + rounds) * (2 * rounds + 1) + d + rounds,
-           np.exp(1j * np.sqrt(np.pi) * lam * d * (np.add.outer(a, a) - rounds)))
-    for x in out:
+    rounds at lambda, row int(w, 2), on the terms g(x - x_s - nλ) e^{il√πx/2}
+    that the rounds leave of a peak g(x - x_s), and `simulated_p_err`'s
+    phase: `_round_maps` at z = e^{i√πλ/2}. Cached, read-only, each its own array."""
+    maps, _, powers, *_ = _round_maps(rounds)
+    z = np.exp(0.5j * np.sqrt(np.pi) * lam * np.arange(-2 * rounds**2, 2 * rounds**2 + 1))
+    entries = np.append(np.multiply.outer([1 - 1j, 1 + 1j, -1 + 1j, -1 - 1j], z / 4), 0)
+    h = np.ones((1, 1))
+    for m in maps:
+        h = (h @ entries.take(m)).reshape(2 * len(h), -1)
+    for x in (h, phase := z.take(powers)):
         x.setflags(write=False)
-    return (*out, tuple(format(w, f"0{rounds:d}b") for w in range(len(h))))
+    return h, phase
 
 
 @lru_cache(maxsize=16)
@@ -239,7 +252,8 @@ def simulated_p_err(pair: GkpStatePair, params: CircuitParams) -> ReadoutOutcome
     channel's N(0, σ²) shifts of X and P enter only as the damping. M^μ is
     divided by its value at n = n', l = l', which normalizes the state."""
     rounds, lam = params.rounds, params.lam
-    h, index, phase, strings = _branch_tree(rounds, lam)
+    h, phase = _branch_tree(rounds, lam)
+    _, index, _, majority, strings = _round_maps(rounds)
     j, lags = _lag_table(pair.kappa)
     # Σ_L G_L(m) W^π_L and the damping at m, d = -R…R, normalized, then
     # M^μ by a gather
@@ -252,9 +266,9 @@ def simulated_p_err(pair: GkpStatePair, params: CircuitParams) -> ReadoutOutcome
     probs = (h.conj() * (h @ (forms * phase).transpose(0, 2, 1))).sum(axis=-1).real
     trees = tuple(tuple(Branch(*b) for b in zip(strings, row.tolist()) if b[1] > PROB_PRUNE)
                   for row in probs)
-    wrong = [sum(b.probability for b in tree if b.majority != mu) for mu, tree in enumerate(trees)]
-    return ReadoutOutcome(p_1_given_0=wrong[0], p_0_given_1=wrong[1],
-                          branches_0=trees[0], branches_1=trees[1])
+    # Each input's kept wrong-majority branches, summed in branch order
+    wrong = [sum(p[(p > PROB_PRUNE) & (majority != mu)].tolist()) for mu, p in enumerate(probs)]
+    return ReadoutOutcome(*wrong, *trees)
 
 
 def post_state(pair: GkpStatePair, lam: float, mu: int, outcomes: str) -> np.ndarray:

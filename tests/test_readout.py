@@ -825,16 +825,103 @@ def test_lag_table_cached_read_only():
     assert np.allclose(table.sum(axis=(1, 2)), weights[0].sum(axis=1) ** 2, rtol=1e-14)
 
 
+def per_round_branch_tree(rounds, lam):
+    """Reference for `readout._branch_tree` and `_round_maps`: the
+    coefficients h_w(n, l), built a round at a time with the factors of
+    K0 and M1 on a grid that grows by one a round, the flat index of (m, d),
+    the phase of M^μ computed directly, and the outcome strings."""
+    # cos λP and i sin λP move n by -1 with ½e^{iq_lλ} and by +1 with
+    # ±½e^{-iq_lλ}; C = cos(√π X/2) and S = sin(√π X/2) move l by ±1. So
+    # K0 = ½[D ⊗ (C - S)E₊ + U ⊗ (C + S)E₋] and
+    # M1 = ½[D ⊗ (C + S)E₊ - U ⊗ (C - S)E₋], D and U moving n by -1 and +1,
+    # E± = diag(e^{±iq_lλ}) and C ∓ S = ½[(1 ± i)(l → l + 1) + (1 ∓ i)(l → l - 1)].
+    # After r rounds n ≡ l ≡ r (mod 2), so h holds n = 2a - r and l = 2b - r
+    # at [a, b]: a round applies the four l-axis factors, (r + 1) × (r + 2),
+    # as products, and D keeps a where U raises it by one.
+    h = np.ones((1, 1, 1), dtype=complex)
+    for r in range(rounds):
+        e = np.exp(0.5j * np.sqrt(np.pi) * lam * np.arange(-r, r + 1, 2))[:, None]
+        up, down = np.eye(r + 1, r + 2, 1) / 4, np.eye(r + 1, r + 2) / 4
+        c_minus_s, c_plus_s = (1 + 1j) * up + (1 - 1j) * down, (1 - 1j) * up + (1 + 1j) * down
+        y = h[:, None] @ np.array([e * c_minus_s, e.conj() * c_plus_s, e * c_plus_s,
+                                   -e.conj() * c_minus_s])
+        h = np.zeros((len(h), 2, r + 2, r + 2), dtype=complex)
+        h[:, :, :-1] = y[:, 0::2]
+        h[:, :, 1:] += y[:, 1::2]
+        h = h.reshape(-1, r + 2, r + 2)
+    a, b = np.divmod(np.arange((rounds + 1) ** 2), rounds + 1)
+    m, d = np.subtract.outer(a, a), np.subtract.outer(b, b).T
+    angle = np.sqrt(np.pi) * lam * d * (np.add.outer(a, a) - rounds)
+    return (h.reshape(len(h), -1), (m + rounds) * (2 * rounds + 1) + d + rounds,
+            np.exp(1j * angle), angle, tuple(format(w, f"0{rounds:d}b") for w in range(len(h))))
+
+
+@pytest.mark.parametrize("rounds", [1, 3, 5, 7, 9])
+@pytest.mark.parametrize("lam", [0.0, optimal_lambda(db_to_delta(10)), -0.3, 0.45, 0.9])
+def test_branch_tree_matches_per_round_reference(rounds, lam):
+    # Powers of z = e^{i√πλ/2} gathered into per-R maps give the per-round
+    # construction's strings, index and branch order, and its h to 1e-15.
+    # The phase's angle √πλd(a + a' - R) reaches 129 rad at R = 9, λ = 0.9;
+    # the reference rounds it twice and z^k once, so the two differ by up
+    # to an ulp of the angle (1.4e-14 there), and are held to 1e-15 of it.
+    from gkp_readout.readout import _branch_tree, _round_maps
+
+    ref_h, ref_index, ref_phase, angle, ref_strings = per_round_branch_tree(rounds, lam)
+    (h, phase), (_, index, _, majority, strings) = _branch_tree(rounds, lam), _round_maps(rounds)
+    assert strings == ref_strings and np.array_equal(index, ref_index)
+    assert h.shape == ref_h.shape and np.abs(h - ref_h).max() <= 1e-15
+    assert np.all(np.abs(phase - ref_phase) <= 1e-15 * np.maximum(1, np.abs(angle)))
+    assert majority.tolist() == [bool(Branch(w, 0.0).majority) for w in strings]
+
+
+@pytest.mark.parametrize("rounds", [7, 9])
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_long_runs_match_per_round_reference(monkeypatch, rounds, sigma):
+    # R = 7 and 9 at lambda != 0 on the reference tree: the same branches
+    # in the same order, each probability and p_err within 1e-15, and p_err
+    # the wrong-majority sum that Branch.majority gives
+    from gkp_readout import readout
+
+    pair = GkpStatePair(SPEC, DELTA_10DB, 1 / DELTA_10DB, sigma)
+    for lam in (optimal_lambda(DELTA_10DB), -0.3, 0.45):
+        got = simulated_p_err(pair, CircuitParams(lam, rounds))
+        with monkeypatch.context() as m:
+            m.setattr(readout, "_branch_tree", lambda r, x: per_round_branch_tree(r, x)[:3:2])
+            want = simulated_p_err(pair, CircuitParams(lam, rounds))
+        assert abs(got.p_err - want.p_err) <= 1e-15
+        for mu, (tree, ref) in enumerate(((got.branches_0, want.branches_0),
+                                          (got.branches_1, want.branches_1))):
+            assert [b.outcomes for b in tree] == [b.outcomes for b in ref]
+            assert max(abs(b.probability - w.probability) for b, w in zip(tree, ref)) <= 1e-15
+            wrong = sum(b.probability for b in tree if b.majority != mu)
+            assert wrong == (got.p_1_given_0, got.p_0_given_1)[mu]
+
+
 def test_branch_tree_cached_read_only():
-    # The coefficients depend on (R, lambda) alone, and are shared
-    from gkp_readout.readout import _branch_tree
+    # The round maps depend on R alone, one entry per odd R <= MAX_ROUNDS,
+    # and a tree on (R, lambda): each is cached and read-only, and a cached
+    # tree holds its h and phase in arrays of their own, no view into a
+    # larger buffer
+    from gkp_readout.readout import MAX_ROUNDS, _branch_tree, _round_maps
+
+    maps = {rounds: _round_maps(rounds) for rounds in range(1, MAX_ROUNDS + 1, 2)}
+    assert all(_round_maps(rounds) is entry for rounds, entry in maps.items())
+    round_maps, index, powers, majority, strings = maps[5]
+    assert [m.shape for m in round_maps] == [((r + 1) ** 2, 2 * (r + 2) ** 2) for r in range(5)]
+    assert index.shape == powers.shape == (36, 36) and majority.shape == (32,)
+    assert strings == tuple(format(w, "05b") for w in range(32))
+    assert not any(a.flags.writeable for a in (*round_maps, index, powers, majority))
 
     first = _branch_tree(5, 0.1)
     assert _branch_tree(5, 0.1) is first and _branch_tree(5, 0.2) is not first
-    h, index, phase, strings = first
-    assert h.shape == (32, 36) and index.shape == phase.shape == (36, 36)
-    assert strings == tuple(format(w, "05b") for w in range(32))
-    assert not any(a.flags.writeable for a in (h, index, phase))
+    h, phase = first
+    assert h.shape == (32, 36) and phase.shape == (36, 36)
+    for a in first:
+        assert not a.flags.writeable
+        base = a
+        while base.base is not None:
+            base = base.base
+        assert base.nbytes == a.nbytes
 
 
 def test_branch_probabilities_sum_to_one(pair_10db):

@@ -464,7 +464,7 @@ def test_sweeps_enumerate_no_branches(monkeypatch):
     from gkp_readout import readout
 
     calls = []
-    for name in ("simulated_p_err", "sector_kraus", "_branch_tree"):
+    for name in ("simulated_p_err", "sector_kraus", "_branch_tree", "_round_maps"):
         def counted(*args, _name=name, _f=getattr(readout, name), **kwargs):
             calls.append(_name)
             return _f(*args, **kwargs)
